@@ -28,6 +28,7 @@ from .core import (
     brownian_linear,
     constant,
     default_beta,
+    derivative_terms,
     jump_linear,
     malliavin_b,
     malliavin_n,

@@ -9,6 +9,7 @@ on a failed comparison hypothesis.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, core
+from . import __version__
 from .comparison import ComparisonScenario, run_comparison
 from .config import ScenarioConfig, build_driver_objects, config_hash, \
     parse_config_file
@@ -114,31 +115,22 @@ def _run_linear(cfg: ScenarioConfig, writer: RunWriter) -> int:
         operator_norm_estimate, simulate_gamma, y_closed_formula
 
     ens = simulate_ensemble(cfg.grid, cfg.levy, cfg.n_paths, cfg.seed)
-    coeffs = cfg.linear
-    coeffs = core.LinearCoefficients(
-        alpha1=coeffs.alpha1, alpha2=coeffs.alpha2, beta1=coeffs.beta1,
-        beta2=coeffs.beta2, eta1=coeffs.eta1, eta2=coeffs.eta2,
-        gamma=coeffs.gamma, terminal=cfg.terminal,
-    )
+    coeffs = dataclasses.replace(cfg.linear, terminal=cfg.terminal)
     gamma = simulate_gamma(coeffs, ens)
     system = assemble_system(coeffs, cfg.terminal, ens, gamma=gamma)
     norm = operator_norm_estimate(system, (0.0, cfg.grid.horizon))
     v = neumann_solve(system)
     y0, se, _ = y_closed_formula(coeffs, cfg.terminal, ens, v, gamma=gamma)
 
-    m1 = system.n_nodes
+    f, f_se = system.f, system.f_se
     rows = _mean_rows(cfg.grid, "ybar", v.v1)
     rows += _mean_rows(cfg.grid, "zbar", v.v2)
-    rows += _mean_rows(cfg.grid, "f1", system.source[:m1],
-                       system.source_se[:m1])
-    rows += _mean_rows(cfg.grid, "f2", system.source[m1:2 * m1],
-                       system.source_se[m1:2 * m1])
+    rows += _mean_rows(cfg.grid, "f1", f.v1, f_se.v1)
+    rows += _mean_rows(cfg.grid, "f2", f.v2, f_se.v2)
     for a in range(cfg.levy.n_atoms):
         rows += _mean_rows(cfg.grid, f"kbar_atom{a}", v.v3[:, a])
-        lo = (2 + a) * m1
-        rows += _mean_rows(cfg.grid, f"f3_atom{a}",
-                           system.source[lo:lo + m1],
-                           system.source_se[lo:lo + m1])
+        rows += _mean_rows(cfg.grid, f"f3_atom{a}", f.v3[:, a],
+                           f_se.v3[:, a])
     rows.append((0, 0.0, "kernel_norm", norm, 0.0))
     rows.append((0, 0.0, "y0", y0, se))
     writer.write_csv("linear_solution.csv", rows)

@@ -217,27 +217,21 @@ def _parse_driver(cp, errs, levy, section="driver"):
 def _parse_linear_coeffs(cp, errs, levy, section="linear_coeffs"):
     if not cp.has_section(section):
         return None
-    def ac(key):
-        vals = _get_floats(cp, errs, section, key, default=[0.0])
-        return _atom_coeff(vals, levy, f"{section}.{key}", errs)
-    lc = core.LinearCoefficients(
+    e1 = _get_floats(cp, errs, section, "eta1", default=[0.0])
+    if any(v <= -1.0 for v in e1):
+        errs.add(f"{section}.eta1",
+                 f"values must stay above -1, got {min(e1)}")
+    return core.LinearCoefficients(
         alpha1=_get_float(cp, errs, section, "alpha1", default=0.0),
         alpha2=_get_float(cp, errs, section, "alpha2", default=0.0),
         beta1=_get_float(cp, errs, section, "beta1", default=0.0),
         beta2=_get_float(cp, errs, section, "beta2", default=0.0),
-        eta1=ac("eta1"),
-        eta2=ac("eta2"),
+        eta1=_atom_coeff(e1, levy, f"{section}.eta1", errs),
+        eta2=_atom_coeff(_get_floats(cp, errs, section, "eta2",
+                                     default=[0.0]),
+                         levy, f"{section}.eta2", errs),
         gamma=_get_float(cp, errs, section, "gamma", default=0.0),
     )
-    e1 = cp.get(section, "eta1", fallback="0")
-    try:
-        vals = [float(t) for t in e1.replace(",", " ").split()]
-        if any(v <= -1.0 for v in vals):
-            errs.add(f"{section}.eta1",
-                     f"values must stay above -1, got {min(vals)}")
-    except ValueError:
-        pass
-    return lc
 
 
 def build_driver_objects(cfg: ScenarioConfig):
@@ -254,8 +248,9 @@ def build_driver_objects(cfg: ScenarioConfig):
     elif phi_name == "mean_yzk_avg":
         phi = core.mean_yzk_avg(levy)
     elif phi_name == "mean_y_squared":
-        phi = core.mean_y_squared((cfg.mean_functional or {}).get("bound",
-                                                                  10.0))
+        bound = (cfg.mean_functional or {}).get("bound")
+        phi = core.mean_y_squared() if bound is None else \
+            core.mean_y_squared(bound)
     else:
         raise ConfigError(f"mean_functional.name: unknown {phi_name!r}")
 
@@ -351,9 +346,10 @@ def parse_config(text: str) -> ScenarioConfig:
     if mode == "picard":
         driver = _parse_driver(cp, errs, levy)
         mean_fn = {"name": cp.get("mean_functional", "name",
-                                  fallback="mean_y"),
-                   "bound": _get_float(cp, errs, "mean_functional", "bound",
-                                       default=1.0)}
+                                  fallback="mean_y")}
+        bound = _get_float(cp, errs, "mean_functional", "bound")
+        if bound is not None:
+            mean_fn["bound"] = bound
         terminal = _parse_terminal(cp, errs, levy)
         linear = _parse_linear_coeffs(cp, errs, levy)
         if driver and driver.get("name") == "linear" and linear is None:
@@ -362,9 +358,7 @@ def parse_config(text: str) -> ScenarioConfig:
     elif mode == "linear":
         terminal = _parse_terminal(cp, errs, levy)
         linear = _parse_linear_coeffs(cp, errs, levy)
-        if cp.has_section("linear_coeffs"):
-            pass
-        else:
+        if not cp.has_section("linear_coeffs"):
             errs.add("linear_coeffs", "missing required section")
     elif mode == "compare":
         compare = {
@@ -382,23 +376,18 @@ def parse_config(text: str) -> ScenarioConfig:
             errs.add("qcheck", "missing required section")
         qcheck = {k: _get_float(cp, errs, "qcheck", k, default=0.0)
                   for k in ("alpha1", "alpha2", "beta1", "gamma")}
-        qcheck["eta1"] = _atom_coeff(
-            _get_floats(cp, errs, "qcheck", "eta1", default=[0.0]),
-            levy, "qcheck.eta1", errs,
-        )
         eta_vals = _get_floats(cp, errs, "qcheck", "eta1", default=[0.0])
+        qcheck["eta1"] = _atom_coeff(eta_vals, levy, "qcheck.eta1", errs)
         if any(v <= -1.0 for v in eta_vals):
             errs.add("qcheck.eta1", "values must stay above -1")
         terminal = _parse_terminal(cp, errs, levy)
     elif mode == "utility":
+        g0 = _get_floats(cp, errs, "wealth", "gamma0", default=[0.0])
         usect = {
             "x0": _get_float(cp, errs, "wealth", "x0", required=True),
             "b0": _get_float(cp, errs, "wealth", "b0", default=0.0),
             "sigma0": _get_float(cp, errs, "wealth", "sigma0", default=0.0),
-            "gamma0": _atom_coeff(
-                _get_floats(cp, errs, "wealth", "gamma0", default=[0.0]),
-                levy, "wealth.gamma0", errs,
-            ),
+            "gamma0": _atom_coeff(g0, levy, "wealth.gamma0", errs),
             "alpha0": _get_float(cp, errs, "utility_coeffs", "alpha0",
                                  default=0.0),
             "alpha1": _get_float(cp, errs, "utility_coeffs", "alpha1",
@@ -421,7 +410,6 @@ def parse_config(text: str) -> ScenarioConfig:
             "pi": _get_float(cp, errs, "control", "pi", default=1.0),
             "optimal": cp.getboolean("control", "optimal", fallback=False),
         }
-        g0 = _get_floats(cp, errs, "wealth", "gamma0", default=[0.0])
         if any(v <= -1.0 for v in g0):
             errs.add("wealth.gamma0", "values must stay above -1")
 

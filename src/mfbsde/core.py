@@ -10,6 +10,7 @@ still be fed to the Picard solver, which never differentiates them.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -28,6 +29,7 @@ __all__ = [
     "poly_of_jump_linear",
     "wealth_linear",
     "terminal_value",
+    "derivative_terms",
     "malliavin_b",
     "malliavin_n",
     "DriverSpec",
@@ -189,58 +191,79 @@ def _terminal_value(tc: TerminalCondition, ens: PathEnsemble) -> np.ndarray:
     raise CapabilityError(f"unknown terminal kind {tc.kind!r}")
 
 
-def malliavin_b(tc: TerminalCondition, ens: PathEnsemble, i: int) -> np.ndarray:
-    """Closed-form Brownian derivative of the terminal value at node i,
-    taken as the left limit in t, shape (n,)."""
+def derivative_terms(tc: TerminalCondition, ens: PathEnsemble):
+    """Closed-form derivatives of the terminal value as separable terms.
+
+    Returns (brownian, jumps).  `brownian` is a list of (path factor (n,),
+    node profile (M+1,)) pairs whose sum of outer products is the
+    Brownian derivative D_{t_i} xi, taken as the left limit in t, at every
+    node; `jumps[a]` is the same for the derivative in the direction of
+    atom a.  An empty list is an identically zero derivative.
+    """
     p = tc.params
+    nj = ens.levy.n_atoms
+    ones = np.ones(ens.grid.steps + 1)
+    no_jumps = [[] for _ in range(nj)]
     if tc.kind == "constant":
-        return np.zeros(ens.n_paths)
+        return [], no_jumps
     if tc.kind == "brownian_linear":
-        return np.full(ens.n_paths, p["a"])
-    if tc.kind in ("jump_linear", "poly_of_jump_linear"):
-        return np.zeros(ens.n_paths)
+        return [(np.full(ens.n_paths, p["a"]), ones)], no_jumps
     if tc.kind == "smooth_of_brownian":
-        return _poly_deriv(p["coeffs"], ens.db.sum(axis=1))
+        slope = _poly_deriv(p["coeffs"], ens.db.sum(axis=1))
+        return [(slope, ones)], no_jumps
+    if tc.kind == "jump_linear":
+        psi = _psi_nodes(p["psi"], ens)
+        return [], [[(np.ones(ens.n_paths), psi[:, a])] for a in range(nj)]
+    if tc.kind == "poly_of_jump_linear":
+        # difference rule phi(G + psi) - phi(G), expanded binomially:
+        # sum_q G^q sum_{p>q} c_p C(p, q) psi^(p-q)
+        coeffs = p["coeffs"]
+        g = terminal_value(jump_linear(p["psi"]), ens)
+        psi = _psi_nodes(p["psi"], ens)
+        jumps = []
+        for a in range(nj):
+            terms = []
+            for q in range(len(coeffs) - 1):
+                prof = sum(c * math.comb(k, q) * psi[:, a] ** (k - q)
+                           for k, c in enumerate(coeffs) if k > q)
+                terms.append((g**q, prof))
+            jumps.append(terms)
+        return [], jumps
     if tc.kind == "wealth_linear":
         if not p["pi_deterministic"]:
             raise CapabilityError(
                 "closed-form wealth derivatives need a deterministic "
                 "consumption rate; use the Picard solver instead"
             )
+        # D X(T) = X(T) sigma0(t), D_{t,z} X(T) = X(T) gamma0(t, z)
         xt = p["wealth"][:, -1]
         theta_tc = p["theta"]
-        theta = terminal_value(theta_tc, ens)
-        out = theta * xt * p["sigma0"][i]
-        if theta_tc.kind == "smooth_of_brownian":
-            out = out + malliavin_b(theta_tc, ens, i) * xt
-        return out
+        level = terminal_value(theta_tc, ens) * xt
+        brownian = [(level, p["sigma0"])]
+        for path, prof in derivative_terms(theta_tc, ens)[0]:
+            brownian.append((path * xt, prof))
+        return brownian, [[(level, p["gamma0"][:, a])] for a in range(nj)]
     raise CapabilityError(f"unknown terminal kind {tc.kind!r}")
+
+
+def _at_node(terms, n: int, i: int) -> np.ndarray:
+    out = np.zeros(n)
+    for path, prof in terms:
+        out = out + path * prof[i]
+    return out
+
+
+def malliavin_b(tc: TerminalCondition, ens: PathEnsemble, i: int) -> np.ndarray:
+    """Closed-form Brownian derivative of the terminal value at node i,
+    taken as the left limit in t, shape (n,)."""
+    return _at_node(derivative_terms(tc, ens)[0], ens.n_paths, i)
 
 
 def malliavin_n(tc: TerminalCondition, ens: PathEnsemble, i: int, atom: int
                 ) -> np.ndarray:
     """Closed-form jump derivative of the terminal value at node i in the
     direction of atom `atom`, shape (n,)."""
-    p = tc.params
-    if tc.kind in ("constant", "brownian_linear", "smooth_of_brownian"):
-        return np.zeros(ens.n_paths)
-    if tc.kind == "jump_linear":
-        psi = _psi_nodes(p["psi"], ens)
-        return np.full(ens.n_paths, psi[i, atom])
-    if tc.kind == "poly_of_jump_linear":
-        # difference rule: phi(G + psi) - phi(G)
-        g = terminal_value(jump_linear(p["psi"]), ens)
-        psi = _psi_nodes(p["psi"], ens)[i, atom]
-        return _poly_eval(p["coeffs"], g + psi) - _poly_eval(p["coeffs"], g)
-    if tc.kind == "wealth_linear":
-        if not p["pi_deterministic"]:
-            raise CapabilityError(
-                "closed-form wealth derivatives need a deterministic "
-                "consumption rate; use the Picard solver instead"
-            )
-        theta = terminal_value(p["theta"], ens)
-        return theta * p["wealth"][:, -1] * p["gamma0"][i, atom]
-    raise CapabilityError(f"unknown terminal kind {tc.kind!r}")
+    return _at_node(derivative_terms(tc, ens)[1][atom], ens.n_paths, i)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,16 @@ tilted equation by weighted and by shifted simulation.
 
 Derivative conventions: variational derivatives are taken as left limits
 in time, so the propagator factors drop out of the rows for Zbar and
-Kbar.  Those rows are therefore pure source terms (no couplings), and the
-system's only integral equation is the row for Ybar.  The kernel keeps
-the full three-block layout so the window/Neumann machinery treats every
-block uniformly.
+Kbar.  Those means are therefore pure source terms, and the system is the
+one integral equation for Ybar, with the Zbar and Kbar couplings folded
+into its source.  Every closed-form derivative of the terminal is a short
+sum of (path factor) x (node profile) terms, so each derivative source row
+is one pass over the paths.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -26,8 +27,7 @@ from .core import (
     CoefficientGrid,
     LinearCoefficients,
     TerminalCondition,
-    malliavin_b,
-    malliavin_n,
+    derivative_terms,
     terminal_value,
 )
 from .errors import CapabilityError, ConfigError, DomainError, NumericalError
@@ -139,38 +139,26 @@ class MeanVector:
     def stack(self) -> np.ndarray:
         return np.concatenate([self.v1, self.v2, self.v3.T.ravel()])
 
-    @staticmethod
-    def unstack(grid, n_atoms: int, x: np.ndarray) -> "MeanVector":
-        m1 = grid.steps + 1
-        v3 = x[2 * m1:].reshape(n_atoms, m1).T if n_atoms else \
-            np.zeros((m1, 0))
-        return MeanVector(grid, x[:m1], x[m1:2 * m1], v3)
-
 
 @dataclass
 class VolterraSystem:
-    """Discretised mean system V = F + AV on the grid.
+    """Discretised mean system on the grid.
 
-    The unknown vector stacks [V1(all nodes), V2(all nodes), V3 per atom].
-    Kernel entries carry the left-endpoint quadrature weight dt and the
-    atom weights, and vanish below the diagonal in node index (causality);
-    only the V1 rows couple, per the left-limit derivative convention.
+    The means of Z and K are the sources F2 and F3 themselves, so the one
+    integral equation is V1 = source + kernel V1 for E[Y].  `source` is
+    F1 plus the couplings b2 F2 and e2_j w_j F3_j integrated with the
+    kernel's quadrature.  Kernel entries carry the trapezoid weight and
+    vanish below the diagonal in node index (causality).
     """
 
     grid: object
     levy: object
     cg: CoefficientGrid
-    kernel: np.ndarray       # (K, K)
-    source: np.ndarray       # (K,)
-    source_se: np.ndarray    # (K,) Monte Carlo standard errors of F
+    kernel: np.ndarray       # (M+1, M+1) kernel of the E[Y] equation
+    source: np.ndarray       # (M+1,) source of the E[Y] equation
+    f: MeanVector            # sources F1, F2, F3
+    f_se: MeanVector         # their Monte Carlo standard errors
     n_nodes: int
-    n_atoms: int
-
-    def node_slice(self, lo: int, hi: int) -> np.ndarray:
-        """Stacked indices of all blocks for nodes lo..hi-1."""
-        m1 = self.n_nodes
-        idx = [np.arange(lo, hi) + b * m1 for b in range(2 + self.n_atoms)]
-        return np.concatenate(idx)
 
 
 def _mc_mean_se(samples: np.ndarray):
@@ -178,6 +166,25 @@ def _mc_mean_se(samples: np.ndarray):
     se = samples.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else \
         np.zeros(samples.shape[1:])
     return samples.mean(axis=0), se
+
+
+def _row_mean_se(terms, expl_inv: np.ndarray, exp_t: np.ndarray):
+    """Per-node mean and standard error of sum_k path_k prof_k(t_i)
+    Gamma(t_i, T) for separable derivative terms (path_k, prof_k), in one
+    pass over an (n, M+1) sample matrix."""
+    terms = [(path, prof) for path, prof in terms if prof.any()]
+    if not terms:
+        return np.zeros(expl_inv.shape[1]), np.zeros(expl_inv.shape[1])
+    if len(terms) == 1:
+        (path, prof), = terms
+        mean, se = _mc_mean_se(expl_inv * (path * exp_t)[:, None])
+        return prof * mean, np.abs(prof) * se
+    # einsum, not a BLAS product: the result must not depend on threading
+    samples = np.einsum("kn,km->nm",
+                        np.array([path * exp_t for path, _ in terms]),
+                        np.array([prof for _, prof in terms]))
+    samples *= expl_inv
+    return _mc_mean_se(samples)
 
 
 def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
@@ -193,11 +200,12 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
         F1(t) = E[xi G(t,T)] + int_t^T E[G(t,s) gamma(s)] ds
         F2(t) = E[D_t xi  G(t,T)] + int_t^T E[G(t,s)] D_t gamma ds
         F3(t,z) = E[D_{t,z} xi G(t,T)] + int_t^T E[G(t,s)] D_{t,z} gamma ds
-    with the derivatives of xi from the closed-form catalog.  gamma is the
-    deterministic coefficient unless `gamma_path` (n, M+1) is given, in
-    which case the joint pathwise products are averaged and the
-    deterministic derivative profiles `gamma_db` (M+1,) and `gamma_dn`
-    (M+1, J) supply the last terms (they vanish for deterministic gamma).
+    with the derivatives of xi from the closed-form catalog, each row in
+    one pass over the paths.  gamma is the deterministic coefficient
+    unless `gamma_path` (n, M+1) is given, in which case the joint
+    pathwise products are averaged and the deterministic derivative
+    profiles `gamma_db` (M+1,) and `gamma_dn` (M+1, J) supply the last
+    terms (they vanish for deterministic gamma).
     """
     grid, levy = ens.grid, ens.levy
     if tc is None:
@@ -213,10 +221,8 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     if gamma is None:
         gamma = _simulate_gamma_grid(cg, ens)
     m1 = grid.steps + 1
-    m = grid.steps
     nj = levy.n_atoms
     dt = grid.dt
-    w = levy.weights
     n = ens.n_paths
 
     # E[Gamma(t_i, t_l)] = exp(int a1) on grid quadrature, upper triangular
@@ -231,27 +237,18 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
 
     expl = gamma.exp_levels()            # (n, M+1)
     expl_inv = np.exp(-gamma.log_level)
+    exp_t = expl[:, -1]
     xi = terminal_value(tc, ens)
 
     # terminal sources E[. Gamma(t_i, T)]
-    xg, xg_se = _mc_mean_se(expl_inv * (xi * expl[:, -1])[:, None])
-    f1 = xg.copy()
-    f1_se2 = xg_se**2
-
-    f2 = np.zeros(m1)
-    f2_se2 = np.zeros(m1)
-    f3 = np.zeros((m1, nj))
-    f3_se2 = np.zeros((m1, nj))
+    f1, f1_se = _mc_mean_se(expl_inv * (xi * exp_t)[:, None])
+    f2, f2_se = np.zeros(m1), np.zeros(m1)
+    f3, f3_se = np.zeros((m1, nj)), np.zeros((m1, nj))
     if derivative_rows:
-        for i in range(m1):
-            s, e = _mc_mean_se(malliavin_b(tc, ens, i)
-                               * expl_inv[:, i] * expl[:, -1])
-            f2[i], f2_se2[i] = s, e**2
+        brownian, jumps = derivative_terms(tc, ens)
+        f2, f2_se = _row_mean_se(brownian, expl_inv, exp_t)
         for a in range(nj):
-            for i in range(m1):
-                s, e = _mc_mean_se(malliavin_n(tc, ens, i, a)
-                                   * expl_inv[:, i] * expl[:, -1])
-                f3[i, a], f3_se2[i, a] = s, e**2
+            f3[:, a], f3_se[:, a] = _row_mean_se(jumps[a], expl_inv, exp_t)
 
     # deterministic or pathwise running-cost contribution
     if gamma_path is not None:
@@ -269,21 +266,17 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     else:
         f1 += (eg * wq * cg.g[None, :]).sum(axis=1)
 
-    # kernel: only the V1 rows couple (left-limit derivative convention)
-    kdim = (2 + nj) * m1
-    kernel = np.zeros((kdim, kdim))
+    # E[Z] = F2 and E[K] = F3 (left-limit derivative convention): their
+    # couplings move into the source of the E[Y] equation
     quad = eg * wq                                     # (M+1, M+1) weights
-    kernel[:m1, :m1] = quad * cg.a2[None, :]
-    kernel[:m1, m1:2 * m1] = quad * cg.b2[None, :]
-    for a in range(nj):
-        c0 = (2 + a) * m1
-        kernel[:m1, c0:c0 + m1] = quad * (cg.e2[None, :, a] * w[a])
-
-    source = np.concatenate([f1, f2, f3.T.ravel()])
-    source_se = np.sqrt(np.concatenate([f1_se2, f2_se2, f3_se2.T.ravel()]))
-    return VolterraSystem(grid=grid, levy=levy, cg=cg, kernel=kernel,
-                          source=source, source_se=source_se,
-                          n_nodes=m1, n_atoms=nj)
+    coupling = cg.b2 * f2
+    if nj:
+        coupling = coupling + (cg.e2 * levy.weights * f3).sum(axis=1)
+    return VolterraSystem(
+        grid=grid, levy=levy, cg=cg, kernel=quad * cg.a2[None, :],
+        source=f1 + quad @ coupling,
+        f=MeanVector(grid, f1, f2, f3),
+        f_se=MeanVector(grid, f1_se, f2_se, f3_se), n_nodes=m1)
 
 
 def _spectral_norm(mat: np.ndarray, tol: float = 1e-10,
@@ -310,27 +303,26 @@ def _spectral_norm(mat: np.ndarray, tol: float = 1e-10,
 
 
 def operator_norm_estimate(sys: VolterraSystem, window: tuple) -> float:
-    """Induced 2-norm of the kernel restricted to grid nodes in [a, b]."""
+    """Induced 2-norm of the E[Y] kernel restricted to grid nodes in
+    [a, b]."""
     a, b = window
     if not a < b:
         raise ConfigError("window must satisfy a < b")
     dt = sys.grid.dt
     lo = max(0, int(math.ceil(a / dt - 1e-9)))
     hi = min(sys.n_nodes, int(math.floor(b / dt + 1e-9)) + 1)
-    idx = sys.node_slice(lo, hi)
-    return _spectral_norm(sys.kernel[np.ix_(idx, idx)])
+    return _spectral_norm(sys.kernel[lo:hi, lo:hi])
 
 
 def direct_solve(sys: VolterraSystem) -> MeanVector:
-    """Dense factorisation of (I - A) V = F over the whole grid."""
-    k = sys.kernel.shape[0]
+    """Dense factorisation of (I - A) V1 = source over the whole grid."""
     try:
-        x = np.linalg.solve(np.eye(k) - sys.kernel, sys.source)
+        v1 = np.linalg.solve(np.eye(sys.n_nodes) - sys.kernel, sys.source)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "dense mean system is singular; kernel violates causality"
         ) from exc
-    return MeanVector.unstack(sys.grid, sys.n_atoms, x)
+    return replace(sys.f, v1=v1)
 
 
 def _window_starts(m1: int, w_len: int) -> list:
@@ -347,7 +339,7 @@ def _window_starts(m1: int, w_len: int) -> list:
 def neumann_solve(sys: VolterraSystem, target_norm: float = 0.5,
                   series_tol: float = 1e-12,
                   window_len: Optional[int] = None) -> MeanVector:
-    """Windowed Neumann-series solution of V = F + AV.
+    """Windowed Neumann-series solution of V1 = source + A V1.
 
     The window length is the largest multiple of dt for which every
     window's restricted kernel has norm at most target_norm (bisection,
@@ -356,14 +348,11 @@ def neumann_solve(sys: VolterraSystem, target_norm: float = 0.5,
     the lower windows as an extra source.
     """
     m1 = sys.n_nodes
+    kernel = sys.kernel
 
     def feasible(w_len: int) -> bool:
-        return all(
-            _spectral_norm(sys.kernel[np.ix_(sys.node_slice(lo, hi),
-                                             sys.node_slice(lo, hi))])
-            <= target_norm
-            for lo, hi in _window_starts(m1, w_len)
-        )
+        return all(_spectral_norm(kernel[lo:hi, lo:hi]) <= target_norm
+                   for lo, hi in _window_starts(m1, w_len))
 
     if window_len is not None:
         if not 2 <= window_len <= m1:
@@ -392,15 +381,11 @@ def neumann_solve(sys: VolterraSystem, target_norm: float = 0.5,
         if not feasible(w_len):  # guards non-monotone corner cases
             w_len = 2
 
-    x = np.zeros_like(sys.source)
-    solved = np.zeros(0, dtype=int)
+    x = np.zeros(m1)
     for lo, hi in _window_starts(m1, w_len):
-        rows = sys.node_slice(lo, hi)
-        f_eff = sys.source[rows].copy()
-        if solved.size:
-            f_eff += sys.kernel[np.ix_(rows, solved)] @ x[solved]
-        sub = sys.kernel[np.ix_(rows, rows)]
-        term = f_eff.copy()
+        f_eff = sys.source[lo:hi] + kernel[lo:hi, hi:] @ x[hi:]
+        sub = kernel[lo:hi, lo:hi]
+        term = f_eff
         acc = f_eff.copy()
         for _ in range(100000):
             term = sub @ term
@@ -409,9 +394,8 @@ def neumann_solve(sys: VolterraSystem, target_norm: float = 0.5,
                 break
         else:
             raise NumericalError("Neumann series failed to converge")
-        x[rows] = acc
-        solved = np.concatenate([solved, rows])
-    return MeanVector.unstack(sys.grid, sys.n_atoms, x)
+        x[lo:hi] = acc
+    return replace(sys.f, v1=x)
 
 
 def y_closed_formula(coeffs: LinearCoefficients, tc: TerminalCondition,

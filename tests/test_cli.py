@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 import textwrap
+import warnings
+from pathlib import Path
 
 import pytest
 
+import mfbsde
 from mfbsde import ConfigError
 from mfbsde.cli import main
-from mfbsde.config import parse_config
+from mfbsde.config import build_driver_objects, parse_config
+from mfbsde.core import probe_mean_functional
 
 MINIMAL_PICARD = textwrap.dedent("""
     [run]
@@ -75,6 +82,45 @@ class TestParseConfig:
         text = MINIMAL_PICARD + "\n[solver]\nmystery_knob = 3\n"
         with pytest.raises(ConfigError, match="solver.mystery_knob"):
             parse_config(text)
+
+    @pytest.mark.parametrize("mode,sections,path", [
+        ("linear", "[terminal]\nkind = constant\nc = 1.0\n"
+                   "[linear_coeffs]\n", "linear_coeffs.eta1"),
+        ("qcheck", "[terminal]\nkind = constant\nc = 1.0\n[qcheck]\n",
+         "qcheck.eta1"),
+        ("utility", "[theta]\nkind = constant\nc = 1.0\n"
+                    "[wealth]\nx0 = 1.0\n", "wealth.gamma0"),
+    ], ids=["linear", "qcheck", "utility"])
+    @pytest.mark.parametrize("value", ["-1.5", "abc"])
+    def test_one_error_per_bad_floor_value(self, mode, sections, path,
+                                           value):
+        text = (f"[run]\nmode = {mode}\n[grid]\nhorizon = 1.0\n"
+                f"steps = 10\n[mc]\npaths = 10\n{sections}"
+                f"{path.split('.')[1]} = {value}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        entries = str(err.value).splitlines()[1:]
+        assert len(entries) == 1
+        assert entries[0].strip().startswith(f"{path}:")
+
+
+class TestMeanFunctionalBound:
+    TEXT = MINIMAL_PICARD + "\n[mean_functional]\nname = mean_y_squared\n"
+
+    def test_absent_bound_takes_the_functional_default(self):
+        cfg = parse_config(self.TEXT)
+        _, phi = build_driver_objects(cfg)
+        assert phi.derivative_bound == mfbsde.mean_y_squared().derivative_bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probe_mean_functional(phi, cfg.levy.n_atoms)
+
+    def test_explicit_bound_is_honoured(self):
+        cfg = parse_config(self.TEXT + "bound = 2.5\n")
+        _, phi = build_driver_objects(cfg)
+        assert phi.derivative_bound == 2.5
+        with pytest.warns(UserWarning, match="exceeds declared 2.5"):
+            probe_mean_functional(phi, cfg.levy.n_atoms)
 
 
 @pytest.fixture()
@@ -281,3 +327,74 @@ class TestCli:
                      "--out", str(tmp_path / "qo")]) == 0
         man = json.loads((tmp_path / "qo" / "manifest.json").read_text())
         assert man["diagnostics"]["qcheck"]["agree"]
+
+
+DETERMINISM_LINEAR = textwrap.dedent("""
+    [run]
+    mode = linear
+    [grid]
+    horizon = 1.0
+    steps = 100
+    [levy]
+    atoms = 1.0:0.5, -0.5:0.7
+    [mc]
+    paths = 20000
+    seed = 3
+    [linear_coeffs]
+    alpha1 = 0.12
+    alpha2 = 0.18
+    beta1 = 0.3
+    beta2 = 0.12
+    eta1 = 0.25
+    eta2 = 0.15
+    gamma = 0.1
+    [terminal]
+    kind = smooth_of_brownian
+    coeffs = 1.0, 0.5, 0.2
+""")
+
+
+# the closed-form pipeline behind `mfbsde linear`, printing a hash of the
+# raw bytes of its arrays (the CSV rounds them to 12 digits)
+LINEAR_ARRAYS = textwrap.dedent("""
+    import dataclasses, hashlib, sys
+    import mfbsde as mf
+    from mfbsde.config import parse_config_file
+    cfg = parse_config_file(sys.argv[1])
+    ens = mf.simulate_ensemble(cfg.grid, cfg.levy, cfg.n_paths, cfg.seed)
+    c = dataclasses.replace(cfg.linear, terminal=cfg.terminal)
+    system = mf.assemble_system(c, c.terminal, ens)
+    v = mf.neumann_solve(system)
+    y0, se, _ = mf.y_closed_formula(c, c.terminal, ens, v)
+    h = hashlib.sha256()
+    for arr in (system.f.stack(), system.f_se.stack(), system.source,
+                v.stack()):
+        h.update(arr.tobytes())
+    print(h.hexdigest(), repr(y0), repr(se))
+""")
+
+
+def test_linear_run_independent_of_blas_threads(tmp_path):
+    """The same seed gives byte-identical linear_solution.csv bodies and
+    byte-identical closed-form arrays whatever the number of BLAS
+    threads."""
+    ini = tmp_path / "linear.ini"
+    ini.write_text(DETERMINISM_LINEAR)
+    src = str(Path(mfbsde.__file__).resolve().parents[1])
+    bodies, hashes = [], []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"out{threads}"
+        subprocess.run([sys.executable, "-m", "mfbsde.cli", "linear",
+                        "--config", str(ini), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        lines = (out / "linear_solution.csv").read_text().splitlines()
+        bodies.append(lines[1:])
+        hashes.append(subprocess.run(
+            [sys.executable, "-c", LINEAR_ARRAYS, str(ini)], env=env,
+            check=True, capture_output=True, text=True).stdout)
+    assert len(bodies[0]) > 100
+    assert bodies[0] == bodies[1]
+    assert hashes[0] == hashes[1]

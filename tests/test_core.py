@@ -61,6 +61,20 @@ class TestMalliavinB:
     def test_jump_linear_has_no_brownian_derivative(self, ens_small):
         assert np.all(malliavin_b(jump_linear(1.0), ens_small, 2) == 0.0)
 
+    def test_wealth_smooth_factor_product_rule(self, ens_small):
+        from mfbsde import wealth_linear
+
+        m1 = ens_small.grid.steps + 1
+        wealth = np.exp(0.3 * ens_small.brownian_nodes)
+        sigma0 = np.linspace(0.1, 0.4, m1)
+        tc = wealth_linear(smooth_of_brownian([1.0, 0.5, 0.25]), wealth,
+                           sigma0, np.zeros((m1, 1)))
+        bt, xt = ens_small.db.sum(axis=1), wealth[:, -1]
+        d = malliavin_b(tc, ens_small, 9)
+        expected = (1.0 + 0.5 * bt + 0.25 * bt**2) * xt * sigma0[9] \
+            + (0.5 + 0.5 * bt) * xt
+        assert np.allclose(d, expected, rtol=1e-13, atol=1e-13)
+
 
 class TestMalliavinN:
     def test_constant_is_zero(self, ens_small):
@@ -76,6 +90,22 @@ class TestMalliavinN:
         g = terminal_value(jump_linear(1.0), ens_small)
         d = malliavin_n(tc, ens_small, 6, 0)
         assert np.allclose(d, (g + 1.0) ** 2 - g**2)
+
+    def test_cubic_difference_rule_per_atom_psi(self, grid50, levy2):
+        from mfbsde import simulate_ensemble
+
+        ens = simulate_ensemble(grid50, levy2, 2000, seed=12)
+        coeffs = [0.3, 0.5, -0.2, 0.1]
+        tc = poly_of_jump_linear(coeffs, [0.6, -0.4])
+        g = terminal_value(jump_linear([0.6, -0.4]), ens)
+
+        def phi(x):
+            return sum(c * x**p for p, c in enumerate(coeffs))
+
+        for atom, psi in enumerate((0.6, -0.4)):
+            d = malliavin_n(tc, ens, 5, atom)
+            assert np.allclose(d, phi(g + psi) - phi(g), rtol=1e-12,
+                               atol=1e-12)
 
     def test_brownian_kinds_are_zero(self, ens_small):
         assert np.all(malliavin_n(smooth_of_brownian([0, 1]), ens_small,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mfbsde import (
+    CapabilityError,
     ConfigError,
     DomainError,
     LinearCoefficients,
@@ -11,14 +12,18 @@ from mfbsde import (
     constant,
     direct_solve,
     jump_linear,
+    malliavin_b,
+    malliavin_n,
     mean_gamma,
     neumann_solve,
     operator_norm_estimate,
+    poly_of_jump_linear,
     q_special_solve,
     simulate_ensemble,
     simulate_gamma,
     smooth_of_brownian,
     solve_linear_y0,
+    wealth_linear,
     y_closed_formula,
 )
 from mfbsde.linear import assemble_system
@@ -98,9 +103,9 @@ class TestAssembleSystem:
     def test_constant_terminal_sources(self, ens_small):
         c = LinearCoefficients(terminal=constant(2.0))
         sys = assemble_system(c, constant(2.0), ens_small)
-        m1 = sys.n_nodes
-        assert np.allclose(sys.source[:m1], 2.0)        # E[xi Gamma] = 2
-        assert np.allclose(sys.source[m1:], 0.0)        # derivatives vanish
+        assert np.allclose(sys.f.v1, 2.0)               # E[xi Gamma] = 2
+        assert np.allclose(sys.f.v2, 0.0)               # derivatives vanish
+        assert np.allclose(sys.f.v3, 0.0)
 
     def test_brownian_terminal_brownian_row(self, ens_mid):
         """With unit-slope Brownian terminal, the Z-row source is the
@@ -109,12 +114,81 @@ class TestAssembleSystem:
                                terminal=brownian_linear(1.0, 0.0))
         g = simulate_gamma(c, ens_mid)
         sys = assemble_system(c, c.terminal, ens_mid, gamma=g)
-        m1 = sys.n_nodes
         for i in (0, 50, 100):
             target = mean_gamma(c, ens_mid.grid, ens_mid.levy,
                                 ens_mid.grid.nodes[i], 1.0)
-            se = sys.source_se[m1 + i]
-            assert abs(sys.source[m1 + i] - target) <= 3 * se + 1e-12
+            se = sys.f_se.v2[i]
+            assert abs(sys.f.v2[i] - target) <= 3 * se + 1e-12
+
+
+def _wealth_terminal(theta, ens, deterministic=True):
+    """theta * X(T) on a synthetic positive wealth grid with
+    time-dependent exposures."""
+    nodes = ens.grid.nodes
+    wealth = np.exp(0.2 * ens.brownian_nodes - 0.05 * nodes)
+    sigma0 = 0.2 + 0.1 * nodes
+    gamma0 = np.column_stack([0.1 - 0.05 * nodes, -0.2 + 0.1 * nodes])
+    return wealth_linear(theta, wealth, sigma0, gamma0,
+                         pi_is_deterministic=deterministic)
+
+
+DERIVATIVE_KINDS = {
+    "constant": lambda ens: constant(1.5),
+    "brownian_linear": lambda ens: brownian_linear(0.7, 0.2),
+    "jump_linear": lambda ens: jump_linear(lambda t, z: z * (1.0 + t)),
+    "smooth_of_brownian": lambda ens: smooth_of_brownian(
+        [0.5, -0.4, 0.3, 0.2]),
+    "poly_of_jump_linear": lambda ens: poly_of_jump_linear(
+        [0.3, 0.5, -0.2, 0.1], [0.6, -0.4]),
+    "wealth_constant_theta": lambda ens: _wealth_terminal(constant(2.0),
+                                                          ens),
+    "wealth_smooth_theta": lambda ens: _wealth_terminal(
+        smooth_of_brownian([1.0, 0.3, 0.1]), ens),
+}
+
+
+class TestDerivativeRows:
+    """The one-pass derivative source rows against a per-node loop over
+    the closed-form derivatives, on two atoms."""
+
+    @pytest.fixture(scope="class")
+    def ens2(self, grid50, levy2):
+        return simulate_ensemble(grid50, levy2, 3000, seed=31)
+
+    @staticmethod
+    def _per_node(tc, ens, gamma):
+        weight = np.exp(-gamma.log_level) * gamma.exp_levels()[:, -1:]
+        m1, nj, n = ens.grid.steps + 1, ens.levy.n_atoms, ens.n_paths
+        f2, se2 = np.zeros(m1), np.zeros(m1)
+        f3, se3 = np.zeros((m1, nj)), np.zeros((m1, nj))
+        for i in range(m1):
+            s = malliavin_b(tc, ens, i) * weight[:, i]
+            f2[i], se2[i] = s.mean(), s.std(ddof=1) / math.sqrt(n)
+            for a in range(nj):
+                s = malliavin_n(tc, ens, i, a) * weight[:, i]
+                f3[i, a], se3[i, a] = s.mean(), s.std(ddof=1) / math.sqrt(n)
+        return f2, se2, f3, se3
+
+    @pytest.mark.parametrize("kind", list(DERIVATIVE_KINDS))
+    def test_rows_match_per_node_loop(self, ens2, kind):
+        tc = DERIVATIVE_KINDS[kind](ens2)
+        c = LinearCoefficients(alpha1=0.2, beta1=0.3, eta1=0.25,
+                               beta2=0.1, eta2=0.2, terminal=tc)
+        g = simulate_gamma(c, ens2)
+        sys = assemble_system(c, tc, ens2, gamma=g)
+        f2, se2, f3, se3 = self._per_node(tc, ens2, g)
+        assert np.abs(sys.f.v2 - f2).max() <= 1e-12
+        assert np.abs(sys.f_se.v2 - se2).max() <= 1e-12
+        assert np.abs(sys.f.v3 - f3).max() <= 1e-12
+        assert np.abs(sys.f_se.v3 - se3).max() <= 1e-12
+        if kind != "constant":
+            assert np.abs(sys.f.v2).max() + np.abs(sys.f.v3).max() > 0.01
+
+    def test_adapted_wealth_rate_rejected(self, ens2):
+        tc = _wealth_terminal(constant(2.0), ens2, deterministic=False)
+        c = LinearCoefficients(alpha1=0.2, terminal=tc)
+        with pytest.raises(CapabilityError, match="deterministic"):
+            assemble_system(c, tc, ens2)
 
 
 class TestOperatorNorm:
@@ -138,8 +212,7 @@ class TestOperatorNorm:
         dt = ens_small.grid.dt
         lo = int(math.ceil(0.2 / dt - 1e-9))
         hi = int(math.floor(0.9 / dt + 1e-9)) + 1
-        idx = sys.node_slice(lo, hi)
-        oracle = np.linalg.norm(sys.kernel[np.ix_(idx, idx)], 2)
+        oracle = np.linalg.norm(sys.kernel[lo:hi, lo:hi], 2)
         assert got == pytest.approx(oracle, abs=1e-8)
 
 
@@ -148,8 +221,8 @@ class TestSolves:
         c = LinearCoefficients(beta1=0.2, terminal=constant(3.0))
         sys = assemble_system(c, constant(3.0), ens_small)
         v = neumann_solve(sys)
-        assert np.allclose(v.stack(), sys.source, atol=1e-14)
-        assert np.allclose(direct_solve(sys).stack(), sys.source,
+        assert np.allclose(v.stack(), sys.f.stack(), atol=1e-14)
+        assert np.allclose(direct_solve(sys).stack(), sys.f.stack(),
                            atol=1e-14)
 
     def test_neumann_matches_direct(self, ens_small):
@@ -175,8 +248,8 @@ class TestSolves:
                                terminal=constant(2.0))
         sys = assemble_system(c, constant(2.0), ens_small)
         m1 = sys.n_nodes
-        a11 = sys.kernel[:m1, :m1]
-        f1 = sys.source[:m1]
+        a11 = sys.kernel
+        f1 = sys.source
         v = np.zeros(m1)
         for i in reversed(range(m1)):
             v[i] = (f1[i] + a11[i, i + 1:] @ v[i + 1:]) / (1 - a11[i, i])
