@@ -32,7 +32,7 @@ print(f"atom (1.0, w=2.0) counts per step: mean {counts.mean():.5f} "
 # density of the tilted measure: drift 0.3 on B, intensity factor 1.5
 beta1, eta1 = 0.3, 0.5
 dens = girsanov_density(ens, beta1, eta1)
-mt = dens.m[:, -1]
+mt = dens[:, -1]
 print(f"\ndensity at T: mean {mt.mean():.4f} "
       f"(martingale target 1, se {mt.std() / np.sqrt(mt.size):.4f})")
 

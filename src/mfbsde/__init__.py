@@ -50,7 +50,6 @@ from .errors import (
     NumericalError,
 )
 from .levy_paths import (
-    GirsanovDensity,
     LevyMeasure,
     PathEnsemble,
     TimeGrid,

@@ -283,7 +283,6 @@ class DriverSpec:
     lipschitz_c: float
     mean_dim: int = 1
     source: Optional[np.ndarray] = None
-    linear_form: Optional["LinearCoefficients"] = None
     name: str = "custom"
 
     def __call__(self, t, y, z, k, mu):
@@ -464,7 +463,7 @@ class LinearCoefficients:
             * np.sqrt(max(levy.total_mass, 1.0)) if nj else 0.0,
         )
         return DriverSpec(eval=ev, lipschitz_c=float(lip), mean_dim=2 + nj,
-                          linear_form=self, name="linear")
+                          name="linear")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ __all__ = [
     "TimeGrid",
     "LevyMeasure",
     "PathEnsemble",
-    "GirsanovDensity",
     "build_grid",
     "simulate_ensemble",
     "girsanov_density",
@@ -200,48 +199,59 @@ def _eval_nodes_atoms(fn, nodes, marks) -> np.ndarray:
     return out
 
 
-def _check_jump_tilt(e1: np.ndarray, nodes, marks) -> None:
-    bad = np.argwhere(1.0 + e1 <= 0.0)
+def _check_jump_tilt(values: np.ndarray, nodes, marks, name: str) -> None:
+    """Raise unless every jump coefficient on the (node, atom) grid
+    exceeds -1, naming the first violating node and mark."""
+    bad = np.argwhere(1.0 + values <= 0.0)
     if bad.size:
         i, a = bad[0]
         raise DomainError(
-            f"1 + eta1 must stay positive; violated at t={nodes[i]:g}, "
-            f"mark={marks[a]:g} (eta1={e1[i, a]:g})"
+            f"{name} must exceed -1; violated at t={nodes[i]:g}, "
+            f"mark={marks[a]:g}"
         )
 
 
-@dataclass(frozen=True)
-class GirsanovDensity:
-    """Density process m[n, i] = M(t_i) of the tilted measure against P."""
+def _log_exponential(ens: PathEnsemble, drift, vol, jump) -> np.ndarray:
+    """Log of the stochastic exponential of (drift, vol, jump) on the
+    grid, shape (n, M+1), zero at t_0.
 
-    m: np.ndarray  # (n, M+1)
+    Each step adds
+        (drift - vol^2/2) dt + vol dB
+        + sum_j [log(1 + jump_j) dN_j - jump_j w_j dt],
+    evaluated exactly on the grid increments; the jump term is the
+    compensated log term plus the (log(1 + jump) - jump) w dt
+    correction, collected over raw counts.  `drift` is (M,) or
+    pathwise (n, M), `vol` is (M,) and `jump` is (M, J), all taken at
+    left nodes; jump values must exceed -1.
+    """
+    grid, levy = ens.grid, ens.levy
+    dt = grid.dt
+    out = np.empty((ens.n_paths, grid.steps + 1))
+    out[:, 0] = 0.0
+    incr = out[:, 1:]
+    np.multiply(vol, ens.db, out=incr)
+    incr += (drift - 0.5 * vol**2) * dt
+    if levy.n_atoms:
+        incr += (np.log1p(jump) * ens.jumps - jump * levy.weights * dt
+                 ).sum(axis=2)
+    np.cumsum(incr, axis=1, out=incr)
+    return out
 
 
-def girsanov_density(ens: PathEnsemble, beta1, eta1) -> GirsanovDensity:
-    """Evaluate the exponential density of the measure that removes drift
-    beta1 from B and tilts atom intensities by (1 + eta1).
+def girsanov_density(ens: PathEnsemble, beta1, eta1) -> np.ndarray:
+    """Density process M(t_i), shape (n, M+1), of the measure that
+    removes drift beta1 from B and tilts atom intensities by (1 + eta1).
 
-    The exponent is the stochastic-exponential form
-        sum beta1 dB - 1/2 sum beta1^2 dt
-        + sum log(1 + eta1) dN - sum eta1 * weight * dt,
-    evaluated exactly on grid increments, so M > 0 pathwise and
-    E[M(t_i)] = 1 at every node.
+    M is the stochastic exponential of (0, beta1, eta1), so M > 0
+    pathwise and E[M(t_i)] = 1 at every node.
     """
     grid, levy = ens.grid, ens.levy
     nodes = grid.nodes
     b1 = _eval_nodes(beta1, nodes)[:-1]
     e1 = _eval_nodes_atoms(eta1, nodes, levy.marks)
-    _check_jump_tilt(e1, nodes, levy.marks)
-    e1 = e1[:-1]
-
-    incr = b1 * ens.db - 0.5 * b1**2 * grid.dt
-    if levy.n_atoms:
-        incr = incr + (
-            np.log1p(e1) * ens.jumps - e1 * levy.weights * grid.dt
-        ).sum(axis=2)
-    logm = np.zeros((ens.n_paths, grid.steps + 1))
-    np.cumsum(incr, axis=1, out=logm[:, 1:])
-    return GirsanovDensity(m=np.exp(logm))
+    _check_jump_tilt(e1, nodes, levy.marks, "eta1")
+    logm = _log_exponential(ens, 0.0, b1, e1[:-1])
+    return np.exp(logm, out=logm)
 
 
 def shift_to_q(ens: PathEnsemble, beta1, eta1) -> PathEnsemble:
@@ -259,7 +269,7 @@ def shift_to_q(ens: PathEnsemble, beta1, eta1) -> PathEnsemble:
     nodes = grid.nodes
     b1 = _eval_nodes(beta1, nodes)[:-1]
     e1 = _eval_nodes_atoms(eta1, nodes, levy.marks)
-    _check_jump_tilt(e1, nodes, levy.marks)
+    _check_jump_tilt(e1, nodes, levy.marks, "eta1")
     e1 = e1[:-1]
 
     drift = b1 * grid.dt

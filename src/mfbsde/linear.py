@@ -30,10 +30,12 @@ from .core import (
     derivative_terms,
     terminal_value,
 )
-from .errors import CapabilityError, ConfigError, DomainError, NumericalError
+from .errors import CapabilityError, ConfigError, NumericalError
 from .levy_paths import (
     PathEnsemble,
+    _check_jump_tilt,
     _eval_nodes,
+    _log_exponential,
     girsanov_density,
     shift_to_q,
 )
@@ -80,11 +82,8 @@ class GammaEnsemble:
 
 def simulate_gamma(coeffs: LinearCoefficients, ens: PathEnsemble
                    ) -> GammaEnsemble:
-    """Pathwise evaluation of the propagator's exponential formula.
-
-    Per step: (a1 - b1^2/2) dt + b1 dB
-              + sum_j [(log(1+e1) - e1) w_j dt + log(1+e1) dN_j].
-    """
+    """Pathwise evaluation of the propagator: the stochastic exponential
+    of (a1, b1, e1)."""
     cg = coeffs.on_grid(ens.grid, ens.levy)
     return _simulate_gamma_grid(cg, ens)
 
@@ -92,24 +91,9 @@ def simulate_gamma(coeffs: LinearCoefficients, ens: PathEnsemble
 def _simulate_gamma_grid(cg: CoefficientGrid, ens: PathEnsemble
                          ) -> GammaEnsemble:
     grid, levy = ens.grid, ens.levy
-    if np.any(1.0 + cg.e1 <= 0.0):
-        i, a = np.argwhere(1.0 + cg.e1 <= 0.0)[0]
-        raise DomainError(
-            f"propagator requires eta1 > -1; violated at t={grid.nodes[i]:g}, "
-            f"mark={levy.marks[a]:g}"
-        )
-    dt = grid.dt
-    a1, b1, e1 = cg.a1[:-1], cg.b1[:-1], cg.e1[:-1]
-    incr = (a1 - 0.5 * b1**2) * dt + b1 * ens.db
-    if levy.n_atoms:
-        # log(1+e1) dN - e1 w dt: the compensated log term plus the
-        # (log(1+e1) - e1) nu-correction, collected over raw counts
-        incr = incr + (
-            np.log1p(e1) * ens.jumps - e1 * levy.weights * dt
-        ).sum(axis=2)
-    log_level = np.zeros((ens.n_paths, grid.steps + 1))
-    np.cumsum(incr, axis=1, out=log_level[:, 1:])
-    a1_cum = np.concatenate([[0.0], np.cumsum(cg.a1[:-1] * dt)])
+    _check_jump_tilt(cg.e1, grid.nodes, levy.marks, "eta1")
+    log_level = _log_exponential(ens, cg.a1[:-1], cg.b1[:-1], cg.e1[:-1])
+    a1_cum = np.concatenate([[0.0], np.cumsum(cg.a1[:-1] * grid.dt)])
     return GammaEnsemble(ens=ens, log_level=log_level, a1_cum=a1_cum)
 
 
@@ -152,8 +136,6 @@ class VolterraSystem:
     """
 
     grid: object
-    levy: object
-    cg: CoefficientGrid
     kernel: np.ndarray       # (M+1, M+1) kernel of the E[Y] equation
     source: np.ndarray       # (M+1,) source of the E[Y] equation
     f: MeanVector            # sources F1, F2, F3
@@ -273,7 +255,7 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     if nj:
         coupling = coupling + (cg.e2 * levy.weights * f3).sum(axis=1)
     return VolterraSystem(
-        grid=grid, levy=levy, cg=cg, kernel=quad * cg.a2[None, :],
+        grid=grid, kernel=quad * cg.a2[None, :],
         source=f1 + quad @ coupling,
         f=MeanVector(grid, f1, f2, f3),
         f_se=MeanVector(grid, f1_se, f2_se, f3_se), n_nodes=m1)
@@ -493,8 +475,8 @@ def q_special_solve(alpha1, alpha2, beta1, eta1, gamma,
     xi_p = terminal_value(tc, ens)
     xi_q = terminal_value(tc, ens_q)
     n = ens.n_paths
-    xiw, xiw_se = float((dens.m[:, -1] * xi_p).mean()), \
-        float((dens.m[:, -1] * xi_p).std(ddof=1) / math.sqrt(n))
+    xiw, xiw_se = float((dens[:, -1] * xi_p).mean()), \
+        float((dens[:, -1] * xi_p).std(ddof=1) / math.sqrt(n))
     xis, xis_se = float(xi_q.mean()), float(xi_q.std(ddof=1) / math.sqrt(n))
 
     def backward_mean(xi_mean: float, with_g: bool) -> np.ndarray:

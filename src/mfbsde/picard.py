@@ -102,8 +102,8 @@ class _Regressions:
             c += 1
         return x
 
-    def fit(self, i: int, targets: np.ndarray, x: Optional[np.ndarray] = None,
-            return_coef: bool = False):
+    def fit(self, i: int, targets: np.ndarray, x: Optional[np.ndarray] = None
+            ) -> np.ndarray:
         """Fitted values of the node-i least-squares projection.
 
         The ridge term RIDGE_SCALE * trace(X'X) / n_cols is applied to all
@@ -129,9 +129,7 @@ class _Regressions:
         c = self._chol[i]
         coef = np.linalg.solve(c.T, np.linalg.solve(c, x.T @ t))
         fitted = x @ coef
-        if squeeze:
-            fitted, coef = fitted[:, 0], coef[:, 0]
-        return (fitted, coef) if return_coef else fitted
+        return fitted[:, 0] if squeeze else fitted
 
 
 def condexp(targets: np.ndarray, basis: RegressionBasis, ens: PathEnsemble,
@@ -211,21 +209,30 @@ def solve_inner(f_hat: np.ndarray, tc: TerminalCondition, ens: PathEnsemble,
     return SolutionGrid(ens, y, z, k)
 
 
-def _driver_values(driver: DriverSpec, sol: SolutionGrid,
+def _mean_channel(phi: MeanFunctional, sol: SolutionGrid) -> np.ndarray:
+    """Ensemble means of phi at every node, (M+1, d)."""
+    return np.stack([mean_functional_eval(phi, sol, i)
+                     for i in range(sol.ens.grid.steps + 1)])
+
+
+def _frozen_driver(driver: DriverSpec, sol: SolutionGrid,
                    mu_by_node: np.ndarray) -> np.ndarray:
-    """Pathwise driver values at every node, (n, M+1).  Z and K at the
-    terminal node reuse the last interval's estimates."""
+    """Driver frozen along sol: per-interval trapezoid averages
+    (f(t_i) + f(t_{i+1})) / 2 of the pathwise driver values, (n, M).
+    Z and K at the terminal node reuse the last interval's estimates."""
     ens = sol.ens
     m = ens.grid.steps
     nodes = ens.grid.nodes
-    out = np.empty((ens.n_paths, m + 1), order="F")
+    fvals = np.empty((ens.n_paths, m + 1), order="F")
     for i in range(m + 1):
         zi = min(i, m - 1)
-        out[:, i] = driver(nodes[i], sol.y[:, i], sol.z[:, zi],
-                           sol.k[:, zi, :], mu_by_node[i])
+        fvals[:, i] = driver(nodes[i], sol.y[:, i], sol.z[:, zi],
+                             sol.k[:, zi, :], mu_by_node[i])
     if driver.source is not None:
-        out += driver.source
-    return out
+        fvals += driver.source
+    f_hat = fvals[:, :-1] + fvals[:, 1:]
+    f_hat *= 0.5
+    return f_hat
 
 
 def _initial_iterate(tc: TerminalCondition, ens: PathEnsemble) -> SolutionGrid:
@@ -252,11 +259,8 @@ def _freeze_loop(driver: DriverSpec, tc: TerminalCondition,
     dt = ens.grid.dt
     report = PicardReport(tol=tol, scheme=scheme)
     sol = _initial_iterate(tc, ens)
-    f_hat = np.empty((ens.n_paths, ens.grid.steps), order="F")
     for _ in range(max_iter):
-        fvals = _driver_values(driver, sol, mu_fn(sol))
-        np.add(fvals[:, :-1], fvals[:, 1:], out=f_hat)
-        f_hat *= 0.5
+        f_hat = _frozen_driver(driver, sol, mu_fn(sol))
         new = solve_inner(f_hat, tc, ens, basis, _reg=reg)
         dy2 = ((new.y - sol.y) ** 2).mean(axis=0)
         report.record(float(dy2.max()), float(dy2[:-1].sum() * dt))
@@ -285,13 +289,9 @@ def picard_full_freeze(driver: DriverSpec, phi: MeanFunctional,
         probe_driver(driver, ens.grid, ens.levy)
         probe_mean_functional(phi, ens.levy.n_atoms)
     reg = _Regressions(ens, basis)
-
-    def mu_fn(sol):
-        return np.stack([mean_functional_eval(phi, sol, i)
-                         for i in range(ens.grid.steps + 1)])
-
     sol, report = _freeze_loop(driver, tc, ens, basis, tol, max_iter,
-                               mu_fn, reg, "full-freeze")
+                               lambda s: _mean_channel(phi, s), reg,
+                               "full-freeze")
     if not report.converged:
         warnings.warn(
             f"Picard full freeze did not converge in {report.iterations} "
@@ -385,13 +385,9 @@ def contraction_check(driver: DriverSpec, phi: MeanFunctional,
         beta = default_beta(driver, phi)
     rng = np.random.default_rng(seed)
     reg = _Regressions(ens, basis)
-    m = ens.grid.steps
 
     def apply_map(sol_in: SolutionGrid) -> SolutionGrid:
-        mu = np.stack([mean_functional_eval(phi, sol_in, i)
-                       for i in range(m + 1)])
-        fvals = _driver_values(driver, sol_in, mu)
-        f_hat = 0.5 * (fvals[:, :-1] + fvals[:, 1:])
+        f_hat = _frozen_driver(driver, sol_in, _mean_channel(phi, sol_in))
         return solve_inner(f_hat, tc, ens, basis, _reg=reg)
 
     ratios = []

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -32,10 +32,12 @@ from .core import (
     wealth_linear,
 )
 from .errors import CapabilityError, ConfigError, DomainError
-from .levy_paths import PathEnsemble, _eval_nodes, _eval_nodes_atoms
+from .levy_paths import PathEnsemble, _check_jump_tilt, _eval_nodes, \
+    _eval_nodes_atoms, _log_exponential
 from .linear import assemble_system, direct_solve, neumann_solve, \
     simulate_gamma, y_closed_formula
-from .picard import RegressionBasis, picard_full_freeze
+from .picard import RegressionBasis, _frozen_driver, _mean_channel, \
+    _Regressions, picard_full_freeze
 
 __all__ = [
     "WealthParams",
@@ -72,12 +74,7 @@ class WealthParams:
         b0 = _eval_nodes(self.b0, grid.nodes)
         s0 = _eval_nodes(self.sigma0, grid.nodes)
         g0 = _eval_nodes_atoms(self.gamma0, grid.nodes, levy.marks)
-        if np.any(1.0 + g0 <= 0.0):
-            i, a = np.argwhere(1.0 + g0 <= 0.0)[0]
-            raise DomainError(
-                f"wealth jump exposure must exceed -1; violated at "
-                f"t={grid.nodes[i]:g}, mark={levy.marks[a]:g}"
-            )
+        _check_jump_tilt(g0, grid.nodes, levy.marks, "gamma0")
         return b0, s0, g0
 
 
@@ -137,26 +134,13 @@ class ControlProcess:
 
 def simulate_wealth(wp: WealthParams, pi: ControlProcess, ens: PathEnsemble
                     ) -> np.ndarray:
-    """Strictly positive wealth paths from the exponential closed form.
-
-    X(t_i) = x0 exp( sum (b0 - pi - s0^2/2) dt + sum s0 dB
-                     + sum_j [log(1+g0) dN_j - g0 w_j dt] ).
-    """
-    grid, levy = ens.grid, ens.levy
-    b0, s0, g0 = wp.on_grid(grid, levy)
-    dt = grid.dt
-    pv = pi.paths(ens.n_paths)
-    incr = (b0[:-1] - pv[:, :-1] - 0.5 * s0[:-1] ** 2) * dt \
-        + s0[:-1] * ens.db
-    if levy.n_atoms:
-        incr = incr + (
-            np.log1p(g0[:-1]) * ens.jumps
-            - g0[:-1] * levy.weights * dt
-        ).sum(axis=2)
-    logx = np.full((ens.n_paths, grid.steps + 1), math.log(wp.x0))
-    np.cumsum(incr, axis=1, out=logx[:, 1:])
-    logx[:, 1:] += math.log(wp.x0)
-    return np.exp(logx)
+    """Strictly positive wealth paths X = x0 times the stochastic
+    exponential of (b0 - pi, s0, g0)."""
+    b0, s0, g0 = wp.on_grid(ens.grid, ens.levy)
+    drift = b0[:-1] - pi.paths(ens.n_paths)[:, :-1]
+    logx = _log_exponential(ens, drift, s0[:-1], g0[:-1])
+    logx += math.log(wp.x0)
+    return np.exp(logx, out=logx)
 
 
 def adjoint_p(theta: TerminalCondition, ens: PathEnsemble,
@@ -166,8 +150,6 @@ def adjoint_p(theta: TerminalCondition, ens: PathEnsemble,
     Constant theta propagates exactly; otherwise each node gets a
     regression estimate, and the terminal node is set to theta pathwise.
     """
-    from .picard import _Regressions
-
     n, m = ens.n_paths, ens.grid.steps
     val = terminal_value(theta, ens)
     if theta.kind == "constant":
@@ -206,8 +188,7 @@ def adjoint_lambda(uc: UtilityCoefficients, ens: PathEnsemble):
     """
     grid, levy = ens.grid, ens.levy
     a0, a1, b0, b1, e0, e1 = uc.on_grid(grid, levy)
-    if np.any(1.0 + e0 <= 0.0):
-        raise DomainError("lambda adjoint needs eta0 > -1")
+    _check_jump_tilt(e0, grid.nodes, levy.marks, "eta0")
     dt = grid.dt
     n, m = ens.n_paths, grid.steps
     w = levy.weights
@@ -217,14 +198,9 @@ def adjoint_lambda(uc: UtilityCoefficients, ens: PathEnsemble):
     ))
 
     # integrating factor: inverse of the (a0, b0, e0) propagator
-    incr = (-a0[:-1] + 0.5 * b0[:-1] ** 2) * dt - b0[:-1] * ens.db
-    if levy.n_atoms:
-        incr = incr - (
-            np.log1p(e0[:-1]) * ens.jumps - e0[:-1] * w * dt
-        ).sum(axis=2)
-    log_ups = np.zeros((n, m + 1))
-    np.cumsum(incr, axis=1, out=log_ups[:, 1:])
-    ups = np.exp(log_ups)
+    ups = _log_exponential(ens, a0[:-1], b0[:-1], e0[:-1])
+    np.negative(ups, out=ups)
+    np.exp(ups, out=ups)
 
     drift = (a1[:-1] - b0[:-1] * b1[:-1]) * dt
     if levy.n_atoms:
@@ -404,18 +380,12 @@ def picard_utility_y0(wp: WealthParams, uc: UtilityCoefficients,
     phi = mean_yzk(levy.n_atoms)
     if basis is None:
         basis = RegressionBasis(degree=2, jump_features=True)
-    basis.extras = dict(basis.extras)
-    basis.extras["wealth"] = x
-    basis.extras["log_wealth"] = np.log(x)
+    basis = replace(basis, extras={**basis.extras, "wealth": x,
+                                   "log_wealth": np.log(x)})
     sol, rep = picard_full_freeze(driver, phi, tc, ens, basis, tol=tol,
                                   max_iter=max_iter, check=False)
-    from .core import mean_functional_eval
-    from .picard import _driver_values
-
-    mu = np.stack([mean_functional_eval(phi, sol, i)
-                   for i in range(grid.steps + 1)])
-    fv = _driver_values(driver, sol, mu)
-    target0 = sol.y[:, 1] + 0.5 * (fv[:, 0] + fv[:, 1]) * grid.dt
+    f_hat = _frozen_driver(driver, sol, _mean_channel(phi, sol))
+    target0 = sol.y[:, 1] + f_hat[:, 0] * grid.dt
     n = ens.n_paths
     y0 = float(sol.y[:, 0].mean())
     se = float(target0.std(ddof=1) / math.sqrt(n))

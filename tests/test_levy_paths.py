@@ -1,15 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 
 from mfbsde import (
     ConfigError,
+    ControlProcess,
     DomainError,
     LevyMeasure,
+    LinearCoefficients,
+    UtilityCoefficients,
+    WealthParams,
+    adjoint_lambda,
     build_grid,
+    constant,
     girsanov_density,
     shift_to_q,
     simulate_ensemble,
+    simulate_gamma,
+    simulate_wealth,
 )
+from mfbsde.levy_paths import _log_exponential
 
 from conftest import mc_se
 
@@ -88,16 +99,16 @@ class TestSimulateEnsemble:
 class TestGirsanovDensity:
     def test_identity_when_no_tilt(self, ens_small):
         dens = girsanov_density(ens_small, 0.0, 0.0)
-        assert np.array_equal(dens.m, np.ones_like(dens.m))
+        assert np.array_equal(dens, np.ones_like(dens))
 
     def test_density_starts_at_one(self, ens_small):
         dens = girsanov_density(ens_small, 0.4, 0.3)
-        assert np.all(dens.m[:, 0] == 1.0)
-        assert np.all(dens.m > 0)
+        assert np.all(dens[:, 0] == 1.0)
+        assert np.all(dens > 0)
 
     def test_martingale_mean(self, ens_mid):
         dens = girsanov_density(ens_mid, 0.3, 0.5)
-        mt = dens.m[:, -1]
+        mt = dens[:, -1]
         assert abs(mt.mean() - 1.0) <= 3 * mc_se(mt)
 
     def test_singular_tilt_rejected(self, ens_small):
@@ -137,7 +148,54 @@ class TestShiftToQ:
         q = shift_to_q(ens_mid, b1, e1)
         for phi in (lambda e: e.db.sum(axis=1),
                     lambda e: e.jumps[:, :, 0].sum(axis=1)):
-            lhs = phi(ens_mid) * dens.m[:, -1]
+            lhs = phi(ens_mid) * dens[:, -1]
             rhs = phi(q)
             tol = 3 * np.hypot(mc_se(lhs), mc_se(rhs))
             assert abs(lhs.mean() - rhs.mean()) <= tol
+
+
+class TestLogExponential:
+    def test_matches_step_loop(self, grid50, levy2):
+        """Vectorised exponent against a per-step, per-atom loop: two
+        atoms, a (t, mark) jump coefficient and a pathwise drift."""
+        ens = simulate_ensemble(grid50, levy2, 500, seed=31)
+        nodes, dt = grid50.nodes[:-1], grid50.dt
+        drift = 0.1 + 0.05 * np.sin(ens.brownian_nodes[:, :-1])
+        vol = 0.3 - 0.2 * nodes
+        jump = np.array([[0.4 * z - 0.1 * t for z in levy2.marks]
+                         for t in nodes])
+        want = np.zeros((ens.n_paths, grid50.steps + 1))
+        for i in range(grid50.steps):
+            step = (drift[:, i] - 0.5 * vol[i] ** 2) * dt \
+                + vol[i] * ens.db[:, i]
+            for a, w in enumerate(levy2.weights):
+                step += math.log1p(jump[i, a]) * ens.jumps[:, i, a] \
+                    - jump[i, a] * w * dt
+            want[:, i + 1] = want[:, i] + step
+        got = _log_exponential(ens, drift, vol, jump)
+        assert np.all(got[:, 0] == 0.0)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def _tilt(t, z):
+    """Jump coefficient that reaches -1 on the negative mark from t = 0.5."""
+    return -1.0 if (t >= 0.5 and z < 0) else 0.1
+
+
+@pytest.mark.parametrize("name,call", [
+    ("eta1", lambda ens: simulate_gamma(LinearCoefficients(eta1=_tilt), ens)),
+    ("eta1", lambda ens: girsanov_density(ens, 0.2, _tilt)),
+    ("eta1", lambda ens: shift_to_q(ens, 0.2, _tilt)),
+    ("gamma0", lambda ens: simulate_wealth(
+        WealthParams(x0=1.0, gamma0=_tilt),
+        ControlProcess.from_constant(0.1, ens.grid), ens)),
+    ("eta0", lambda ens: adjoint_lambda(
+        UtilityCoefficients(eta0=_tilt, theta=constant(1.0)), ens)),
+], ids=["simulate_gamma", "girsanov_density", "shift_to_q",
+        "simulate_wealth", "adjoint_lambda"])
+def test_jump_tilt_domain_error(grid50, levy2, name, call):
+    ens = simulate_ensemble(grid50, levy2, 50, seed=3)
+    with pytest.raises(DomainError,
+                       match=rf"^{name} must exceed -1; violated at "
+                             r"t=0\.5, mark=-0\.5$"):
+        call(ens)

@@ -19,7 +19,7 @@ from mfbsde import (
     solve_inner,
 )
 from mfbsde.core import mean_functional_eval
-from mfbsde.picard import _Regressions, _driver_values
+from mfbsde.picard import _Regressions, _frozen_driver
 
 from conftest import mc_se
 
@@ -160,8 +160,7 @@ class TestFullFreeze:
                                     basis, check=False)
         mu = np.stack([mean_functional_eval(phi, sol, i)
                        for i in range(ens_small.grid.steps + 1)])
-        fv = _driver_values(drv, sol, mu)
-        f_hat = 0.5 * (fv[:, :-1] + fv[:, 1:])
+        f_hat = _frozen_driver(drv, sol, mu)
         dt = ens_small.grid.dt
         reg = _Regressions(ens_small, basis)
         for i in (0, 20, 40):

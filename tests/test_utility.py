@@ -6,16 +6,22 @@ import pytest
 from mfbsde import (
     ControlProcess,
     DomainError,
+    DriverSpec,
+    RegressionBasis,
     UtilityCoefficients,
     WealthParams,
     adjoint_lambda,
     adjoint_p,
+    build_grid,
     constant,
     dh_dpi,
     evaluate_j,
     hamiltonian,
+    mean_y,
     optimal_pi,
+    picard_full_freeze,
     picard_utility_y0,
+    simulate_ensemble,
     simulate_wealth,
     smooth_of_brownian,
     solve_adjoints,
@@ -209,6 +215,23 @@ class TestEvaluateJ:
         j_p, se_p, rep = picard_utility_y0(wp, uc, pi, ens_mid)
         assert rep.converged
         assert abs(j_c - j_p) <= 3 * math.hypot(se_c, se_p)
+
+    def test_picard_route_leaves_caller_basis_alone(self, levy1):
+        """The wealth features are added to a copy of the basis, so the
+        caller's basis still fits an ensemble of another size."""
+        grid = build_grid(1.0, 10)
+        basis = RegressionBasis(degree=2)
+        wp = WealthParams(x0=1.0, b0=0.05, sigma0=0.2, gamma0=0.1)
+        uc = UtilityCoefficients(alpha0=0.05, theta=constant(1.5))
+        pi = ControlProcess.from_constant(0.5, grid)
+        picard_utility_y0(wp, uc, pi, simulate_ensemble(grid, levy1, 2000, 4),
+                          basis=basis)
+        assert basis.extras == {}
+        drv = DriverSpec(lambda t, y, z, k, mu: 0.1 * y, 0.1, 1)
+        sol, rep = picard_full_freeze(
+            drv, mean_y(), constant(1.0),
+            simulate_ensemble(grid, levy1, 3000, 5), basis, check=False)
+        assert sol.y.shape == (3000, 11) and rep.converged
 
     def test_optimality_against_bumps(self, ens_mid, basis):
         wp = WealthParams(x0=1.0, b0=0.05, sigma0=0.2, gamma0=0.1)
