@@ -105,7 +105,7 @@ def _run_picard(cfg: ScenarioConfig, writer: RunWriter) -> int:
     )
     writer.diagnostics["picard"] = {
         "iterations": rep.iterations, "converged": rep.converged,
-        "ridge_max": rep.ridge_max,
+        "ridge_max": rep.ridge_max, "iter_s": rep.iter_s,
     }
     return EXIT_OK if rep.converged else EXIT_NO_CONVERGENCE
 

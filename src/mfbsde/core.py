@@ -378,10 +378,14 @@ def beta_norm(sol: SolutionGrid, beta: float) -> float:
 
 def mean_functional_eval(phi: MeanFunctional, sol: SolutionGrid, i: int
                          ) -> np.ndarray:
-    """Ensemble mean of phi applied pathwise at node i, shape (d,)."""
+    """Ensemble mean of phi applied pathwise at node i, shape (d,).
+
+    The catalog functionals return a C-ordered (n, d) sample; einsum sums
+    its columns in one walk, where a mean over axis 0 is strided."""
     m = sol.ens.grid.steps
     zi = min(i, m - 1)
-    return phi.eval(sol.y[:, i], sol.z[:, zi], sol.k[:, zi, :]).mean(axis=0)
+    v = phi.eval(sol.y[:, i], sol.z[:, zi], sol.k[:, zi, :])
+    return np.einsum("nd->d", v) / v.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +448,21 @@ class LinearCoefficients:
         """The same equation expressed as a generic driver, for feeding the
         Picard solver.  The mean channel is (E[Y], E[Z], E[K_j]...)."""
         cg = self.on_grid(grid, levy)
-        w = levy.weights
+        e1w = cg.e1 * levy.weights
+        e2w = cg.e2 * levy.weights
         dt = grid.dt
         nj = levy.n_atoms
 
         def ev(t, y, z, k, mu):
             i = int(round(t / dt))
-            out = cg.a1[i] * y + cg.b1[i] * z + cg.a2[i] * mu[0] \
-                + cg.b2[i] * mu[1] + cg.g[i]
+            shift = cg.a2[i] * mu[0] + cg.b2[i] * mu[1] + cg.g[i]
             if nj:
-                out = out + k @ (cg.e1[i] * w) + (cg.e2[i] * w) @ mu[2:]
+                shift += e2w[i] @ mu[2:]
+            out = cg.a1[i] * y
+            out += cg.b1[i] * z
+            out += shift
+            for a in range(nj):  # per-atom columns, not a strided k @ v
+                out += e1w[i, a] * k[:, a]
             return out
 
         lip = max(

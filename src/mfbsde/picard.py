@@ -10,6 +10,7 @@ the covariation extractions of Z and K are left-endpoint.
 """
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -81,6 +82,7 @@ class _Regressions:
                 f"({self.n_cols})"
             )
         self._chol = [None] * (ens.grid.steps + 1)
+        self._cov = [None] * ens.grid.steps
         self.ridge_max = 0.0
         self._xbuf = np.empty((ens.n_paths, self.n_cols), order="F")
         self._xbuf[:, 0] = 1.0
@@ -102,17 +104,13 @@ class _Regressions:
             c += 1
         return x
 
-    def fit(self, i: int, targets: np.ndarray, x: Optional[np.ndarray] = None
-            ) -> np.ndarray:
-        """Fitted values of the node-i least-squares projection.
+    def solve(self, i: int, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Node-i ridge normal equations S c = rhs, S = X'X + ridge.
 
         The ridge term RIDGE_SCALE * trace(X'X) / n_cols is applied to all
         columns except the constant, so means are reproduced exactly.
+        The Cholesky factor of S is cached per node.
         """
-        if x is None:
-            x = self.design(i)
-        squeeze = targets.ndim == 1
-        t = targets[:, None] if squeeze else targets
         if self._chol[i] is None:
             xtx = x.T @ x
             lam = RIDGE_SCALE * np.trace(xtx) / x.shape[1]
@@ -127,9 +125,34 @@ class _Regressions:
                     f"node {i}"
                 ) from exc
         c = self._chol[i]
-        coef = np.linalg.solve(c.T, np.linalg.solve(c, x.T @ t))
-        fitted = x @ coef
+        return np.linalg.solve(c.T, np.linalg.solve(c, rhs))
+
+    def fit(self, i: int, targets: np.ndarray) -> np.ndarray:
+        """Fitted values of the node-i least-squares projection."""
+        x = self.design(i)
+        squeeze = targets.ndim == 1
+        t = targets[:, None] if squeeze else targets
+        fitted = x @ self.solve(i, x, x.T @ t)
         return fitted[:, 0] if squeeze else fitted
+
+    def covariation(self, i: int, x: np.ndarray) -> np.ndarray:
+        """H_c = S^-1 X' diag(dM_c) X for the martingale increments dM_c
+        over [t_i, t_{i+1}] (dB, then dNtilde_j), shape (1+J, p, p).
+
+        Built once per node: the projection of (Y - X b) dM_c is then
+        S^-1 X'(Y dM_c) - H_c b without a second pass over the paths.
+        """
+        if self._cov[i] is None:
+            ens = self.ens
+            dms = [ens.martingale_db[:, i]] + [
+                ens.martingale_jumps[:, i, a] for a in range(ens.levy.n_atoms)
+            ]
+            xdx = np.concatenate([(x * dm[:, None]).T @ x for dm in dms],
+                                 axis=1)
+            p = x.shape[1]
+            h = self.solve(i, x, xdx).reshape(p, len(dms), p)
+            self._cov[i] = np.ascontiguousarray(h.transpose(1, 0, 2))
+        return self._cov[i]
 
 
 def condexp(targets: np.ndarray, basis: RegressionBasis, ens: PathEnsemble,
@@ -146,18 +169,22 @@ class PicardReport:
     deltas: list = field(default_factory=list)       # sup-node E|dY|^2
     integrated: list = field(default_factory=list)   # sum_i E|dY_i|^2 dt
     ratios: list = field(default_factory=list)
+    iter_s: list = field(default_factory=list)       # wall time per iteration
     iterations: int = 0
     converged: bool = False
     tol: float = 0.0
     ridge_max: float = 0.0
     scheme: str = "full-freeze"
+    inner_unconverged: int = 0   # mean freeze: outer steps whose inner
+                                 # solve hit its iteration cap
 
-    def record(self, delta: float, integ: float):
+    def record(self, delta: float, integ: float, seconds: float):
         if self.deltas:
             prev = self.deltas[-1]
             self.ratios.append(delta / prev if prev > 0 else 0.0)
         self.deltas.append(delta)
         self.integrated.append(integ)
+        self.iter_s.append(seconds)
         self.iterations += 1
 
 
@@ -174,7 +201,15 @@ def solve_inner(f_hat: np.ndarray, tc: TerminalCondition, ens: PathEnsemble,
     ensemble's own measure.  Centering Y_{i+1} before the covariation
     regressions changes nothing in the limit (the conditional mean of a
     martingale increment vanishes) but removes the dominant noise term,
-    and makes Z and K exactly zero for deterministic solutions.
+    and makes Z and K zero to rounding for deterministic solutions.
+
+    Each node takes one pass over the paths: with b the coefficients of
+    condexp(Y_{i+1}), the centred projections follow from the identity
+        X'((Y_{i+1} - X b) dM) = X'(Y_{i+1} dM) - (X' diag(dM) X) b,
+    so one X' product over [Y_{i+1} + f_hat_i dt, Y_{i+1}, Y_{i+1} dB,
+    Y_{i+1} dNtilde_j], one solve with the cached normal factor and the
+    cached per-node S^-1 X' diag(dM) X give all the coefficients, and one
+    X product writes Y_i, Z_i and K_i.
     """
     reg = _reg if _reg is not None else _Regressions(ens, basis)
     n, m, j = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
@@ -184,28 +219,31 @@ def solve_inner(f_hat: np.ndarray, tc: TerminalCondition, ens: PathEnsemble,
 
     y = np.empty((n, m + 1), order="F")
     y[:, m] = terminal_value(tc, ens)
-    z = np.zeros((n, m), order="F")
-    k = np.zeros((n, m, j), order="F")
+    z = np.empty((n, m), order="F")
+    k = np.empty((n, m, j), order="F")
     mdb = ens.martingale_db
     mjp = ens.martingale_jumps
-    pay = np.empty((n, 2), order="F")
-    targets = np.empty((n, 1 + j), order="F")
+    # per-node divisors of the covariation coefficients: dt, then comp_j
+    scale = np.column_stack([np.full(m, dt), ens.jump_comp])
+    pay = np.empty((n, 3 + j), order="F")
+    coef = np.empty((reg.n_cols, 2 + j))
     for i in reversed(range(m)):
         ynext = y[:, i + 1]
         np.multiply(f_hat[:, i], dt, out=pay[:, 0])
         pay[:, 0] += ynext
         pay[:, 1] = ynext
+        np.multiply(ynext, mdb[:, i], out=pay[:, 2])
+        np.multiply(ynext[:, None], mjp[:, i, :], out=pay[:, 3:])
         x = reg.design(i)
-        fitted = reg.fit(i, pay, x=x)
+        c = reg.solve(i, x, x.T @ pay)
+        coef[:, 0] = c[:, 0]
+        np.subtract(c[:, 2:], (reg.covariation(i, x) @ c[:, 1]).T,
+                    out=coef[:, 1:])
+        coef[:, 1:] /= scale[i]
+        fitted = x @ coef
         y[:, i] = fitted[:, 0]
-        resid = ynext - fitted[:, 1]
-        np.multiply(resid, mdb[:, i], out=targets[:, 0])
-        for a in range(j):
-            np.multiply(resid, mjp[:, i, a], out=targets[:, 1 + a])
-        fitted2 = reg.fit(i, targets, x=x)
-        np.divide(fitted2[:, 0], dt, out=z[:, i])
-        for a in range(j):
-            k[:, i, a] = fitted2[:, 1 + a] / ens.jump_comp[i, a]
+        z[:, i] = fitted[:, 1]
+        k[:, i, :] = fitted[:, 2:]
     return SolutionGrid(ens, y, z, k)
 
 
@@ -260,10 +298,12 @@ def _freeze_loop(driver: DriverSpec, tc: TerminalCondition,
     report = PicardReport(tol=tol, scheme=scheme)
     sol = _initial_iterate(tc, ens)
     for _ in range(max_iter):
+        started = time.perf_counter()
         f_hat = _frozen_driver(driver, sol, mu_fn(sol))
         new = solve_inner(f_hat, tc, ens, basis, _reg=reg)
         dy2 = ((new.y - sol.y) ** 2).mean(axis=0)
-        report.record(float(dy2.max()), float(dy2[:-1].sum() * dt))
+        report.record(float(dy2.max()), float(dy2[:-1].sum() * dt),
+                      time.perf_counter() - started)
         sol = new
         if report.deltas[-1] < tol:
             report.converged = True
@@ -330,16 +370,19 @@ def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
     frozen = prev.ybar.copy()
     dt = ens.grid.dt
     for _ in range(max_iter):
+        started = time.perf_counter()
         mu_fixed = frozen[:, None]
         sol, inner_rep = _freeze_loop(
             driver, tc, ens, basis, inner_tol, inner_max_iter,
             lambda _sol: mu_fixed, reg, "mean-freeze-inner",
         )
         if not inner_rep.converged:
+            report.inner_unconverged += 1
             warnings.warn("mean-freeze inner solve did not converge",
                           stacklevel=2)
         dy2 = ((sol.y - prev.y) ** 2).mean(axis=0)
-        report.record(float(dy2.max()), float(dy2[:-1].sum() * dt))
+        report.record(float(dy2.max()), float(dy2[:-1].sum() * dt),
+                      time.perf_counter() - started)
         prev = sol
         frozen = sol.ybar.copy()
         if report.deltas[-1] < tol:
@@ -358,7 +401,7 @@ def _random_triplet(ens: PathEnsemble, reg: _Regressions,
                     rng: np.random.Generator) -> SolutionGrid:
     """Adapted triplet built from random combinations of the basis paths."""
     n, m, j = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
-    feats = [np.ones((n, m + 1)), reg.bn, reg.bn**2]
+    feats = [np.ones((n, m + 1), order="F"), reg.bn, reg.bn**2]
     if reg.jn is not None:
         feats.extend(reg.jn[:, :, a] for a in range(j))
     y = sum(c * f for c, f in zip(rng.normal(size=len(feats)), feats))

@@ -99,8 +99,9 @@ class UtilityCoefficients:
         b1 = _eval_nodes(self.beta1, grid.nodes)
         e0 = _eval_nodes_atoms(self.eta0, grid.nodes, levy.marks)
         e1 = _eval_nodes_atoms(self.eta1, grid.nodes, levy.marks)
-        if np.any(e0 < -1.0) or np.any(e1 < -1.0):
-            raise ConfigError("utility jump coefficients must be >= -1")
+        _check_jump_tilt(e0, grid.nodes, levy.marks, "eta0")
+        if np.any(e1 < -1.0):
+            raise ConfigError("utility jump coefficient eta1 must be >= -1")
         return a0, a1, b0, b1, e0, e1
 
 
@@ -188,7 +189,6 @@ def adjoint_lambda(uc: UtilityCoefficients, ens: PathEnsemble):
     """
     grid, levy = ens.grid, ens.levy
     a0, a1, b0, b1, e0, e1 = uc.on_grid(grid, levy)
-    _check_jump_tilt(e0, grid.nodes, levy.marks, "eta0")
     dt = grid.dt
     n, m = ens.n_paths, grid.steps
     w = levy.weights

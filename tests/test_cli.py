@@ -149,7 +149,9 @@ class TestCli:
         y0 = [ln for ln in body if ",y0," in ln]
         assert y0 and float(y0[0].split(",")[3]) == pytest.approx(1.0)
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["diagnostics"]["picard"]["converged"]
+        diag = manifest["diagnostics"]["picard"]
+        assert diag["converged"]
+        assert len(diag["iter_s"]) == diag["iterations"] >= 1
 
     def test_mode_mismatch(self, picard_ini, tmp_path):
         assert main(["linear", "--config", str(picard_ini),
@@ -398,3 +400,37 @@ def test_linear_run_independent_of_blas_threads(tmp_path):
     assert len(bodies[0]) > 100
     assert bodies[0] == bodies[1]
     assert hashes[0] == hashes[1]
+
+
+DETERMINISM_PICARD = DETERMINISM_LINEAR.replace(
+    "mode = linear", "mode = picard") + textwrap.dedent("""
+    [solver]
+    tol = 1e-6
+    max_iter = 5
+    [driver]
+    name = linear
+    [mean_functional]
+    name = mean_yzk
+""")
+
+
+def test_picard_run_independent_of_blas_threads(tmp_path):
+    """The same seed gives byte-identical picard_solution.csv bodies
+    whatever the number of BLAS threads."""
+    ini = tmp_path / "picard.ini"
+    ini.write_text(DETERMINISM_PICARD)
+    src = str(Path(mfbsde.__file__).resolve().parents[1])
+    bodies = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"out{threads}"
+        run = subprocess.run([sys.executable, "-m", "mfbsde.cli", "picard",
+                              "--config", str(ini), "--out", str(out)],
+                             env=env, capture_output=True)
+        assert run.returncode in (0, 3), run.stderr
+        bodies.append(
+            (out / "picard_solution.csv").read_text().splitlines()[1:])
+    assert len(bodies[0]) > 100
+    assert bodies[0] == bodies[1]

@@ -9,16 +9,19 @@ from mfbsde import (
     DomainError,
     LevyMeasure,
     LinearCoefficients,
+    RegressionBasis,
     UtilityCoefficients,
     WealthParams,
     adjoint_lambda,
     build_grid,
     constant,
+    evaluate_j,
     girsanov_density,
     shift_to_q,
     simulate_ensemble,
     simulate_gamma,
     simulate_wealth,
+    solve_adjoints,
 )
 from mfbsde.levy_paths import _log_exponential
 
@@ -191,8 +194,15 @@ def _tilt(t, z):
         ControlProcess.from_constant(0.1, ens.grid), ens)),
     ("eta0", lambda ens: adjoint_lambda(
         UtilityCoefficients(eta0=_tilt, theta=constant(1.0)), ens)),
+    ("eta0", lambda ens: evaluate_j(
+        WealthParams(x0=1.0),
+        UtilityCoefficients(eta0=_tilt, theta=constant(1.0)),
+        ControlProcess.from_constant(0.1, ens.grid), ens)),
+    ("eta0", lambda ens: solve_adjoints(
+        UtilityCoefficients(eta0=_tilt, theta=constant(1.0)), ens,
+        RegressionBasis())),
 ], ids=["simulate_gamma", "girsanov_density", "shift_to_q",
-        "simulate_wealth", "adjoint_lambda"])
+        "simulate_wealth", "adjoint_lambda", "evaluate_j", "solve_adjoints"])
 def test_jump_tilt_domain_error(grid50, levy2, name, call):
     ens = simulate_ensemble(grid50, levy2, 50, seed=3)
     with pytest.raises(DomainError,

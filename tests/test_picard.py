@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from mfbsde import (
     ConfigError,
     DriverSpec,
     LinearCoefficients,
+    RegressionBasis,
     brownian_linear,
     condexp,
     constant,
@@ -15,10 +17,12 @@ from mfbsde import (
     mean_yzk,
     picard_full_freeze,
     picard_mean_freeze,
+    shift_to_q,
     simulate_ensemble,
+    smooth_of_brownian,
     solve_inner,
 )
-from mfbsde.core import mean_functional_eval
+from mfbsde.core import mean_functional_eval, terminal_value
 from mfbsde.picard import _Regressions, _frozen_driver
 
 from conftest import mc_se
@@ -116,6 +120,39 @@ class TestSolveInner:
             assert abs(stats.mean() - target) <= 3 * se
 
 
+@pytest.mark.parametrize("measure", ["P", "Q"])
+def test_fused_sweep_matches_condexp_reference(grid50, levy2, measure):
+    """The one-pass node step of solve_inner equals the plain sequence of
+    condexp calls: Y, then the centred residual, then Z and K."""
+    ens = simulate_ensemble(grid50, levy2, 3000, seed=41)
+    if measure == "Q":
+        ens = shift_to_q(ens, 0.3, lambda t, z: 0.2 * z)
+    bn, jn = ens.brownian_nodes, ens.compensated_jump_nodes
+    basis = RegressionBasis(degree=3, extras={"sin_b": np.sin(bn)})
+    tc = smooth_of_brownian([0.5, 1.0, 0.3])
+    f_hat = 0.3 * np.cos(bn[:, :-1]) + 0.2 * jn[:, :-1, 0] \
+        - 0.1 * jn[:, :-1, 1] ** 2
+    sol = solve_inner(f_hat, tc, ens, basis)
+
+    n, m, dt = ens.n_paths, ens.grid.steps, ens.grid.dt
+    y = np.empty((n, m + 1))
+    y[:, m] = terminal_value(tc, ens)
+    z = np.empty((n, m))
+    k = np.empty((n, m, 2))
+    for i in reversed(range(m)):
+        ynext = y[:, i + 1]
+        y[:, i] = condexp(ynext + f_hat[:, i] * dt, basis, ens, i)
+        resid = ynext - condexp(ynext, basis, ens, i)
+        z[:, i] = condexp(resid * ens.martingale_db[:, i], basis, ens,
+                          i) / dt
+        for a in range(2):
+            k[:, i, a] = condexp(resid * ens.martingale_jumps[:, i, a],
+                                 basis, ens, i) / ens.jump_comp[i, a]
+    for got, want in ((sol.y, y), (sol.z, z), (sol.k, k)):
+        assert np.abs(want).max() > 0.1
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
 class TestFullFreeze:
     def test_zero_driver_converges_first_iteration(self, ens_small, basis):
         f0 = np.zeros((ens_small.n_paths, ens_small.grid.steps))
@@ -190,6 +227,7 @@ class TestFullFreeze:
                                         check=False)
         assert not rep.converged
         assert rep.iterations == 2
+        assert len(rep.iter_s) == 2 and min(rep.iter_s) > 0.0
 
     def test_step_size_guard(self, levy1, basis):
         from mfbsde import build_grid
@@ -219,6 +257,19 @@ class TestMeanFreeze:
         sol, rep = picard_mean_freeze(drv, constant(1.0), ens_small, basis,
                                       check=False)
         assert sol.y[:, 0].mean() == pytest.approx(math.e, abs=3e-2)
+
+    def test_inner_nonconvergence_counted(self, ens_small, basis):
+        drv = DriverSpec(lambda t, y, z, k, mu: np.full_like(y, mu[0]),
+                         1.0, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, rep = picard_mean_freeze(drv, constant(1.0), ens_small,
+                                        basis, max_iter=3, inner_max_iter=1,
+                                        check=False)
+        messages = [str(w.message) for w in caught]
+        assert messages.count("mean-freeze inner solve did not converge") == 3
+        assert rep.inner_unconverged == rep.iterations == 3
+        assert len(rep.iter_s) == 3
 
     def test_super_geometric_decay(self, ens_small, basis):
         drv = DriverSpec(lambda t, y, z, k, mu: np.full_like(y, mu[0]),
