@@ -13,6 +13,8 @@ import dataclasses
 import json
 import sys
 import time
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from .config import ScenarioConfig, build_driver_objects, config_hash, \
     parse_config_file
 from .errors import CapabilityError, ConfigError, DomainError, \
     MfbsdeError, NumericalError
-from .levy_paths import simulate_ensemble
+from .levy_paths import PathEnsemble, simulate_ensemble
 from .linear import q_special_solve
 from .picard import RegressionBasis, picard_full_freeze
 from .utility import ControlProcess, UtilityCoefficients, WealthParams, \
@@ -83,8 +85,7 @@ def _mean_rows(grid, label, values, ses=None):
             for i in range(len(values))]
 
 
-def _run_picard(cfg: ScenarioConfig, writer: RunWriter) -> int:
-    ens = simulate_ensemble(cfg.grid, cfg.levy, cfg.n_paths, cfg.seed)
+def _run_picard(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
     driver, phi = build_driver_objects(cfg)
     basis = RegressionBasis(degree=cfg.basis_degree,
                             jump_features=cfg.jump_features)
@@ -94,9 +95,8 @@ def _run_picard(cfg: ScenarioConfig, writer: RunWriter) -> int:
     rows += _mean_rows(cfg.grid, "zbar", sol.zbar)
     for a in range(cfg.levy.n_atoms):
         rows += _mean_rows(cfg.grid, f"kbar_atom{a}", sol.kbar[:, a])
-    n = ens.n_paths
     rows.append((0, 0.0, "y0", sol.y[:, 0].mean(),
-                 sol.y[:, 1].std(ddof=1) / np.sqrt(n)))
+                 sol.y[:, 1].std(ddof=1) / np.sqrt(ens.n_paths)))
     writer.write_csv("picard_solution.csv", rows)
     writer.write_csv(
         "picard_report.csv",
@@ -110,11 +110,10 @@ def _run_picard(cfg: ScenarioConfig, writer: RunWriter) -> int:
     return EXIT_OK if rep.converged else EXIT_NO_CONVERGENCE
 
 
-def _run_linear(cfg: ScenarioConfig, writer: RunWriter) -> int:
+def _run_linear(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
     from .linear import assemble_system, neumann_solve, \
         operator_norm_estimate, simulate_gamma, y_closed_formula
 
-    ens = simulate_ensemble(cfg.grid, cfg.levy, cfg.n_paths, cfg.seed)
     coeffs = dataclasses.replace(cfg.linear, terminal=cfg.terminal)
     gamma = simulate_gamma(coeffs, ens)
     system = assemble_system(coeffs, cfg.terminal, ens, gamma=gamma)
@@ -139,20 +138,14 @@ def _run_linear(cfg: ScenarioConfig, writer: RunWriter) -> int:
     return EXIT_OK
 
 
-def _run_compare(cfg: ScenarioConfig, writer: RunWriter) -> int:
-    ens = simulate_ensemble(cfg.grid, cfg.levy, cfg.n_paths, cfg.seed)
+def _run_compare(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
     cc = cfg.compare
     cfg1 = _sub_config(cfg, cc["driver1"], cc["terminal1"])
     cfg2 = _sub_config(cfg, cc["driver2"], cc["terminal2"])
     g1, _ = build_driver_objects(cfg1)
     g2, _ = build_driver_objects(cfg2)
-    eta = cc["eta_bound"]
-    eta_bound = eta[0] if len(eta) == 1 else (
-        lambda t, z, _e=np.asarray(eta): float(
-            _e[np.argmin(np.abs(cfg.levy.marks - z))])
-    )
     sc = ComparisonScenario(g1=g1, g2=g2, xi1=cc["terminal1"],
-                            xi2=cc["terminal2"], eta_bound=eta_bound)
+                            xi2=cc["terminal2"], eta_bound=cc["eta_bound"])
     basis = RegressionBasis(degree=cfg.basis_degree,
                             jump_features=cfg.jump_features)
     rep = run_comparison(sc, ens, basis, tol=cfg.tol,
@@ -182,17 +175,12 @@ def _run_compare(cfg: ScenarioConfig, writer: RunWriter) -> int:
 
 
 def _sub_config(cfg, driver_spec, terminal):
-    import copy
-
-    sub = copy.copy(cfg)
-    sub.driver = driver_spec
-    sub.terminal = terminal
-    sub.mean_functional = {"name": "mean_y", "bound": 1.0}
-    return sub
+    return dataclasses.replace(cfg, driver=driver_spec, terminal=terminal,
+                               mean_functional={"name": "mean_y",
+                                                "bound": 1.0})
 
 
-def _run_utility(cfg: ScenarioConfig, writer: RunWriter) -> int:
-    ens = simulate_ensemble(cfg.grid, cfg.levy, cfg.n_paths, cfg.seed)
+def _run_utility(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
     u = cfg.utility
     wp = WealthParams(x0=u["x0"], b0=u["b0"], sigma0=u["sigma0"],
                       gamma0=u["gamma0"])
@@ -227,8 +215,7 @@ def _run_utility(cfg: ScenarioConfig, writer: RunWriter) -> int:
     return EXIT_OK
 
 
-def _run_qcheck(cfg: ScenarioConfig, writer: RunWriter) -> int:
-    ens = simulate_ensemble(cfg.grid, cfg.levy, cfg.n_paths, cfg.seed)
+def _run_qcheck(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
     q = cfg.qcheck
     res = q_special_solve(q["alpha1"], q["alpha2"], q["beta1"], q["eta1"],
                           q["gamma"], cfg.terminal, ens)
@@ -299,18 +286,26 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     writer = RunWriter(args.out, cfg)
-    try:
-        code = RUNNERS[args.command](cfg, writer)
-    except (ConfigError, DomainError, CapabilityError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        writer.diagnostics["error"] = str(exc)
-        writer.write_manifest()
-        return EXIT_VALIDATION
-    except (NumericalError, MfbsdeError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        writer.diagnostics["error"] = str(exc)
-        writer.write_manifest()
-        return EXIT_NO_CONVERGENCE
+    # "always" so that repeated runs in one process still record
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        error = None
+        try:
+            ens = simulate_ensemble(cfg.grid, cfg.levy, cfg.n_paths,
+                                    cfg.seed)
+            code = RUNNERS[args.command](cfg, ens, writer)
+        except (ConfigError, DomainError, CapabilityError) as exc:
+            code, error = EXIT_VALIDATION, exc
+        except (NumericalError, MfbsdeError) as exc:
+            code, error = EXIT_NO_CONVERGENCE, exc
+    if error is not None:
+        print(f"{args.command}: {error}", file=sys.stderr)
+        writer.diagnostics["error"] = str(error)
+    counts = Counter(str(w.message) for w in caught)
+    writer.diagnostics["warnings"] = [{"message": m, "count": c}
+                                      for m, c in counts.items()]
+    for msg in counts:
+        print(f"warning: {msg}", file=sys.stderr)
     writer.write_manifest()
     return code
 

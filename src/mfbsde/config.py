@@ -85,41 +85,35 @@ class _Collector:
             )
 
 
-def _get_float(cp, errs, section, key, default=None, required=False):
+def _get(cp, errs, section, key, default=None, required=False,
+         convert=float, kind="a number"):
+    """Value of section.key through `convert`; a missing or unconvertible
+    value records an error naming section.key and gives `default`."""
     if not cp.has_option(section, key):
         if required:
             errs.add(f"{section}.{key}", "missing required key")
         return default
     raw = cp.get(section, key)
     try:
-        return float(raw)
-    except ValueError:
-        errs.add(f"{section}.{key}", f"not a number: {raw!r}")
+        return convert(raw)
+    except (ValueError, KeyError):
+        errs.add(f"{section}.{key}", f"not {kind}: {raw!r}")
         return default
 
 
 def _get_int(cp, errs, section, key, default=None, required=False):
-    if not cp.has_option(section, key):
-        if required:
-            errs.add(f"{section}.{key}", "missing required key")
-        return default
-    raw = cp.get(section, key)
-    try:
-        return int(raw)
-    except ValueError:
-        errs.add(f"{section}.{key}", f"not an integer: {raw!r}")
-        return default
+    return _get(cp, errs, section, key, default, required, int, "an integer")
+
+
+def _get_bool(cp, errs, section, key, default):
+    return _get(cp, errs, section, key, default, False,
+                lambda raw: cp.BOOLEAN_STATES[raw.lower()], "a boolean")
 
 
 def _get_floats(cp, errs, section, key, default=()):
-    if not cp.has_option(section, key):
-        return list(default)
-    raw = cp.get(section, key)
-    try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError:
-        errs.add(f"{section}.{key}", f"not a number list: {raw!r}")
-        return list(default)
+    return _get(cp, errs, section, key, list(default), False,
+                lambda raw: [float(t) for t in raw.replace(",", " ").split()],
+                "a number list")
 
 
 def _parse_atoms(cp, errs) -> LevyMeasure:
@@ -163,11 +157,11 @@ def _parse_terminal(cp, errs, levy, section="terminal"):
         return None
     kind = cp.get(section, "kind", fallback=None)
     if kind == "constant":
-        c = _get_float(cp, errs, section, "c", required=True)
+        c = _get(cp, errs, section, "c", required=True)
         return core.constant(c if c is not None else 0.0)
     if kind == "brownian_linear":
-        a = _get_float(cp, errs, section, "a", required=True)
-        b = _get_float(cp, errs, section, "b", default=0.0)
+        a = _get(cp, errs, section, "a", required=True)
+        b = _get(cp, errs, section, "b", default=0.0)
         return core.brownian_linear(a if a is not None else 0.0, b)
     if kind == "jump_linear":
         psi = _get_floats(cp, errs, section, "psi", default=[1.0])
@@ -192,19 +186,19 @@ def _parse_driver(cp, errs, levy, section="driver"):
         return {"name": "zero"}
     if name == "constant":
         return {"name": "constant",
-                "value": _get_float(cp, errs, section, "value",
+                "value": _get(cp, errs, section, "value",
                                     required=True) or 0.0}
     if name == "affine":
         spec = {
             "name": "affine",
-            "c_y": _get_float(cp, errs, section, "c_y", default=0.0),
-            "c_z": _get_float(cp, errs, section, "c_z", default=0.0),
-            "c_k": _get_float(cp, errs, section, "c_k", default=0.0),
+            "c_y": _get(cp, errs, section, "c_y", default=0.0),
+            "c_z": _get(cp, errs, section, "c_z", default=0.0),
+            "c_k": _get(cp, errs, section, "c_k", default=0.0),
             "c_mean": _get_floats(cp, errs, section, "c_mean",
                                   default=[0.0]),
-            "const": _get_float(cp, errs, section, "const", default=0.0),
+            "const": _get(cp, errs, section, "const", default=0.0),
         }
-        lip = _get_float(cp, errs, section, "lipschitz")
+        lip = _get(cp, errs, section, "lipschitz")
         if lip is not None:
             spec["lipschitz"] = lip
         return spec
@@ -222,15 +216,15 @@ def _parse_linear_coeffs(cp, errs, levy, section="linear_coeffs"):
         errs.add(f"{section}.eta1",
                  f"values must stay above -1, got {min(e1)}")
     return core.LinearCoefficients(
-        alpha1=_get_float(cp, errs, section, "alpha1", default=0.0),
-        alpha2=_get_float(cp, errs, section, "alpha2", default=0.0),
-        beta1=_get_float(cp, errs, section, "beta1", default=0.0),
-        beta2=_get_float(cp, errs, section, "beta2", default=0.0),
+        alpha1=_get(cp, errs, section, "alpha1", default=0.0),
+        alpha2=_get(cp, errs, section, "alpha2", default=0.0),
+        beta1=_get(cp, errs, section, "beta1", default=0.0),
+        beta2=_get(cp, errs, section, "beta2", default=0.0),
         eta1=_atom_coeff(e1, levy, f"{section}.eta1", errs),
         eta2=_atom_coeff(_get_floats(cp, errs, section, "eta2",
                                      default=[0.0]),
                          levy, f"{section}.eta2", errs),
-        gamma=_get_float(cp, errs, section, "gamma", default=0.0),
+        gamma=_get(cp, errs, section, "gamma", default=0.0),
     )
 
 
@@ -320,7 +314,7 @@ def parse_config(text: str) -> ScenarioConfig:
     elif mode not in MODES:
         errs.add("run.mode", f"must be one of {MODES}, got {mode!r}")
 
-    horizon = _get_float(cp, errs, "grid", "horizon", required=True)
+    horizon = _get(cp, errs, "grid", "horizon", required=True)
     steps = _get_int(cp, errs, "grid", "steps", required=True)
     grid = None
     if horizon is not None and steps is not None:
@@ -335,19 +329,19 @@ def parse_config(text: str) -> ScenarioConfig:
     if n_paths is not None and n_paths < 1:
         errs.add("mc.paths", "must be >= 1")
 
-    tol = _get_float(cp, errs, "solver", "tol", default=1e-6)
+    tol = _get(cp, errs, "solver", "tol", default=1e-6)
     max_iter = _get_int(cp, errs, "solver", "max_iter", default=50)
     degree = _get_int(cp, errs, "solver", "basis_degree", default=2)
     if degree is not None and not (1 <= degree <= 6):
         errs.add("solver.basis_degree", "must be between 1 and 6")
-    jumpf = cp.getboolean("solver", "jump_features", fallback=True)
+    jumpf = _get_bool(cp, errs, "solver", "jump_features", default=True)
 
     driver = mean_fn = terminal = linear = compare = qcheck = usect = None
     if mode == "picard":
         driver = _parse_driver(cp, errs, levy)
         mean_fn = {"name": cp.get("mean_functional", "name",
                                   fallback="mean_y")}
-        bound = _get_float(cp, errs, "mean_functional", "bound")
+        bound = _get(cp, errs, "mean_functional", "bound")
         if bound is not None:
             mean_fn["bound"] = bound
         terminal = _parse_terminal(cp, errs, levy)
@@ -366,15 +360,17 @@ def parse_config(text: str) -> ScenarioConfig:
             "driver2": _parse_driver(cp, errs, levy, "driver2"),
             "terminal1": _parse_terminal(cp, errs, levy, "terminal"),
             "terminal2": _parse_terminal(cp, errs, levy, "terminal2"),
-            "eta_bound": _get_floats(cp, errs, "compare", "eta_bound",
-                                     default=[0.0]),
+            "eta_bound": _atom_coeff(
+                _get_floats(cp, errs, "compare", "eta_bound", default=[0.0]),
+                levy, "compare.eta_bound", errs,
+            ),
             "n_probes": _get_int(cp, errs, "compare", "n_probes",
                                  default=10000),
         }
     elif mode == "qcheck":
         if not cp.has_section("qcheck"):
             errs.add("qcheck", "missing required section")
-        qcheck = {k: _get_float(cp, errs, "qcheck", k, default=0.0)
+        qcheck = {k: _get(cp, errs, "qcheck", k, default=0.0)
                   for k in ("alpha1", "alpha2", "beta1", "gamma")}
         eta_vals = _get_floats(cp, errs, "qcheck", "eta1", default=[0.0])
         qcheck["eta1"] = _atom_coeff(eta_vals, levy, "qcheck.eta1", errs)
@@ -384,17 +380,17 @@ def parse_config(text: str) -> ScenarioConfig:
     elif mode == "utility":
         g0 = _get_floats(cp, errs, "wealth", "gamma0", default=[0.0])
         usect = {
-            "x0": _get_float(cp, errs, "wealth", "x0", required=True),
-            "b0": _get_float(cp, errs, "wealth", "b0", default=0.0),
-            "sigma0": _get_float(cp, errs, "wealth", "sigma0", default=0.0),
+            "x0": _get(cp, errs, "wealth", "x0", required=True),
+            "b0": _get(cp, errs, "wealth", "b0", default=0.0),
+            "sigma0": _get(cp, errs, "wealth", "sigma0", default=0.0),
             "gamma0": _atom_coeff(g0, levy, "wealth.gamma0", errs),
-            "alpha0": _get_float(cp, errs, "utility_coeffs", "alpha0",
+            "alpha0": _get(cp, errs, "utility_coeffs", "alpha0",
                                  default=0.0),
-            "alpha1": _get_float(cp, errs, "utility_coeffs", "alpha1",
+            "alpha1": _get(cp, errs, "utility_coeffs", "alpha1",
                                  default=0.0),
-            "beta0": _get_float(cp, errs, "utility_coeffs", "beta0",
+            "beta0": _get(cp, errs, "utility_coeffs", "beta0",
                                 default=0.0),
-            "beta1": _get_float(cp, errs, "utility_coeffs", "beta1",
+            "beta1": _get(cp, errs, "utility_coeffs", "beta1",
                                 default=0.0),
             "eta0": _atom_coeff(
                 _get_floats(cp, errs, "utility_coeffs", "eta0",
@@ -407,8 +403,9 @@ def parse_config(text: str) -> ScenarioConfig:
                 levy, "utility_coeffs.eta1", errs,
             ),
             "theta": _parse_terminal(cp, errs, levy, "theta"),
-            "pi": _get_float(cp, errs, "control", "pi", default=1.0),
-            "optimal": cp.getboolean("control", "optimal", fallback=False),
+            "pi": _get(cp, errs, "control", "pi", default=1.0),
+            "optimal": _get_bool(cp, errs, "control", "optimal",
+                                 default=False),
         }
         if any(v <= -1.0 for v in g0):
             errs.add("wealth.gamma0", "values must stay above -1")

@@ -179,7 +179,8 @@ def _terminal_value(tc: TerminalCondition, ens: PathEnsemble) -> np.ndarray:
         return p["a"] * ens.db.sum(axis=1) + p["b"]
     if tc.kind == "jump_linear":
         psi = _psi_nodes(p["psi"], ens)[:-1]
-        return (psi[None, :, :] * ens.compensated_jumps_p).sum(axis=(1, 2))
+        comp = ens.jumps - ens.levy.weights * ens.grid.dt
+        return (psi[None, :, :] * comp).sum(axis=(1, 2))
     if tc.kind == "smooth_of_brownian":
         return _poly_eval(p["coeffs"], ens.db.sum(axis=1))
     if tc.kind == "poly_of_jump_linear":

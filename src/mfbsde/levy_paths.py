@@ -101,10 +101,12 @@ class PathEnsemble:
     """Seeded Monte Carlo ensemble of driving noise on a time grid.
 
     db[n, i] is the increment of B over [t_i, t_{i+1}]; jumps[n, i, j] the
-    Poisson count of atom j on that interval.  `bm_drift` and `jump_comp`
-    hold the per-step mean of db and the per-step jump compensator under
-    the ensemble's own measure, so downstream schemes can form martingale
-    increments without knowing which measure they are under.
+    Poisson count of atom j on that interval, in the smallest unsigned
+    type that holds the largest count.  `bm_drift` and `jump_comp` hold
+    the per-step mean of db and the per-step jump compensator under the
+    ensemble's own measure, so downstream schemes can form martingale
+    increments without knowing which measure they are under.  Only the
+    two node arrays below are derived from the draws and cached.
     """
 
     grid: TimeGrid
@@ -137,28 +139,29 @@ class PathEnsemble:
         return out
 
     @cached_property
-    def compensated_jumps_p(self) -> np.ndarray:
-        """Increments of the compensated measure as defined under P,
-        i.e. counts minus weight * dt.  This is the definitional object
-        entering path functionals, independent of the sampling measure."""
-        return self.jumps - self.levy.weights * self.grid.dt
-
-    @cached_property
     def compensated_jump_nodes(self) -> np.ndarray:
-        """Running sums of the P-compensated increments, shape (n, M+1, J)."""
+        """Running sums of the P-compensated increments N - w dt, shape
+        (n, M+1, J).  This is the definitional compensated measure entering
+        path functionals, independent of the sampling measure."""
         out = np.zeros((self.n_paths, self.grid.steps + 1, self.levy.n_atoms),
                        order="F")
-        np.cumsum(self.compensated_jumps_p, axis=1, out=out[:, 1:, :])
+        np.cumsum(self.jumps - self.levy.weights * self.grid.dt, axis=1,
+                  out=out[:, 1:, :])
         return out
 
-    # -- martingale increments under the ensemble's own measure ----------
-    @cached_property
-    def martingale_db(self) -> np.ndarray:
-        return np.asfortranarray(self.db - self.bm_drift)
 
-    @cached_property
-    def martingale_jumps(self) -> np.ndarray:
-        return np.asfortranarray(self.jumps - self.jump_comp)
+def _poisson_counts(gens, comp: np.ndarray, n_paths: int,
+                    steps: int) -> np.ndarray:
+    """Per-atom Poisson counts, shape (n, M, J): atom j is drawn from
+    gens[j] with per-step mean comp[..., j] (a scalar or an (M,) column),
+    stored in the smallest unsigned type that holds the largest count."""
+    out = np.empty((n_paths, steps, len(gens)), dtype=np.uint8)
+    for a, gen in enumerate(gens):
+        d = gen.poisson(comp[..., a], size=(n_paths, steps))
+        wide = np.promote_types(out.dtype, np.min_scalar_type(d.max()))
+        out = out.astype(wide, copy=False)
+        out[:, :, a] = d
+    return out
 
 
 def simulate_ensemble(
@@ -168,14 +171,10 @@ def simulate_ensemble(
     mean weight * dt, all from per-source counter-based streams."""
     if n_paths < 1:
         raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
-    m, j = grid.steps, levy.n_atoms
-    gens = _atom_generators(seed, j)
+    m = grid.steps
+    gens = _atom_generators(seed, levy.n_atoms)
     db = gens[0].standard_normal((n_paths, m)) * math.sqrt(grid.dt)
-    jumps = np.zeros((n_paths, m, j))
-    for a in range(j):
-        jumps[:, :, a] = gens[1 + a].poisson(
-            levy.weights[a] * grid.dt, size=(n_paths, m)
-        )
+    jumps = _poisson_counts(gens[1:], levy.weights * grid.dt, n_paths, m)
     return PathEnsemble(
         grid=grid, levy=levy, n_paths=n_paths, seed=seed, db=db, jumps=jumps
     )
@@ -276,11 +275,7 @@ def shift_to_q(ens: PathEnsemble, beta1, eta1) -> PathEnsemble:
     db_q = ens.db + drift
     comp_q = (1.0 + e1) * levy.weights * grid.dt
     gens = _atom_generators(ens.seed, levy.n_atoms)
-    jumps_q = np.zeros_like(ens.jumps)
-    for a in range(levy.n_atoms):
-        jumps_q[:, :, a] = gens[1 + a].poisson(
-            comp_q[:, a], size=(ens.n_paths, grid.steps)
-        )
+    jumps_q = _poisson_counts(gens[1:], comp_q, ens.n_paths, grid.steps)
     return PathEnsemble(
         grid=grid,
         levy=levy,

@@ -63,14 +63,16 @@ class _Regressions:
     """Per-node design matrices and cached normal-equation factors."""
 
     def __init__(self, ens: PathEnsemble, basis: RegressionBasis):
-        self.ens = ens
         self.basis = basis
         self.bn = ens.brownian_nodes
+        self.jnodes = ens.compensated_jump_nodes
         self.jn = (
-            ens.compensated_jump_nodes
-            if basis.jump_features and ens.levy.n_atoms
-            else None
+            self.jnodes if basis.jump_features and ens.levy.n_atoms else None
         )
+        # per-node shift of [dB, P-compensated dN_j] to the ensemble measure
+        self.shift = np.column_stack([
+            -ens.bm_drift, ens.levy.weights * ens.grid.dt - ens.jump_comp,
+        ])
         self.extra = list(basis.extras.values())
         self.n_cols = (
             1 + basis.degree + (self.jn.shape[2] if self.jn is not None else 0)
@@ -135,6 +137,15 @@ class _Regressions:
         fitted = x @ self.solve(i, x, x.T @ t)
         return fitted[:, 0] if squeeze else fitted
 
+    def increments(self, i: int, out: np.ndarray) -> np.ndarray:
+        """Raw increments over [t_i, t_{i+1}] into out (n, 1+J): dB, then
+        the P-compensated dN_j, as differences of the node arrays; add
+        shift[i] for the martingale increments."""
+        np.subtract(self.bn[:, i + 1], self.bn[:, i], out=out[:, 0])
+        np.subtract(self.jnodes[:, i + 1, :], self.jnodes[:, i, :],
+                    out=out[:, 1:])
+        return out
+
     def covariation(self, i: int, x: np.ndarray) -> np.ndarray:
         """H_c = S^-1 X' diag(dM_c) X for the martingale increments dM_c
         over [t_i, t_{i+1}] (dB, then dNtilde_j), shape (1+J, p, p).
@@ -143,14 +154,13 @@ class _Regressions:
         S^-1 X'(Y dM_c) - H_c b without a second pass over the paths.
         """
         if self._cov[i] is None:
-            ens = self.ens
-            dms = [ens.martingale_db[:, i]] + [
-                ens.martingale_jumps[:, i, a] for a in range(ens.levy.n_atoms)
-            ]
-            xdx = np.concatenate([(x * dm[:, None]).T @ x for dm in dms],
+            nc = self.shift.shape[1]
+            dms = self.increments(i, np.empty((x.shape[0], nc), order="F"))
+            dms += self.shift[i]
+            xdx = np.concatenate([(x * dm[:, None]).T @ x for dm in dms.T],
                                  axis=1)
             p = x.shape[1]
-            h = self.solve(i, x, xdx).reshape(p, len(dms), p)
+            h = self.solve(i, x, xdx).reshape(p, nc, p)
             self._cov[i] = np.ascontiguousarray(h.transpose(1, 0, 2))
         return self._cov[i]
 
@@ -209,7 +219,10 @@ def solve_inner(f_hat: np.ndarray, tc: TerminalCondition, ens: PathEnsemble,
     so one X' product over [Y_{i+1} + f_hat_i dt, Y_{i+1}, Y_{i+1} dB,
     Y_{i+1} dNtilde_j], one solve with the cached normal factor and the
     cached per-node S^-1 X' diag(dM) X give all the coefficients, and one
-    X product writes Y_i, Z_i and K_i.
+    X product writes Y_i, Z_i and K_i.  dB and dNtilde_j are differences
+    of the node arrays, compensated as under P; the shift s to the
+    ensemble's own measure is applied to the coefficients: for a raw
+    increment d, S^-1 X'(Y_{i+1} (d + s)) = S^-1 X'(Y_{i+1} d) + s b.
     """
     reg = _reg if _reg is not None else _Regressions(ens, basis)
     n, m, j = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
@@ -221,8 +234,6 @@ def solve_inner(f_hat: np.ndarray, tc: TerminalCondition, ens: PathEnsemble,
     y[:, m] = terminal_value(tc, ens)
     z = np.empty((n, m), order="F")
     k = np.empty((n, m, j), order="F")
-    mdb = ens.martingale_db
-    mjp = ens.martingale_jumps
     # per-node divisors of the covariation coefficients: dt, then comp_j
     scale = np.column_stack([np.full(m, dt), ens.jump_comp])
     pay = np.empty((n, 3 + j), order="F")
@@ -232,11 +243,12 @@ def solve_inner(f_hat: np.ndarray, tc: TerminalCondition, ens: PathEnsemble,
         np.multiply(f_hat[:, i], dt, out=pay[:, 0])
         pay[:, 0] += ynext
         pay[:, 1] = ynext
-        np.multiply(ynext, mdb[:, i], out=pay[:, 2])
-        np.multiply(ynext[:, None], mjp[:, i, :], out=pay[:, 3:])
+        reg.increments(i, pay[:, 2:])
+        pay[:, 2:] *= ynext[:, None]
         x = reg.design(i)
         c = reg.solve(i, x, x.T @ pay)
         coef[:, 0] = c[:, 0]
+        c[:, 2:] += np.outer(c[:, 1], reg.shift[i])
         np.subtract(c[:, 2:], (reg.covariation(i, x) @ c[:, 1]).T,
                     out=coef[:, 1:])
         coef[:, 1:] /= scale[i]

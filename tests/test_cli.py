@@ -103,6 +103,28 @@ class TestParseConfig:
         assert len(entries) == 1
         assert entries[0].strip().startswith(f"{path}:")
 
+    @pytest.mark.parametrize("mode,sections,path", [
+        ("picard", "[driver]\nname = zero\n"
+                   "[terminal]\nkind = constant\nc = 1.0\n[solver]\n",
+         "solver.jump_features"),
+        ("utility", "[theta]\nkind = constant\nc = 1.0\n"
+                    "[wealth]\nx0 = 1.0\n[control]\n", "control.optimal"),
+    ], ids=["picard", "utility"])
+    def test_one_error_per_bad_boolean(self, mode, sections, path,
+                                       tmp_path, capsys):
+        text = (f"[run]\nmode = {mode}\n[grid]\nhorizon = 1.0\n"
+                f"steps = 10\n[mc]\npaths = 10\n{sections}"
+                f"{path.split('.')[1]} = maybe\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        entries = str(err.value).splitlines()[1:]
+        assert len(entries) == 1
+        assert entries[0].strip().startswith(f"{path}:")
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        assert main(["validate", "--config", str(ini)]) == 2
+        assert path in capsys.readouterr().err
+
 
 class TestMeanFunctionalBound:
     TEXT = MINIMAL_PICARD + "\n[mean_functional]\nname = mean_y_squared\n"
@@ -221,6 +243,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert "terminal" in err and "xi1" in err
 
+    def test_nonconvergence_warning_in_manifest(self, tmp_path):
+        text = MINIMAL_PICARD.replace(
+            "name = zero", "name = affine\nc_y = 0.5\nconst = 1.0"
+        ) + "\n[solver]\nmax_iter = 1\n"
+        ini = tmp_path / "s.ini"
+        ini.write_text(text)
+        out = tmp_path / "out"
+        assert main(["picard", "--config", str(ini),
+                     "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        caught = manifest["diagnostics"]["warnings"]
+        assert [w["count"] for w in caught] == [1]
+        assert "did not converge" in caught[0]["message"]
+
+    def test_clean_run_records_no_warnings(self, picard_ini, tmp_path):
+        out = tmp_path / "out"
+        assert main(["picard", "--config", str(picard_ini),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"]["warnings"] == []
+
     def test_linear_mode_roundtrip(self, tmp_path):
         text = textwrap.dedent("""
             [run]
@@ -329,6 +372,49 @@ class TestCli:
                      "--out", str(tmp_path / "qo")]) == 0
         man = json.loads((tmp_path / "qo" / "manifest.json").read_text())
         assert man["diagnostics"]["qcheck"]["agree"]
+
+
+COMPARE_THREE_ATOMS = textwrap.dedent("""
+    [run]
+    mode = compare
+    [grid]
+    horizon = 1.0
+    steps = 10
+    [levy]
+    atoms = 1.0:0.5, -0.5:0.3, 2.0:0.2
+    [mc]
+    paths = 500
+    seed = 3
+    [driver]
+    name = affine
+    c_k = 0.2
+    [terminal]
+    kind = constant
+    c = 1.0
+    [driver2]
+    name = affine
+    c_k = 0.2
+    [terminal2]
+    kind = constant
+    c = 0.0
+    [compare]
+    n_probes = 20
+""")
+
+
+@pytest.mark.parametrize("eta_bound,code", [
+    ("0.2", 0), ("0.2, 0.2, 0.2", 0), ("0.2, 0.2", 2),
+], ids=["one", "per-atom", "wrong-count"])
+def test_compare_eta_bound_count(tmp_path, capsys, eta_bound, code):
+    """compare.eta_bound takes one value or one per atom; any other count
+    is a validation error naming the key, not a crash in the run."""
+    ini = tmp_path / "c.ini"
+    ini.write_text(COMPARE_THREE_ATOMS + f"eta_bound = {eta_bound}\n")
+    assert main(["validate", "--config", str(ini)]) == min(code, 2)
+    assert main(["compare", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == code
+    if code:
+        assert "compare.eta_bound" in capsys.readouterr().err
 
 
 DETERMINISM_LINEAR = textwrap.dedent("""

@@ -37,7 +37,8 @@ class TestTerminalValue:
 
     def test_jump_linear_unit_psi(self, ens_small):
         v = terminal_value(jump_linear(1.0), ens_small)
-        direct = ens_small.compensated_jumps_p[:, :, 0].sum(axis=1)
+        w_dt = ens_small.levy.weights[0] * ens_small.grid.dt
+        direct = (ens_small.jumps[:, :, 0] - w_dt).sum(axis=1)
         assert np.allclose(v, direct)
 
     def test_smooth_polynomial(self, ens_small):

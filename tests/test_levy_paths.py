@@ -17,11 +17,15 @@ from mfbsde import (
     constant,
     evaluate_j,
     girsanov_density,
+    mean_yzk,
+    picard_full_freeze,
     shift_to_q,
     simulate_ensemble,
     simulate_gamma,
     simulate_wealth,
+    smooth_of_brownian,
     solve_adjoints,
+    solve_linear_y0,
 )
 from mfbsde.levy_paths import _log_exponential
 
@@ -66,7 +70,7 @@ class TestSimulateEnsemble:
     def test_no_atoms_means_no_jumps(self, grid50, levy0):
         ens = simulate_ensemble(grid50, levy0, 100, seed=1)
         assert ens.jumps.shape == (100, 50, 0)
-        assert np.all(ens.compensated_jumps_p == 0)
+        assert np.all(ens.jumps - levy0.weights * grid50.dt == 0)
 
     def test_brownian_moments(self, grid50, levy0):
         ens = simulate_ensemble(grid50, levy0, 100000, seed=2)
@@ -83,7 +87,7 @@ class TestSimulateEnsemble:
         assert abs(counts.mean() - 0.2) <= 3 * mc_se(counts)
 
     def test_compensation(self, ens_small):
-        comp = ens_small.compensated_jumps_p
+        comp = ens_small.jumps - ens_small.levy.weights * ens_small.grid.dt
         for i in (0, 20, 49):
             s = comp[:, i, 0]
             assert abs(s.mean()) <= 3 * mc_se(s)
@@ -130,7 +134,7 @@ class TestShiftToQ:
         q = shift_to_q(ens_mid, 0.3, 0.0)
         db = q.db.ravel()
         assert abs(db.mean() - 0.3 * ens_mid.grid.dt) <= 3 * mc_se(db)
-        assert np.allclose(q.martingale_db.mean(), 0.0, atol=1e-3)
+        assert np.allclose((q.db - q.bm_drift).mean(), 0.0, atol=1e-3)
 
     def test_tilted_intensity(self):
         grid = build_grid(1.0, 10)
@@ -155,6 +159,47 @@ class TestShiftToQ:
             rhs = phi(q)
             tol = 3 * np.hypot(mc_se(lhs), mc_se(rhs))
             assert abs(lhs.mean() - rhs.mean()) <= tol
+
+
+class TestEnsembleStorage:
+    @pytest.mark.filterwarnings("ignore:Picard full freeze did not converge")
+    def test_only_draws_measure_and_node_arrays(self, grid50, levy2):
+        """After the Picard and closed-form routes, under P and under a
+        shifted measure, an ensemble holds its draws, its measure and the
+        two node arrays the regressions read, and nothing else."""
+        ens = simulate_ensemble(grid50, levy2, 500, seed=17)
+        coeffs = LinearCoefficients(alpha1=0.1, beta1=0.2, eta1=0.1,
+                                    terminal=smooth_of_brownian([1.0, 0.5]))
+        drv = coeffs.as_driver(grid50, levy2)
+        basis = RegressionBasis(degree=2)
+        for e in (ens, shift_to_q(ens, 0.3, 0.2)):
+            picard_full_freeze(drv, mean_yzk(2), coeffs.terminal, e, basis,
+                               max_iter=2, check=False)
+            solve_linear_y0(coeffs, e)
+            arrays = sorted(k for k, v in vars(e).items()
+                            if isinstance(v, np.ndarray))
+            assert arrays == ["bm_drift", "brownian_nodes",
+                              "compensated_jump_nodes", "db", "jump_comp",
+                              "jumps"]
+            assert e.jumps.dtype.kind == "u"
+
+    def test_heavy_atom_widens_counts(self):
+        """weight * dt = 300 gives counts above 255: the counts widen past
+        one byte and equal the int64 Poisson draws of the same Philox
+        streams, both when simulated and after a zero tilt."""
+        grid = build_grid(1.0, 10)
+        levy = LevyMeasure.from_atoms([(1.0, 0.7), (-0.5, 3000.0)])
+        n, seed = 200, 23
+        streams = np.random.SeedSequence(seed).spawn(1 + levy.n_atoms)
+        want = [np.random.Generator(np.random.Philox(s)).poisson(
+                    w * grid.dt, size=(n, grid.steps))
+                for s, w in zip(streams[1:], levy.weights)]
+        assert want[0].max() <= 255 < want[1].max()
+        ens = simulate_ensemble(grid, levy, n, seed)
+        for counts in (ens.jumps, shift_to_q(ens, 0.0, 0.0).jumps):
+            assert counts.dtype == np.uint16
+            for a in range(levy.n_atoms):
+                assert np.array_equal(counts[:, :, a], want[a])
 
 
 class TestLogExponential:

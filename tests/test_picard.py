@@ -143,11 +143,12 @@ def test_fused_sweep_matches_condexp_reference(grid50, levy2, measure):
         ynext = y[:, i + 1]
         y[:, i] = condexp(ynext + f_hat[:, i] * dt, basis, ens, i)
         resid = ynext - condexp(ynext, basis, ens, i)
-        z[:, i] = condexp(resid * ens.martingale_db[:, i], basis, ens,
-                          i) / dt
+        dm_b = ens.db[:, i] - ens.bm_drift[i]
+        z[:, i] = condexp(resid * dm_b, basis, ens, i) / dt
         for a in range(2):
-            k[:, i, a] = condexp(resid * ens.martingale_jumps[:, i, a],
-                                 basis, ens, i) / ens.jump_comp[i, a]
+            dm_n = ens.jumps[:, i, a] - ens.jump_comp[i, a]
+            k[:, i, a] = condexp(resid * dm_n, basis, ens,
+                                 i) / ens.jump_comp[i, a]
     for got, want in ((sol.y, y), (sol.z, z), (sol.k, k)):
         assert np.abs(want).max() > 0.1
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
