@@ -268,6 +268,9 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.seed is not None:
+        if args.seed < 0:
+            print("--seed must be >= 0", file=sys.stderr)
+            return EXIT_VALIDATION
         cfg.seed = args.seed
     if args.paths is not None:
         if args.paths < 1:

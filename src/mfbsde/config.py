@@ -328,9 +328,15 @@ def parse_config(text: str) -> ScenarioConfig:
     seed = _get_int(cp, errs, "mc", "seed", default=0)
     if n_paths is not None and n_paths < 1:
         errs.add("mc.paths", "must be >= 1")
+    if seed is not None and seed < 0:
+        errs.add("mc.seed", "must be >= 0")
 
     tol = _get(cp, errs, "solver", "tol", default=1e-6)
     max_iter = _get_int(cp, errs, "solver", "max_iter", default=50)
+    if tol is not None and not tol > 0.0:
+        errs.add("solver.tol", "must be > 0")
+    if max_iter is not None and max_iter < 1:
+        errs.add("solver.max_iter", "must be >= 1")
     degree = _get_int(cp, errs, "solver", "basis_degree", default=2)
     if degree is not None and not (1 <= degree <= 6):
         errs.add("solver.basis_degree", "must be between 1 and 6")

@@ -176,13 +176,16 @@ def _terminal_value(tc: TerminalCondition, ens: PathEnsemble) -> np.ndarray:
     if tc.kind == "constant":
         return np.full(ens.n_paths, p["c"])
     if tc.kind == "brownian_linear":
-        return p["a"] * ens.db.sum(axis=1) + p["b"]
+        return p["a"] * ens.brownian_nodes[:, -1] + p["b"]
     if tc.kind == "jump_linear":
+        # sum_i psi_i (dN_i - w dt), summed by parts over the count
+        # levels N(t_1..t_M): psi (N(T) - w T) for a constant psi
         psi = _psi_nodes(p["psi"], ens)[:-1]
-        comp = ens.jumps - ens.levy.weights * ens.grid.dt
-        return (psi[None, :, :] * comp).sum(axis=(1, 2))
+        by_parts = -np.diff(psi, axis=0, append=0.0)
+        return np.einsum("nij,ij->n", ens.count_nodes[:, 1:], by_parts) \
+            - (psi * ens.levy.weights).sum() * ens.grid.dt
     if tc.kind == "smooth_of_brownian":
-        return _poly_eval(p["coeffs"], ens.db.sum(axis=1))
+        return _poly_eval(p["coeffs"], ens.brownian_nodes[:, -1])
     if tc.kind == "poly_of_jump_linear":
         g = terminal_value(jump_linear(p["psi"]), ens)
         return _poly_eval(p["coeffs"], g)
@@ -210,7 +213,7 @@ def derivative_terms(tc: TerminalCondition, ens: PathEnsemble):
     if tc.kind == "brownian_linear":
         return [(np.full(ens.n_paths, p["a"]), ones)], no_jumps
     if tc.kind == "smooth_of_brownian":
-        slope = _poly_deriv(p["coeffs"], ens.db.sum(axis=1))
+        slope = _poly_deriv(p["coeffs"], ens.brownian_nodes[:, -1])
         return [(slope, ones)], no_jumps
     if tc.kind == "jump_linear":
         psi = _psi_nodes(p["psi"], ens)

@@ -8,8 +8,8 @@ becomes a weighted sum over atoms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -100,21 +100,24 @@ def _atom_generators(seed: int, n_atoms: int):
 class PathEnsemble:
     """Seeded Monte Carlo ensemble of driving noise on a time grid.
 
-    db[n, i] is the increment of B over [t_i, t_{i+1}]; jumps[n, i, j] the
-    Poisson count of atom j on that interval, in the smallest unsigned
-    type that holds the largest count.  `bm_drift` and `jump_comp` hold
-    the per-step mean of db and the per-step jump compensator under the
-    ensemble's own measure, so downstream schemes can form martingale
-    increments without knowing which measure they are under.  Only the
-    two node arrays below are derived from the draws and cached.
+    Each noise source is stored once, as its levels on the grid nodes:
+    brownian_nodes[n, i] = B(t_i) and count_nodes[n, i, j] = N_j(t_i), the
+    number of jumps of atom j up to t_i, in the smallest unsigned type that
+    holds the largest N_j(T).  Both are node-major (column-contiguous),
+    since solvers walk them by node, and every increment over
+    [t_i, t_{i+1}] is a difference of neighbouring node columns
+    (`increments`).  `bm_drift` and `jump_comp` hold the per-step mean of
+    dB and the per-step jump compensator under the ensemble's own
+    measure, so downstream schemes can form martingale increments without
+    knowing which measure they are under.
     """
 
     grid: TimeGrid
     levy: LevyMeasure
     n_paths: int
     seed: int
-    db: np.ndarray          # (n, M)
-    jumps: np.ndarray       # (n, M, J) integer counts
+    brownian_nodes: np.ndarray   # (n, M+1), B(t_0) = 0
+    count_nodes: np.ndarray      # (n, M+1, J) unsigned, N(t_0) = 0
     measure: str = "P"
     bm_drift: np.ndarray = field(default=None)   # (M,)
     jump_comp: np.ndarray = field(default=None)  # (M, J)
@@ -129,38 +132,62 @@ class PathEnsemble:
             ).copy()
             object.__setattr__(self, "jump_comp", comp)
 
-    # -- path functionals (cached; ensembles are immutable).  Node-sliced
-    # arrays are kept column-contiguous since solvers walk them by node.
-    @cached_property
-    def brownian_nodes(self) -> np.ndarray:
-        """B(t_i) for i = 0..M, shape (n, M+1)."""
-        out = np.zeros((self.n_paths, self.grid.steps + 1), order="F")
-        np.cumsum(self.db, axis=1, out=out[:, 1:])
+    def increments(self, i: int, out: Optional[np.ndarray] = None
+                   ) -> np.ndarray:
+        """Raw increments over [t_i, t_{i+1}], shape (n, 1+J): dB, then
+        the counts dN_j, as float differences of the node columns (counts
+        are differenced forward, so the unsigned subtraction cannot wrap).
+        """
+        if out is None:
+            out = np.empty((self.n_paths, 1 + self.levy.n_atoms), order="F")
+        b, c = self.brownian_nodes, self.count_nodes
+        np.subtract(b[:, i + 1], b[:, i], out=out[:, 0])
+        np.subtract(c[:, i + 1], c[:, i], out=out[:, 1:])
         return out
 
-    @cached_property
-    def compensated_jump_nodes(self) -> np.ndarray:
-        """Running sums of the P-compensated increments N - w dt, shape
-        (n, M+1, J).  This is the definitional compensated measure entering
-        path functionals, independent of the sampling measure."""
-        out = np.zeros((self.n_paths, self.grid.steps + 1, self.levy.n_atoms),
-                       order="F")
-        np.cumsum(self.jumps - self.levy.weights * self.grid.dt, axis=1,
-                  out=out[:, 1:, :])
-        return out
+
+# Paths per draw: each block is cumulated into the node arrays, so no
+# whole-ensemble increment array is held, and a small block stays in
+# cache.  Row blocks of a Philox stream reproduce the whole draw, so the
+# value changes no number.
+_BLOCK_ROWS = 256
+
+
+def _blocks(n_paths: int):
+    """Row slices of at most _BLOCK_ROWS paths, with their sizes."""
+    for lo in range(0, n_paths, _BLOCK_ROWS):
+        k = min(_BLOCK_ROWS, n_paths - lo)
+        yield slice(lo, lo + k), k
+
+
+def _brownian_nodes(gen, grid: TimeGrid, n_paths: int) -> np.ndarray:
+    """B(t_i), shape (n, M+1), node-major: N(0, dt) increments drawn from
+    gen and cumulated along each path."""
+    out = np.zeros((n_paths, grid.steps + 1), order="F")
+    buf = np.empty((min(n_paths, _BLOCK_ROWS), grid.steps))
+    for rows, k in _blocks(n_paths):
+        db = gen.standard_normal(out=buf[:k])
+        db *= math.sqrt(grid.dt)
+        np.cumsum(db, axis=1, out=out[rows, 1:])
+    return out
 
 
 def _poisson_counts(gens, comp: np.ndarray, n_paths: int,
                     steps: int) -> np.ndarray:
-    """Per-atom Poisson counts, shape (n, M, J): atom j is drawn from
-    gens[j] with per-step mean comp[..., j] (a scalar or an (M,) column),
-    stored in the smallest unsigned type that holds the largest count."""
-    out = np.empty((n_paths, steps, len(gens)), dtype=np.uint8)
+    """Cumulative per-atom Poisson counts N_j(t_i), shape (n, M+1, J),
+    node-major: atom j is drawn from gens[j] with per-step mean
+    comp[..., j] (a scalar or an (M,) column), stored in the smallest
+    unsigned type that holds the largest N_j(T)."""
+    out = np.zeros((n_paths, steps + 1, len(gens)), dtype=np.uint8,
+                   order="F")
     for a, gen in enumerate(gens):
-        d = gen.poisson(comp[..., a], size=(n_paths, steps))
-        wide = np.promote_types(out.dtype, np.min_scalar_type(d.max()))
-        out = out.astype(wide, copy=False)
-        out[:, :, a] = d
+        for rows, k in _blocks(n_paths):
+            cum = gen.poisson(comp[..., a], size=(k, steps))
+            np.cumsum(cum, axis=1, out=cum)
+            wide = np.promote_types(out.dtype,
+                                    np.min_scalar_type(cum[:, -1].max()))
+            out = out.astype(wide, order="F", copy=False)
+            out[rows, 1:, a] = cum
     return out
 
 
@@ -168,15 +195,16 @@ def simulate_ensemble(
     grid: TimeGrid, levy: LevyMeasure, n_paths: int, seed: int
 ) -> PathEnsemble:
     """Draw Brownian increments N(0, dt) and per-atom Poisson counts with
-    mean weight * dt, all from per-source counter-based streams."""
+    mean weight * dt, all from per-source counter-based streams, and keep
+    their running sums on the grid nodes."""
     if n_paths < 1:
         raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
-    m = grid.steps
     gens = _atom_generators(seed, levy.n_atoms)
-    db = gens[0].standard_normal((n_paths, m)) * math.sqrt(grid.dt)
-    jumps = _poisson_counts(gens[1:], levy.weights * grid.dt, n_paths, m)
     return PathEnsemble(
-        grid=grid, levy=levy, n_paths=n_paths, seed=seed, db=db, jumps=jumps
+        grid=grid, levy=levy, n_paths=n_paths, seed=seed,
+        brownian_nodes=_brownian_nodes(gens[0], grid, n_paths),
+        count_nodes=_poisson_counts(gens[1:], levy.weights * grid.dt,
+                                    n_paths, grid.steps),
     )
 
 
@@ -221,19 +249,29 @@ def _log_exponential(ens: PathEnsemble, drift, vol, jump) -> np.ndarray:
     compensated log term plus the (log(1 + jump) - jump) w dt
     correction, collected over raw counts.  `drift` is (M,) or
     pathwise (n, M), `vol` is (M,) and `jump` is (M, J), all taken at
-    left nodes; jump values must exceed -1.
+    left nodes; jump values must exceed -1.  The exponent is accumulated
+    node by node into node-major output, the layout of the ensemble's
+    node arrays.
     """
     grid, levy = ens.grid, ens.levy
     dt = grid.dt
-    out = np.empty((ens.n_paths, grid.steps + 1))
+    det = (drift - 0.5 * vol**2) * dt
+    logj = np.log1p(jump)
+    comp = jump * levy.weights * dt
+    out = np.empty((ens.n_paths, grid.steps + 1), order="F")
     out[:, 0] = 0.0
-    incr = out[:, 1:]
-    np.multiply(vol, ens.db, out=incr)
-    incr += (drift - 0.5 * vol**2) * dt
-    if levy.n_atoms:
-        incr += (np.log1p(jump) * ens.jumps - jump * levy.weights * dt
-                 ).sum(axis=2)
-    np.cumsum(incr, axis=1, out=incr)
+    d = np.empty((ens.n_paths, 1 + levy.n_atoms), order="F")
+    for i in range(grid.steps):
+        ens.increments(i, out=d)
+        step = out[:, i + 1]
+        np.multiply(vol[i], d[:, 0], out=step)
+        step += det[..., i]
+        for a in range(levy.n_atoms):
+            dn = d[:, 1 + a]
+            dn *= logj[i, a]
+            dn -= comp[i, a]
+            step += dn
+        step += out[:, i]
     return out
 
 
@@ -256,11 +294,12 @@ def girsanov_density(ens: PathEnsemble, beta1, eta1) -> np.ndarray:
 def shift_to_q(ens: PathEnsemble, beta1, eta1) -> PathEnsemble:
     """Resample the ensemble under the tilted measure.
 
-    Brownian increments acquire mean beta1 * dt, atom j's counts are drawn
-    with intensity (1 + eta1) * weight.  The same per-source streams are
-    reused, so a zero tilt reproduces the input bit for bit.  The returned
-    ensemble carries its own drift/compensator so martingale increments
-    stay correct downstream.
+    Brownian levels acquire the drift cumsum(beta1 dt), a per-node
+    scalar; atom j's counts are redrawn with intensity (1 + eta1) * weight
+    and cumulated.  The same per-source streams are reused, so a zero
+    tilt reproduces the input bit for bit.  The returned ensemble carries
+    its own drift/compensator so martingale increments stay correct
+    downstream.
     """
     if ens.measure != "P":
         raise ConfigError("shift_to_q expects a P-measure ensemble")
@@ -272,18 +311,12 @@ def shift_to_q(ens: PathEnsemble, beta1, eta1) -> PathEnsemble:
     e1 = e1[:-1]
 
     drift = b1 * grid.dt
-    db_q = ens.db + drift
     comp_q = (1.0 + e1) * levy.weights * grid.dt
     gens = _atom_generators(ens.seed, levy.n_atoms)
-    jumps_q = _poisson_counts(gens[1:], comp_q, ens.n_paths, grid.steps)
-    return PathEnsemble(
-        grid=grid,
-        levy=levy,
-        n_paths=ens.n_paths,
-        seed=ens.seed,
-        db=db_q,
-        jumps=jumps_q,
-        measure="Q",
-        bm_drift=drift,
-        jump_comp=comp_q,
+    return replace(
+        ens, measure="Q", bm_drift=drift, jump_comp=comp_q,
+        brownian_nodes=ens.brownian_nodes
+        + np.concatenate([[0.0], np.cumsum(drift)]),
+        count_nodes=_poisson_counts(gens[1:], comp_q, ens.n_paths,
+                                    grid.steps),
     )

@@ -64,20 +64,15 @@ class _Regressions:
 
     def __init__(self, ens: PathEnsemble, basis: RegressionBasis):
         self.basis = basis
-        self.bn = ens.brownian_nodes
-        self.jnodes = ens.compensated_jump_nodes
-        self.jn = (
-            self.jnodes if basis.jump_features and ens.levy.n_atoms else None
-        )
-        # per-node shift of [dB, P-compensated dN_j] to the ensemble measure
-        self.shift = np.column_stack([
-            -ens.bm_drift, ens.levy.weights * ens.grid.dt - ens.jump_comp,
-        ])
+        self.ens = ens
+        # per-node compensator w t_i of the running jump sums
+        self.w_t = np.outer(ens.grid.nodes, ens.levy.weights)
+        self.n_jump = ens.levy.n_atoms if basis.jump_features else 0
+        # per-node shift of the raw increments [dB, dN_j] to the
+        # martingale increments under the ensemble measure
+        self.shift = -np.column_stack([ens.bm_drift, ens.jump_comp])
         self.extra = list(basis.extras.values())
-        self.n_cols = (
-            1 + basis.degree + (self.jn.shape[2] if self.jn is not None else 0)
-            + len(self.extra)
-        )
+        self.n_cols = 1 + basis.degree + self.n_jump + len(self.extra)
         if ens.n_paths <= self.n_cols:
             raise ConfigError(
                 f"need more paths ({ens.n_paths}) than basis functions "
@@ -92,15 +87,14 @@ class _Regressions:
     def design(self, i: int) -> np.ndarray:
         """Node-i design matrix (a shared buffer, valid until next call)."""
         x = self._xbuf
-        b = self.bn[:, i]
+        b = self.ens.brownian_nodes[:, i]
         x[:, 1] = b
         for p in range(2, self.basis.degree + 1):
             np.multiply(x[:, p - 1], b, out=x[:, p])
-        c = 1 + self.basis.degree
-        if self.jn is not None:
-            nj = self.jn.shape[2]
-            x[:, c:c + nj] = self.jn[:, i, :]
-            c += nj
+        c, nj = 1 + self.basis.degree, self.n_jump
+        np.subtract(self.ens.count_nodes[:, i, :nj], self.w_t[i, :nj],
+                    out=x[:, c:c + nj])
+        c += nj
         for arr in self.extra:
             x[:, c] = arr[:, i]
             c += 1
@@ -137,15 +131,6 @@ class _Regressions:
         fitted = x @ self.solve(i, x, x.T @ t)
         return fitted[:, 0] if squeeze else fitted
 
-    def increments(self, i: int, out: np.ndarray) -> np.ndarray:
-        """Raw increments over [t_i, t_{i+1}] into out (n, 1+J): dB, then
-        the P-compensated dN_j, as differences of the node arrays; add
-        shift[i] for the martingale increments."""
-        np.subtract(self.bn[:, i + 1], self.bn[:, i], out=out[:, 0])
-        np.subtract(self.jnodes[:, i + 1, :], self.jnodes[:, i, :],
-                    out=out[:, 1:])
-        return out
-
     def covariation(self, i: int, x: np.ndarray) -> np.ndarray:
         """H_c = S^-1 X' diag(dM_c) X for the martingale increments dM_c
         over [t_i, t_{i+1}] (dB, then dNtilde_j), shape (1+J, p, p).
@@ -155,7 +140,7 @@ class _Regressions:
         """
         if self._cov[i] is None:
             nc = self.shift.shape[1]
-            dms = self.increments(i, np.empty((x.shape[0], nc), order="F"))
+            dms = self.ens.increments(i)
             dms += self.shift[i]
             xdx = np.concatenate([(x * dm[:, None]).T @ x for dm in dms.T],
                                  axis=1)
@@ -219,10 +204,10 @@ def solve_inner(f_hat: np.ndarray, tc: TerminalCondition, ens: PathEnsemble,
     so one X' product over [Y_{i+1} + f_hat_i dt, Y_{i+1}, Y_{i+1} dB,
     Y_{i+1} dNtilde_j], one solve with the cached normal factor and the
     cached per-node S^-1 X' diag(dM) X give all the coefficients, and one
-    X product writes Y_i, Z_i and K_i.  dB and dNtilde_j are differences
-    of the node arrays, compensated as under P; the shift s to the
-    ensemble's own measure is applied to the coefficients: for a raw
-    increment d, S^-1 X'(Y_{i+1} (d + s)) = S^-1 X'(Y_{i+1} d) + s b.
+    X product writes Y_i, Z_i and K_i.  The raw increments dB and dN_j
+    are differences of the node arrays; their compensation s = -(drift,
+    compensator) under the ensemble's own measure is applied to the
+    coefficients: S^-1 X'(Y_{i+1} (d + s)) = S^-1 X'(Y_{i+1} d) + s b.
     """
     reg = _reg if _reg is not None else _Regressions(ens, basis)
     n, m, j = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
@@ -243,7 +228,7 @@ def solve_inner(f_hat: np.ndarray, tc: TerminalCondition, ens: PathEnsemble,
         np.multiply(f_hat[:, i], dt, out=pay[:, 0])
         pay[:, 0] += ynext
         pay[:, 1] = ynext
-        reg.increments(i, pay[:, 2:])
+        ens.increments(i, out=pay[:, 2:])
         pay[:, 2:] *= ynext[:, None]
         x = reg.design(i)
         c = reg.solve(i, x, x.T @ pay)
@@ -300,6 +285,12 @@ def _check_step(driver: DriverSpec, ens: PathEnsemble):
         )
 
 
+def _check_caps(**caps):
+    for name, cap in caps.items():
+        if cap < 1:
+            raise ConfigError(f"{name} must be >= 1, got {cap}")
+
+
 def _freeze_loop(driver: DriverSpec, tc: TerminalCondition,
                  ens: PathEnsemble, basis: RegressionBasis, tol: float,
                  max_iter: int, mu_fn, reg: _Regressions,
@@ -337,6 +328,7 @@ def picard_full_freeze(driver: DriverSpec, phi: MeanFunctional,
     tol; non-convergence is reported through the flag, never silently.
     """
     _check_step(driver, ens)
+    _check_caps(max_iter=max_iter)
     if check:
         probe_driver(driver, ens.grid, ens.levy)
         probe_mean_functional(phi, ens.levy.n_atoms)
@@ -371,6 +363,7 @@ def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
             "mean-freeze driver must depend on the mean through E[Y] only"
         )
     _check_step(driver, ens)
+    _check_caps(max_iter=max_iter, inner_max_iter=inner_max_iter)
     if check:
         probe_driver(driver, ens.grid, ens.levy)
     if inner_tol is None:
@@ -411,18 +404,16 @@ def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
 
 def _random_triplet(ens: PathEnsemble, reg: _Regressions,
                     rng: np.random.Generator) -> SolutionGrid:
-    """Adapted triplet built from random combinations of the basis paths."""
+    """Adapted triplet built from random combinations of the degree-2
+    basis paths: at each node the (n, F) design block times an (F, 2+J)
+    coefficient matrix gives Y, Z and K_j."""
     n, m, j = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
-    feats = [np.ones((n, m + 1), order="F"), reg.bn, reg.bn**2]
-    if reg.jn is not None:
-        feats.extend(reg.jn[:, :, a] for a in range(j))
-    y = sum(c * f for c, f in zip(rng.normal(size=len(feats)), feats))
-    z = sum(c * f for c, f in zip(rng.normal(size=len(feats)), feats))[:, :-1]
-    k = np.stack(
-        [sum(c * f for c, f in zip(rng.normal(size=len(feats)), feats))[:, :-1]
-         for _ in range(j)], axis=2,
-    ) if j else np.zeros((n, m, 0))
-    return SolutionGrid(ens, y, z, k)
+    feats = _Regressions(ens, RegressionBasis(2, reg.basis.jump_features))
+    coef = rng.normal(size=(2 + j, feats.n_cols)).T
+    out = np.empty((n, m + 1, 2 + j), order="F")
+    for i in range(m + 1):
+        np.matmul(feats.design(i), coef, out=out[:, i])
+    return SolutionGrid(ens, out[:, :, 0], out[:, :-1, 1], out[:, :-1, 2:])
 
 
 def contraction_check(driver: DriverSpec, phi: MeanFunctional,

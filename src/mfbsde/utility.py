@@ -119,14 +119,6 @@ class ControlProcess:
             raise ConfigError("consumption rate must be nonnegative")
         return ControlProcess(np.full(grid.steps + 1, float(c)), True)
 
-    @staticmethod
-    def from_nodes(values, deterministic=None) -> "ControlProcess":
-        v = np.asarray(values, dtype=float)
-        if np.any(v < 0):
-            raise ConfigError("consumption rate must be nonnegative")
-        det = v.ndim == 1 if deterministic is None else deterministic
-        return ControlProcess(v, det)
-
     def paths(self, n: int) -> np.ndarray:
         if self.values.ndim == 1:
             return np.broadcast_to(self.values, (n, self.values.size))
@@ -138,7 +130,7 @@ def simulate_wealth(wp: WealthParams, pi: ControlProcess, ens: PathEnsemble
     """Strictly positive wealth paths X = x0 times the stochastic
     exponential of (b0 - pi, s0, g0)."""
     b0, s0, g0 = wp.on_grid(ens.grid, ens.levy)
-    drift = b0[:-1] - pi.paths(ens.n_paths)[:, :-1]
+    drift = b0[:-1] - pi.values[..., :-1]
     logx = _log_exponential(ens, drift, s0[:-1], g0[:-1])
     logx += math.log(wp.x0)
     return np.exp(logx, out=logx)
@@ -152,14 +144,12 @@ def adjoint_p(theta: TerminalCondition, ens: PathEnsemble,
     regression estimate, and the terminal node is set to theta pathwise.
     """
     n, m = ens.n_paths, ens.grid.steps
-    val = terminal_value(theta, ens)
-    if theta.kind == "constant":
-        return np.broadcast_to(val[:, None], (n, m + 1)).copy()
-    reg = _Regressions(ens, basis)
-    p = np.empty((n, m + 1))
-    p[:, m] = val
-    for i in range(m):
-        p[:, i] = reg.fit(i, val)
+    p = np.empty((n, m + 1), order="F")
+    p[:] = terminal_value(theta, ens)[:, None]
+    if theta.kind != "constant":
+        reg = _Regressions(ens, basis)
+        for i in range(m):
+            p[:, i] = reg.fit(i, p[:, m])
     return p
 
 
@@ -202,17 +192,26 @@ def adjoint_lambda(uc: UtilityCoefficients, ens: PathEnsemble):
     np.negative(ups, out=ups)
     np.exp(ups, out=ups)
 
-    drift = (a1[:-1] - b0[:-1] * b1[:-1]) * dt
-    if levy.n_atoms:
-        drift = drift - (e1[:-1] * w * dt).sum(axis=1)
-    grow = drift[None, :] + b1[:-1] * ens.db
-    if levy.n_atoms:
-        grow = grow + ((e1[:-1] / (1.0 + e0[:-1]))[None] * ens.jumps
-                       ).sum(axis=2)
-    bracket = np.ones((n, m + 1))
-    np.cumsum(ups[:, :-1] * mean_lam[:-1] * grow, axis=1,
-              out=bracket[:, 1:])
-    bracket[:, 1:] += 1.0
+    drift = (a1[:-1] - b0[:-1] * b1[:-1]) * dt \
+        - (e1[:-1] * w * dt).sum(axis=1)
+    ratio = e1[:-1] / (1.0 + e0[:-1])
+    # bracket(t_i) = 1 + sum_{l<i} Upsilon_l E[lambda_l] grow_l, one node
+    # at a time on node-major columns
+    bracket = np.empty((n, m + 1), order="F")
+    bracket[:, 0] = 0.0
+    d = np.empty((n, 1 + levy.n_atoms), order="F")
+    for i in range(m):
+        ens.increments(i, out=d)
+        grow = bracket[:, i + 1]
+        np.multiply(b1[i], d[:, 0], out=grow)
+        grow += drift[i]
+        for a in range(levy.n_atoms):
+            d[:, 1 + a] *= ratio[i, a]
+            grow += d[:, 1 + a]
+        np.multiply(ups[:, i], mean_lam[i], out=d[:, 0])
+        grow *= d[:, 0]
+        grow += bracket[:, i]
+    bracket += 1.0
     lam = bracket / ups
     return lam, ups, mean_lam
 
@@ -228,13 +227,11 @@ def lambda_euler_residual(uc: UtilityCoefficients, ens: PathEnsemble,
     w = levy.weights
     le = np.ones(ens.n_paths)
     for i in range(grid.steps):
-        jump = np.zeros(ens.n_paths)
-        if levy.n_atoms:
-            dn = ens.jumps[:, i, :] - w * dt
-            jump = ((e0[i] * le[:, None] + e1[i] * mean_lam[i]) * dn
-                    ).sum(axis=1)
+        d = ens.increments(i)
+        jump = ((e0[i] * le[:, None] + e1[i] * mean_lam[i])
+                * (d[:, 1:] - w * dt)).sum(axis=1)
         le = le + (a0[i] * le + a1[i] * mean_lam[i]) * dt \
-            + (b0[i] * le + b1[i] * mean_lam[i]) * ens.db[:, i] + jump
+            + (b0[i] * le + b1[i] * mean_lam[i]) * d[:, 0] + jump
     return float(((lam[:, -1] - le) ** 2).mean())
 
 

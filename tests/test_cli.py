@@ -38,6 +38,19 @@ MINIMAL_PICARD = textwrap.dedent("""
 """)
 
 
+# (mode, sections that make the mode valid, section.key under test)
+FLOOR_CASES = [
+    ("linear", "[terminal]\nkind = constant\nc = 1.0\n"
+               "[linear_coeffs]\n", "linear_coeffs.eta1"),
+    ("qcheck", "[terminal]\nkind = constant\nc = 1.0\n[qcheck]\n",
+     "qcheck.eta1"),
+    ("utility", "[theta]\nkind = constant\nc = 1.0\n"
+                "[wealth]\nx0 = 1.0\n", "wealth.gamma0"),
+]
+PICARD_SECTIONS = ("[driver]\nname = zero\n"
+                   "[terminal]\nkind = constant\nc = 1.0\n")
+
+
 class TestParseConfig:
     def test_minimal_scenario_valid(self):
         cfg = parse_config(MINIMAL_PICARD)
@@ -83,20 +96,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="solver.mystery_knob"):
             parse_config(text)
 
-    @pytest.mark.parametrize("mode,sections,path", [
-        ("linear", "[terminal]\nkind = constant\nc = 1.0\n"
-                   "[linear_coeffs]\n", "linear_coeffs.eta1"),
-        ("qcheck", "[terminal]\nkind = constant\nc = 1.0\n[qcheck]\n",
-         "qcheck.eta1"),
-        ("utility", "[theta]\nkind = constant\nc = 1.0\n"
-                    "[wealth]\nx0 = 1.0\n", "wealth.gamma0"),
-    ], ids=["linear", "qcheck", "utility"])
-    @pytest.mark.parametrize("value", ["-1.5", "abc"])
+    @pytest.mark.parametrize("mode,sections,path,value", [
+        *(pytest.param(mode, sections, path, value, id=f"{value}-{mode}")
+          for value in ("-1.5", "abc")
+          for mode, sections, path in FLOOR_CASES),
+        pytest.param("picard", PICARD_SECTIONS + "[solver]\n",
+                     "solver.max_iter", "0", id="0-max_iter"),
+        pytest.param("picard", PICARD_SECTIONS + "[solver]\n",
+                     "solver.tol", "0", id="0-tol"),
+        pytest.param("picard", PICARD_SECTIONS, "mc.seed", "-1",
+                     id="-1-seed"),
+    ])
     def test_one_error_per_bad_floor_value(self, mode, sections, path,
                                            value):
+        section, key = path.split(".")
         text = (f"[run]\nmode = {mode}\n[grid]\nhorizon = 1.0\n"
-                f"steps = 10\n[mc]\npaths = 10\n{sections}"
-                f"{path.split('.')[1]} = {value}\n")
+                f"steps = 10\n[mc]\npaths = 10\n{sections}").replace(
+                    f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         entries = str(err.value).splitlines()[1:]
@@ -201,6 +217,14 @@ class TestCli:
             body = (out / "picard_solution.csv").read_text()
             vals.append(body)
         assert vals[0] != vals[1]
+
+    def test_negative_seed_override_rejected(self, picard_ini, tmp_path,
+                                             capsys):
+        out = tmp_path / "o"
+        assert main(["picard", "--config", str(picard_ini), "--seed", "-5",
+                     "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_violation_exits_4(self, tmp_path, capsys):
         text = textwrap.dedent("""

@@ -33,17 +33,19 @@ class TestTerminalValue:
 
     def test_brownian_linear_telescopes(self, ens_small):
         v = terminal_value(brownian_linear(1.0, 0.0), ens_small)
-        assert np.allclose(v, ens_small.db.sum(axis=1))
+        db = np.diff(ens_small.brownian_nodes, axis=1)
+        assert np.allclose(v, db.sum(axis=1))
 
     def test_jump_linear_unit_psi(self, ens_small):
         v = terminal_value(jump_linear(1.0), ens_small)
         w_dt = ens_small.levy.weights[0] * ens_small.grid.dt
-        direct = (ens_small.jumps[:, :, 0] - w_dt).sum(axis=1)
+        dn = np.diff(ens_small.count_nodes[:, :, 0], axis=1)
+        direct = (dn - w_dt).sum(axis=1)
         assert np.allclose(v, direct)
 
     def test_smooth_polynomial(self, ens_small):
         v = terminal_value(smooth_of_brownian([1.0, 0.0, 2.0]), ens_small)
-        bt = ens_small.db.sum(axis=1)
+        bt = ens_small.brownian_nodes[:, -1]
         assert np.allclose(v, 1.0 + 2.0 * bt**2)
 
 
@@ -57,7 +59,7 @@ class TestMalliavinB:
 
     def test_smooth_square_chain_rule(self, ens_small):
         d = malliavin_b(smooth_of_brownian([0.0, 0.0, 1.0]), ens_small, 7)
-        assert np.allclose(d, 2.0 * ens_small.db.sum(axis=1))
+        assert np.allclose(d, 2.0 * ens_small.brownian_nodes[:, -1])
 
     def test_jump_linear_has_no_brownian_derivative(self, ens_small):
         assert np.all(malliavin_b(jump_linear(1.0), ens_small, 2) == 0.0)
@@ -70,7 +72,7 @@ class TestMalliavinB:
         sigma0 = np.linspace(0.1, 0.4, m1)
         tc = wealth_linear(smooth_of_brownian([1.0, 0.5, 0.25]), wealth,
                            sigma0, np.zeros((m1, 1)))
-        bt, xt = ens_small.db.sum(axis=1), wealth[:, -1]
+        bt, xt = ens_small.brownian_nodes[:, -1], wealth[:, -1]
         d = malliavin_b(tc, ens_small, 9)
         expected = (1.0 + 0.5 * bt + 0.25 * bt**2) * xt * sigma0[9] \
             + (0.5 + 0.5 * bt) * xt

@@ -69,12 +69,12 @@ class TestLevyMeasure:
 class TestSimulateEnsemble:
     def test_no_atoms_means_no_jumps(self, grid50, levy0):
         ens = simulate_ensemble(grid50, levy0, 100, seed=1)
-        assert ens.jumps.shape == (100, 50, 0)
-        assert np.all(ens.jumps - levy0.weights * grid50.dt == 0)
+        assert ens.count_nodes.shape == (100, 51, 0)
+        assert ens.increments(7).shape == (100, 1)
 
     def test_brownian_moments(self, grid50, levy0):
         ens = simulate_ensemble(grid50, levy0, 100000, seed=2)
-        db = ens.db.ravel()
+        db = np.diff(ens.brownian_nodes, axis=1).ravel()
         assert abs(db.mean()) <= 3 * mc_se(db)
         var = db**2
         assert abs(var.mean() - grid50.dt) <= 3 * mc_se(var)
@@ -83,11 +83,12 @@ class TestSimulateEnsemble:
         grid = build_grid(1.0, 10)  # dt = 0.1
         levy = LevyMeasure.from_atoms([(1.0, 2.0)])
         ens = simulate_ensemble(grid, levy, 100000, seed=3)
-        counts = ens.jumps[:, :, 0].ravel()
+        counts = np.diff(ens.count_nodes[:, :, 0], axis=1).ravel()
         assert abs(counts.mean() - 0.2) <= 3 * mc_se(counts)
 
     def test_compensation(self, ens_small):
-        comp = ens_small.jumps - ens_small.levy.weights * ens_small.grid.dt
+        comp = np.diff(ens_small.count_nodes, axis=1) \
+            - ens_small.levy.weights * ens_small.grid.dt
         for i in (0, 20, 49):
             s = comp[:, i, 0]
             assert abs(s.mean()) <= 3 * mc_se(s)
@@ -95,8 +96,8 @@ class TestSimulateEnsemble:
     def test_reproducible(self, grid50, levy2):
         a = simulate_ensemble(grid50, levy2, 500, seed=9)
         b = simulate_ensemble(grid50, levy2, 500, seed=9)
-        assert np.array_equal(a.db, b.db)
-        assert np.array_equal(a.jumps, b.jumps)
+        assert np.array_equal(a.brownian_nodes, b.brownian_nodes)
+        assert np.array_equal(a.count_nodes, b.count_nodes)
 
     def test_paths_required(self, grid50, levy0):
         with pytest.raises(ConfigError):
@@ -126,22 +127,22 @@ class TestGirsanovDensity:
 class TestShiftToQ:
     def test_zero_tilt_is_bit_identical(self, ens_small):
         q = shift_to_q(ens_small, 0.0, 0.0)
-        assert np.array_equal(q.db, ens_small.db)
-        assert np.array_equal(q.jumps, ens_small.jumps)
+        assert np.array_equal(q.brownian_nodes, ens_small.brownian_nodes)
+        assert np.array_equal(q.count_nodes, ens_small.count_nodes)
         assert q.measure == "Q"
 
     def test_brownian_drift(self, ens_mid):
         q = shift_to_q(ens_mid, 0.3, 0.0)
-        db = q.db.ravel()
+        db = np.diff(q.brownian_nodes, axis=1)
         assert abs(db.mean() - 0.3 * ens_mid.grid.dt) <= 3 * mc_se(db)
-        assert np.allclose((q.db - q.bm_drift).mean(), 0.0, atol=1e-3)
+        assert np.allclose((db - q.bm_drift).mean(), 0.0, atol=1e-3)
 
     def test_tilted_intensity(self):
         grid = build_grid(1.0, 10)
         levy = LevyMeasure.from_atoms([(1.0, 2.0)])
         ens = simulate_ensemble(grid, levy, 100000, seed=5)
         q = shift_to_q(ens, 0.0, 0.5)
-        counts = q.jumps[:, :, 0].ravel()
+        counts = np.diff(q.count_nodes[:, :, 0], axis=1).ravel()
         assert abs(counts.mean() - 3.0 * grid.dt) <= 3 * mc_se(counts)
 
     def test_domain_error(self, ens_small):
@@ -153,8 +154,8 @@ class TestShiftToQ:
         b1, e1 = 0.25, 0.4
         dens = girsanov_density(ens_mid, b1, e1)
         q = shift_to_q(ens_mid, b1, e1)
-        for phi in (lambda e: e.db.sum(axis=1),
-                    lambda e: e.jumps[:, :, 0].sum(axis=1)):
+        for phi in (lambda e: e.brownian_nodes[:, -1],
+                    lambda e: e.count_nodes[:, -1, 0].astype(float)):
             lhs = phi(ens_mid) * dens[:, -1]
             rhs = phi(q)
             tol = 3 * np.hypot(mc_se(lhs), mc_se(rhs))
@@ -165,9 +166,10 @@ class TestEnsembleStorage:
     @pytest.mark.filterwarnings("ignore:Picard full freeze did not converge")
     def test_only_draws_measure_and_node_arrays(self, grid50, levy2):
         """After the Picard and closed-form routes, under P and under a
-        shifted measure, an ensemble holds its draws, its measure and the
-        two node arrays the regressions read, and nothing else."""
-        ens = simulate_ensemble(grid50, levy2, 500, seed=17)
+        shifted measure, an ensemble holds one node-major level array per
+        noise source and its measure, and nothing else."""
+        n, m, nj = 500, grid50.steps, levy2.n_atoms
+        ens = simulate_ensemble(grid50, levy2, n, seed=17)
         coeffs = LinearCoefficients(alpha1=0.1, beta1=0.2, eta1=0.1,
                                     terminal=smooth_of_brownian([1.0, 0.5]))
         drv = coeffs.as_driver(grid50, levy2)
@@ -176,30 +178,42 @@ class TestEnsembleStorage:
             picard_full_freeze(drv, mean_yzk(2), coeffs.terminal, e, basis,
                                max_iter=2, check=False)
             solve_linear_y0(coeffs, e)
-            arrays = sorted(k for k, v in vars(e).items()
-                            if isinstance(v, np.ndarray))
-            assert arrays == ["bm_drift", "brownian_nodes",
-                              "compensated_jump_nodes", "db", "jump_comp",
-                              "jumps"]
-            assert e.jumps.dtype.kind == "u"
+            arrays = {k: v for k, v in vars(e).items()
+                      if isinstance(v, np.ndarray)}
+            assert sorted(arrays) == ["bm_drift", "brownian_nodes",
+                                      "count_nodes", "jump_comp"]
+            counts = e.count_nodes
+            assert counts.dtype.kind == "u"
+            assert e.brownian_nodes.flags.f_contiguous
+            assert counts.flags.f_contiguous
+            assert sum(v.nbytes for v in arrays.values()) == (
+                n * (m + 1) * 8 + n * (m + 1) * nj * counts.itemsize
+                + m * 8 + m * nj * 8)
 
     def test_heavy_atom_widens_counts(self):
-        """weight * dt = 300 gives counts above 255: the counts widen past
-        one byte and equal the int64 Poisson draws of the same Philox
-        streams, both when simulated and after a zero tilt."""
+        """An atom with weight * dt = 30 over 10 steps never draws more
+        than 255 jumps in one step, but its running count passes 255: the
+        counts widen to two bytes.  The node differences equal the int64
+        Poisson draws and the scaled normals of the same Philox streams,
+        drawn whole, across path blocks, both when simulated and after a
+        zero tilt."""
         grid = build_grid(1.0, 10)
-        levy = LevyMeasure.from_atoms([(1.0, 0.7), (-0.5, 3000.0)])
-        n, seed = 200, 23
+        levy = LevyMeasure.from_atoms([(1.0, 0.7), (-0.5, 300.0)])
+        n, seed = 5000, 23
         streams = np.random.SeedSequence(seed).spawn(1 + levy.n_atoms)
-        want = [np.random.Generator(np.random.Philox(s)).poisson(
-                    w * grid.dt, size=(n, grid.steps))
-                for s, w in zip(streams[1:], levy.weights)]
-        assert want[0].max() <= 255 < want[1].max()
+        gens = [np.random.Generator(np.random.Philox(s)) for s in streams]
+        db = gens[0].standard_normal((n, grid.steps)) * math.sqrt(grid.dt)
+        want = [g.poisson(w * grid.dt, size=(n, grid.steps))
+                for g, w in zip(gens[1:], levy.weights)]
+        assert want[1].max() <= 255 < want[1].sum(axis=1).max()
         ens = simulate_ensemble(grid, levy, n, seed)
-        for counts in (ens.jumps, shift_to_q(ens, 0.0, 0.0).jumps):
-            assert counts.dtype == np.uint16
+        for e in (ens, shift_to_q(ens, 0.0, 0.0)):
+            assert e.count_nodes.dtype == np.uint16
+            dn = np.diff(e.count_nodes, axis=1)
             for a in range(levy.n_atoms):
-                assert np.array_equal(counts[:, :, a], want[a])
+                assert np.array_equal(dn[:, :, a], want[a])
+            np.testing.assert_allclose(np.diff(e.brownian_nodes, axis=1),
+                                       db, rtol=0.0, atol=1e-15)
 
 
 class TestLogExponential:
@@ -209,15 +223,17 @@ class TestLogExponential:
         ens = simulate_ensemble(grid50, levy2, 500, seed=31)
         nodes, dt = grid50.nodes[:-1], grid50.dt
         drift = 0.1 + 0.05 * np.sin(ens.brownian_nodes[:, :-1])
+        db = np.diff(ens.brownian_nodes, axis=1)
+        dn = np.diff(ens.count_nodes, axis=1)
         vol = 0.3 - 0.2 * nodes
         jump = np.array([[0.4 * z - 0.1 * t for z in levy2.marks]
                          for t in nodes])
         want = np.zeros((ens.n_paths, grid50.steps + 1))
         for i in range(grid50.steps):
             step = (drift[:, i] - 0.5 * vol[i] ** 2) * dt \
-                + vol[i] * ens.db[:, i]
+                + vol[i] * db[:, i]
             for a, w in enumerate(levy2.weights):
-                step += math.log1p(jump[i, a]) * ens.jumps[:, i, a] \
+                step += math.log1p(jump[i, a]) * dn[:, i, a] \
                     - jump[i, a] * w * dt
             want[:, i + 1] = want[:, i] + step
         got = _log_exponential(ens, drift, vol, jump)

@@ -46,7 +46,7 @@ class TestCondexp:
 
     def test_martingale_projection(self, ens_small, basis):
         """Regressing B(T) at node i recovers B(t_i) with unit slope."""
-        bt = ens_small.db.sum(axis=1)
+        bt = ens_small.brownian_nodes[:, -1]
         i = 25
         fitted = condexp(bt, basis, ens_small, i)
         bi = ens_small.brownian_nodes[:, i]
@@ -127,7 +127,8 @@ def test_fused_sweep_matches_condexp_reference(grid50, levy2, measure):
     ens = simulate_ensemble(grid50, levy2, 3000, seed=41)
     if measure == "Q":
         ens = shift_to_q(ens, 0.3, lambda t, z: 0.2 * z)
-    bn, jn = ens.brownian_nodes, ens.compensated_jump_nodes
+    bn = ens.brownian_nodes
+    jn = ens.count_nodes - np.multiply.outer(ens.grid.nodes, levy2.weights)
     basis = RegressionBasis(degree=3, extras={"sin_b": np.sin(bn)})
     tc = smooth_of_brownian([0.5, 1.0, 0.3])
     f_hat = 0.3 * np.cos(bn[:, :-1]) + 0.2 * jn[:, :-1, 0] \
@@ -135,6 +136,8 @@ def test_fused_sweep_matches_condexp_reference(grid50, levy2, measure):
     sol = solve_inner(f_hat, tc, ens, basis)
 
     n, m, dt = ens.n_paths, ens.grid.steps, ens.grid.dt
+    db = np.diff(bn, axis=1)
+    dn = np.diff(ens.count_nodes.astype(float), axis=1)
     y = np.empty((n, m + 1))
     y[:, m] = terminal_value(tc, ens)
     z = np.empty((n, m))
@@ -143,10 +146,10 @@ def test_fused_sweep_matches_condexp_reference(grid50, levy2, measure):
         ynext = y[:, i + 1]
         y[:, i] = condexp(ynext + f_hat[:, i] * dt, basis, ens, i)
         resid = ynext - condexp(ynext, basis, ens, i)
-        dm_b = ens.db[:, i] - ens.bm_drift[i]
+        dm_b = db[:, i] - ens.bm_drift[i]
         z[:, i] = condexp(resid * dm_b, basis, ens, i) / dt
         for a in range(2):
-            dm_n = ens.jumps[:, i, a] - ens.jump_comp[i, a]
+            dm_n = dn[:, i, a] - ens.jump_comp[i, a]
             k[:, i, a] = condexp(resid * dm_n, basis, ens,
                                  i) / ens.jump_comp[i, a]
     for got, want in ((sol.y, y), (sol.z, z), (sol.k, k)):
@@ -239,6 +242,21 @@ class TestFullFreeze:
         with pytest.raises(ConfigError, match="refine"):
             picard_full_freeze(drv, mean_y(), constant(1.0), ens, basis,
                                check=False)
+
+
+@pytest.mark.parametrize("name,solve", [
+    ("max_iter", lambda ens, basis: picard_full_freeze(
+        zero_driver(), mean_y(), constant(1.0), ens, basis, max_iter=0)),
+    ("max_iter", lambda ens, basis: picard_mean_freeze(
+        zero_driver(), constant(1.0), ens, basis, max_iter=0)),
+    ("inner_max_iter", lambda ens, basis: picard_mean_freeze(
+        zero_driver(), constant(1.0), ens, basis, inner_max_iter=-1)),
+], ids=["full_freeze", "mean_freeze", "mean_freeze_inner"])
+def test_iteration_cap_below_one_rejected(ens_small, basis, name, solve):
+    """A cap below one would run no iteration and leave nothing to
+    report; it is a ConfigError naming the cap."""
+    with pytest.raises(ConfigError, match=rf"^{name} must be >= 1"):
+        solve(ens_small, basis)
 
 
 class TestMeanFreeze:

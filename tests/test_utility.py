@@ -56,10 +56,11 @@ class TestWealth:
         grid, levy = ens_small.grid, ens_small.levy
         dt = grid.dt
         xe = np.full(ens_small.n_paths, 1.0)
+        db = np.diff(ens_small.brownian_nodes, axis=1)
+        dn = np.diff(ens_small.count_nodes, axis=1) - levy.weights * dt
         for i in range(grid.steps):
-            dn = ens_small.jumps[:, i, :] - levy.weights * dt
-            xe = xe * (1.0 + (0.05 - 0.3) * dt + 0.2 * ens_small.db[:, i]
-                       + 0.1 * dn.sum(axis=1))
+            xe = xe * (1.0 + (0.05 - 0.3) * dt + 0.2 * db[:, i]
+                       + 0.1 * dn[:, i].sum(axis=1))
         resid = ((x[:, -1] - xe) ** 2).mean()
         assert resid <= 5.0 * dt * (x[:, -1] ** 2).mean()
 
