@@ -19,11 +19,14 @@ from .comparison import (
     verify_hypotheses,
 )
 from .core import (
+    DriverForm,
     DriverSpec,
     LinearCoefficients,
+    MeanForm,
     MeanFunctional,
     SolutionGrid,
     TerminalCondition,
+    affine_driver,
     beta_norm,
     brownian_linear,
     constant,

@@ -105,7 +105,8 @@ def _run_picard(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
     )
     writer.diagnostics["picard"] = {
         "iterations": rep.iterations, "converged": rep.converged,
-        "ridge_max": rep.ridge_max, "iter_s": rep.iter_s,
+        "ridge_max": rep.ridge_max, "cond_max": rep.cond_max,
+        "setup_s": rep.setup_s, "iter_s": rep.iter_s,
     }
     return EXIT_OK if rep.converged else EXIT_NO_CONVERGENCE
 
@@ -176,8 +177,7 @@ def _run_compare(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
 
 def _sub_config(cfg, driver_spec, terminal):
     return dataclasses.replace(cfg, driver=driver_spec, terminal=terminal,
-                               mean_functional={"name": "mean_y",
-                                                "bound": 1.0})
+                               mean_functional=None)
 
 
 def _run_utility(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:

@@ -1,0 +1,214 @@
+"""Picard iteration on regression coefficients.
+
+For a driver with an affine form (`core.DriverForm`) and a mean
+functional with a linear form (`core.MeanForm`), every Picard iterate
+below the terminal node is a regression fit X_i b_i, and the next iterate
+is a linear map of the previous coefficients.  `picard` runs its full
+freeze and the inner loop of its mean freeze through `CoefficientRoute`
+whenever both forms are present; custom callables keep the path sweep.
+"""
+from __future__ import annotations
+
+import time
+from typing import Optional
+
+import numpy as np
+
+from .core import (
+    DriverSpec,
+    MeanFunctional,
+    SolutionGrid,
+    TerminalCondition,
+    terminal_value,
+)
+from .errors import ConfigError, NumericalError
+from .levy_paths import PathEnsemble
+
+
+class CoefIterate:
+    """b (M, p): Y_i = X_i b_i at nodes 0..M-1; zk (M, 1+J, p): Z_i, then
+    K_ij, = X_i zk_i; mean_tail: Y_M is the terminal's mean (the initial
+    iterate), else the pathwise terminal xi."""
+
+    def __init__(self, b, zk, mean_tail):
+        self.b, self.zk, self.mean_tail = b, zk, mean_tail
+
+
+class CoefficientRoute:
+    """Picard iteration on regression coefficients, for a driver with an
+    affine form and (full freeze) a mean functional with a form.
+
+    Below node M every iterate is X_i b_i for Y and X_i zk_i for Z and
+    K_j; node M holds xi (or its mean, in the initial iterate).  One pass
+    over the paths builds, per node, the Gram G_i = X_i'X_i, the
+    cross-Gram X_i'X_{i+1}, X_i' diag(dM_c) X_i and X_i' diag(dM_c)
+    X_{i+1} for the martingale increments dM_c (dB, then dNtilde_j), all
+    from the one product [X_i | X_i dM_c]' [X_i | X_{i+1}].  At node M-1,
+    xi takes the place of X_M; a pathwise driver source joins as two
+    more columns.  Multiplied by the cached ridge factor S_i^-1 these
+    give the sweep as a linear map of the coefficients:
+        b_i  = A_i b_{i+1} + r_i,   A_i = S_i^-1 X_i'X_{i+1},
+        zk_i = E_i b_{i+1},         E_ic = (S_i^-1 X_i' diag(dM_c) X_{i+1}
+                                           - H_ic A_i) / scale_ic,
+    with H_ic = S_i^-1 X_i' diag(dM_c) X_i as in solve_inner, and b_M the
+    unit vector on the xi column.  The frozen driver at node i < M is
+    X_i phi_i, so r_i = dt/2 S_i^-1 X_i'(f_i + f_{i+1}) comes from G_i and
+    the cross-Gram; f(t_M) reads xi and the node M-1 estimates of Z and
+    K, so it projects through G_{M-1}.  Means are x_i . b with x_i the
+    column means of X_i, E[Y^2] is b'G_i b / n, and so is the Picard
+    delta E|dY_i|^2 = d'G_i d / n.  No iteration touches the paths; the
+    solution is written once at the end.  `reg` is the solve's
+    picard._Regressions: the set-up fills its per-node Cholesky factors
+    and Grams, and reads its design matrices.
+    """
+
+    def __init__(self, driver: DriverSpec, phi: Optional[MeanFunctional],
+                 tc: TerminalCondition, ens: PathEnsemble, reg):
+        started = time.perf_counter()
+        n, m, nj = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
+        form = driver.form
+        if form.y.shape[0] != m + 1 or form.k.shape[1] != nj:
+            raise ConfigError(
+                f"driver coefficients cover {form.y.shape[0]} nodes and "
+                f"{form.k.shape[1]} atoms; the ensemble has {m + 1} nodes "
+                f"and {nj} atoms"
+            )
+        self.ens, self.reg = ens, reg
+        if phi is not None:
+            # phi's linear map on the node values (y, z, k_1..k_J)
+            f = phi.form
+            self.lmap = np.column_stack(
+                [f.y, f.z, np.zeros((f.y.size, nj)) if f.k is None else f.k])
+            self.squared = f.squared
+        self.m, self.dt = m, ens.grid.dt
+        p, nc = reg.n_cols, 1 + nj
+        self.p = p
+        self.ay, self.amu, self.ac = form.y, form.mu, form.const
+        self.azk = np.column_stack([form.z, form.k])
+        self.xi = terminal_value(tc, ens)
+        self.xi_mean = self.xi.mean()
+        self.xi_sq = float(np.mean(self.xi ** 2))
+        self.xi_var = float(((self.xi - self.xi_mean) ** 2).mean())
+        src = driver.source
+        ns = 0 if src is None else 2
+        # columns: [s_i, s_{i+1} | X_{i+1} or (xi, 0..) | X_i | X_i dM_c]
+        cn, cx = ns, ns + p
+        buf = np.zeros((n, cx + (1 + nc) * p), order="F")
+        dm = np.empty((n, nc), order="F")
+        prod = np.empty((m, 1 + nc, p, cx + p))
+        for i in reversed(range(m)):
+            if i == m - 1:
+                buf[:, cn] = self.xi
+            else:
+                buf[:, cn:cx] = buf[:, cx:cx + p]
+            x = reg.design(i, out=buf[:, cx:cx + p])
+            ens.increments(i, out=dm)
+            dm += reg.shift[i]
+            for c in range(nc):
+                lo = cx + (1 + c) * p
+                np.multiply(x, dm[:, c, None], out=buf[:, lo:lo + p])
+            if src is not None:
+                buf[:, 0] = src[:, i]
+                buf[:, 1] = src[:, i + 1]
+            prod[i] = (buf[:, cx:].T @ buf[:, :cx + p]).reshape(
+                1 + nc, p, cx + p)
+        gram = prod[:, 0, :, cx:]
+        chol = np.stack([reg.factor(i, gram[i].copy()) for i in range(m)])
+        self.gn = gram / n
+        self.xbar = gram[:, 0, :] / n
+        self.xi_x = prod[m - 1, 0, :, cn] / n    # E[xi X_{M-1}]
+        # S^-1 applied to every block at once
+        w = prod.transpose(0, 2, 1, 3).reshape(m, p, -1)
+        w = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, w))
+        w = w.reshape(m, p, 1 + nc, cx + p).transpose(0, 2, 1, 3)
+        self.sg = w[:, 0, :, cx:]                # S^-1 G_i
+        self.a = w[:, 0, :, cn:cx]     # A_i; A_{M-1} = [S^-1 X'xi, 0, ..]
+        h = w[:, 1:, :, cx:]
+        scale = np.column_stack([np.full(m, self.dt), ens.jump_comp])
+        self.e = (w[:, 1:, :, cn:cx]
+                  - np.einsum("icpq,iqr->icpr", h, self.a)) \
+            / scale[:, :, None, None]
+        self.src = None if src is None else w[:, 0, :, 0] + w[:, 0, :, 1]
+        self.e0 = np.eye(p)[0]
+        self.setup_s = time.perf_counter() - started
+
+    def initial(self) -> CoefIterate:
+        m, p, nc = self.m, self.p, self.azk.shape[1]
+        return CoefIterate(np.outer(np.full(m, self.xi_mean), self.e0),
+                            np.zeros((m, nc, p)), True)
+
+    def mean_channel(self, it: CoefIterate) -> np.ndarray:
+        """Means of phi at every node, (M+1, d), from the coefficients."""
+        lmap, m = self.lmap, self.m
+        ly = lmap[:, 0]
+        coefs = np.concatenate([it.b[:, None], it.zk], axis=1)
+        wts = np.einsum("dc,icp->idp", lmap, coefs)      # X_i parts
+        tail = lmap[:, 1:] @ it.zk[m - 1]                # X_{M-1} part
+        ey = self.xi_mean
+        eyx, ey2 = (ey * self.xbar[m - 1], ey ** 2) if it.mean_tail \
+            else (self.xi_x, self.xi_sq)
+        mu = np.empty((m + 1, lmap.shape[0]))
+        if not self.squared:
+            mu[:m] = np.einsum("idp,ip->id", wts, self.xbar)
+            mu[m] = tail @ self.xbar[m - 1] + ly * ey
+        else:
+            mu[:m] = np.einsum("idp,ipq,idq->id", wts, self.gn, wts)
+            mu[m] = np.einsum("dp,pq,dq->d", tail, self.gn[m - 1], tail) \
+                + 2.0 * ly * (tail @ eyx) + ly ** 2 * ey2
+        return mu
+
+    def sweep(self, it: CoefIterate, mu: np.ndarray) -> CoefIterate:
+        m = self.m
+        base = np.einsum("id,id->i", self.amu, mu) + self.ac
+        phi = self.ay[:m, None] * it.b \
+            + np.einsum("ic,icp->ip", self.azk[:m], it.zk)
+        phi[:, 0] += base[:m]
+        psi = self.azk[m] @ it.zk[m - 1]
+        psi[0] += base[m]
+        r = np.einsum("ipq,iq->ip", self.sg, phi)
+        r[:-1] += np.einsum("ipq,iq->ip", self.a[:-1], phi[1:])
+        y_tail = self.xi_mean * self.sg[m - 1][:, 0] if it.mean_tail \
+            else self.a[m - 1][:, 0]
+        r[-1] += self.sg[m - 1] @ psi + self.ay[m] * y_tail
+        if self.src is not None:
+            r += self.src
+        r *= 0.5 * self.dt
+        if not np.all(np.isfinite(r)):
+            raise NumericalError("frozen driver contains non-finite values")
+        b = np.empty_like(it.b)
+        bnext = self.e0
+        for i in reversed(range(m)):
+            b[i] = self.a[i] @ bnext + r[i]
+            bnext = b[i]
+        zk = np.einsum("icpq,iq->icp", self.e,
+                       np.concatenate([b[1:], self.e0[None]]))
+        return CoefIterate(b, zk, False)
+
+    def dy2(self, new: CoefIterate, old: CoefIterate) -> np.ndarray:
+        d = new.b - old.b
+        out = np.empty(self.m + 1)
+        out[:-1] = np.maximum(np.einsum("ip,ipq,iq->i", d, self.gn, d), 0.0)
+        out[-1] = self.xi_var if new.mean_tail != old.mean_tail else 0.0
+        return out
+
+    def ybar(self, it: CoefIterate) -> np.ndarray:
+        return np.append(np.einsum("ip,ip->i", self.xbar, it.b),
+                         self.xi_mean)
+
+    def solution(self, it: CoefIterate) -> SolutionGrid:
+        """Write Y, Z and K: one X product per node."""
+        ens, m = self.ens, self.m
+        n, nj = ens.n_paths, ens.levy.n_atoms
+        y = np.empty((n, m + 1), order="F")
+        y[:, m] = self.xi_mean if it.mean_tail else self.xi
+        z = np.empty((n, m), order="F")
+        k = np.empty((n, m, nj), order="F")
+        coef = np.empty((self.p, 2 + nj))
+        for i in range(m):
+            coef[:, 0] = it.b[i]
+            coef[:, 1:] = it.zk[i].T
+            fitted = self.reg.design(i) @ coef
+            y[:, i] = fitted[:, 0]
+            z[:, i] = fitted[:, 1]
+            k[:, i, :] = fitted[:, 2:]
+        return SolutionGrid(ens, y, z, k)

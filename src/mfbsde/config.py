@@ -228,35 +228,54 @@ def _parse_linear_coeffs(cp, errs, levy, section="linear_coeffs"):
     )
 
 
+_MEAN_FUNCTIONALS = ("mean_y", "mean_yzk", "mean_yzk_avg", "mean_y_squared")
+
+
+def _mean_functional_errors(driver_name, mean_fn: dict):
+    """(section.key, message) for each problem of a picard scenario's
+    [mean_functional]: an unknown name, a name the linear driver cannot
+    read, or a bound on a functional without one."""
+    name = mean_fn.get("name")
+    if name not in _MEAN_FUNCTIONALS:
+        yield "mean_functional.name", f"unknown {name!r}"
+    elif driver_name == "linear" and name != "mean_yzk":
+        yield ("mean_functional.name",
+               f"driver.name=linear reads its mean channel through "
+               f"mean_yzk, got {name!r}")
+    if "bound" in mean_fn and name != "mean_y_squared":
+        yield ("mean_functional.bound",
+               f"only mean_y_squared takes a bound, not {name!r}")
+
+
+def _default_mean_functional(driver_name) -> str:
+    return "mean_yzk" if driver_name == "linear" else "mean_y"
+
+
 def build_driver_objects(cfg: ScenarioConfig):
     """Materialise (DriverSpec, MeanFunctional) from a parsed scenario."""
     levy, grid = cfg.levy, cfg.grid
     nj = levy.n_atoms
     spec = cfg.driver or {"name": "zero"}
     name = spec["name"]
-    phi_name = (cfg.mean_functional or {}).get("name", "mean_y")
+    mean_fn = dict(cfg.mean_functional or {})
+    mean_fn.setdefault("name", _default_mean_functional(name))
+    for path, message in _mean_functional_errors(name, mean_fn):
+        raise ConfigError(f"{path}: {message}")
+    phi_name = mean_fn["name"]
     if phi_name == "mean_y":
         phi = core.mean_y()
     elif phi_name == "mean_yzk":
         phi = core.mean_yzk(nj)
     elif phi_name == "mean_yzk_avg":
         phi = core.mean_yzk_avg(levy)
-    elif phi_name == "mean_y_squared":
-        bound = (cfg.mean_functional or {}).get("bound")
+    else:
+        bound = mean_fn.get("bound")
         phi = core.mean_y_squared() if bound is None else \
             core.mean_y_squared(bound)
-    else:
-        raise ConfigError(f"mean_functional.name: unknown {phi_name!r}")
 
-    if name == "zero":
-        drv = core.DriverSpec(lambda t, y, z, k, mu: np.zeros_like(y),
-                              0.0, phi.dim, name="zero")
-    elif name == "constant":
-        val = spec["value"]
-        drv = core.DriverSpec(
-            lambda t, y, z, k, mu: np.full_like(y, val), 0.0, phi.dim,
-            name="constant",
-        )
+    if name in ("zero", "constant"):
+        drv = core.affine_driver(grid, nj, phi.dim, 0.0, name,
+                                 const=spec.get("value", 0.0))
     elif name == "affine":
         cy, cz, ck = spec["c_y"], spec["c_z"], spec["c_k"]
         cm = np.asarray(spec["c_mean"], dtype=float)
@@ -265,26 +284,18 @@ def build_driver_objects(cfg: ScenarioConfig):
                 f"driver.c_mean: need {phi.dim} values for mean functional "
                 f"{phi.name}, got {cm.size}"
             )
-        const = spec["const"]
-        w = levy.weights
-
-        def ev(t, y, z, k, mu):
-            out = cy * y + cz * z + const + float(cm @ mu)
-            if nj:
-                out = out + ck * (k @ w)
-            return out
-
         lip = spec.get("lipschitz")
         if lip is None:
             lip = max(abs(cy), abs(cz),
                       abs(ck) * np.sqrt(max(levy.total_mass, 1.0)),
                       float(np.linalg.norm(cm)))
-        drv = core.DriverSpec(ev, float(lip), phi.dim, name="affine")
+        drv = core.affine_driver(grid, nj, phi.dim, lip, "affine", y=cy,
+                                 z=cz, k=ck * levy.weights, mu=cm,
+                                 const=spec["const"])
     elif name == "linear":
         if cfg.linear is None:
             raise ConfigError("driver.name=linear needs [linear_coeffs]")
         drv = cfg.linear.as_driver(grid, levy)
-        phi = core.mean_yzk(nj)
     else:
         raise ConfigError(f"driver.name: unknown {name!r}")
     return drv, phi
@@ -345,11 +356,15 @@ def parse_config(text: str) -> ScenarioConfig:
     driver = mean_fn = terminal = linear = compare = qcheck = usect = None
     if mode == "picard":
         driver = _parse_driver(cp, errs, levy)
-        mean_fn = {"name": cp.get("mean_functional", "name",
-                                  fallback="mean_y")}
+        driver_name = (driver or {}).get("name")
+        mean_fn = {"name": cp.get(
+            "mean_functional", "name",
+            fallback=_default_mean_functional(driver_name))}
         bound = _get(cp, errs, "mean_functional", "bound")
         if bound is not None:
             mean_fn["bound"] = bound
+        for path, message in _mean_functional_errors(driver_name, mean_fn):
+            errs.add(path, message)
         terminal = _parse_terminal(cp, errs, levy)
         linear = _parse_linear_coeffs(cp, errs, levy)
         if driver and driver.get("name") == "linear" and linear is None:

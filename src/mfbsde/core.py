@@ -32,7 +32,10 @@ __all__ = [
     "derivative_terms",
     "malliavin_b",
     "malliavin_n",
+    "DriverForm",
     "DriverSpec",
+    "affine_driver",
+    "MeanForm",
     "MeanFunctional",
     "mean_y",
     "mean_yzk",
@@ -274,6 +277,20 @@ def malliavin_n(tc: TerminalCondition, ens: PathEnsemble, i: int, atom: int
 # Drivers and mean functionals
 # ---------------------------------------------------------------------------
 
+class DriverForm:
+    """Per-node coefficients of a driver affine in (y, z, k, mu):
+
+        f(t_i, y, z, k, mu) = y_i y + z_i z + sum_j k_ij k_j + mu_i . mu
+                              + const_i,
+
+    as arrays y, z, const (M+1,), k (M+1, J) and mu (M+1, d).  The k
+    coefficients carry the atom weights already.
+    """
+
+    def __init__(self, y, z, k, mu, const):
+        self.y, self.z, self.k, self.mu, self.const = y, z, k, mu, const
+
+
 @dataclass
 class DriverSpec:
     """Generator f(t, y, z, k, mu) of the backward equation.
@@ -281,6 +298,10 @@ class DriverSpec:
     eval is vectorised over paths: (t, y (n,), z (n,), k (n, J), mu (d,))
     -> (n,).  `source`, if given, is an exogenous per-path, per-node term
     (n, M+1) added on top of eval; it is exempt from the Lipschitz probes.
+    `form` holds the per-node affine coefficients of the catalog drivers,
+    which build their eval from it; the Picard solver then iterates on
+    regression coefficients instead of paths.  A custom callable has no
+    form.
     """
 
     eval: Callable[..., np.ndarray]
@@ -288,46 +309,103 @@ class DriverSpec:
     mean_dim: int = 1
     source: Optional[np.ndarray] = None
     name: str = "custom"
+    form: Optional[DriverForm] = None
 
     def __call__(self, t, y, z, k, mu):
         return self.eval(t, y, z, k, mu)
 
 
+def affine_driver(grid, n_atoms: int, mean_dim: int, lipschitz_c: float,
+                  name: str = "affine", *, y=0.0, z=0.0, k=0.0, mu=0.0,
+                  const=0.0) -> DriverSpec:
+    """Driver affine in (y, z, k, mu) on the nodes of `grid`.
+
+    Each coefficient is a scalar, a per-node array, or (k and mu) a
+    per-atom or per-component vector; k is weight-multiplied.  The eval
+    reads node round(t / dt).
+    """
+    def on_nodes(value, *shape):
+        return np.broadcast_to(np.asarray(value, dtype=float),
+                               (grid.steps + 1, *shape)).copy()
+
+    form = DriverForm(on_nodes(y), on_nodes(z), on_nodes(k, n_atoms),
+                      on_nodes(mu, mean_dim), on_nodes(const))
+    dt = grid.dt
+
+    def ev(t, y, z, k, mu):
+        i = int(round(t / dt))
+        out = form.y[i] * y
+        out += form.z[i] * z
+        out += form.mu[i] @ mu + form.const[i]
+        for a in range(n_atoms):  # per-atom columns, not a strided k @ v
+            out += form.k[i, a] * k[:, a]
+        return out
+
+    return DriverSpec(eval=ev, lipschitz_c=float(lipschitz_c),
+                      mean_dim=mean_dim, name=name, form=form)
+
+
+class MeanForm:
+    """phi(y, z, k) = y l_y + z l_z + L_k k, squared entrywise if
+    `squared`: l_y, l_z (d,) and L_k (d, J), or None when phi does not
+    read k."""
+
+    def __init__(self, y, z, k=None, squared=False):
+        self.y, self.z, self.k, self.squared = y, z, k, squared
+
+
 @dataclass(frozen=True)
 class MeanFunctional:
-    """Vector functional whose ensemble mean enters the driver."""
+    """Vector functional whose ensemble mean enters the driver.  The
+    catalog functionals carry their `form` and build eval from it."""
 
     dim: int
     eval: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     derivative_bound: float
     name: str = "custom"
+    form: Optional[MeanForm] = None
+
+
+def _linear_functional(name: str, bound: float, ly, lz, lk=None,
+                       squared: bool = False) -> MeanFunctional:
+    form = MeanForm(np.asarray(ly, dtype=float), np.asarray(lz, dtype=float),
+                    None if lk is None else np.asarray(lk, dtype=float),
+                    squared)
+
+    reads_k = form.k is not None
+    lmap_t = np.column_stack(
+        [form.y, form.z] + ([form.k] if reads_k else [])).T
+
+    def ev(y, z, k):
+        out = np.column_stack([y, z] + ([k] if reads_k else [])) @ lmap_t
+        return out * out if form.squared else out
+
+    return MeanFunctional(form.y.size, ev, float(bound), name, form)
 
 
 def mean_y() -> MeanFunctional:
-    return MeanFunctional(1, lambda y, z, k: y[:, None], 1.0, "mean_y")
+    return _linear_functional("mean_y", 1.0, [1.0], [0.0])
 
 
 def mean_yzk(n_atoms: int) -> MeanFunctional:
-    def ev(y, z, k):
-        return np.column_stack([y, z] + [k[:, j] for j in range(n_atoms)])
-    return MeanFunctional(2 + n_atoms, ev, 1.0, "mean_yzk")
+    eye = np.eye(2 + n_atoms)
+    return _linear_functional("mean_yzk", 1.0, eye[:, 0], eye[:, 1],
+                              eye[:, 2:])
 
 
 def mean_y_squared(bound: float = 10.0) -> MeanFunctional:
-    return MeanFunctional(1, lambda y, z, k: (y**2)[:, None], bound,
-                          "mean_y_squared")
+    return _linear_functional("mean_y_squared", bound, [1.0], [0.0],
+                              squared=True)
 
 
 def mean_yzk_avg(levy) -> MeanFunctional:
     """(y, z, mass-weighted average of k) as a 3-vector."""
     total = levy.total_mass
     w = levy.weights / total if total > 0 else levy.weights
-
-    def ev(y, z, k):
-        kavg = k @ w if k.shape[1] else np.zeros_like(y)
-        return np.column_stack([y, z, kavg])
-
-    return MeanFunctional(3, ev, 1.0, "mean_yzk_avg")
+    lk = np.zeros((3, levy.n_atoms))
+    lk[2] = w
+    return _linear_functional("mean_yzk_avg", 1.0, [1.0, 0.0, 0.0],
+                              [0.0, 1.0, 0.0], lk)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +452,14 @@ def beta_norm(sol: SolutionGrid, beta: float) -> float:
     ens = sol.ens
     w = ens.levy.weights
     t = ens.grid.nodes[:-1]
-    dens = sol.y[:, :-1] ** 2 + sol.z**2
+    # node-by-node reductions: no squared (n, M[, J]) temporaries
+    yl = sol.y[:, :-1]
+    dens = np.einsum("ni,ni->i", yl, yl) + np.einsum("ni,ni->i", sol.z,
+                                                     sol.z)
     if w.size:
-        dens = dens + (sol.k**2 * w).sum(axis=2)
-    return float((np.exp(beta * t) * dens).mean(axis=0).sum() * ens.grid.dt)
+        dens += np.einsum("nij,nij->ij", sol.k, sol.k) @ w
+    return float((np.exp(beta * t) * dens).sum() / ens.n_paths
+                 * ens.grid.dt)
 
 
 def mean_functional_eval(phi: MeanFunctional, sol: SolutionGrid, i: int
@@ -452,31 +534,18 @@ class LinearCoefficients:
         """The same equation expressed as a generic driver, for feeding the
         Picard solver.  The mean channel is (E[Y], E[Z], E[K_j]...)."""
         cg = self.on_grid(grid, levy)
-        e1w = cg.e1 * levy.weights
-        e2w = cg.e2 * levy.weights
-        dt = grid.dt
         nj = levy.n_atoms
-
-        def ev(t, y, z, k, mu):
-            i = int(round(t / dt))
-            shift = cg.a2[i] * mu[0] + cg.b2[i] * mu[1] + cg.g[i]
-            if nj:
-                shift += e2w[i] @ mu[2:]
-            out = cg.a1[i] * y
-            out += cg.b1[i] * z
-            out += shift
-            for a in range(nj):  # per-atom columns, not a strided k @ v
-                out += e1w[i, a] * k[:, a]
-            return out
-
         lip = max(
             np.abs(cg.a1).max() + np.abs(cg.a2).max(),
             np.abs(cg.b1).max() + np.abs(cg.b2).max(),
             (np.abs(cg.e1).max() + np.abs(cg.e2).max())
             * np.sqrt(max(levy.total_mass, 1.0)) if nj else 0.0,
         )
-        return DriverSpec(eval=ev, lipschitz_c=float(lip), mean_dim=2 + nj,
-                          name="linear")
+        return affine_driver(
+            grid, nj, 2 + nj, lip, "linear", y=cg.a1, z=cg.b1,
+            k=cg.e1 * levy.weights, const=cg.g,
+            mu=np.column_stack([cg.a2, cg.b2, cg.e2 * levy.weights]),
+        )
 
 
 # ---------------------------------------------------------------------------

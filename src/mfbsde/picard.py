@@ -6,7 +6,9 @@ adapted path features.  The driver is frozen along the previous iterate
 (full freeze), or only its mean channel is frozen while an inner solve
 converges in (Y, Z, K) (mean freeze).  Driver time integrals use the
 trapezoid weights 1/2 (f(t_i) + f(t_{i+1})); the backward recursion and
-the covariation extractions of Z and K are left-endpoint.
+the covariation extractions of Z and K are left-endpoint.  Drivers and
+mean functionals that carry their structured form iterate on the node
+regression coefficients; custom callables sweep the paths.
 """
 from __future__ import annotations
 
@@ -79,14 +81,17 @@ class _Regressions:
                 f"({self.n_cols})"
             )
         self._chol = [None] * (ens.grid.steps + 1)
+        self._gram = [None] * (ens.grid.steps + 1)
         self._cov = [None] * ens.grid.steps
         self.ridge_max = 0.0
         self._xbuf = np.empty((ens.n_paths, self.n_cols), order="F")
-        self._xbuf[:, 0] = 1.0
 
-    def design(self, i: int) -> np.ndarray:
-        """Node-i design matrix (a shared buffer, valid until next call)."""
-        x = self._xbuf
+    def design(self, i: int, out: Optional[np.ndarray] = None
+               ) -> np.ndarray:
+        """Node-i design matrix, written into `out` (n, n_cols) or else a
+        shared buffer (valid until the next call)."""
+        x = self._xbuf if out is None else out
+        x[:, 0] = 1.0
         b = self.ens.brownian_nodes[:, i]
         x[:, 1] = b
         for p in range(2, self.basis.degree + 1):
@@ -100,18 +105,17 @@ class _Regressions:
             c += 1
         return x
 
-    def solve(self, i: int, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Node-i ridge normal equations S c = rhs, S = X'X + ridge.
+    def factor(self, i: int, xtx: np.ndarray) -> np.ndarray:
+        """Cholesky factor of the node-i ridge normal matrix
+        S = X'X + ridge, cached per node with the Gram X'X.
 
         The ridge term RIDGE_SCALE * trace(X'X) / n_cols is applied to all
         columns except the constant, so means are reproduced exactly.
-        The Cholesky factor of S is cached per node.
         """
         if self._chol[i] is None:
-            xtx = x.T @ x
-            lam = RIDGE_SCALE * np.trace(xtx) / x.shape[1]
+            lam = RIDGE_SCALE * np.trace(xtx) / xtx.shape[0]
             self.ridge_max = max(self.ridge_max, lam)
-            reg = np.full(x.shape[1], lam)
+            reg = np.full(xtx.shape[0], lam)
             reg[0] = 0.0
             try:
                 self._chol[i] = np.linalg.cholesky(xtx + np.diag(reg))
@@ -120,8 +124,23 @@ class _Regressions:
                     f"regression normal matrix not positive definite at "
                     f"node {i}"
                 ) from exc
+            self._gram[i] = xtx
+        return self._chol[i]
+
+    def solve(self, i: int, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Node-i ridge normal equations S c = rhs (see `factor`)."""
         c = self._chol[i]
+        if c is None:
+            c = self.factor(i, x.T @ x)
         return np.linalg.solve(c.T, np.linalg.solve(c, rhs))
+
+    def cond_max(self) -> float:
+        """Largest cond(X_i'X_i) over the factored nodes after node 0.
+        Every feature is deterministic at t_0, so X_0'X_0 is singular by
+        construction and only its ridge makes it invertible."""
+        grams = [g for g in self._gram[1:] if g is not None]
+        return float(np.linalg.cond(np.stack(grams)).max()) if grams \
+            else 0.0
 
     def fit(self, i: int, targets: np.ndarray) -> np.ndarray:
         """Fitted values of the node-i least-squares projection."""
@@ -169,6 +188,9 @@ class PicardReport:
     converged: bool = False
     tol: float = 0.0
     ridge_max: float = 0.0
+    cond_max: float = 0.0        # largest cond(X_i'X_i), see _Regressions
+    setup_s: float = 0.0         # one-off pass over the paths before the
+                                 # first iteration (coefficient route)
     scheme: str = "full-freeze"
     inner_unconverged: int = 0   # mean freeze: outer steps whose inner
                                  # solve hit its iteration cap
@@ -277,6 +299,53 @@ def _initial_iterate(tc: TerminalCondition, ens: PathEnsemble) -> SolutionGrid:
     return SolutionGrid(ens, y0, np.zeros((n, m)), np.zeros((n, m, j)))
 
 
+class _PathRoute:
+    """Iterates are SolutionGrids: each iteration freezes the driver along
+    the paths and sweeps them.  Custom callables take this route, and it
+    is the oracle of the coefficient route."""
+
+    setup_s = 0.0
+
+    def __init__(self, driver: DriverSpec, phi: Optional[MeanFunctional],
+                 tc: TerminalCondition, ens: PathEnsemble,
+                 reg: _Regressions):
+        self.driver, self.phi, self.tc, self.ens, self.reg = \
+            driver, phi, tc, ens, reg
+
+    def initial(self) -> SolutionGrid:
+        return _initial_iterate(self.tc, self.ens)
+
+    def mean_channel(self, sol: SolutionGrid) -> np.ndarray:
+        return _mean_channel(self.phi, sol)
+
+    def sweep(self, sol: SolutionGrid, mu: np.ndarray) -> SolutionGrid:
+        f_hat = _frozen_driver(self.driver, sol, mu)
+        return solve_inner(f_hat, self.tc, self.ens, self.reg.basis,
+                           _reg=self.reg)
+
+    def dy2(self, new: SolutionGrid, old: SolutionGrid) -> np.ndarray:
+        return ((new.y - old.y) ** 2).mean(axis=0)
+
+    def ybar(self, sol: SolutionGrid) -> np.ndarray:
+        return sol.ybar.copy()
+
+    def solution(self, sol: SolutionGrid) -> SolutionGrid:
+        return sol
+
+
+def _route(driver: DriverSpec, phi: Optional[MeanFunctional],
+           tc: TerminalCondition, ens: PathEnsemble, reg: _Regressions):
+    """The coefficient route when the driver and the mean functional (if
+    the solve reads one) carry their structured forms, else the path
+    sweep."""
+    if driver.form is not None and (phi is None or phi.form is not None):
+        # imported on first use: the closed-form and utility routes
+        # import the package without ever taking this route
+        from .coefficient_route import CoefficientRoute
+        return CoefficientRoute(driver, phi, tc, ens, reg)
+    return _PathRoute(driver, phi, tc, ens, reg)
+
+
 def _check_step(driver: DriverSpec, ens: PathEnsemble):
     if driver.lipschitz_c * ens.grid.dt >= 1.0:
         raise ConfigError(
@@ -291,28 +360,31 @@ def _check_caps(**caps):
             raise ConfigError(f"{name} must be >= 1, got {cap}")
 
 
-def _freeze_loop(driver: DriverSpec, tc: TerminalCondition,
-                 ens: PathEnsemble, basis: RegressionBasis, tol: float,
-                 max_iter: int, mu_fn, reg: _Regressions,
-                 scheme: str) -> tuple[SolutionGrid, PicardReport]:
-    """Shared driver-freezing iteration.  mu_fn(sol) supplies the per-node
-    mean channel (M+1, d) for the next freeze."""
-    dt = ens.grid.dt
+def _freeze_loop(route, tol: float, max_iter: int, mu_fn,
+                 scheme: str) -> tuple[object, PicardReport]:
+    """Shared driver-freezing iteration on the route's iterates.
+    mu_fn(iterate) supplies the per-node mean channel (M+1, d) for the
+    next freeze."""
+    dt = route.ens.grid.dt
     report = PicardReport(tol=tol, scheme=scheme)
-    sol = _initial_iterate(tc, ens)
+    it = route.initial()
     for _ in range(max_iter):
         started = time.perf_counter()
-        f_hat = _frozen_driver(driver, sol, mu_fn(sol))
-        new = solve_inner(f_hat, tc, ens, basis, _reg=reg)
-        dy2 = ((new.y - sol.y) ** 2).mean(axis=0)
+        new = route.sweep(it, mu_fn(it))
+        dy2 = route.dy2(new, it)
         report.record(float(dy2.max()), float(dy2[:-1].sum() * dt),
                       time.perf_counter() - started)
-        sol = new
+        it = new
         if report.deltas[-1] < tol:
             report.converged = True
             break
-    report.ridge_max = reg.ridge_max
-    return sol, report
+    return it, report
+
+
+def _finish(report: PicardReport, route):
+    report.ridge_max = route.reg.ridge_max
+    report.cond_max = route.reg.cond_max()
+    report.setup_s = route.setup_s
 
 
 def picard_full_freeze(driver: DriverSpec, phi: MeanFunctional,
@@ -326,16 +398,19 @@ def picard_full_freeze(driver: DriverSpec, phi: MeanFunctional,
     channel of the previous iterate and performs one backward sweep.
     Stops when the sup-node mean-square iterate difference drops below
     tol; non-convergence is reported through the flag, never silently.
+    Catalog drivers and mean functionals iterate on regression
+    coefficients (see coefficient_route); custom callables sweep paths.
     """
     _check_step(driver, ens)
     _check_caps(max_iter=max_iter)
     if check:
         probe_driver(driver, ens.grid, ens.levy)
         probe_mean_functional(phi, ens.levy.n_atoms)
-    reg = _Regressions(ens, basis)
-    sol, report = _freeze_loop(driver, tc, ens, basis, tol, max_iter,
-                               lambda s: _mean_channel(phi, s), reg,
-                               "full-freeze")
+    route = _route(driver, phi, tc, ens, _Regressions(ens, basis))
+    it, report = _freeze_loop(route, tol, max_iter, route.mean_channel,
+                              "full-freeze")
+    sol = route.solution(it)
+    _finish(report, route)
     if not report.converged:
         warnings.warn(
             f"Picard full freeze did not converge in {report.iterations} "
@@ -356,7 +431,8 @@ def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
     step solves the inner equation in (Y, Z, K) to convergence with the
     frozen mean path, then updates the mean.  Outer iterate differences
     are the quantity whose factorial-rate decay the convergence lemma
-    predicts.
+    predicts.  All outer steps share one route, so the coefficient
+    route's set-up is paid once.
     """
     if driver.mean_dim != 1:
         raise ConfigError(
@@ -368,38 +444,38 @@ def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
         probe_driver(driver, ens.grid, ens.levy)
     if inner_tol is None:
         inner_tol = tol
-    reg = _Regressions(ens, basis)
+    route = _route(driver, None, tc, ens, _Regressions(ens, basis))
 
     report = PicardReport(tol=tol, scheme="mean-freeze")
-    prev = _initial_iterate(tc, ens)
-    frozen = prev.ybar.copy()
+    prev = route.initial()
+    frozen = route.ybar(prev)
     dt = ens.grid.dt
     for _ in range(max_iter):
         started = time.perf_counter()
         mu_fixed = frozen[:, None]
-        sol, inner_rep = _freeze_loop(
-            driver, tc, ens, basis, inner_tol, inner_max_iter,
-            lambda _sol: mu_fixed, reg, "mean-freeze-inner",
+        it, inner_rep = _freeze_loop(
+            route, inner_tol, inner_max_iter, lambda _it: mu_fixed,
+            "mean-freeze-inner",
         )
         if not inner_rep.converged:
             report.inner_unconverged += 1
             warnings.warn("mean-freeze inner solve did not converge",
                           stacklevel=2)
-        dy2 = ((sol.y - prev.y) ** 2).mean(axis=0)
+        dy2 = route.dy2(it, prev)
         report.record(float(dy2.max()), float(dy2[:-1].sum() * dt),
                       time.perf_counter() - started)
-        prev = sol
-        frozen = sol.ybar.copy()
+        prev = it
+        frozen = route.ybar(it)
         if report.deltas[-1] < tol:
             report.converged = True
             break
-    report.ridge_max = reg.ridge_max
+    _finish(report, route)
     if not report.converged:
         warnings.warn(
             f"Picard mean freeze did not converge in {report.iterations} "
             f"outer iterations", stacklevel=2,
         )
-    return prev, report
+    return route.solution(prev), report
 
 
 def _random_triplet(ens: PathEnsemble, reg: _Regressions,

@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     LinearCoefficients,
     TerminalCondition,
+    mean_functional_eval,
     mean_yzk,
     terminal_value,
     wealth_linear,
@@ -36,8 +37,7 @@ from .levy_paths import PathEnsemble, _check_jump_tilt, _eval_nodes, \
     _eval_nodes_atoms, _log_exponential
 from .linear import assemble_system, direct_solve, neumann_solve, \
     simulate_gamma, y_closed_formula
-from .picard import RegressionBasis, _frozen_driver, _mean_channel, \
-    _Regressions, picard_full_freeze
+from .picard import RegressionBasis, _Regressions, picard_full_freeze
 
 __all__ = [
     "WealthParams",
@@ -381,8 +381,14 @@ def picard_utility_y0(wp: WealthParams, uc: UtilityCoefficients,
                                    "log_wealth": np.log(x)})
     sol, rep = picard_full_freeze(driver, phi, tc, ens, basis, tol=tol,
                                   max_iter=max_iter, check=False)
-    f_hat = _frozen_driver(driver, sol, _mean_channel(phi, sol))
-    target0 = sol.y[:, 1] + f_hat[:, 0] * grid.dt
+    # the driver at nodes 0 and 1 only: the trapezoid of the first step
+    f01 = [driver(grid.nodes[i], sol.y[:, i], sol.z[:, zi],
+                  sol.k[:, zi, :], mean_functional_eval(phi, sol, i))
+           + gamma_path[:, i]
+           for i, zi in ((0, 0), (1, min(1, grid.steps - 1)))]
+    f_hat0 = f01[0] + f01[1]
+    f_hat0 *= 0.5
+    target0 = sol.y[:, 1] + f_hat0 * grid.dt
     n = ens.n_paths
     y0 = float(sol.y[:, 0].mean())
     se = float(target0.std(ddof=1) / math.sqrt(n))

@@ -49,6 +49,8 @@ FLOOR_CASES = [
 ]
 PICARD_SECTIONS = ("[driver]\nname = zero\n"
                    "[terminal]\nkind = constant\nc = 1.0\n")
+LINEAR_PICARD_SECTIONS = ("[driver]\nname = linear\n[linear_coeffs]\n"
+                          "[terminal]\nkind = constant\nc = 1.0\n")
 
 
 class TestParseConfig:
@@ -106,6 +108,12 @@ class TestParseConfig:
                      "solver.tol", "0", id="0-tol"),
         pytest.param("picard", PICARD_SECTIONS, "mc.seed", "-1",
                      id="-1-seed"),
+        pytest.param("picard", LINEAR_PICARD_SECTIONS + "[mean_functional]\n",
+                     "mean_functional.name", "mean_y_squared",
+                     id="mean_y_squared-linear"),
+        pytest.param("picard", PICARD_SECTIONS
+                     + "[mean_functional]\nname = mean_yzk\n",
+                     "mean_functional.bound", "3.0", id="3.0-bound"),
     ])
     def test_one_error_per_bad_floor_value(self, mode, sections, path,
                                            value):
@@ -190,6 +198,10 @@ class TestCli:
         diag = manifest["diagnostics"]["picard"]
         assert diag["converged"]
         assert len(diag["iter_s"]) == diag["iterations"] >= 1
+        # the catalog driver runs on regression coefficients after one
+        # set-up pass, whose time and conditioning the manifest carries
+        assert diag["setup_s"] > 0.0
+        assert diag["cond_max"] >= 1.0
 
     def test_mode_mismatch(self, picard_ini, tmp_path):
         assert main(["linear", "--config", str(picard_ini),

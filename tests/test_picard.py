@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,14 +8,21 @@ import pytest
 from mfbsde import (
     ConfigError,
     DriverSpec,
+    LevyMeasure,
     LinearCoefficients,
+    NumericalError,
     RegressionBasis,
+    affine_driver,
     brownian_linear,
+    build_grid,
     condexp,
     constant,
     contraction_check,
+    jump_linear,
     mean_y,
+    mean_y_squared,
     mean_yzk,
+    mean_yzk_avg,
     picard_full_freeze,
     picard_mean_freeze,
     shift_to_q,
@@ -23,7 +31,7 @@ from mfbsde import (
     solve_inner,
 )
 from mfbsde.core import mean_functional_eval, terminal_value
-from mfbsde.picard import _Regressions, _frozen_driver
+from mfbsde.picard import _Regressions, _frozen_driver, _mean_channel
 
 from conftest import mc_se
 
@@ -234,8 +242,6 @@ class TestFullFreeze:
         assert len(rep.iter_s) == 2 and min(rep.iter_s) > 0.0
 
     def test_step_size_guard(self, levy1, basis):
-        from mfbsde import build_grid
-
         coarse = build_grid(1.0, 1)
         ens = simulate_ensemble(coarse, levy1, 100, seed=1)
         drv = DriverSpec(lambda t, y, z, k, mu: 2.0 * y, 2.0, 1)
@@ -334,3 +340,185 @@ class TestContraction:
         diff = SolutionGrid(ens_small, trip.y - trip.y, trip.z - trip.z,
                             trip.k - trip.k)
         assert beta_norm(diff, 13.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Coefficient route against the path sweep
+# ---------------------------------------------------------------------------
+
+def _path_route(driver, phi):
+    """The same driver and functional without their structured forms, so
+    the solver falls back to the path sweep."""
+    return dataclasses.replace(driver, form=None), \
+        dataclasses.replace(phi, form=None)
+
+
+def _catalog_problem(atoms, measure, extras, phi_name, source, seed):
+    """An ensemble, basis, driver, functional and terminal for one case
+    of the route-equivalence matrix (25 steps, 2000 paths)."""
+    grid = build_grid(1.0, 25)
+    levy = LevyMeasure.from_atoms([(1.0, 0.8), (-0.5, 0.6)][:atoms])
+    ens = simulate_ensemble(grid, levy, 2000, seed=seed)
+    if measure == "Q":
+        ens = shift_to_q(ens, 0.3, lambda t, z: 0.2 * z)
+    bn = ens.brownian_nodes
+    basis = RegressionBasis(
+        degree=2, extras={"sin_b": np.sin(bn)} if extras else {})
+    phi = {"mean_y": mean_y(), "mean_yzk": mean_yzk(atoms),
+           "mean_yzk_avg": mean_yzk_avg(levy),
+           "mean_y_squared": mean_y_squared(1.0)}[phi_name]
+    if phi_name == "mean_yzk":
+        coeffs = LinearCoefficients(
+            alpha1=lambda t: 0.2 + 0.1 * t, alpha2=0.1, beta1=0.25,
+            beta2=0.1, eta1=0.2, eta2=0.1, gamma=lambda t: 0.05 * t)
+        driver = coeffs.as_driver(grid, levy)
+    else:
+        driver = affine_driver(
+            grid, atoms, phi.dim, 1.0, y=0.2, z=0.15,
+            k=0.1 * levy.weights, mu=np.linspace(0.05, 0.1, phi.dim),
+            const=0.05)
+    if source:
+        driver.source = 0.1 * np.cos(bn)
+    tc = jump_linear(0.7) if atoms else smooth_of_brownian([0.5, 1.0, 0.2])
+    return ens, basis, driver, phi, tc
+
+
+ROUTE_CASES = [
+    # (atoms, measure, extras, mean functional, source, freeze)
+    (0, "P", False, "mean_y", False, "full"),
+    (1, "P", True, "mean_yzk", False, "full"),
+    (2, "Q", False, "mean_yzk", True, "full"),
+    (2, "P", False, "mean_yzk_avg", False, "full"),
+    (1, "Q", True, "mean_yzk_avg", False, "full"),
+    (0, "Q", True, "mean_y_squared", True, "full"),
+    (2, "P", True, "mean_y_squared", False, "full"),
+    (1, "P", False, "mean_y", True, "full"),
+    (0, "P", True, "mean_y", False, "mean"),
+    (1, "Q", False, "mean_y", True, "mean"),
+    (2, "Q", True, "mean_y", False, "mean"),
+]
+
+
+@pytest.mark.parametrize(
+    "atoms,measure,extras,phi_name,source,freeze", ROUTE_CASES,
+    ids=[f"{a}atoms-{m}-{'extras' if e else 'plain'}-{p}"
+         f"{'-source' if s else ''}-{f}"
+         for a, m, e, p, s, f in ROUTE_CASES])
+def test_coefficient_route_matches_path_sweep(atoms, measure, extras,
+                                              phi_name, source, freeze):
+    """Catalog drivers iterate on regression coefficients; the same
+    problem without the structured forms takes the path sweep.  Both
+    give the same Y, Z, K and Picard deltas to 1e-10 of each array's
+    largest entry, in the same number of iterations."""
+    ens, basis, driver, phi, tc = _catalog_problem(
+        atoms, measure, extras, phi_name, source, seed=300 + atoms)
+    drv_p, phi_p = _path_route(driver, phi)
+    if freeze == "full":
+        sol, rep = picard_full_freeze(driver, phi, tc, ens, basis,
+                                      check=False)
+        ref, ref_rep = picard_full_freeze(drv_p, phi_p, tc, ens, basis,
+                                          check=False)
+    else:
+        sol, rep = picard_mean_freeze(driver, tc, ens, basis, check=False)
+        ref, ref_rep = picard_mean_freeze(drv_p, tc, ens, basis,
+                                          check=False)
+    assert rep.setup_s > 0.0 and ref_rep.setup_s == 0.0
+    for got, want in ((sol.y, ref.y), (sol.z, ref.z), (sol.k, ref.k)):
+        if want.size:
+            assert np.abs(want).max() > 1e-3
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    for key in ("deltas", "integrated"):
+        got, want = np.asarray(getattr(rep, key)), \
+            np.asarray(getattr(ref_rep, key))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * want.max()
+    assert (rep.iterations, rep.converged) == \
+        (ref_rep.iterations, ref_rep.converged)
+    assert rep.converged
+    assert rep.cond_max == pytest.approx(ref_rep.cond_max, rel=1e-8)
+
+
+@pytest.mark.parametrize("route", ["coefficients", "paths"])
+def test_design_passes_fixed_on_coefficient_route(monkeypatch, ens_small,
+                                                  basis, route):
+    """The coefficient route builds each node's design twice per solve
+    (set-up and the final write), however many iterations it runs; the
+    path sweep builds it again in every iteration."""
+    coeffs = LinearCoefficients(alpha1=0.2, alpha2=0.1, beta1=0.25,
+                                beta2=0.1, eta1=0.2, eta2=0.1)
+    driver = coeffs.as_driver(ens_small.grid, ens_small.levy)
+    phi = mean_yzk(1)
+    if route == "paths":
+        driver, phi = _path_route(driver, phi)
+    calls = []
+    design = _Regressions.design
+
+    def counting(self, i, out=None):
+        calls.append(i)
+        return design(self, i, out)
+
+    monkeypatch.setattr(_Regressions, "design", counting)
+    counts = []
+    for max_iter in (2, 5):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, rep = picard_full_freeze(driver, phi,
+                                        brownian_linear(1.0, 0.0),
+                                        ens_small, basis, tol=1e-300,
+                                        max_iter=max_iter, check=False)
+        assert rep.iterations == max_iter
+        counts.append(len(calls))
+    if route == "coefficients":
+        assert counts == [2 * ens_small.grid.steps] * 2
+    else:
+        assert counts[1] > counts[0]
+
+
+def test_coefficient_route_rejects_non_finite_driver(ens_small, basis):
+    driver = affine_driver(ens_small.grid, 1, 1, 1.0, y=0.2,
+                           const=np.inf)
+    with pytest.raises(NumericalError, match="non-finite"):
+        picard_full_freeze(driver, mean_y(), constant(1.0), ens_small,
+                           basis, check=False)
+
+
+def test_coefficient_route_needs_the_ensemble_grid(ens_small, basis):
+    driver = affine_driver(build_grid(1.0, 10), 1, 1, 0.5, y=0.2)
+    with pytest.raises(ConfigError, match="nodes"):
+        picard_full_freeze(driver, mean_y(), constant(1.0), ens_small,
+                           basis, check=False)
+
+
+def test_cond_max_grows_with_basis_degree(ens_small):
+    """The report carries the largest cond(X_i'X_i): raw powers of B(t)
+    up to degree 6 are far worse conditioned than degree 1."""
+    coeffs = LinearCoefficients(alpha1=0.2, beta1=0.1)
+    driver = coeffs.as_driver(ens_small.grid, ens_small.levy)
+    conds = []
+    for degree in (1, 6):
+        _, rep = picard_full_freeze(driver, mean_yzk(1), constant(1.0),
+                                    ens_small, RegressionBasis(degree),
+                                    check=False)
+        conds.append(rep.cond_max)
+    assert 1.0 <= conds[0] < conds[1]
+
+
+def test_mean_channel_from_coefficients(ens_small, basis):
+    """The coefficient means equal the path means of the written iterate
+    for each catalog functional: on the initial iterate (node M holds the
+    terminal's mean) and after one sweep (node M holds xi)."""
+    from mfbsde.coefficient_route import CoefficientRoute
+
+    coeffs = LinearCoefficients(alpha1=0.2, beta1=0.1, eta1=0.1)
+    driver = coeffs.as_driver(ens_small.grid, ens_small.levy)
+    mu = np.zeros((ens_small.grid.steps + 1, driver.mean_dim))
+    for phi in (mean_y(), mean_yzk(1), mean_yzk_avg(ens_small.levy),
+                mean_y_squared()):
+        route = CoefficientRoute(driver, phi, brownian_linear(1.0, 0.5),
+                                  ens_small, _Regressions(ens_small, basis))
+        first = route.initial()
+        for it in (first, route.sweep(first, mu)):
+            got = route.mean_channel(it)
+            want = _mean_channel(phi, route.solution(it))
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()

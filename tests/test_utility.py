@@ -217,6 +217,34 @@ class TestEvaluateJ:
         assert rep.converged
         assert abs(j_c - j_p) <= 3 * math.hypot(se_c, se_p)
 
+    def test_picard_y0_se_reads_first_step_only(self, levy1, monkeypatch):
+        """The Y(0) standard error evaluates the driver at nodes 0 and 1
+        only; it equals the one from the whole-grid frozen driver."""
+        import mfbsde.utility as utility_mod
+        from mfbsde.picard import _frozen_driver, _mean_channel
+
+        solved = []
+
+        def keep(driver, phi, *args, **kwargs):
+            out = picard_full_freeze(driver, phi, *args, **kwargs)
+            solved.append((driver, phi, out[0]))
+            return out
+
+        monkeypatch.setattr(utility_mod, "picard_full_freeze", keep)
+        grid = build_grid(1.0, 10)
+        ens = simulate_ensemble(grid, levy1, 2000, 4)
+        wp = WealthParams(x0=1.0, b0=0.05, sigma0=0.2, gamma0=0.1)
+        uc = UtilityCoefficients(alpha0=0.05, alpha1=0.03, beta0=0.15,
+                                 eta0=0.2, theta=constant(1.5))
+        pi = ControlProcess.from_constant(0.5, grid)
+        y0, se, _ = picard_utility_y0(wp, uc, pi, ens)
+        driver, phi, sol = solved[0]
+        f_hat = _frozen_driver(driver, sol, _mean_channel(phi, sol))
+        target0 = sol.y[:, 1] + f_hat[:, 0] * grid.dt
+        assert y0 == pytest.approx(sol.y[:, 0].mean(), rel=1e-12)
+        assert se == pytest.approx(target0.std(ddof=1) / math.sqrt(2000),
+                                   rel=1e-12)
+
     def test_picard_route_leaves_caller_basis_alone(self, levy1):
         """The wealth features are added to a copy of the basis, so the
         caller's basis still fits an ensemble of another size."""
