@@ -67,17 +67,17 @@ class GammaEnsemble:
 
     gamma(i, l) = exp(L[:, l] - L[:, i]) for i <= l, which makes the
     diagonal exactly one and the flow property exact by construction.
+    The levels exp(L) = gamma(0, .) are taken once, here, for the source
+    assembly and the closed formula to share.
     """
 
     ens: PathEnsemble
     log_level: np.ndarray   # (n, M+1), L[:, 0] = 0
     a1_cum: np.ndarray      # (M+1,) cumulative dt-quadrature of a1
+    exp_levels: np.ndarray  # (n, M+1), exp(log_level)
 
     def factor(self, i: int, l: int) -> np.ndarray:
         return np.exp(self.log_level[:, l] - self.log_level[:, i])
-
-    def exp_levels(self) -> np.ndarray:
-        return np.exp(self.log_level)
 
 
 def simulate_gamma(coeffs: LinearCoefficients, ens: PathEnsemble
@@ -94,7 +94,8 @@ def _simulate_gamma_grid(cg: CoefficientGrid, ens: PathEnsemble
     _check_jump_tilt(cg.e1, grid.nodes, levy.marks, "eta1")
     log_level = _log_exponential(ens, cg.a1[:-1], cg.b1[:-1], cg.e1[:-1])
     a1_cum = np.concatenate([[0.0], np.cumsum(cg.a1[:-1] * grid.dt)])
-    return GammaEnsemble(ens=ens, log_level=log_level, a1_cum=a1_cum)
+    return GammaEnsemble(ens=ens, log_level=log_level, a1_cum=a1_cum,
+                         exp_levels=np.exp(log_level))
 
 
 def mean_gamma(coeffs: LinearCoefficients, grid, levy, t: float, s: float
@@ -169,6 +170,28 @@ def _row_mean_se(terms, expl_inv: np.ndarray, exp_t: np.ndarray):
     return _mc_mean_se(samples)
 
 
+def _running_mean(expl: np.ndarray, expl_inv: np.ndarray,
+                  g: Optional[np.ndarray], dt: float) -> np.ndarray:
+    """int_{t_i}^T E[G(t_i, s) g(s)] ds on the trapezoid rule, for every
+    node i, with g = 1 when `g` is None.
+
+    Each row is E[expl_inv_i R_i] for the per-path reverse trapezoid sum
+    R_i = sum_{l>=i} wq_il expl_l g_l, which grows from R_M = 0 by one
+    trapezoid per node going left: O(nM) work, reduced with einsum so the
+    result does not depend on BLAS threading.
+    """
+    n, m1 = expl.shape
+    out = np.zeros(m1)
+    run = np.zeros(n)
+    right = expl[:, -1] if g is None else expl[:, -1] * g[:, -1]
+    for i in range(m1 - 2, -1, -1):
+        left = expl[:, i] if g is None else expl[:, i] * g[:, i]
+        run += 0.5 * dt * (left + right)
+        out[i] = np.einsum("p,p->", expl_inv[:, i], run) / n
+        right = left
+    return out
+
+
 def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
                     ens: PathEnsemble,
                     gamma: Optional[GammaEnsemble] = None,
@@ -188,6 +211,13 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     pathwise products are averaged and the deterministic derivative
     profiles `gamma_db` (M+1,) and `gamma_dn` (M+1, J) supply the last
     terms (they vanish for deterministic gamma).
+
+    The pathwise running cost sum_l wq_il E[G(t_i, t_l) g_l] is
+    E[G(0, t_i)^-1 R_i] with R_i = sum_{l>=i} wq_il G(0, t_l) g_l, a
+    per-path reverse trapezoid sum built node by node from the right:
+    O(nM) work, where the (M+1)^2 matrix of joint means costs O(nM^2).
+    The tail int_t^T E[G] ds of the derivative rows is the same sum with
+    g = 1, taken only when such a row reads it.
     """
     grid, levy = ens.grid, ens.levy
     if tc is None:
@@ -217,7 +247,7 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     wq[-1, -1] = 0.0
     wq[np.tril_indices(m1, k=-1)] = 0.0
 
-    expl = gamma.exp_levels()            # (n, M+1)
+    expl = gamma.exp_levels              # (n, M+1)
     expl_inv = np.exp(-gamma.log_level)
     exp_t = expl[:, -1]
     xi = terminal_value(tc, ens)
@@ -237,14 +267,14 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
         gp = np.asarray(gamma_path, dtype=float)
         if gp.shape != (n, m1):
             raise ConfigError("gamma_path must have shape (n_paths, M+1)")
-        joint = expl_inv.T @ (expl * gp) / n           # E[G(t_i,t_l) g_l]
-        f1 += (joint * wq).sum(axis=1)
-        mc_eg = expl_inv.T @ expl / n
-        tail = (mc_eg * wq).sum(axis=1)                # int_t^T E[G] ds
-        if derivative_rows and gamma_db is not None:
-            f2 += np.asarray(gamma_db, dtype=float) * tail
-        if derivative_rows and gamma_dn is not None:
-            f3 += np.asarray(gamma_dn, dtype=float) * tail[:, None]
+        f1 += _running_mean(expl, expl_inv, gp, dt)
+        if derivative_rows and (gamma_db is not None
+                                or gamma_dn is not None):
+            tail = _running_mean(expl, expl_inv, None, dt)  # int E[G] ds
+            if gamma_db is not None:
+                f2 += np.asarray(gamma_db, dtype=float) * tail
+            if gamma_dn is not None:
+                f3 += np.asarray(gamma_dn, dtype=float) * tail[:, None]
     else:
         f1 += (eg * wq * cg.g[None, :]).sum(axis=1)
 
@@ -344,13 +374,15 @@ def neumann_solve(sys: VolterraSystem, target_norm: float = 0.5,
                 "requested window does not meet the target kernel norm"
             )
         w_len = window_len
+    # a principal submatrix never has a larger norm than the whole kernel,
+    # so a feasible full window makes every shorter window feasible too
+    elif feasible(m1):
+        w_len = m1
     elif not feasible(2):
         raise ConfigError(
             "no window of at least two steps meets the target kernel norm; "
             "refine the grid or reduce the coefficients"
         )
-    elif feasible(m1):
-        w_len = m1
     else:
         lo_len, hi_len = 2, m1
         while hi_len - lo_len > 1:
@@ -404,7 +436,7 @@ def y_closed_formula(coeffs: LinearCoefficients, tc: TerminalCondition,
         h = h + (cg.e2 * v.v3 * w).sum(axis=1)
     wq = np.full(m + 1, grid.dt)
     wq[0] = wq[-1] = 0.5 * grid.dt
-    expl = gamma.exp_levels()
+    expl = gamma.exp_levels
     if gamma_path is not None:
         integrand = expl * (h[None, :] + gamma_path)
     else:

@@ -130,7 +130,8 @@ def simulate_wealth(wp: WealthParams, pi: ControlProcess, ens: PathEnsemble
     """Strictly positive wealth paths X = x0 times the stochastic
     exponential of (b0 - pi, s0, g0)."""
     b0, s0, g0 = wp.on_grid(ens.grid, ens.levy)
-    drift = b0[:-1] - pi.values[..., :-1]
+    # node-major like the ensemble, whatever the layout of an adapted rate
+    drift = np.subtract(b0[:-1], pi.values[..., :-1], order="F")
     logx = _log_exponential(ens, drift, s0[:-1], g0[:-1])
     logx += math.log(wp.x0)
     return np.exp(logx, out=logx)
@@ -297,6 +298,12 @@ def dh_dpi(pi, p, lam):
     return -np.asarray(p) + np.asarray(lam) / pi
 
 
+def _log_consumption(pi: ControlProcess, x: np.ndarray) -> np.ndarray:
+    """The running cost log(pi X), node-major like the wealth X."""
+    out = np.multiply(pi.paths(x.shape[0]), x, order="F")
+    return np.log(out, out=out)
+
+
 def _utility_linear_coeffs(uc: UtilityCoefficients) -> LinearCoefficients:
     """The utility equation in linear-engine notation: pathwise
     coefficients build the propagator, mean coefficients couple."""
@@ -323,11 +330,10 @@ def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
         raise ConfigError("utility coefficients need a terminal theta")
     b0, s0, g0 = wp.on_grid(grid, levy)
     a0, a1, b0u, b1u, e0, e1 = uc.on_grid(grid, levy)
-    x = simulate_wealth(wp, pi, ens)
-    pv = pi.paths(ens.n_paths)
-    if np.any(pv <= 0.0):
+    if np.any(pi.values <= 0.0):
         raise DomainError("evaluate_j needs a strictly positive rate")
-    gamma_path = np.log(pv * x)
+    x = simulate_wealth(wp, pi, ens)
+    gamma_path = _log_consumption(pi, x)
 
     coeffs = _utility_linear_coeffs(uc)
     tc = wealth_linear(uc.theta, x, s0, g0,
@@ -366,8 +372,7 @@ def picard_utility_y0(wp: WealthParams, uc: UtilityCoefficients,
     b0g, s0, g0 = wp.on_grid(grid, levy)
     a0, a1, b0u, b1u, e0, e1 = uc.on_grid(grid, levy)
     x = simulate_wealth(wp, pi, ens)
-    pv = pi.paths(ens.n_paths)
-    gamma_path = np.log(pv * x)
+    gamma_path = _log_consumption(pi, x)
     tc = wealth_linear(uc.theta, x, s0, g0,
                        pi_is_deterministic=pi.deterministic)
 

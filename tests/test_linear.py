@@ -26,6 +26,7 @@ from mfbsde import (
     wealth_linear,
     y_closed_formula,
 )
+from mfbsde import linear as linear_module
 from mfbsde.linear import assemble_system
 
 from conftest import mc_se
@@ -35,7 +36,7 @@ class TestSimulateGamma:
     def test_all_zero_coefficients(self, ens_small):
         g = simulate_gamma(LinearCoefficients(terminal=constant(1.0)),
                            ens_small)
-        assert np.all(g.exp_levels() == 1.0)
+        assert np.all(g.exp_levels == 1.0)
 
     def test_deterministic_drift(self, ens_small):
         g = simulate_gamma(LinearCoefficients(alpha1=0.5), ens_small)
@@ -157,7 +158,7 @@ class TestDerivativeRows:
 
     @staticmethod
     def _per_node(tc, ens, gamma):
-        weight = np.exp(-gamma.log_level) * gamma.exp_levels()[:, -1:]
+        weight = np.exp(-gamma.log_level) * gamma.exp_levels[:, -1:]
         m1, nj, n = ens.grid.steps + 1, ens.levy.n_atoms, ens.n_paths
         f2, se2 = np.zeros(m1), np.zeros(m1)
         f3, se3 = np.zeros((m1, nj)), np.zeros((m1, nj))
@@ -263,6 +264,26 @@ class TestSolves:
         y0, se, v = solve_linear_y0(c, ens)
         assert se <= 1e-12
         assert y0 == pytest.approx(2 * math.exp(0.3), abs=1e-3)
+
+    def test_feasible_full_window_needs_one_norm(self, ens_small,
+                                                 monkeypatch):
+        """When the whole kernel meets the target norm, no shorter window
+        is checked: one power iteration, and the full-window result."""
+        c = LinearCoefficients(alpha1=0.1, alpha2=0.3,
+                               terminal=constant(2.0))
+        sys = assemble_system(c, constant(2.0), ens_small)
+        want = neumann_solve(sys, window_len=sys.n_nodes)
+        norms = []
+
+        def counted(mat, *args, **kwargs):
+            norms.append(mat.shape)
+            return spectral_norm(mat, *args, **kwargs)
+
+        spectral_norm = linear_module._spectral_norm
+        monkeypatch.setattr(linear_module, "_spectral_norm", counted)
+        got = neumann_solve(sys)
+        assert norms == [(sys.n_nodes, sys.n_nodes)]
+        assert got.v1.tobytes() == want.v1.tobytes()
 
     def test_infeasible_window_rejected(self, grid50, levy1):
         ens = simulate_ensemble(grid50, levy1, 200, seed=4)

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfbsde
+from mfbsde import utility
 from mfbsde import (
     ControlProcess,
     DomainError,
@@ -26,6 +33,7 @@ from mfbsde import (
     smooth_of_brownian,
     solve_adjoints,
 )
+from mfbsde.linear import MeanVector, assemble_system, simulate_gamma
 from mfbsde.utility import lambda_euler_residual
 
 from conftest import mc_se
@@ -310,9 +318,142 @@ class TestEvaluateJ:
         with pytest.raises(CapabilityError, match="Picard"):
             evaluate_j(wp, uc, pihat, ens_small)
 
-    def test_nonpositive_rate_rejected(self, ens_small):
+    def test_nonpositive_rate_rejected(self, ens_small, monkeypatch):
+        """A bad rate fails before any wealth path is simulated."""
+        def no_paths(*args, **kwargs):
+            raise AssertionError("wealth simulated for a bad rate")
+
+        monkeypatch.setattr(utility, "simulate_wealth", no_paths)
         wp = WealthParams(x0=1.0)
         uc = UtilityCoefficients(theta=constant(1.0))
         pi = ControlProcess.from_constant(0.0, ens_small.grid)
         with pytest.raises(DomainError, match="positive"):
             evaluate_j(wp, uc, pi, ens_small)
+
+    def test_rate_layout_changes_no_byte(self, ens_small, basis):
+        """A C-ordered copy of an adapted rate gives the same bytes as the
+        node-major original: the wealth and the running cost are formed
+        node-major whatever the rate's layout."""
+        wp = WealthParams(x0=1.0, b0=0.05, sigma0=0.2, gamma0=0.1)
+        uc = UtilityCoefficients(alpha0=0.05, alpha1=0.03, beta0=0.15,
+                                 eta0=0.2, theta=constant(4.0))
+        pi = optimal_pi(solve_adjoints(uc, ens_small, basis))
+        assert not pi.deterministic and pi.values.flags.f_contiguous
+        pi_c = ControlProcess(np.ascontiguousarray(pi.values), False)
+        assert pi_c.values.flags.c_contiguous
+
+        def raw(rate):
+            j, se, v, sample = evaluate_j(wp, uc, rate, ens_small,
+                                          return_sample=True)
+            return [np.array([j, se]).tobytes(), v.stack().tobytes(),
+                    sample.tobytes()]
+
+        assert raw(pi_c) == raw(pi)
+
+
+def _gemm_sources(coeffs, tc, ens, gamma=None, gamma_path=None,
+                  gamma_db=None, gamma_dn=None, derivative_rows=True):
+    """Reference for assemble_system's pathwise running cost: the joint
+    means E[G(t_i, t_l) g_l] and E[G(t_i, t_l)] as two (M+1)^2 matrix
+    products over the paths, weighted by the trapezoid matrix.  The
+    terminal rows come from assemble_system with a zero running cost.
+    Returns (sources, standard errors)."""
+    base = assemble_system(coeffs, tc, ens, gamma=gamma,
+                           gamma_path=np.zeros_like(gamma_path),
+                           derivative_rows=derivative_rows)
+    if gamma is None:
+        gamma = simulate_gamma(coeffs, ens)
+    m1, dt, n = ens.grid.steps + 1, ens.grid.dt, ens.n_paths
+    wq = np.triu(np.full((m1, m1), dt))
+    wq[np.arange(m1), np.arange(m1)] = 0.5 * dt
+    wq[:, -1] = 0.5 * dt
+    wq[-1, -1] = 0.0
+    expl, expl_inv = np.exp(gamma.log_level), np.exp(-gamma.log_level)
+    joint = expl_inv.T @ (expl * gamma_path) / n
+    tail = (expl_inv.T @ expl / n * wq).sum(axis=1)
+    f2, f3 = base.f.v2.copy(), base.f.v3.copy()
+    if derivative_rows and gamma_db is not None:
+        f2 += gamma_db * tail
+    if derivative_rows and gamma_dn is not None:
+        f3 += gamma_dn * tail[:, None]
+    f = MeanVector(ens.grid, base.f.v1 + (joint * wq).sum(axis=1), f2, f3)
+    return f, base.f_se
+
+
+class TestRunningCostReverseSum:
+    """The O(nM) reverse trapezoid sum of the pathwise running cost
+    against the matrix-product reference, on the arguments evaluate_j
+    passes to assemble_system."""
+
+    @pytest.mark.parametrize("case", ["adapted", "deterministic_rows"])
+    def test_matches_matrix_products(self, ens_small, basis, monkeypatch,
+                                     case):
+        wp = WealthParams(x0=1.0, b0=0.05, sigma0=0.2, gamma0=0.1)
+        if case == "adapted":
+            uc = UtilityCoefficients(alpha0=0.05, alpha1=0.03, beta0=0.15,
+                                     eta0=0.2, theta=constant(4.0))
+            pi = optimal_pi(solve_adjoints(uc, ens_small, basis))
+            assert not pi.deterministic
+        else:
+            uc = UtilityCoefficients(alpha0=0.05, alpha1=0.04, beta0=0.1,
+                                     beta1=0.08, eta0=0.15, eta1=0.1,
+                                     theta=constant(1.5))
+            pi = ControlProcess.from_constant(0.4, ens_small.grid)
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return assemble_system(*args, **kwargs)
+
+        monkeypatch.setattr(utility, "assemble_system", record)
+        evaluate_j(wp, uc, pi, ens_small)
+        (args, kwargs), = calls
+        assert kwargs["derivative_rows"] == (case != "adapted")
+        got = assemble_system(*args, **kwargs)
+        ref, ref_se = _gemm_sources(*args, **kwargs)
+        if case != "adapted":     # the tail rows are live
+            base = assemble_system(*args, **{**kwargs, "gamma_db": None,
+                                             "gamma_dn": None})
+            assert np.abs(got.f.v2 - base.f.v2).max() > 1e-3
+            assert np.abs(got.f.v3 - base.f.v3).max() > 1e-3
+        for new, old in ((got.f.v1, ref.v1), (got.f.v2, ref.v2),
+                         (got.f.v3, ref.v3),
+                         (got.f_se.stack(), ref_se.stack())):
+            assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+
+# the utility route of acceptance criterion 9 ("diffusive" scenario),
+# printing a hash of the raw bytes of evaluate_j's output
+UTILITY_ARRAYS = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    import mfbsde as mf
+    grid = mf.build_grid(1.0, 100)
+    levy = mf.LevyMeasure.from_atoms([(1.0, 0.5)])
+    ens = mf.simulate_ensemble(grid, levy, 50000, 7)
+    wp = mf.WealthParams(x0=1.0, b0=0.05, sigma0=0.2, gamma0=0.1)
+    uc = mf.UtilityCoefficients(alpha0=0.05, alpha1=0.03, beta0=0.15,
+                                eta0=0.2, theta=mf.constant(4.0))
+    adj = mf.solve_adjoints(uc, ens, mf.RegressionBasis(degree=2))
+    j, se, v, sample = mf.evaluate_j(wp, uc, mf.optimal_pi(adj), ens,
+                                     return_sample=True)
+    h = hashlib.sha256()
+    for arr in (np.array([j, se]), v.stack(), sample):
+        h.update(arr.tobytes())
+    print(h.hexdigest(), repr(j), repr(se))
+""")
+
+
+def test_evaluate_j_independent_of_blas_threads():
+    """The same ensemble gives byte-identical utility output whatever the
+    number of BLAS threads."""
+    src = str(Path(mfbsde.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outs.append(subprocess.run(
+            [sys.executable, "-c", UTILITY_ARRAYS], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert outs[0] and outs[0] == outs[1]
