@@ -33,7 +33,7 @@ from mfbsde import (
     smooth_of_brownian,
     solve_adjoints,
 )
-from mfbsde.linear import MeanVector, assemble_system, simulate_gamma
+from mfbsde.linear import MeanVector, assemble_system
 from mfbsde.utility import lambda_euler_residual
 
 from conftest import mc_se
@@ -351,8 +351,8 @@ class TestEvaluateJ:
         assert raw(pi_c) == raw(pi)
 
 
-def _gemm_sources(coeffs, tc, ens, gamma=None, gamma_path=None,
-                  gamma_db=None, gamma_dn=None, derivative_rows=True):
+def _gemm_sources(coeffs, tc, ens, gamma, gamma_path, gamma_db=None,
+                  gamma_dn=None, derivative_rows=True):
     """Reference for assemble_system's pathwise running cost: the joint
     means E[G(t_i, t_l) g_l] and E[G(t_i, t_l)] as two (M+1)^2 matrix
     products over the paths, weighted by the trapezoid matrix.  The
@@ -361,8 +361,6 @@ def _gemm_sources(coeffs, tc, ens, gamma=None, gamma_path=None,
     base = assemble_system(coeffs, tc, ens, gamma=gamma,
                            gamma_path=np.zeros_like(gamma_path),
                            derivative_rows=derivative_rows)
-    if gamma is None:
-        gamma = simulate_gamma(coeffs, ens)
     m1, dt, n = ens.grid.steps + 1, ens.grid.dt, ens.n_paths
     wq = np.triu(np.full((m1, m1), dt))
     wq[np.arange(m1), np.arange(m1)] = 0.5 * dt
