@@ -3,8 +3,9 @@
 Subcommands: picard, linear, compare, utility, qcheck, validate.  Each
 run reads one scenario document, writes tidy CSV files with the fixed
 columns (node, time, statistic, value, se) plus a JSON manifest, and
-exits 0 on success, 2 on validation failure, 3 on non-convergence and 4
-on a failed comparison hypothesis.
+exits 0 on success, 2 on validation failure (or when the path count
+does not fit in memory), 3 on non-convergence and 4 on a failed
+comparison hypothesis.
 """
 from __future__ import annotations
 
@@ -301,6 +302,10 @@ def main(argv=None) -> int:
             code, error = EXIT_VALIDATION, exc
         except (NumericalError, MfbsdeError) as exc:
             code, error = EXIT_NO_CONVERGENCE, exc
+        except MemoryError:
+            code, error = EXIT_VALIDATION, (
+                f"out of memory at mc.paths = {cfg.n_paths}; lower "
+                "mc.paths or pass a smaller --paths")
     if error is not None:
         print(f"{args.command}: {error}", file=sys.stderr)
         writer.diagnostics["error"] = str(error)

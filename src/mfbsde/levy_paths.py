@@ -8,6 +8,8 @@ becomes a weighted sum over atoms.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -83,19 +85,6 @@ def build_grid(horizon: float, steps: int) -> TimeGrid:
     return TimeGrid(horizon=float(horizon), steps=int(steps))
 
 
-def _atom_generators(seed: int, n_atoms: int):
-    """Per-source generators derived from one seed.
-
-    Stream 0 drives the Brownian increments, streams 1..J the per-atom
-    Poisson counts.  Philox is counter-based, so regeneration is
-    bit-identical for the same (seed, shape) regardless of how callers
-    parallelise around this module.
-    """
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(n_atoms + 1)
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
-
-
 @dataclass(frozen=True)
 class PathEnsemble:
     """Seeded Monte Carlo ensemble of driving noise on a time grid.
@@ -146,48 +135,151 @@ class PathEnsemble:
         return out
 
 
-# Paths per draw: each block is cumulated into the node arrays, so no
-# whole-ensemble increment array is held, and a small block stays in
-# cache.  Row blocks of a Philox stream reproduce the whole draw, so the
-# value changes no number.
+# Paths per noise block.  Block b of source s (0 the Brownian motion,
+# 1 + j atom j) is drawn from its own counter-based Philox stream, keyed
+# by (seed, s, b), so this value is part of what the noise is: changing
+# it changes every seeded number.  Since each block is its own stream,
+# the blocks can be drawn in any order and on any number of threads with
+# the same result, and one block's (M, 256) draw stays in cache.
 _BLOCK_ROWS = 256
 
 
-def _blocks(n_paths: int):
-    """Row slices of at most _BLOCK_ROWS paths, with their sizes."""
-    for lo in range(0, n_paths, _BLOCK_ROWS):
-        k = min(_BLOCK_ROWS, n_paths - lo)
-        yield slice(lo, lo + k), k
+def _block_generator(seed: int, source: int, block: int):
+    """The stream of one path block of one noise source: the grandchild
+    (source, block) of the seed's SeedSequence."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(source, block))))
 
 
-def _brownian_nodes(gen, grid: TimeGrid, n_paths: int) -> np.ndarray:
-    """B(t_i), shape (n, M+1), node-major: N(0, dt) increments drawn from
-    gen and cumulated along each path."""
-    out = np.zeros((n_paths, grid.steps + 1), order="F")
-    buf = np.empty((min(n_paths, _BLOCK_ROWS), grid.steps))
-    for rows, k in _blocks(n_paths):
-        db = gen.standard_normal(out=buf[:k])
-        db *= math.sqrt(grid.dt)
-        np.cumsum(db, axis=1, out=out[rows, 1:])
+def _block_rows(n_paths: int, block: int) -> slice:
+    lo = block * _BLOCK_ROWS
+    return slice(lo, min(lo + _BLOCK_ROWS, n_paths))
+
+
+def _n_blocks(n_paths: int) -> int:
+    return -(-n_paths // _BLOCK_ROWS)
+
+
+def _worker_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _for_each_block(draw, n_blocks: int, buffer_size: int) -> None:
+    """Call draw(b, buf) for every block b, spread over one thread per
+    usable CPU; numpy's generators and ufuncs release the GIL.
+
+    Worker w takes the blocks w, w + workers, ... with its own scratch
+    buffer of `buffer_size` doubles, allocated here; worker 0 is the
+    calling thread.  A block writes only its own rows, so the result
+    does not depend on the number of workers.  The threads live for one
+    call, so nothing is left running across a fork.  Every thread is
+    joined before the first exception raised by a block is raised again
+    here.
+    """
+    workers = min(_worker_count(), n_blocks)
+    buffers = [np.empty(buffer_size) for _ in range(workers)]
+    errors = []
+
+    def run(w: int) -> None:
+        try:
+            for b in range(w, n_blocks, workers):
+                draw(b, buffers[w])
+        except BaseException as exc:  # raised again below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(w,))
+               for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
+def _cumulate_nodes(levels: np.ndarray) -> None:
+    """Running sum, in place, down the first (node) axis of node-major
+    levels: one contiguous add per node, in node order."""
+    for i in range(1, levels.shape[0]):
+        np.add(levels[i], levels[i - 1], out=levels[i])
+
+
+def _brownian_nodes(seed: int, grid: TimeGrid, n_paths: int) -> np.ndarray:
+    """B(t_i), shape (n, M+1), node-major: each block's N(0, dt)
+    increments are drawn node-major, (M, k), and stored in the block's
+    columns of the transposed levels, which are then cumulated node by
+    node."""
+    m, n_blocks = grid.steps, _n_blocks(n_paths)
+    out = np.zeros((n_paths, m + 1), order="F")
+    levels = out.T
+    scale = math.sqrt(grid.dt)
+    # made by the caller: each worker thread that allocates grows a
+    # malloc arena of its own, which shows in the peak RSS
+    gens = [_block_generator(seed, 0, b) for b in range(n_blocks)]
+
+    def draw(b: int, buf: np.ndarray) -> None:
+        rows = _block_rows(n_paths, b)
+        db = buf[:m * (rows.stop - rows.start)].reshape(m, -1)
+        gens[b].standard_normal(out=db)
+        np.multiply(db, scale, out=levels[1:, rows])
+
+    _for_each_block(draw, n_blocks, m * min(n_paths, _BLOCK_ROWS))
+    _cumulate_nodes(levels)
     return out
 
 
-def _poisson_counts(gens, comp: np.ndarray, n_paths: int,
-                    steps: int) -> np.ndarray:
+def _poisson_counts(seed: int, comp, n_paths: int, steps: int
+                    ) -> np.ndarray:
     """Cumulative per-atom Poisson counts N_j(t_i), shape (n, M+1, J),
-    node-major: atom j is drawn from gens[j] with per-step mean
-    comp[..., j] (a scalar or an (M,) column), stored in the smallest
-    unsigned type that holds the largest N_j(T)."""
-    out = np.zeros((n_paths, steps + 1, len(gens)), dtype=np.uint8,
-                   order="F")
-    for a, gen in enumerate(gens):
-        for rows, k in _blocks(n_paths):
-            cum = gen.poisson(comp[..., a], size=(k, steps))
-            np.cumsum(cum, axis=1, out=cum)
-            wide = np.promote_types(out.dtype,
-                                    np.min_scalar_type(cum[:, -1].max()))
-            out = out.astype(wide, order="F", copy=False)
-            out[rows, 1:, a] = cum
+    node-major, for per-step means comp broadcast to (M, J).
+
+    Each path draws its total N_j(T) ~ Poisson(sum_i comp_ij), then
+    places each jump in the step found by inverting the cumulative
+    compensator at a uniform.  Given the total, the steps of the jumps
+    are independent with P(step i) = comp_ij / sum_i comp_ij, so the
+    per-step counts are independent Poisson(comp_ij): the draw is exact
+    in law and costs O(n (1 + sum_i comp_ij)) numbers, not O(n M).  The
+    totals fix the smallest unsigned type that holds the largest
+    N_j(T) before anything is written.
+    """
+    comp = np.broadcast_to(comp, (steps, np.shape(comp)[-1]))
+    cum = np.cumsum(comp, axis=0)
+    n_atoms, n_blocks = cum.shape[1], _n_blocks(n_paths)
+    gens, totals = [], []
+    for b in range(n_blocks):
+        rows = _block_rows(n_paths, b)
+        gens.append([_block_generator(seed, 1 + a, b)
+                     for a in range(n_atoms)])
+        totals.append([g.poisson(mass, size=rows.stop - rows.start)
+                       for g, mass in zip(gens[b], cum[-1])])
+    top = max((int(t.max()) for ts in totals for t in ts), default=0)
+    out = np.zeros((n_paths, steps + 1, n_atoms),
+                   dtype=np.min_scalar_type(top), order="F")
+    one = out.dtype.type(1)  # add.at casts a Python int per element
+
+    def draw(b: int, buf: np.ndarray) -> None:
+        rows = _block_rows(n_paths, b)
+        for a in range(n_atoms):
+            levels = out[:, :, a].T            # (M+1, n), C-contiguous
+            total = totals[b][a]
+            u = gens[b][a].random(int(total.sum()))
+            u *= cum[-1, a]
+            step = np.searchsorted(cum[:, a], u, side="right")
+            # u * total mass can round up to the total mass itself
+            np.minimum(step, steps - 1, out=step)
+            step += 1
+            step *= n_paths
+            step += np.repeat(np.arange(rows.start, rows.stop), total)
+            np.add.at(levels.reshape(-1), step, one)
+
+    if n_atoms:
+        _for_each_block(draw, n_blocks, 0)
+        _cumulate_nodes(np.moveaxis(out.T, 1, 0))
     return out
 
 
@@ -195,15 +287,15 @@ def simulate_ensemble(
     grid: TimeGrid, levy: LevyMeasure, n_paths: int, seed: int
 ) -> PathEnsemble:
     """Draw Brownian increments N(0, dt) and per-atom Poisson counts with
-    mean weight * dt, all from per-source counter-based streams, and keep
-    their running sums on the grid nodes."""
+    mean weight * dt, each path block of each source from its own
+    counter-based stream, and keep their running sums on the grid
+    nodes."""
     if n_paths < 1:
         raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
-    gens = _atom_generators(seed, levy.n_atoms)
     return PathEnsemble(
         grid=grid, levy=levy, n_paths=n_paths, seed=seed,
-        brownian_nodes=_brownian_nodes(gens[0], grid, n_paths),
-        count_nodes=_poisson_counts(gens[1:], levy.weights * grid.dt,
+        brownian_nodes=_brownian_nodes(seed, grid, n_paths),
+        count_nodes=_poisson_counts(seed, levy.weights * grid.dt,
                                     n_paths, grid.steps),
     )
 
@@ -296,8 +388,8 @@ def shift_to_q(ens: PathEnsemble, beta1, eta1) -> PathEnsemble:
 
     Brownian levels acquire the drift cumsum(beta1 dt), a per-node
     scalar; atom j's counts are redrawn with intensity (1 + eta1) * weight
-    and cumulated.  The same per-source streams are reused, so a zero
-    tilt reproduces the input bit for bit.  The returned ensemble carries
+    and cumulated.  The same block streams are reused through the same
+    code, so a zero tilt reproduces the input bit for bit.  The returned ensemble carries
     its own drift/compensator so martingale increments stay correct
     downstream.
     """
@@ -312,11 +404,10 @@ def shift_to_q(ens: PathEnsemble, beta1, eta1) -> PathEnsemble:
 
     drift = b1 * grid.dt
     comp_q = (1.0 + e1) * levy.weights * grid.dt
-    gens = _atom_generators(ens.seed, levy.n_atoms)
     return replace(
         ens, measure="Q", bm_drift=drift, jump_comp=comp_q,
         brownian_nodes=ens.brownian_nodes
         + np.concatenate([[0.0], np.cumsum(drift)]),
-        count_nodes=_poisson_counts(gens[1:], comp_q, ens.n_paths,
+        count_nodes=_poisson_counts(ens.seed, comp_q, ens.n_paths,
                                     grid.steps),
     )

@@ -437,12 +437,21 @@ def y_closed_formula(coeffs: LinearCoefficients, tc: TerminalCondition,
     wq = np.full(m + 1, grid.dt)
     wq[0] = wq[-1] = 0.5 * grid.dt
     expl = gamma.exp_levels
-    if gamma_path is not None:
-        integrand = expl * (h[None, :] + gamma_path)
-    else:
-        integrand = expl * (h + cg.g)[None, :]
-    sample = terminal_value(tc, ens) * expl[:, -1] \
-        + integrand @ wq
+    if gamma_path is None:
+        h = h + cg.g
+    # the quadrature node by node, in node order, so that each path's
+    # sum does not depend on the layout of gamma_path
+    quad = np.zeros(ens.n_paths)
+    term = np.empty(ens.n_paths)
+    for i in range(m + 1):
+        if gamma_path is None:
+            np.multiply(expl[:, i], h[i], out=term)
+        else:
+            np.add(gamma_path[:, i], h[i], out=term)
+            term *= expl[:, i]
+        term *= wq[i]
+        quad += term
+    sample = terminal_value(tc, ens) * expl[:, -1] + quad
     y0, se = _mc_mean_se(sample[:, None])
     if return_sample:
         return float(y0[0]), float(se[0]), v.v1, sample

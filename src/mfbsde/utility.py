@@ -248,7 +248,10 @@ def solve_adjoints(uc: UtilityCoefficients, ens: PathEnsemble,
 
 def optimal_pi(adj: AdjointState) -> ControlProcess:
     """First-order optimal rate pi = lambda / p, with p floored at 1e-8
-    (warning counts reported through adj.floor_hits)."""
+    (warning counts reported through adj.floor_hits).  lambda is
+    regressed and can dip to 0 or below, where the rate is not positive
+    and `evaluate_j` rejects it; a warning counts those node values.
+    """
     hits = int((adj.p < P_FLOOR).sum())
     if hits:
         warnings.warn(
@@ -257,6 +260,12 @@ def optimal_pi(adj: AdjointState) -> ControlProcess:
         )
     adj.floor_hits = hits
     pi = adj.lam / np.maximum(adj.p, P_FLOOR)
+    bad = int((pi <= 0.0).sum())
+    if bad:
+        warnings.warn(
+            f"adjoint lambda <= 0 gives a non-positive rate on {bad} "
+            "node values", stacklevel=2,
+        )
     adj.pi_hat = pi
     det = bool(np.all(pi == pi[0]))
     return ControlProcess(pi[0].copy() if det else pi, det)
@@ -330,6 +339,12 @@ def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
         raise ConfigError("utility coefficients need a terminal theta")
     b0, s0, g0 = wp.on_grid(grid, levy)
     a0, a1, b0u, b1u, e0, e1 = uc.on_grid(grid, levy)
+    need_rows23 = np.any(b1u != 0.0) or np.any(e1 != 0.0)
+    if need_rows23 and not pi.deterministic:
+        raise CapabilityError(
+            "mean coupling of Z or K with an adapted consumption rate is "
+            "outside the closed-form route; use the Picard solver"
+        )
     if np.any(pi.values <= 0.0):
         raise DomainError("evaluate_j needs a strictly positive rate")
     x = simulate_wealth(wp, pi, ens)
@@ -338,12 +353,6 @@ def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
     coeffs = _utility_linear_coeffs(uc)
     tc = wealth_linear(uc.theta, x, s0, g0,
                        pi_is_deterministic=pi.deterministic)
-    need_rows23 = np.any(b1u != 0.0) or np.any(e1 != 0.0)
-    if need_rows23 and not pi.deterministic:
-        raise CapabilityError(
-            "mean coupling of Z or K with an adapted consumption rate is "
-            "outside the closed-form route; use the Picard solver"
-        )
     gamma = simulate_gamma(coeffs, ens)
     gamma_db = s0 if need_rows23 else None
     gamma_dn = np.log1p(g0) if need_rows23 else None

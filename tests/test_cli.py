@@ -230,6 +230,25 @@ class TestCli:
             vals.append(body)
         assert vals[0] != vals[1]
 
+    @pytest.mark.parametrize("where", ["ensemble", "runner"])
+    def test_out_of_memory_exits_2(self, picard_ini, tmp_path, capsys,
+                                   monkeypatch, where):
+        """A path count that does not fit in memory exits 2 with a
+        message that names mc.paths, and the manifest records it."""
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        if where == "ensemble":
+            monkeypatch.setattr(mfbsde.cli, "simulate_ensemble", no_memory)
+        else:
+            monkeypatch.setitem(mfbsde.cli.RUNNERS, "picard", no_memory)
+        out = tmp_path / "o"
+        assert main(["picard", "--config", str(picard_ini),
+                     "--paths", "123456", "--out", str(out)]) == 2
+        assert "mc.paths = 123456" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "mc.paths = 123456" in manifest["diagnostics"]["error"]
+
     def test_negative_seed_override_rejected(self, picard_ini, tmp_path,
                                              capsys):
         out = tmp_path / "o"

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from mfbsde import (
     solve_adjoints,
     solve_linear_y0,
 )
+from mfbsde import levy_paths
 from mfbsde.levy_paths import _log_exponential
 
 from conftest import mc_se
@@ -193,18 +196,37 @@ class TestEnsembleStorage:
     def test_heavy_atom_widens_counts(self):
         """An atom with weight * dt = 30 over 10 steps never draws more
         than 255 jumps in one step, but its running count passes 255: the
-        counts widen to two bytes.  The node differences equal the int64
-        Poisson draws and the scaled normals of the same Philox streams,
-        drawn whole, across path blocks, both when simulated and after a
-        zero tilt."""
+        counts widen to two bytes.  The node differences equal, exactly,
+        the per-step counts built from each block's own stream
+        SeedSequence(seed, spawn_key=(source, block)): the Poisson totals,
+        then one uniform per jump placed by the cumulative compensator.
+        The Brownian differences equal the block's node-major normals,
+        scaled.  Both hold when simulated and after a zero tilt."""
         grid = build_grid(1.0, 10)
         levy = LevyMeasure.from_atoms([(1.0, 0.7), (-0.5, 300.0)])
-        n, seed = 5000, 23
-        streams = np.random.SeedSequence(seed).spawn(1 + levy.n_atoms)
-        gens = [np.random.Generator(np.random.Philox(s)) for s in streams]
-        db = gens[0].standard_normal((n, grid.steps)) * math.sqrt(grid.dt)
-        want = [g.poisson(w * grid.dt, size=(n, grid.steps))
-                for g, w in zip(gens[1:], levy.weights)]
+        n, seed, m = 5000, 23, grid.steps
+        db, want = [], [[] for _ in levy.weights]
+        for b, lo in enumerate(range(0, n, 256)):
+            k = min(256, n - lo)
+
+            def stream(source):
+                return np.random.Generator(np.random.Philox(
+                    np.random.SeedSequence(seed, spawn_key=(source, b))))
+
+            db.append(stream(0).standard_normal((m, k)).T
+                      * math.sqrt(grid.dt))
+            for a, w in enumerate(levy.weights):
+                cum = np.cumsum(np.full(m, w * grid.dt))
+                gen = stream(1 + a)
+                total = gen.poisson(cum[-1], size=k)
+                u = gen.random(total.sum()) * cum[-1]
+                step = np.minimum(np.searchsorted(cum, u, side="right"),
+                                  m - 1)
+                path = np.repeat(np.arange(k), total)
+                want[a].append(np.bincount(path * m + step,
+                                           minlength=k * m).reshape(k, m))
+        db = np.concatenate(db)
+        want = [np.concatenate(w) for w in want]
         assert want[1].max() <= 255 < want[1].sum(axis=1).max()
         ens = simulate_ensemble(grid, levy, n, seed)
         for e in (ens, shift_to_q(ens, 0.0, 0.0)):
@@ -214,6 +236,80 @@ class TestEnsembleStorage:
                 assert np.array_equal(dn[:, :, a], want[a])
             np.testing.assert_allclose(np.diff(e.brownian_nodes, axis=1),
                                        db, rtol=0.0, atol=1e-15)
+
+
+class TestBlockKeys:
+    """Each 256-path block of each source has its own stream, so neither
+    the number of worker threads nor the order of the blocks changes a
+    byte."""
+
+    def test_worker_count_changes_no_byte(self, grid50, levy2,
+                                          monkeypatch):
+        """1 to 8 workers, over 9 blocks, with thread switches forced
+        often; a shared buffer or a lost write would change bytes."""
+        def draw(workers):
+            monkeypatch.setattr(levy_paths, "_worker_count",
+                                lambda: workers)
+            ens = simulate_ensemble(grid50, levy2, 2100, seed=4)
+            q = shift_to_q(ens, 0.2, lambda t, z: 0.5 * t - 0.2 * z)
+            return [a.tobytes() for e in (ens, q)
+                    for a in (e.brownian_nodes, e.count_nodes)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            want = draw(1)
+            for workers in (2, 3, 8):
+                assert draw(workers) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("source", [0, 1, 2])
+    def test_error_in_one_block_reaches_caller(self, grid50, levy2,
+                                               monkeypatch, source):
+        """Block 1 runs on the second of two workers, a thread of its
+        own; its draw runs out of memory, and the caller sees it."""
+        real = levy_paths._block_generator
+        raised_in = []
+
+        class Exhausted:
+            def __init__(self, gen):
+                self.poisson = gen.poisson
+
+            def standard_normal(self, *args, **kwargs):
+                raised_in.append(threading.current_thread())
+                raise MemoryError("block 1")
+
+            random = standard_normal
+
+        def failing(seed, s, b):
+            gen = real(seed, s, b)
+            return Exhausted(gen) if (s, b) == (source, 1) else gen
+
+        monkeypatch.setattr(levy_paths, "_worker_count", lambda: 2)
+        monkeypatch.setattr(levy_paths, "_block_generator", failing)
+        with pytest.raises(MemoryError, match="block 1"):
+            simulate_ensemble(grid50, levy2, 1000, seed=4)
+        assert len(raised_in) == 1
+        assert raised_in[0] is not threading.main_thread()
+
+    def test_time_dependent_tilt(self):
+        """Counts redrawn under a tilt that varies with time: each step's
+        mean count matches the tilted compensator within 4 SE, and N(T)
+        is Poisson: its variance equals its mean within 4 SE."""
+        grid = build_grid(1.0, 10)
+        levy = LevyMeasure.from_atoms([(1.0, 2.0)])
+        ens = simulate_ensemble(grid, levy, 100000, seed=8)
+        q = shift_to_q(ens, 0.0, lambda t, z: 1.5 * t - 0.6)
+        comp = (1.0 + 1.5 * grid.nodes[:-1] - 0.6) * 2.0 * grid.dt
+        np.testing.assert_allclose(q.jump_comp[:, 0], comp, rtol=1e-14)
+        dn = np.diff(q.count_nodes[:, :, 0].astype(float), axis=1)
+        for i in range(grid.steps):
+            assert abs(dn[:, i].mean() - comp[i]) <= 4 * mc_se(dn[:, i])
+        total = q.count_nodes[:, -1, 0].astype(float)
+        assert abs(total.mean() - comp.sum()) <= 4 * mc_se(total)
+        excess = (total - total.mean()) ** 2 - total
+        assert abs(excess.mean()) <= 4 * mc_se(excess)
 
 
 class TestLogExponential:

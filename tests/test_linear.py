@@ -317,6 +317,22 @@ class TestClosedFormula:
                                          gamma=g, gamma_path=gp)
         assert y0_path == pytest.approx(y0_det, abs=1e-10)
 
+    def test_gamma_path_layout_changes_no_byte(self, ens_small):
+        """A node-major running cost and its C-ordered copy, passed
+        straight to the closed formula, give byte-identical per-path
+        samples: the quadrature adds node by node, in node order."""
+        c = LinearCoefficients(alpha1=0.2, alpha2=0.1, beta1=0.1,
+                               terminal=smooth_of_brownian([1.0, 0.5]))
+        g = simulate_gamma(c, ens_small)
+        gp = np.asfortranarray(np.cos(ens_small.brownian_nodes))
+        v = neumann_solve(assemble_system(c, c.terminal, ens_small,
+                                          gamma=g, gamma_path=gp))
+        samples = [y_closed_formula(c, c.terminal, ens_small, v, gamma=g,
+                                    gamma_path=layout,
+                                    return_sample=True)[3].tobytes()
+                   for layout in (gp, np.ascontiguousarray(gp))]
+        assert samples[0] == samples[1]
+
 
 class TestCrossSolver:
     @pytest.mark.parametrize("coeffs", [

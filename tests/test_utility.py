@@ -318,6 +318,26 @@ class TestEvaluateJ:
         with pytest.raises(CapabilityError, match="Picard"):
             evaluate_j(wp, uc, pihat, ens_small)
 
+    def test_nonpositive_rate_values_counted(self, ens_small, basis):
+        """lambda is regressed and dips below 0 on this ensemble:
+        optimal_pi counts the rate values that are not positive in a
+        warning, and evaluate_j still raises the CapabilityError, which
+        does not depend on the data, before it looks at the rate."""
+        from mfbsde import CapabilityError
+
+        uc = UtilityCoefficients(beta0=0.1, beta1=0.2, eta0=0.1,
+                                 theta=constant(1.0))
+        adj = solve_adjoints(uc, ens_small, basis)
+        bad = int((adj.lam <= 0.0).sum())
+        assert bad > 0
+        with pytest.warns(UserWarning,
+                          match=rf"non-positive rate on {bad} node values"):
+            pihat = optimal_pi(adj)
+        assert int((pihat.values <= 0.0).sum()) == bad
+        with pytest.raises(CapabilityError, match="Picard"):
+            evaluate_j(WealthParams(x0=1.0, sigma0=0.2), uc, pihat,
+                       ens_small)
+
     def test_nonpositive_rate_rejected(self, ens_small, monkeypatch):
         """A bad rate fails before any wealth path is simulated."""
         def no_paths(*args, **kwargs):
