@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DriverSpec, TerminalCondition, terminal_value
+from .core import DriverSpec, TerminalCondition, _probe_blocks, \
+    terminal_value
 from .errors import ConfigError
 from .levy_paths import PathEnsemble, _eval_nodes_atoms
 from .picard import RegressionBasis, picard_mean_freeze
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 PROBE_TOL = 1e-9
+_PROBE_SEED = 17
 N_BATCHES = 20
 
 
@@ -63,20 +65,18 @@ class HypothesisReport:
 
 
 def verify_hypotheses(sc: ComparisonScenario, ens: PathEnsemble,
-                      n_probes: int = 10000, box: float = 5.0,
-                      seed: int = 17) -> HypothesisReport:
+                      n_probes: int = 10000) -> HypothesisReport:
     """Probe the three ordering hypotheses; records violations instead of
     raising.
 
     Terminal ordering is checked pathwise on the ensemble.  The driver
-    and jump conditions are checked on uniform random probes over the
-    box, with ordered mean pairs for the former and
-        g2(k1) - g2(k2) >= sum_j eta(t, z_j) (k1_j - k2_j) w_j
-    for the latter.
+    and jump conditions are checked on uniform random probes over a box,
+    spread over the grid nodes with each probe at a uniform node.  Each
+    probed node draws one ordered E[Y] pair for g1 >= g2 and one mean for
+        g2(k1) - g2(k2) >= sum_j eta(t, z_j) (k1_j - k2_j) w_j,
+    and each driver call takes all of that node's probes.  The first
+    violation of each kind is recorded with its node and values.
     """
-    if n_probes < 1:
-        raise ConfigError("n_probes must be >= 1")
-    rng = np.random.default_rng(seed)
     rep = HypothesisReport(True, True, True)
 
     v1 = terminal_value(sc.xi1, ens)
@@ -89,45 +89,42 @@ def verify_hypotheses(sc: ComparisonScenario, ens: PathEnsemble,
             ("terminal", f"path {n}: xi1={v1[n]:.6g} < xi2={v2[n]:.6g}")
         )
 
-    nodes = ens.grid.nodes
-    marks, w = ens.levy.marks, ens.levy.weights
-    nj = ens.levy.n_atoms
-    eta = _eval_nodes_atoms(sc.eta_bound, nodes, marks)
+    nodes, levy = ens.grid.nodes, ens.levy
+    nj = levy.n_atoms
+    eta_w = _eval_nodes_atoms(sc.eta_bound, nodes, levy.marks) * levy.weights
 
-    for _ in range(n_probes):
-        ti = rng.integers(0, len(nodes))
-        t = nodes[ti]
-        y, z = rng.uniform(-box, box, 2)
-        k = rng.uniform(-box, box, nj)
-        yb = np.sort(rng.uniform(-box, box, 2))
-        lhs = sc.g1(t, np.array([y]), np.array([z]), k[None],
-                    np.array([yb[1]]))[0]
-        rhs = sc.g2(t, np.array([y]), np.array([z]), k[None],
-                    np.array([yb[0]]))[0]
-        if lhs < rhs - PROBE_TOL:
-            if rep.driver_ordered:
+    for i, r, m in _probe_blocks(_PROBE_SEED, n_probes, len(nodes),
+                                 2 + 2 * nj, 3):
+        t = nodes[i]
+        y, z = r[:, 0], r[:, 1]
+        k1, k2 = r[:, 2:2 + nj], r[:, 2 + nj:]
+        if rep.driver_ordered:
+            lo, hi = np.sort(m[:2])[:, None]
+            lhs = sc.g1(t, y, z, k1, hi)
+            rhs = sc.g2(t, y, z, k1, lo)
+            bad = np.flatnonzero(lhs < rhs - PROBE_TOL)
+            if bad.size:
+                p = bad[0]
                 rep.driver_ordered = False
                 rep.violations.append(
                     ("driver",
-                     f"t={t:g}, y={y:.3g}, z={z:.3g}, ybar=({yb[1]:.3g},"
-                     f"{yb[0]:.3g}): g1={lhs:.6g} < g2={rhs:.6g}")
+                     f"t={t:g}, y={y[p]:.3g}, z={z[p]:.3g}, ybar=("
+                     f"{hi[0]:.3g},{lo[0]:.3g}): g1={lhs[p]:.6g} < "
+                     f"g2={rhs[p]:.6g}")
                 )
-        if nj:
-            k1 = rng.uniform(-box, box, nj)
-            k2 = rng.uniform(-box, box, nj)
-            ybm = np.array([rng.uniform(-box, box)])
-            d = sc.g2(t, np.array([y]), np.array([z]), k1[None], ybm)[0] \
-                - sc.g2(t, np.array([y]), np.array([z]), k2[None], ybm)[0]
-            bound = float((eta[ti] * (k1 - k2) * w).sum())
-            if d < bound - PROBE_TOL:
-                if rep.jump_bound_holds:
-                    rep.jump_bound_holds = False
-                    rep.violations.append(
-                        ("jump",
-                         f"t={t:g}, k1={np.round(k1, 3)}, "
-                         f"k2={np.round(k2, 3)}: increment {d:.6g} < "
-                         f"bound {bound:.6g}")
-                    )
+        if nj and rep.jump_bound_holds:
+            d = sc.g2(t, y, z, k1, m[2:]) - sc.g2(t, y, z, k2, m[2:])
+            bound = ((k1 - k2) * eta_w[i]).sum(axis=1)
+            bad = np.flatnonzero(d < bound - PROBE_TOL)
+            if bad.size:
+                p = bad[0]
+                rep.jump_bound_holds = False
+                rep.violations.append(
+                    ("jump",
+                     f"t={t:g}, k1={np.round(k1[p], 3)}, "
+                     f"k2={np.round(k2[p], 3)}: increment {d[p]:.6g} < "
+                     f"bound {bound[p]:.6g}")
+                )
     return rep
 
 
@@ -164,8 +161,7 @@ def _batch_min_se(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def run_comparison(sc: ComparisonScenario, ens: PathEnsemble,
                    basis: RegressionBasis, tol: float = 1e-6,
                    max_iter: int = 50, n_probes: int = 10000,
-                   force: bool = False, seed: int = 17
-                   ) -> ComparisonReport:
+                   force: bool = False) -> ComparisonReport:
     """Solve both equations on the same ensemble and certify the margin.
 
     Skips the solves (unless `force`) when a hypothesis fails; the
@@ -173,7 +169,7 @@ def run_comparison(sc: ComparisonScenario, ens: PathEnsemble,
     declared to hold when the global minimum margin is at least minus
     three batch-means standard errors.
     """
-    hyp = verify_hypotheses(sc, ens, n_probes=n_probes, seed=seed)
+    hyp = verify_hypotheses(sc, ens, n_probes=n_probes)
     if not hyp.all_pass and not force:
         return ComparisonReport(hypotheses=hyp, solved=False)
 

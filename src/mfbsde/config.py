@@ -388,6 +388,8 @@ def parse_config(text: str) -> ScenarioConfig:
             "n_probes": _get_int(cp, errs, "compare", "n_probes",
                                  default=10000),
         }
+        if compare["n_probes"] < 1:
+            errs.add("compare.n_probes", "must be >= 1")
     elif mode == "qcheck":
         if not cp.has_section("qcheck"):
             errs.add("qcheck", "missing required section")

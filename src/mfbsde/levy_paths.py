@@ -261,8 +261,9 @@ def _poisson_counts(seed: int, comp, n_paths: int, steps: int
     out = np.zeros((n_paths, steps + 1, n_atoms),
                    dtype=np.min_scalar_type(top), order="F")
     one = out.dtype.type(1)  # add.at casts a Python int per element
-
-    def draw(b: int, buf: np.ndarray) -> None:
+    # on the calling thread: searchsorted, the index arithmetic and
+    # add.at hold the GIL, so worker threads would gain nothing here
+    for b in range(n_blocks):
         rows = _block_rows(n_paths, b)
         for a in range(n_atoms):
             levels = out[:, :, a].T            # (M+1, n), C-contiguous
@@ -276,9 +277,7 @@ def _poisson_counts(seed: int, comp, n_paths: int, steps: int
             step *= n_paths
             step += np.repeat(np.arange(rows.start, rows.stop), total)
             np.add.at(levels.reshape(-1), step, one)
-
     if n_atoms:
-        _for_each_block(draw, n_blocks, 0)
         _cumulate_nodes(np.moveaxis(out.T, 1, 0))
     return out
 

@@ -458,13 +458,13 @@ def y_closed_formula(coeffs: LinearCoefficients, tc: TerminalCondition,
     return float(y0[0]), float(se[0]), v.v1
 
 
-def solve_linear_y0(coeffs: LinearCoefficients, ens: PathEnsemble,
-                    route: str = "neumann"):
-    """Convenience pipeline: assemble, solve the mean system, evaluate
-    Y(0).  Returns (y0, se, MeanVector)."""
+def solve_linear_y0(coeffs: LinearCoefficients, ens: PathEnsemble):
+    """Convenience pipeline: assemble, solve the mean system by the
+    Neumann series (`direct_solve` is its dense oracle), evaluate Y(0).
+    Returns (y0, se, MeanVector)."""
     gamma = simulate_gamma(coeffs, ens)
     sys = assemble_system(coeffs, coeffs.terminal, ens, gamma=gamma)
-    v = neumann_solve(sys) if route == "neumann" else direct_solve(sys)
+    v = neumann_solve(sys)
     y0, se, _ = y_closed_formula(coeffs, coeffs.terminal, ens, v, gamma=gamma)
     return y0, se, v
 

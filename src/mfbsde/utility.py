@@ -35,8 +35,8 @@ from .core import (
 from .errors import CapabilityError, ConfigError, DomainError
 from .levy_paths import PathEnsemble, _check_jump_tilt, _eval_nodes, \
     _eval_nodes_atoms, _log_exponential
-from .linear import assemble_system, direct_solve, neumann_solve, \
-    simulate_gamma, y_closed_formula
+from .linear import assemble_system, neumann_solve, simulate_gamma, \
+    y_closed_formula
 from .picard import RegressionBasis, _Regressions, picard_full_freeze
 
 __all__ = [
@@ -217,25 +217,6 @@ def adjoint_lambda(uc: UtilityCoefficients, ens: PathEnsemble):
     return lam, ups, mean_lam
 
 
-def lambda_euler_residual(uc: UtilityCoefficients, ens: PathEnsemble,
-                          lam: np.ndarray, mean_lam: np.ndarray
-                          ) -> float:
-    """Mean-square gap at T between the explicit lambda and an Euler
-    stepping of its forward equation (an O(dt) consistency check)."""
-    grid, levy = ens.grid, ens.levy
-    a0, a1, b0, b1, e0, e1 = uc.on_grid(grid, levy)
-    dt = grid.dt
-    w = levy.weights
-    le = np.ones(ens.n_paths)
-    for i in range(grid.steps):
-        d = ens.increments(i)
-        jump = ((e0[i] * le[:, None] + e1[i] * mean_lam[i])
-                * (d[:, 1:] - w * dt)).sum(axis=1)
-        le = le + (a0[i] * le + a1[i] * mean_lam[i]) * dt \
-            + (b0[i] * le + b1[i] * mean_lam[i]) * d[:, 0] + jump
-    return float(((lam[:, -1] - le) ** 2).mean())
-
-
 def solve_adjoints(uc: UtilityCoefficients, ens: PathEnsemble,
                    basis: RegressionBasis) -> AdjointState:
     """Both adjoints of the consumption problem on one ensemble."""
@@ -324,7 +305,7 @@ def _utility_linear_coeffs(uc: UtilityCoefficients) -> LinearCoefficients:
 
 def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
                pi: ControlProcess, ens: PathEnsemble,
-               route: str = "neumann", return_sample: bool = False):
+               return_sample: bool = False):
     """Utility of a consumption rate via the closed-form engine.
 
     Simulates wealth, builds the propagator from (a0, b0, e0), feeds the
@@ -359,7 +340,7 @@ def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
     sys = assemble_system(coeffs, tc, ens, gamma=gamma,
                           gamma_path=gamma_path, gamma_db=gamma_db,
                           gamma_dn=gamma_dn, derivative_rows=need_rows23)
-    v = neumann_solve(sys) if route == "neumann" else direct_solve(sys)
+    v = neumann_solve(sys)
     out = y_closed_formula(coeffs, tc, ens, v, gamma=gamma,
                            gamma_path=gamma_path,
                            return_sample=return_sample)

@@ -472,6 +472,14 @@ def test_compare_eta_bound_count(tmp_path, capsys, eta_bound, code):
         assert "compare.eta_bound" in capsys.readouterr().err
 
 
+def test_compare_n_probes_below_one_fails_validation(tmp_path, capsys):
+    ini = tmp_path / "c.ini"
+    ini.write_text(COMPARE_THREE_ATOMS.replace("n_probes = 20",
+                                               "n_probes = 0"))
+    assert main(["validate", "--config", str(ini)]) == 2
+    assert "compare.n_probes" in capsys.readouterr().err
+
+
 DETERMINISM_LINEAR = textwrap.dedent("""
     [run]
     mode = linear

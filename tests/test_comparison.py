@@ -65,6 +65,32 @@ class TestHypotheses:
         assert not rep.terminal_ordered
         assert "xi1" in rep.violations[0][1]
 
+    def test_driver_violation_names_node(self, ens_small):
+        sc = ComparisonScenario(zero(), plus_one(), constant(1.0),
+                                constant(1.0))
+        rep = verify_hypotheses(sc, ens_small, n_probes=50)
+        assert not rep.driver_ordered
+        assert rep.terminal_ordered and rep.jump_bound_holds
+        assert [kind for kind, _ in rep.violations] == ["driver"]
+        assert rep.violations[0][1].startswith("t=")
+
+    @pytest.mark.parametrize("n_probes", [10, 500, 5000])
+    def test_driver_calls_per_node(self, ens_small, n_probes):
+        """One call per mean: an ordered E[Y] pair and one jump-check
+        mean taken with two jump rows, each on all of a node's probes."""
+        calls = []
+
+        def counting(t, y, z, k, mu):
+            calls.append(t)
+            return np.zeros_like(y)
+
+        g = drv(counting, 0.0, "counting")
+        rep = verify_hypotheses(ComparisonScenario(g, g, constant(1.0),
+                                                   constant(1.0)),
+                                ens_small, n_probes=n_probes)
+        assert rep.all_pass
+        assert len(calls) <= 4 * len(ens_small.grid.nodes)
+
     def test_mean_channel_required(self):
         with pytest.raises(ConfigError, match="mean"):
             ComparisonScenario(

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mfbsde import (
     CapabilityError,
+    ConfigError,
     DriverSpec,
     LinearCoefficients,
     SolutionGrid,
@@ -194,6 +196,43 @@ class TestProbes:
     def test_mean_functional_bound(self):
         worst = probe_mean_functional(mean_y(), 1, n_probes=100)
         assert worst <= 1.05
+
+    def test_no_probes_rejected(self, grid50, levy1):
+        drv = DriverSpec(lambda t, y, z, k, mu: y, 1.0, 1)
+        with pytest.raises(ConfigError, match="n_probes"):
+            probe_driver(drv, grid50, levy1, n_probes=0)
+        with pytest.raises(ConfigError, match="n_probes"):
+            probe_mean_functional(mean_y(), 1, n_probes=0)
+
+    @pytest.mark.parametrize("n_probes", [10, 300, 5000])
+    def test_driver_calls_per_node(self, grid50, levy1, n_probes):
+        """One call per mean of each probed node's pair, plus the origin
+        call of every node, whatever the number of probes."""
+        calls = []
+
+        def ev(t, y, z, k, mu):
+            calls.append(t)
+            return 0.5 * y
+
+        probe_driver(DriverSpec(ev, 0.5, 1), grid50, levy1,
+                     n_probes=n_probes)
+        assert len(calls) <= 3 * len(grid50.nodes)
+
+    @pytest.mark.parametrize("n_probes", [10, 5000])
+    def test_mean_functional_calls(self, n_probes):
+        """Base rows, y, z and each of the J jump coordinates stepped:
+        3 + J calls on all rows at once."""
+        phi = mean_yzk(2)
+        calls = []
+
+        def ev(y, z, k):
+            calls.append(len(y))
+            return phi.eval(y, z, k)
+
+        worst = probe_mean_functional(replace(phi, eval=ev), 2,
+                                      n_probes=n_probes)
+        assert calls == [n_probes] * 5
+        assert worst == pytest.approx(1.0, rel=1e-6)
 
     def test_default_beta(self):
         drv = DriverSpec(lambda t, y, z, k, mu: y, 1.0, 1)

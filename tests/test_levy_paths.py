@@ -267,8 +267,9 @@ class TestBlockKeys:
     @pytest.mark.parametrize("source", [0, 1, 2])
     def test_error_in_one_block_reaches_caller(self, grid50, levy2,
                                                monkeypatch, source):
-        """Block 1 runs on the second of two workers, a thread of its
-        own; its draw runs out of memory, and the caller sees it."""
+        """Block 1's draw runs out of memory, and the caller sees it.
+        The Brownian block runs on the second of two workers, a thread
+        of its own; the count blocks are drawn on the calling thread."""
         real = levy_paths._block_generator
         raised_in = []
 
@@ -291,7 +292,7 @@ class TestBlockKeys:
         with pytest.raises(MemoryError, match="block 1"):
             simulate_ensemble(grid50, levy2, 1000, seed=4)
         assert len(raised_in) == 1
-        assert raised_in[0] is not threading.main_thread()
+        assert (raised_in[0] is threading.current_thread()) == (source > 0)
 
     def test_time_dependent_tilt(self):
         """Counts redrawn under a tilt that varies with time: each step's

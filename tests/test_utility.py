@@ -34,9 +34,25 @@ from mfbsde import (
     solve_adjoints,
 )
 from mfbsde.linear import MeanVector, assemble_system
-from mfbsde.utility import lambda_euler_residual
 
 from conftest import mc_se
+
+
+def lambda_euler_residual(uc, ens, lam, mean_lam):
+    """Mean-square gap at T between the explicit lambda and an Euler
+    stepping of its forward equation (an O(dt) consistency check)."""
+    grid, levy = ens.grid, ens.levy
+    a0, a1, b0, b1, e0, e1 = uc.on_grid(grid, levy)
+    dt = grid.dt
+    w = levy.weights
+    le = np.ones(ens.n_paths)
+    for i in range(grid.steps):
+        d = ens.increments(i)
+        jump = ((e0[i] * le[:, None] + e1[i] * mean_lam[i])
+                * (d[:, 1:] - w * dt)).sum(axis=1)
+        le = le + (a0[i] * le + a1[i] * mean_lam[i]) * dt \
+            + (b0[i] * le + b1[i] * mean_lam[i]) * d[:, 0] + jump
+    return float(((lam[:, -1] - le) ** 2).mean())
 
 
 class TestWealth:
