@@ -144,6 +144,12 @@ class PathEnsemble:
 _BLOCK_ROWS = 256
 
 
+# Paths per chunk of the work that reads the noise a row block at a
+# time, node-major: the stochastic exponent and the closed-form passes.
+# Four noise blocks, so that one chunk's (M+1, k) planes stay in cache.
+_PASS_ROWS = 4 * _BLOCK_ROWS
+
+
 def _block_generator(seed: int, source: int, block: int):
     """The stream of one path block of one noise source: the grandchild
     (source, block) of the seed's SeedSequence."""
@@ -200,6 +206,23 @@ def _for_each_block(draw, n_blocks: int, buffer_size: int) -> None:
         t.join()
     if errors:
         raise errors[0]
+
+
+def _over_row_blocks(rows: range, shape: tuple, work) -> None:
+    """Call work(b, part, scratch) for the b-th run `part` of at most
+    _PASS_ROWS consecutive rows, on the block workers; scratch is a
+    node-major (*shape, k) view of the worker's buffer for a run of k
+    rows."""
+    size = math.prod(shape)
+
+    def run(b: int, buf: np.ndarray) -> None:
+        lo = rows.start + b * _PASS_ROWS
+        part = slice(lo, min(lo + _PASS_ROWS, rows.stop))
+        k = part.stop - part.start
+        work(b, part, buf[:size * k].reshape(*shape, k))
+
+    _for_each_block(run, -(-len(rows) // _PASS_ROWS),
+                    size * min(len(rows), _PASS_ROWS))
 
 
 def _cumulate_nodes(levels: np.ndarray) -> None:
@@ -329,9 +352,13 @@ def _check_jump_tilt(values: np.ndarray, nodes, marks, name: str) -> None:
         )
 
 
-def _log_exponential(ens: PathEnsemble, drift, vol, jump) -> np.ndarray:
+def _log_exponential(ens: PathEnsemble, drift, vol, jump,
+                     rows: slice = slice(None),
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Log of the stochastic exponential of (drift, vol, jump) on the
-    grid, shape (n, M+1), zero at t_0.
+    grid for the paths `rows`, node-major: shape (M+1, k) for k rows,
+    zero at t_0.  The transpose of an all-rows call is the (n, M+1)
+    exponent in the layout of the ensemble's node arrays.
 
     Each step adds
         (drift - vol^2/2) dt + vol dB
@@ -340,29 +367,43 @@ def _log_exponential(ens: PathEnsemble, drift, vol, jump) -> np.ndarray:
     compensated log term plus the (log(1 + jump) - jump) w dt
     correction, collected over raw counts.  `drift` is (M,) or
     pathwise (n, M), `vol` is (M,) and `jump` is (M, J), all taken at
-    left nodes; jump values must exceed -1.  The exponent is accumulated
-    node by node into node-major output, the layout of the ensemble's
-    node arrays.
+    left nodes; jump values must exceed -1.  The rows are taken in
+    chunks of _PASS_ROWS on the block workers, each chunk every step at
+    once, then its running sum node by node.  Each element sees the same
+    operations in the same order whatever the chunk, so a path's exponent
+    does not depend on the rows it is computed with.  `out`, if given, is
+    the (M+1, k) array to write.
     """
     grid, levy = ens.grid, ens.levy
-    dt = grid.dt
+    dt, m = grid.dt, grid.steps
+    lo, hi, _ = rows.indices(ens.n_paths)
     det = (drift - 0.5 * vol**2) * dt
+    pathwise = det.ndim == 2
+    det = det.T if pathwise else det[:, None]
+    vol = vol[:, None]
     logj = np.log1p(jump)
     comp = jump * levy.weights * dt
-    out = np.empty((ens.n_paths, grid.steps + 1), order="F")
-    out[:, 0] = 0.0
-    d = np.empty((ens.n_paths, 1 + levy.n_atoms), order="F")
-    for i in range(grid.steps):
-        ens.increments(i, out=d)
-        step = out[:, i + 1]
-        np.multiply(vol[i], d[:, 0], out=step)
-        step += det[..., i]
+    if out is None:
+        out = np.empty((m + 1, hi - lo))
+    out[0] = 0.0
+
+    def chunk(c: int, part: slice, dn: np.ndarray) -> None:
+        levels = ens.brownian_nodes[part].T          # (M+1, k) views
+        counts = ens.count_nodes[part].transpose(2, 1, 0)
+        level = out[:, part.start - lo:part.stop - lo]
+        step = level[1:]
+        np.subtract(levels[1:], levels[:-1], out=step)
+        step *= vol
+        step += det[:, part] if pathwise else det
         for a in range(levy.n_atoms):
-            dn = d[:, 1 + a]
-            dn *= logj[i, a]
-            dn -= comp[i, a]
+            # counts are differenced forward: the subtraction cannot wrap
+            np.subtract(counts[a, 1:], counts[a, :-1], out=dn)
+            dn *= logj[:, a, None]
+            dn -= comp[:, a, None]
             step += dn
-        step += out[:, i]
+        _cumulate_nodes(level)
+
+    _over_row_blocks(range(lo, hi), (m,), chunk)
     return out
 
 
@@ -378,7 +419,7 @@ def girsanov_density(ens: PathEnsemble, beta1, eta1) -> np.ndarray:
     b1 = _eval_nodes(beta1, nodes)[:-1]
     e1 = _eval_nodes_atoms(eta1, nodes, levy.marks)
     _check_jump_tilt(e1, nodes, levy.marks, "eta1")
-    logm = _log_exponential(ens, 0.0, b1, e1[:-1])
+    logm = _log_exponential(ens, 0.0, b1, e1[:-1]).T
     return np.exp(logm, out=logm)
 
 

@@ -1,11 +1,18 @@
 """Closed-form engine for the linear mean-field equation.
 
-Pipeline: simulate the exponential propagator on the ensemble, assemble
+Pipeline: set up the exponential propagator on the ensemble, assemble
 the deterministic system V = F + AV for the means (Ybar, Zbar, Kbar),
 solve it by a windowed Neumann series (with a dense factorisation as the
 oracle route), and evaluate Y(0) as a plain Monte Carlo mean of the
 propagator-weighted functional.  A measure-change special case solves the
 tilted equation by weighted and by shifted simulation.
+
+The paths are read only through per-node averages, so the route runs in
+two passes over blocks of _PASS_ROWS paths on the block workers of the
+noise draw: the source assembly, then the closed formula.  Each block
+computes its propagator exponent in its worker's scratch; no (n, M+1)
+propagator, source or sample array is formed.  Per-block moments are
+merged in block order, so the worker count changes no byte.
 
 Derivative conventions: variational derivatives are taken as left limits
 in time, so the propagator factors drop out of the rows for Zbar and
@@ -32,10 +39,12 @@ from .core import (
 )
 from .errors import CapabilityError, ConfigError, NumericalError
 from .levy_paths import (
+    _PASS_ROWS,
     PathEnsemble,
     _check_jump_tilt,
     _eval_nodes,
     _log_exponential,
+    _over_row_blocks,
     girsanov_density,
     shift_to_q,
 )
@@ -61,29 +70,55 @@ __all__ = [
 # Propagator
 # ---------------------------------------------------------------------------
 
+def _a1_cum(a1: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative left-node dt-quadrature of a1 on the grid nodes."""
+    return np.concatenate([[0.0], np.cumsum(a1[:-1] * dt)])
+
+
 @dataclass(frozen=True)
 class GammaEnsemble:
-    """Exponential propagator stored through one running exponent per path.
+    """Exponential propagator of (a1, b1, e1) on an ensemble.
 
-    gamma(i, l) = exp(L[:, l] - L[:, i]) for i <= l, which makes the
-    diagonal exactly one and the flow property exact by construction.
-    The levels exp(L) = gamma(0, .) are taken once, here, for the source
-    assembly and the closed formula to share.
+    gamma(i, l) = exp(L_l - L_i) for i <= l, with L the running exponent
+    of each path, which makes the diagonal exactly one and the flow
+    property exact by construction.  No path array is held: the closed
+    form computes L block by block (`_log_exponential` over a row
+    block), and `log_levels` gives the whole (n, M+1) exponent on
+    request.
     """
 
     ens: PathEnsemble
-    log_level: np.ndarray   # (n, M+1), L[:, 0] = 0
+    a1: np.ndarray          # (M+1,) coefficients on the grid nodes
+    b1: np.ndarray          # (M+1,)
+    e1: np.ndarray          # (M+1, J)
     a1_cum: np.ndarray      # (M+1,) cumulative dt-quadrature of a1
-    exp_levels: np.ndarray  # (n, M+1), exp(log_level)
+
+    def log_block(self, rows: slice, out: Optional[np.ndarray] = None
+                  ) -> np.ndarray:
+        """L on the paths `rows`, node-major (M+1, k)."""
+        return _log_exponential(self.ens, self.a1[:-1], self.b1[:-1],
+                                self.e1[:-1], rows, out)
+
+    def log_levels(self) -> np.ndarray:
+        """The whole exponent L, shape (n, M+1), L[:, 0] = 0."""
+        return self.log_block(slice(None)).T
 
     def factor(self, i: int, l: int) -> np.ndarray:
-        return np.exp(self.log_level[:, l] - self.log_level[:, i])
+        """gamma(t_i, t_l) on every path, shape (n,)."""
+        out = np.empty(self.ens.n_paths)
+
+        def work(b: int, rows: slice, planes: np.ndarray) -> None:
+            lv = self.log_block(rows, out=planes[0])
+            np.exp(lv[l] - lv[i], out=out[rows])
+
+        _over_row_blocks(range(self.ens.n_paths), (1, self.a1.size), work)
+        return out
 
 
 def simulate_gamma(coeffs: LinearCoefficients, ens: PathEnsemble
                    ) -> GammaEnsemble:
-    """Pathwise evaluation of the propagator: the stochastic exponential
-    of (a1, b1, e1)."""
+    """The propagator: the stochastic exponential of (a1, b1, e1) on the
+    ensemble, evaluated path block by path block where it is read."""
     cg = coeffs.on_grid(ens.grid, ens.levy)
     return _simulate_gamma_grid(cg, ens)
 
@@ -92,20 +127,33 @@ def _simulate_gamma_grid(cg: CoefficientGrid, ens: PathEnsemble
                          ) -> GammaEnsemble:
     grid, levy = ens.grid, ens.levy
     _check_jump_tilt(cg.e1, grid.nodes, levy.marks, "eta1")
-    log_level = _log_exponential(ens, cg.a1[:-1], cg.b1[:-1], cg.e1[:-1])
-    a1_cum = np.concatenate([[0.0], np.cumsum(cg.a1[:-1] * grid.dt)])
-    return GammaEnsemble(ens=ens, log_level=log_level, a1_cum=a1_cum,
-                         exp_levels=np.exp(log_level))
+    return GammaEnsemble(ens=ens, a1=cg.a1, b1=cg.b1, e1=cg.e1,
+                         a1_cum=_a1_cum(cg.a1, grid.dt))
+
+
+def _node_index(grid, t: float, name: str) -> int:
+    """Index of the grid node at time t; ConfigError naming `name`
+    unless t is a node of [0, T]."""
+    x = t / grid.dt
+    i = int(round(x))
+    if not (0 <= i <= grid.steps and abs(x - i) <= 1e-9 * max(1.0, x)):
+        raise ConfigError(
+            f"mean_gamma needs {name} on a grid node of [0, "
+            f"{grid.horizon:g}], got {name}={t:g}"
+        )
+    return i
 
 
 def mean_gamma(coeffs: LinearCoefficients, grid, levy, t: float, s: float
                ) -> float:
-    """exp of the grid quadrature of a1 over [t, s]; t, s are grid times."""
+    """E[gamma(t, s)] = exp of the grid quadrature of a1 over [t, s], for
+    grid times 0 <= t <= s <= T; from the same cumulative quadrature
+    the propagator carries."""
     if s < t:
         raise ConfigError("mean_gamma needs t <= s")
-    cg = coeffs.on_grid(grid, levy)
-    i, l = int(round(t / grid.dt)), int(round(s / grid.dt))
-    return float(np.exp(cg.a1[i:l].sum() * grid.dt))
+    i, l = _node_index(grid, t, "t"), _node_index(grid, s, "s")
+    a1_cum = _a1_cum(coeffs.on_grid(grid, levy).a1, grid.dt)
+    return float(np.exp(a1_cum[l] - a1_cum[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -151,45 +199,53 @@ def _mc_mean_se(samples: np.ndarray):
     return samples.mean(axis=0), se
 
 
-def _row_mean_se(terms, expl_inv: np.ndarray, exp_t: np.ndarray):
-    """Per-node mean and standard error of sum_k path_k prof_k(t_i)
-    Gamma(t_i, T) for separable derivative terms (path_k, prof_k), in one
-    pass over an (n, M+1) sample matrix."""
-    terms = [(path, prof) for path, prof in terms if prof.any()]
-    if not terms:
-        return np.zeros(expl_inv.shape[1]), np.zeros(expl_inv.shape[1])
-    if len(terms) == 1:
-        (path, prof), = terms
-        mean, se = _mc_mean_se(expl_inv * (path * exp_t)[:, None])
-        return prof * mean, np.abs(prof) * se
-    # einsum, not a BLAS product: the result must not depend on threading
-    samples = np.einsum("kn,km->nm",
-                        np.array([path * exp_t for path, _ in terms]),
-                        np.array([prof for _, prof in terms]))
-    samples *= expl_inv
-    return _mc_mean_se(samples)
+def _merge_moments(sizes: np.ndarray, sums: np.ndarray, m2: np.ndarray):
+    """Per-node mean and standard error from the (blocks, M+1) slots of
+    per-block sums and centred sums of squares over `sizes` paths each,
+    merged in block order by the update of Chan, Golub & LeVeque (Am.
+    Stat. 1983) taken over all blocks at once: the centred sums of
+    squares add, plus k_b (mean_b - mean)^2 for each block of k_b paths.
+    No raw second moment is formed, so the error matches a two-pass
+    standard deviation."""
+    n = sizes.sum()
+    mean = sums.sum(axis=0) / n
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    k = sizes[:, None]
+    dev = sums / k - mean
+    var = (m2.sum(axis=0) + (k * dev * dev).sum(axis=0)) / (n - 1)
+    return mean, np.sqrt(var) / math.sqrt(n)
 
 
-def _running_mean(expl: np.ndarray, expl_inv: np.ndarray,
-                  g: Optional[np.ndarray], dt: float) -> np.ndarray:
-    """int_{t_i}^T E[G(t_i, s) g(s)] ds on the trapezoid rule, for every
-    node i, with g = 1 when `g` is None.
+def _reverse_trapezoid(v: np.ndarray, tmp: np.ndarray) -> None:
+    """Replace v (M+1, k), node-major, by S_i = sum_{i<=l<M} (v_l +
+    v_{l+1}), the per-path reverse sums of trapezoid pairs, grown from
+    S_M = 0 one node at a time going left: 0.5 dt S_i is the trapezoid
+    rule for int_{t_i}^T v.  tmp is scratch of the same shape."""
+    m = v.shape[0] - 1
+    np.add(v[:-1], v[1:], out=tmp[:-1])
+    np.cumsum(tmp[m - 1::-1], axis=0, out=v[m - 1::-1])
+    v[m] = 0.0
 
-    Each row is E[expl_inv_i R_i] for the per-path reverse trapezoid sum
-    R_i = sum_{l>=i} wq_il expl_l g_l, which grows from R_M = 0 by one
-    trapezoid per node going left: O(nM) work, reduced with einsum so the
-    result does not depend on BLAS threading.
-    """
-    n, m1 = expl.shape
-    out = np.zeros(m1)
-    run = np.zeros(n)
-    right = expl[:, -1] if g is None else expl[:, -1] * g[:, -1]
-    for i in range(m1 - 2, -1, -1):
-        left = expl[:, i] if g is None else expl[:, i] * g[:, i]
-        run += 0.5 * dt * (left + right)
-        out[i] = np.einsum("p,p->", expl_inv[:, i], run) / n
-        right = left
-    return out
+
+def _propagator_inputs(gamma: Optional[GammaEnsemble], gamma_path,
+                       cg: CoefficientGrid, ens: PathEnsemble):
+    """The propagator on ens, simulated when not given, and the pathwise
+    running cost as floats or None; ConfigError for a propagator of
+    another ensemble or a running cost of the wrong shape."""
+    if gamma is None:
+        gamma = _simulate_gamma_grid(cg, ens)
+    elif gamma.ens is not ens:
+        raise ConfigError(
+            "gamma was simulated on another ensemble; pass the "
+            "propagator of this ensemble"
+        )
+    if gamma_path is None:
+        return gamma, None
+    gp = np.asarray(gamma_path, dtype=float)
+    if gp.shape != (ens.n_paths, ens.grid.steps + 1):
+        raise ConfigError("gamma_path must have shape (n_paths, M+1)")
+    return gamma, gp
 
 
 def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
@@ -205,19 +261,25 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
         F1(t) = E[xi G(t,T)] + int_t^T E[G(t,s) gamma(s)] ds
         F2(t) = E[D_t xi  G(t,T)] + int_t^T E[G(t,s)] D_t gamma ds
         F3(t,z) = E[D_{t,z} xi G(t,T)] + int_t^T E[G(t,s)] D_{t,z} gamma ds
-    with the derivatives of xi from the closed-form catalog, each row in
-    one pass over the paths.  gamma is the deterministic coefficient
-    unless `gamma_path` (n, M+1) is given, in which case the joint
-    pathwise products are averaged and the deterministic derivative
-    profiles `gamma_db` (M+1,) and `gamma_dn` (M+1, J) supply the last
-    terms (they vanish for deterministic gamma).
+    with the derivatives of xi from the closed-form catalog.  gamma is
+    the deterministic coefficient unless `gamma_path` (n, M+1) is given,
+    in which case the joint pathwise products are averaged and the
+    deterministic derivative profiles `gamma_db` (M+1,) and `gamma_dn`
+    (M+1, J) supply the last terms (they vanish for deterministic gamma).
 
-    The pathwise running cost sum_l wq_il E[G(t_i, t_l) g_l] is
-    E[G(0, t_i)^-1 R_i] with R_i = sum_{l>=i} wq_il G(0, t_l) g_l, a
-    per-path reverse trapezoid sum built node by node from the right:
-    O(nM) work, where the (M+1)^2 matrix of joint means costs O(nM^2).
-    The tail int_t^T E[G] ds of the derivative rows is the same sum with
-    g = 1, taken only when such a row reads it.
+    One pass over blocks of _PASS_ROWS paths on the block workers: each
+    block forms its propagator exponent, exp(-L) and G(., T) in the
+    worker's scratch and writes the per-node sums and centred sums of
+    squares of every source row into its own slot; after the join the
+    slots are merged in block order, so the worker count changes no
+    byte.  A row that is one (path factor) x (node profile) term takes
+    the moments of the path factor's sample and scales them by the
+    profile.  The pathwise running cost sum_l wq_il E[G(t_i, t_l) g_l]
+    is E[G(0, t_i)^-1 R_i] with R_i = sum_{l>=i} wq_il G(0, t_l) g_l, a
+    per-path reverse trapezoid sum: O(nM) work, where the (M+1)^2
+    matrix of joint means costs O(nM^2).  The tail int_t^T E[G] ds of
+    the derivative rows is the same sum with g = 1, taken only when
+    such a row reads it.
     """
     grid, levy = ens.grid, ens.levy
     if tc is None:
@@ -230,8 +292,7 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
             "derivative catalog; solve with the Picard route instead"
         )
     cg = coeffs.on_grid(grid, levy)
-    if gamma is None:
-        gamma = _simulate_gamma_grid(cg, ens)
+    gamma, gp = _propagator_inputs(gamma, gamma_path, cg, ens)
     m1 = grid.steps + 1
     nj = levy.n_atoms
     dt = grid.dt
@@ -247,34 +308,82 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     wq[-1, -1] = 0.0
     wq[np.tril_indices(m1, k=-1)] = 0.0
 
-    expl = gamma.exp_levels              # (n, M+1)
-    expl_inv = np.exp(-gamma.log_level)
-    exp_t = expl[:, -1]
-    xi = terminal_value(tc, ens)
+    # source rows as (path factor, node profile) terms: F1's terminal
+    # part, then F2 and each F3_j
+    brownian, jumps = derivative_terms(tc, ens) if derivative_rows \
+        else ([], [[]] * nj)
+    row_terms = [[(path, prof) for path, prof in terms if prof.any()]
+                 for terms in [[(terminal_value(tc, ens), np.ones(m1))],
+                               brownian, *jumps]]
+    paths = [np.array([path for path, _ in terms]) for terms in row_terms]
+    profs = [np.array([prof for _, prof in terms]) for terms in row_terms]
+    live = [r for r, terms in enumerate(row_terms) if terms]
+    tail = gp is not None and derivative_rows and (
+        gamma_db is not None or gamma_dn is not None)
 
-    # terminal sources E[. Gamma(t_i, T)]
-    f1, f1_se = _mc_mean_se(expl_inv * (xi * exp_t)[:, None])
-    f2, f2_se = np.zeros(m1), np.zeros(m1)
+    n_blocks = -(-n // _PASS_ROWS)
+    sizes = np.minimum(_PASS_ROWS, n - _PASS_ROWS * np.arange(n_blocks)
+                       ).astype(float)
+    sums = np.zeros((len(row_terms), n_blocks, m1))
+    m2 = np.zeros((len(row_terms), n_blocks, m1))
+    running = np.zeros((2, n_blocks, m1))   # running cost, then tail
+
+    def work(b: int, rows: slice, planes: np.ndarray) -> None:
+        einv, sample = planes[:2]
+        gamma.log_block(rows, out=einv)
+        exp_t = np.exp(einv[-1])
+        if gp is not None:
+            expl, v = planes[2:]
+            np.exp(einv, out=expl)
+        np.negative(einv, out=einv)
+        np.exp(einv, out=einv)
+        for r in live:
+            factors = paths[r][:, rows] * exp_t
+            if len(factors) == 1:
+                np.multiply(einv, factors[0], out=sample)
+            else:
+                # einsum, not a BLAS product: the result must not depend
+                # on threading
+                np.einsum("kn,km->mn", factors, profs[r], out=sample)
+                sample *= einv
+            # the block's sum and centred sum of squares at each node
+            np.sum(sample, axis=1, out=sums[r, b])
+            sample -= (sums[r, b] / sample.shape[1])[:, None]
+            np.einsum("ij,ij->i", sample, sample, out=m2[r, b])
+        if gp is None:
+            return
+        v[...] = gp[rows].T   # node-major, whatever the caller's layout
+        v *= expl
+        _reverse_trapezoid(v, sample)
+        np.einsum("ij,ij->i", einv, v, out=running[0, b])
+        if tail:
+            _reverse_trapezoid(expl, sample)
+            np.einsum("ij,ij->i", einv, expl, out=running[1, b])
+
+    _over_row_blocks(range(n), (2 if gp is None else 4, m1), work)
+
+    moments = [(np.zeros(m1), np.zeros(m1)) for _ in row_terms]
+    for r in live:
+        mean, se = _merge_moments(sizes, sums[r], m2[r])
+        if len(row_terms[r]) == 1:
+            prof = profs[r][0]
+            mean, se = prof * mean, np.abs(prof) * se
+        moments[r] = mean, se
+    (f1, f1_se), (f2, f2_se) = moments[:2]
     f3, f3_se = np.zeros((m1, nj)), np.zeros((m1, nj))
-    if derivative_rows:
-        brownian, jumps = derivative_terms(tc, ens)
-        f2, f2_se = _row_mean_se(brownian, expl_inv, exp_t)
-        for a in range(nj):
-            f3[:, a], f3_se[:, a] = _row_mean_se(jumps[a], expl_inv, exp_t)
+    for a in range(nj):
+        f3[:, a], f3_se[:, a] = moments[2 + a]
 
     # deterministic or pathwise running-cost contribution
-    if gamma_path is not None:
-        gp = np.asarray(gamma_path, dtype=float)
-        if gp.shape != (n, m1):
-            raise ConfigError("gamma_path must have shape (n_paths, M+1)")
-        f1 += _running_mean(expl, expl_inv, gp, dt)
-        if derivative_rows and (gamma_db is not None
-                                or gamma_dn is not None):
-            tail = _running_mean(expl, expl_inv, None, dt)  # int E[G] ds
+    if gp is not None:
+        # the trapezoids' 0.5 dt, and 1/n, applied once after the merge
+        run = running.sum(axis=1) * (0.5 * dt / n)
+        f1 += run[0]
+        if tail:                                 # int E[G] ds
             if gamma_db is not None:
-                f2 += np.asarray(gamma_db, dtype=float) * tail
+                f2 += np.asarray(gamma_db, dtype=float) * run[1]
             if gamma_dn is not None:
-                f3 += np.asarray(gamma_dn, dtype=float) * tail[:, None]
+                f3 += np.asarray(gamma_dn, dtype=float) * run[1][:, None]
     else:
         f1 += (eg * wq * cg.g[None, :]).sum(axis=1)
 
@@ -424,34 +533,46 @@ def y_closed_formula(coeffs: LinearCoefficients, tc: TerminalCondition,
     `gamma_path` is given.  Returns (Y(0), standard error, V1 grid) or,
     with `return_sample`, additionally the per-path sample (useful for
     paired comparisons across controls on common noise).
+
+    The per-path sample is written block by block on the block workers,
+    each block recomputing its propagator exponent; the quadrature adds
+    node by node, in node order, on a node-major copy of the block's
+    running cost, so no sample byte depends on the worker count or on
+    the layout of gamma_path.
     """
     grid, levy = ens.grid, ens.levy
     cg = coeffs.on_grid(grid, levy)
-    if gamma is None:
-        gamma = _simulate_gamma_grid(cg, ens)
-    m = grid.steps
+    gamma, gp = _propagator_inputs(gamma, gamma_path, cg, ens)
+    m1 = grid.steps + 1
     w = levy.weights
     h = cg.a2 * v.v1 + cg.b2 * v.v2
     if levy.n_atoms:
         h = h + (cg.e2 * v.v3 * w).sum(axis=1)
-    wq = np.full(m + 1, grid.dt)
-    wq[0] = wq[-1] = 0.5 * grid.dt
-    expl = gamma.exp_levels
-    if gamma_path is None:
+    if gp is None:
         h = h + cg.g
-    # the quadrature node by node, in node order, so that each path's
-    # sum does not depend on the layout of gamma_path
-    quad = np.zeros(ens.n_paths)
-    term = np.empty(ens.n_paths)
-    for i in range(m + 1):
-        if gamma_path is None:
-            np.multiply(expl[:, i], h[i], out=term)
+    h, wq = h[:, None], np.full((m1, 1), grid.dt)
+    wq[0] = wq[-1] = 0.5 * grid.dt
+    xi = terminal_value(tc, ens)
+    sample = np.empty(ens.n_paths)
+
+    def work(b: int, rows: slice, planes: np.ndarray) -> None:
+        expl = gamma.log_block(rows, out=planes[0])
+        np.exp(expl, out=expl)
+        np.multiply(xi[rows], expl[-1], out=sample[rows])
+        if gp is None:
+            term = expl
+            term *= h
         else:
-            np.add(gamma_path[:, i], h[i], out=term)
-            term *= expl[:, i]
-        term *= wq[i]
-        quad += term
-    sample = terminal_value(tc, ens) * expl[:, -1] + quad
+            term = planes[1]
+            term[...] = gp[rows].T
+            term += h
+            term *= expl
+        term *= wq
+        # a reduction down the node axis adds one node row at a time
+        sample[rows] += term.sum(axis=0)
+
+    _over_row_blocks(range(ens.n_paths), (1 if gp is None else 2, m1),
+                     work)
     y0, se = _mc_mean_se(sample[:, None])
     if return_sample:
         return float(y0[0]), float(se[0]), v.v1, sample

@@ -132,7 +132,7 @@ def simulate_wealth(wp: WealthParams, pi: ControlProcess, ens: PathEnsemble
     b0, s0, g0 = wp.on_grid(ens.grid, ens.levy)
     # node-major like the ensemble, whatever the layout of an adapted rate
     drift = np.subtract(b0[:-1], pi.values[..., :-1], order="F")
-    logx = _log_exponential(ens, drift, s0[:-1], g0[:-1])
+    logx = _log_exponential(ens, drift, s0[:-1], g0[:-1]).T
     logx += math.log(wp.x0)
     return np.exp(logx, out=logx)
 
@@ -189,7 +189,7 @@ def adjoint_lambda(uc: UtilityCoefficients, ens: PathEnsemble):
     ))
 
     # integrating factor: inverse of the (a0, b0, e0) propagator
-    ups = _log_exponential(ens, a0[:-1], b0[:-1], e0[:-1])
+    ups = _log_exponential(ens, a0[:-1], b0[:-1], e0[:-1]).T
     np.negative(ups, out=ups)
     np.exp(ups, out=ups)
 

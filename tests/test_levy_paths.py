@@ -333,7 +333,7 @@ class TestLogExponential:
                 step += math.log1p(jump[i, a]) * dn[:, i, a] \
                     - jump[i, a] * w * dt
             want[:, i + 1] = want[:, i] + step
-        got = _log_exponential(ens, drift, vol, jump)
+        got = _log_exponential(ens, drift, vol, jump).T
         assert np.all(got[:, 0] == 0.0)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 

@@ -1,14 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfbsde
 from mfbsde import (
     CapabilityError,
     ConfigError,
     DomainError,
     LinearCoefficients,
     brownian_linear,
+    build_grid,
     constant,
     direct_solve,
     jump_linear,
@@ -26,7 +33,10 @@ from mfbsde import (
     wealth_linear,
     y_closed_formula,
 )
+from mfbsde import levy_paths
 from mfbsde import linear as linear_module
+from mfbsde.core import terminal_value
+from mfbsde.levy_paths import _PASS_ROWS
 from mfbsde.linear import assemble_system
 
 from conftest import mc_se
@@ -36,7 +46,7 @@ class TestSimulateGamma:
     def test_all_zero_coefficients(self, ens_small):
         g = simulate_gamma(LinearCoefficients(terminal=constant(1.0)),
                            ens_small)
-        assert np.all(g.exp_levels == 1.0)
+        assert np.all(np.exp(g.log_levels()) == 1.0)
 
     def test_deterministic_drift(self, ens_small):
         g = simulate_gamma(LinearCoefficients(alpha1=0.5), ens_small)
@@ -78,6 +88,24 @@ class TestMeanGamma:
         assert mean_gamma(c, grid50, levy1, 0.0, 1.0) == pytest.approx(
             math.exp(0.5), rel=1e-12
         )
+
+    @pytest.mark.parametrize("t,s,named", [
+        (0.0, 2.0, "s=2"),       # past the horizon
+        (0.05, 1.0, "t=0.05"),   # between nodes 0 and 1
+        (-0.1, 0.5, "t=-0.1"),
+    ])
+    def test_time_off_the_grid_rejected(self, levy1, t, s, named):
+        grid = build_grid(1.0, 10)
+        c = LinearCoefficients(alpha1=0.2)
+        with pytest.raises(ConfigError, match=named):
+            mean_gamma(c, grid, levy1, t, s)
+
+    def test_same_quadrature_as_the_propagator(self, ens_small):
+        c = LinearCoefficients(alpha1=lambda t: 0.3 - 0.2 * t)
+        g = simulate_gamma(c, ens_small)
+        nodes = ens_small.grid.nodes
+        assert mean_gamma(c, ens_small.grid, ens_small.levy, nodes[7],
+                          nodes[40]) == np.exp(g.a1_cum[40] - g.a1_cum[7])
 
     def test_matches_simulated_mean(self, ens_mid):
         c = LinearCoefficients(alpha1=0.3, beta1=0.25, eta1=0.4)
@@ -158,7 +186,8 @@ class TestDerivativeRows:
 
     @staticmethod
     def _per_node(tc, ens, gamma):
-        weight = np.exp(-gamma.log_level) * gamma.exp_levels[:, -1:]
+        lv = gamma.log_levels()
+        weight = np.exp(-lv) * np.exp(lv[:, -1:])
         m1, nj, n = ens.grid.steps + 1, ens.levy.n_atoms, ens.n_paths
         f2, se2 = np.zeros(m1), np.zeros(m1)
         f3, se3 = np.zeros((m1, nj)), np.zeros((m1, nj))
@@ -332,6 +361,154 @@ class TestClosedFormula:
                                     return_sample=True)[3].tobytes()
                    for layout in (gp, np.ascontiguousarray(gp))]
         assert samples[0] == samples[1]
+
+
+# the desk coefficients at 1e5 paths on a 50-step grid, printing the
+# growth of the peak RSS across solve_linear_y0
+LINEAR_RSS = textwrap.dedent("""
+    import resource
+    import mfbsde as mf
+    grid = mf.build_grid(1.0, 50)
+    levy = mf.LevyMeasure.from_atoms([(1.0, 0.5)])
+    ens = mf.simulate_ensemble(grid, levy, 100000, 5)
+    c = mf.LinearCoefficients(
+        alpha1=0.12, alpha2=0.18, beta1=0.3, beta2=0.12, eta1=0.25,
+        eta2=0.15, gamma=0.1, terminal=mf.smooth_of_brownian([1.0, 0.5]))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    mf.solve_linear_y0(c, ens)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print((after - before) * 1024)
+""")
+
+
+def _whole_moments(sample: np.ndarray):
+    """Whole-array numpy mean and standard error over the path axis."""
+    n = sample.shape[0]
+    se = sample.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else \
+        np.zeros(sample.shape[1:])
+    return sample.mean(axis=0), se
+
+
+class TestBlockPasses:
+    """The closed-form route runs over blocks of _PASS_ROWS paths on the
+    block workers and merges per-block moments in block order."""
+
+    COEFFS = dict(alpha1=0.2, alpha2=0.1, beta1=0.3, beta2=0.15,
+                  eta1=0.25, eta2=0.2)
+
+    def test_worker_count_changes_no_byte(self, grid50, levy2,
+                                          monkeypatch):
+        """1, 2 and 3 workers over three blocks, the last one ragged,
+        with thread switches forced often; a shared scratch buffer or a
+        lost write would change bytes."""
+        n = 2 * _PASS_ROWS + 300
+        ens = simulate_ensemble(grid50, levy2, n, seed=12)
+        tc = poly_of_jump_linear([0.3, 0.5, -0.2, 0.1], [0.6, -0.4])
+        c = LinearCoefficients(**self.COEFFS, terminal=tc)
+        gp = np.asfortranarray(np.cos(ens.brownian_nodes))
+        dn = np.tile([0.1, -0.2], (grid50.steps + 1, 1))
+
+        def run(workers):
+            monkeypatch.setattr(levy_paths, "_worker_count",
+                                lambda: workers)
+            g = simulate_gamma(c, ens)
+            sys_ = assemble_system(c, tc, ens, gamma=g, gamma_path=gp,
+                                   gamma_db=np.full(grid50.steps + 1, 0.3),
+                                   gamma_dn=dn)
+            v = neumann_solve(sys_)
+            y0, se, _, sample = y_closed_formula(
+                c, tc, ens, v, gamma=g, gamma_path=gp, return_sample=True)
+            return [sys_.f.stack().tobytes(), sys_.f_se.stack().tobytes(),
+                    np.array([y0, se]).tobytes(), sample.tobytes()]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            want = run(1)
+            for workers in (2, 3):
+                assert run(workers) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n", [500, 2 * _PASS_ROWS, 2 * _PASS_ROWS + 452,
+                                   1],
+                             ids=["below_one_block", "exact_multiple",
+                                  "ragged", "one_path"])
+    def test_merge_matches_whole_array(self, grid50, levy1, n):
+        """The per-node means and standard errors of the terminal source
+        row and of a one-term derivative row against a whole-array numpy
+        mean and std(ddof=1), on the exponent from log_levels."""
+        ens = simulate_ensemble(grid50, levy1, n, seed=14)
+        tc = smooth_of_brownian([1.0, 0.5, 0.3])
+        c = LinearCoefficients(**self.COEFFS, terminal=tc)
+        g = simulate_gamma(c, ens)
+        sys_ = assemble_system(c, tc, ens, gamma=g)
+        lv = g.log_levels()
+        weight = np.exp(-lv) * np.exp(lv[:, -1:])
+        b_t = ens.brownian_nodes[:, -1]
+        for got, got_se, path in (
+                (sys_.f.v1, sys_.f_se.v1, terminal_value(tc, ens)),
+                (sys_.f.v2, sys_.f_se.v2, 0.5 + 0.6 * b_t)):
+            want, want_se = _whole_moments(path[:, None] * weight)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+            assert np.all(np.abs(got_se - want_se) <= 1e-12 * want_se)
+            if n == 1:
+                assert not got_se.any()
+
+    def test_deterministic_propagator_has_no_spread(self, grid50, levy1):
+        ens = simulate_ensemble(grid50, levy1, 2 * _PASS_ROWS + 452,
+                                seed=15)
+        c = LinearCoefficients(alpha1=0.3, alpha2=0.1,
+                               terminal=constant(2.0))
+        sys_ = assemble_system(c, c.terminal, ens)
+        assert np.all(sys_.f_se.v1 <= 1e-15 * np.abs(sys_.f.v1))
+
+    def test_block_exponent_is_the_whole_exponent(self, ens_small):
+        """A path's exponent, and so each propagator factor, has the same
+        bytes whatever rows it is computed with."""
+        g = simulate_gamma(LinearCoefficients(**self.COEFFS), ens_small)
+        lv = g.log_levels()
+        rows = slice(_PASS_ROWS - 100, 2 * _PASS_ROWS + 30)
+        assert g.log_block(rows).tobytes() == lv[rows].T.tobytes()
+        assert g.factor(10, 40).tobytes() == \
+            np.exp(lv[:, 40] - lv[:, 10]).tobytes()
+
+    def test_gamma_of_another_ensemble_rejected(self, grid50, levy1):
+        ens_a = simulate_ensemble(grid50, levy1, 300, seed=16)
+        ens_b = simulate_ensemble(grid50, levy1, 300, seed=17)
+        c = LinearCoefficients(**self.COEFFS, terminal=constant(1.0))
+        g = simulate_gamma(c, ens_a)
+        v = neumann_solve(assemble_system(c, c.terminal, ens_b))
+        with pytest.raises(ConfigError, match="gamma"):
+            assemble_system(c, c.terminal, ens_b, gamma=g)
+        with pytest.raises(ConfigError, match="gamma"):
+            y_closed_formula(c, c.terminal, ens_b, v, gamma=g)
+
+    def test_gamma_path_shape_checked(self, levy1):
+        """Both passes reject a running cost of the wrong shape with the
+        same error."""
+        ens = simulate_ensemble(build_grid(1.0, 10), levy1, 300, seed=18)
+        c = LinearCoefficients(**self.COEFFS, terminal=constant(1.0))
+        v = neumann_solve(assemble_system(c, c.terminal, ens))
+        bad = np.zeros((300, 5))
+        msg = r"gamma_path must have shape \(n_paths, M\+1\)"
+        with pytest.raises(ConfigError, match=msg):
+            assemble_system(c, c.terminal, ens, gamma_path=bad)
+        with pytest.raises(ConfigError, match=msg):
+            y_closed_formula(c, c.terminal, ens, v, gamma_path=bad)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is in KiB on Linux only")
+    def test_peak_rss_below_one_path_array(self):
+        """The linear route holds no (n, M+1) array: across
+        solve_linear_y0 the peak RSS grows by less than one."""
+        src = str(Path(mfbsde.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        grown = int(subprocess.run(
+            [sys.executable, "-c", LINEAR_RSS], env=env, check=True,
+            capture_output=True, text=True).stdout)
+        assert grown < 100000 * 51 * 8
 
 
 class TestCrossSolver:

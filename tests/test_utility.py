@@ -402,7 +402,8 @@ def _gemm_sources(coeffs, tc, ens, gamma, gamma_path, gamma_db=None,
     wq[np.arange(m1), np.arange(m1)] = 0.5 * dt
     wq[:, -1] = 0.5 * dt
     wq[-1, -1] = 0.0
-    expl, expl_inv = np.exp(gamma.log_level), np.exp(-gamma.log_level)
+    lv = gamma.log_levels()
+    expl, expl_inv = np.exp(lv), np.exp(-lv)
     joint = expl_inv.T @ (expl * gamma_path) / n
     tail = (expl_inv.T @ expl / n * wq).sum(axis=1)
     f2, f3 = base.f.v2.copy(), base.f.v3.copy()
