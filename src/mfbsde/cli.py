@@ -82,7 +82,8 @@ class RunWriter:
 
 def _mean_rows(grid, label, values, ses=None):
     ses = np.zeros(len(values)) if ses is None else ses
-    return [(i, grid.nodes[i], label, values[i], ses[i])
+    nodes = grid.nodes
+    return [(i, nodes[i], label, values[i], ses[i])
             for i in range(len(values))]
 
 
@@ -154,9 +155,8 @@ def _run_compare(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
                          max_iter=cfg.max_iter, n_probes=cc["n_probes"])
     rows = []
     if rep.solved:
-        for i in range(cfg.grid.steps + 1):
-            rows.append((i, cfg.grid.nodes[i], "margin", rep.margin[i],
-                         rep.margin_se[i]))
+        for i, t in enumerate(cfg.grid.nodes):
+            rows.append((i, t, "margin", rep.margin[i], rep.margin_se[i]))
     for name, flag in (("terminal", rep.hypotheses.terminal_ordered),
                        ("driver", rep.hypotheses.driver_ordered),
                        ("jump", rep.hypotheses.jump_bound_holds)):
@@ -200,8 +200,7 @@ def _run_utility(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
     j, se, _ = evaluate_j(wp, uc, pi, ens)
     pv = pi.paths(ens.n_paths)
     rows = []
-    for i in range(cfg.grid.steps + 1):
-        t = cfg.grid.nodes[i]
+    for i, t in enumerate(cfg.grid.nodes):
         rows.append((i, t, "pi_mean", pv[:, i].mean(), 0.0))
         rows.append((i, t, "pi_q25", np.quantile(pv[:, i], 0.25), 0.0))
         rows.append((i, t, "pi_q75", np.quantile(pv[:, i], 0.75), 0.0))

@@ -106,7 +106,9 @@ def wealth_linear(theta: TerminalCondition, wealth: np.ndarray,
                   sigma0_nodes: np.ndarray, gamma0_nodes: np.ndarray,
                   pi_is_deterministic: bool = True) -> TerminalCondition:
     """theta * X(T) for a positive bounded factor theta ('constant' or
-    'smooth_of_brownian') and a simulated wealth grid X (n, M+1).
+    'smooth_of_brownian') and simulated wealth X, (n, M+1) or any (n, k)
+    array whose last column is X(T): only `wealth[:, -1]` is read, so a
+    caller with the terminal wealth alone passes it as an (n, 1) column.
 
     sigma0_nodes (M+1,) and gamma0_nodes (M+1, J) are the wealth exposure
     coefficients; they give the closed-form derivatives

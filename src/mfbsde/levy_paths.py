@@ -363,48 +363,87 @@ def _log_exponential(ens: PathEnsemble, drift, vol, jump,
     Each step adds
         (drift - vol^2/2) dt + vol dB
         + sum_j [log(1 + jump_j) dN_j - jump_j w_j dt],
-    evaluated exactly on the grid increments; the jump term is the
-    compensated log term plus the (log(1 + jump) - jump) w dt
-    correction, collected over raw counts.  `drift` is (M,) or
-    pathwise (n, M), `vol` is (M,) and `jump` is (M, J), all taken at
-    left nodes; jump values must exceed -1.  The rows are taken in
-    chunks of _PASS_ROWS on the block workers, each chunk every step at
-    once, then its running sum node by node.  Each element sees the same
-    operations in the same order whatever the chunk, so a path's exponent
-    does not depend on the rows it is computed with.  `out`, if given, is
-    the (M+1, k) array to write.
+    evaluated exactly on the grid; the jump term is the compensated log
+    term plus the (log(1 + jump) - jump) w dt correction, collected over
+    raw counts.  `drift` is a scalar, (M,) or pathwise (n, M), `vol` is
+    (M,) and `jump` is (M, J), all taken at left nodes; jump values must
+    exceed -1.
+
+    Summed by parts, the exponent is read off the node levels,
+        L_i = D_i + v_{i-1} B(t_i) + sum_j log(1 + g_{i-1,j}) N_j(t_i) - C_i,
+    with D the cumulative deterministic quadrature and C the running
+    correction sum_{1<=l<i} [(v_l - v_{l-1}) B(t_l) + sum_j
+    (log(1 + g_l) - log(1 + g_{l-1}))_j N_j(t_l)].  C vanishes up to the
+    first node at which vol or jump moves, so up to there a node costs a
+    few products of the levels, with no differencing and no running sum;
+    from there on the exponent continues step by step.  With
+    time-constant vol and jump the level form covers every node.  A
+    pathwise drift adds its own running sum.  The rows are taken in
+    chunks of _PASS_ROWS on the block workers; each element sees the
+    same operations in the same order whatever the chunk, so a path's
+    exponent does not depend on the rows it is computed with.  `out`,
+    if given, is the (M+1, k) array to write.
     """
+    lo, hi, _ = rows.indices(ens.n_paths)
+    write = _exponent_writer(ens, drift, vol, jump)
+    if out is None:
+        out = np.empty((ens.grid.steps + 1, hi - lo))
+
+    def chunk(c: int, part: slice, scratch: np.ndarray) -> None:
+        write(part, out[:, part.start - lo:part.stop - lo], scratch)
+
+    _over_row_blocks(range(lo, hi), (ens.grid.steps,), chunk)
+    return out
+
+
+def _exponent_writer(ens: PathEnsemble, drift, vol, jump):
+    """The per-chunk work of `_log_exponential`, with the coefficient
+    set-up done once: write(part, level, scratch) writes the exponent of
+    the paths `part` into the node-major (M+1, k) `level`, using an
+    (M, k) `scratch`.  A pass that already runs on the block workers
+    calls it with a plane of its own scratch, so that no worker thread
+    allocates a path-sized buffer (glibc keeps such buffers resident in
+    the thread's arena, which raises the peak RSS)."""
     grid, levy = ens.grid, ens.levy
     dt, m = grid.dt, grid.steps
-    lo, hi, _ = rows.indices(ens.n_paths)
-    det = (drift - 0.5 * vol**2) * dt
-    pathwise = det.ndim == 2
-    det = det.T if pathwise else det[:, None]
-    vol = vol[:, None]
+    drift = np.asarray(drift, dtype=float)
+    pathwise = drift.ndim == 2
     logj = np.log1p(jump)
-    comp = jump * levy.weights * dt
-    if out is None:
-        out = np.empty((m + 1, hi - lo))
-    out[0] = 0.0
+    det = (-0.5 * vol**2 - (jump * levy.weights).sum(axis=1)) * dt
+    if not pathwise:
+        det += drift * dt
+    # the level form holds up to the node `first` after which vol or
+    # jump moves; from there the exponent runs on in steps
+    moved = (np.diff(vol) != 0.0) \
+        | (np.diff(logj, axis=0) != 0.0).any(axis=1)
+    first = 1 + int(moved.argmax()) if moved.any() else m
+    det[:first] = np.cumsum(det[:first])
+    det = det[:, None]
 
-    def chunk(c: int, part: slice, dn: np.ndarray) -> None:
+    def write(part: slice, level: np.ndarray, scratch: np.ndarray) -> None:
         levels = ens.brownian_nodes[part].T          # (M+1, k) views
         counts = ens.count_nodes[part].transpose(2, 1, 0)
-        level = out[:, part.start - lo:part.stop - lo]
-        step = level[1:]
-        np.subtract(levels[1:], levels[:-1], out=step)
-        step *= vol
-        step += det[:, part] if pathwise else det
+        level[0] = 0.0
+        level = level[1:]
+        f = first
+        np.multiply(levels[1:f + 1], vol[:f, None], out=level[:f])
+        np.subtract(levels[f + 1:], levels[f:m], out=level[f:])
+        level[f:] *= vol[f:, None]
         for a in range(levy.n_atoms):
+            np.multiply(counts[a, 1:f + 1], logj[:f, a, None],
+                        out=scratch[:f])
             # counts are differenced forward: the subtraction cannot wrap
-            np.subtract(counts[a, 1:], counts[a, :-1], out=dn)
-            dn *= logj[:, a, None]
-            dn -= comp[:, a, None]
-            step += dn
-        _cumulate_nodes(level)
+            np.subtract(counts[a, f + 1:], counts[a, f:m], out=scratch[f:])
+            scratch[f:] *= logj[f:, a, None]
+            level += scratch
+        level += det
+        if pathwise:
+            np.multiply(drift[part].T, dt, out=scratch)
+            _cumulate_nodes(scratch[:f])
+            level += scratch
+        _cumulate_nodes(level[f - 1:])
 
-    _over_row_blocks(range(lo, hi), (m,), chunk)
-    return out
+    return write
 
 
 def girsanov_density(ens: PathEnsemble, beta1, eta1) -> np.ndarray:

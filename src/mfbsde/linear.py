@@ -43,6 +43,7 @@ from .levy_paths import (
     PathEnsemble,
     _check_jump_tilt,
     _eval_nodes,
+    _exponent_writer,
     _log_exponential,
     _over_row_blocks,
     girsanov_density,
@@ -82,9 +83,8 @@ class GammaEnsemble:
     gamma(i, l) = exp(L_l - L_i) for i <= l, with L the running exponent
     of each path, which makes the diagonal exactly one and the flow
     property exact by construction.  No path array is held: the closed
-    form computes L block by block (`_log_exponential` over a row
-    block), and `log_levels` gives the whole (n, M+1) exponent on
-    request.
+    form computes L block by block in its workers' scratch (`writer`),
+    and `log_levels` gives the whole (n, M+1) exponent on request.
     """
 
     ens: PathEnsemble
@@ -99,6 +99,13 @@ class GammaEnsemble:
         return _log_exponential(self.ens, self.a1[:-1], self.b1[:-1],
                                 self.e1[:-1], rows, out)
 
+    def writer(self):
+        """write(rows, level, scratch): L on the paths `rows` into the
+        node-major (M+1, k) `level`, with (M, k) `scratch`, for a pass
+        on the block workers."""
+        return _exponent_writer(self.ens, self.a1[:-1], self.b1[:-1],
+                                self.e1[:-1])
+
     def log_levels(self) -> np.ndarray:
         """The whole exponent L, shape (n, M+1), L[:, 0] = 0."""
         return self.log_block(slice(None)).T
@@ -106,12 +113,14 @@ class GammaEnsemble:
     def factor(self, i: int, l: int) -> np.ndarray:
         """gamma(t_i, t_l) on every path, shape (n,)."""
         out = np.empty(self.ens.n_paths)
+        write = self.writer()
 
         def work(b: int, rows: slice, planes: np.ndarray) -> None:
-            lv = self.log_block(rows, out=planes[0])
+            lv, scratch = planes
+            write(rows, lv, scratch[1:])
             np.exp(lv[l] - lv[i], out=out[rows])
 
-        _over_row_blocks(range(self.ens.n_paths), (1, self.a1.size), work)
+        _over_row_blocks(range(self.ens.n_paths), (2, self.a1.size), work)
         return out
 
 
@@ -224,7 +233,9 @@ def _reverse_trapezoid(v: np.ndarray, tmp: np.ndarray) -> None:
     rule for int_{t_i}^T v.  tmp is scratch of the same shape."""
     m = v.shape[0] - 1
     np.add(v[:-1], v[1:], out=tmp[:-1])
-    np.cumsum(tmp[m - 1::-1], axis=0, out=v[m - 1::-1])
+    v[m - 1] = tmp[m - 1]
+    for i in range(m - 2, -1, -1):
+        np.add(v[i + 1], tmp[i], out=v[i])
     v[m] = 0.0
 
 
@@ -327,10 +338,11 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     sums = np.zeros((len(row_terms), n_blocks, m1))
     m2 = np.zeros((len(row_terms), n_blocks, m1))
     running = np.zeros((2, n_blocks, m1))   # running cost, then tail
+    write = gamma.writer()
 
     def work(b: int, rows: slice, planes: np.ndarray) -> None:
         einv, sample = planes[:2]
-        gamma.log_block(rows, out=einv)
+        write(rows, einv, sample[1:])
         exp_t = np.exp(einv[-1])
         if gp is not None:
             expl, v = planes[2:]
@@ -555,8 +567,11 @@ def y_closed_formula(coeffs: LinearCoefficients, tc: TerminalCondition,
     xi = terminal_value(tc, ens)
     sample = np.empty(ens.n_paths)
 
+    write = gamma.writer()
+
     def work(b: int, rows: slice, planes: np.ndarray) -> None:
-        expl = gamma.log_block(rows, out=planes[0])
+        expl = planes[0]
+        write(rows, expl, planes[1, 1:])
         np.exp(expl, out=expl)
         np.multiply(xi[rows], expl[-1], out=sample[rows])
         if gp is None:
@@ -571,8 +586,7 @@ def y_closed_formula(coeffs: LinearCoefficients, tc: TerminalCondition,
         # a reduction down the node axis adds one node row at a time
         sample[rows] += term.sum(axis=0)
 
-    _over_row_blocks(range(ens.n_paths), (1 if gp is None else 2, m1),
-                     work)
+    _over_row_blocks(range(ens.n_paths), (2, m1), work)
     y0, se = _mc_mean_se(sample[:, None])
     if return_sample:
         return float(y0[0]), float(se[0]), v.v1, sample

@@ -33,8 +33,9 @@ from .core import (
     wealth_linear,
 )
 from .errors import CapabilityError, ConfigError, DomainError
-from .levy_paths import PathEnsemble, _check_jump_tilt, _eval_nodes, \
-    _eval_nodes_atoms, _log_exponential
+from .levy_paths import PathEnsemble, _check_jump_tilt, _cumulate_nodes, \
+    _eval_nodes, _eval_nodes_atoms, _exponent_writer, _log_exponential, \
+    _over_row_blocks
 from .linear import assemble_system, neumann_solve, simulate_gamma, \
     y_closed_formula
 from .picard import RegressionBasis, _Regressions, picard_full_freeze
@@ -125,15 +126,53 @@ class ControlProcess:
         return self.values
 
 
+def _log_wealth(wp: WealthParams, pi: ControlProcess, ens: PathEnsemble,
+                log_rate: bool = False):
+    """log X = log x0 + L_w - cumsum(pi dt), shape (n, M+1), node-major,
+    with L_w the exponent of (b0, s0, g0), written row block by row
+    block on the block workers; with `log_rate`, log(pi X) instead.
+    Returns it and the terminal wealth X(T), shape (n,).  An adapted
+    rate is copied node-major block by block, whatever its layout."""
+    grid = ens.grid
+    b0, s0, g0 = wp.on_grid(grid, ens.levy)
+    n, m1 = ens.n_paths, grid.steps + 1
+    out = np.empty((n, m1), order="F")
+    x_t = np.empty(n)
+    adapted = pi.values.ndim == 2
+    if adapted:
+        shift = math.log(wp.x0)
+    else:
+        spent = np.concatenate([[0.0], np.cumsum(pi.values[:-1] * grid.dt)])
+        shift = (math.log(wp.x0) - spent)[:, None]
+        if log_rate:   # a zero rate is a valid wealth input
+            log_rate_nodes = np.log(pi.values)[:, None]
+
+    write = _exponent_writer(ens, b0[:-1], s0[:-1], g0[:-1])
+
+    def work(b: int, rows: slice, planes: np.ndarray) -> None:
+        level, run, rate = out.T[:, rows], planes[-1], planes[0]
+        write(rows, level, run[1:])
+        if adapted:
+            rate[...] = pi.values[rows].T
+            np.multiply(rate[:-1], grid.dt, out=run[1:])
+            _cumulate_nodes(run[1:])
+            level[1:] -= run[1:]
+        level += shift
+        np.exp(level[-1], out=x_t[rows])
+        if log_rate and adapted:
+            level += np.log(rate, out=rate)
+        elif log_rate:
+            level += log_rate_nodes
+
+    _over_row_blocks(range(n), (2 if adapted else 1, m1), work)
+    return out, x_t
+
+
 def simulate_wealth(wp: WealthParams, pi: ControlProcess, ens: PathEnsemble
                     ) -> np.ndarray:
     """Strictly positive wealth paths X = x0 times the stochastic
     exponential of (b0 - pi, s0, g0)."""
-    b0, s0, g0 = wp.on_grid(ens.grid, ens.levy)
-    # node-major like the ensemble, whatever the layout of an adapted rate
-    drift = np.subtract(b0[:-1], pi.values[..., :-1], order="F")
-    logx = _log_exponential(ens, drift, s0[:-1], g0[:-1]).T
-    logx += math.log(wp.x0)
+    logx, _ = _log_wealth(wp, pi, ens)
     return np.exp(logx, out=logx)
 
 
@@ -288,12 +327,6 @@ def dh_dpi(pi, p, lam):
     return -np.asarray(p) + np.asarray(lam) / pi
 
 
-def _log_consumption(pi: ControlProcess, x: np.ndarray) -> np.ndarray:
-    """The running cost log(pi X), node-major like the wealth X."""
-    out = np.multiply(pi.paths(x.shape[0]), x, order="F")
-    return np.log(out, out=out)
-
-
 def _utility_linear_coeffs(uc: UtilityCoefficients) -> LinearCoefficients:
     """The utility equation in linear-engine notation: pathwise
     coefficients build the propagator, mean coefficients couple."""
@@ -308,9 +341,11 @@ def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
                return_sample: bool = False):
     """Utility of a consumption rate via the closed-form engine.
 
-    Simulates wealth, builds the propagator from (a0, b0, e0), feeds the
-    mean system the pathwise running cost log(pi X) (joint expectations
-    with the propagator), and averages the closed formula pathwise.
+    Forms the running cost log(pi X) in log space, row block by row
+    block on the block workers, exponentiating only the terminal wealth
+    X(T); builds the propagator from (a0, b0, e0), feeds the mean system
+    the pathwise running cost (joint expectations with the propagator),
+    and averages the closed formula pathwise.
     Nonzero mean coefficients on Z or K require a deterministic rate.
     Returns (J, standard error, MeanVector), plus the per-path sample
     when `return_sample` is set.
@@ -328,11 +363,11 @@ def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
         )
     if np.any(pi.values <= 0.0):
         raise DomainError("evaluate_j needs a strictly positive rate")
-    x = simulate_wealth(wp, pi, ens)
-    gamma_path = _log_consumption(pi, x)
+    gamma_path, x_t = _log_wealth(wp, pi, ens, log_rate=True)
 
     coeffs = _utility_linear_coeffs(uc)
-    tc = wealth_linear(uc.theta, x, s0, g0,
+    # wealth_linear reads the terminal column only
+    tc = wealth_linear(uc.theta, x_t[:, None], s0, g0,
                        pi_is_deterministic=pi.deterministic)
     gamma = simulate_gamma(coeffs, ens)
     gamma_db = s0 if need_rows23 else None
@@ -361,8 +396,9 @@ def picard_utility_y0(wp: WealthParams, uc: UtilityCoefficients,
     grid, levy = ens.grid, ens.levy
     b0g, s0, g0 = wp.on_grid(grid, levy)
     a0, a1, b0u, b1u, e0, e1 = uc.on_grid(grid, levy)
-    x = simulate_wealth(wp, pi, ens)
-    gamma_path = _log_consumption(pi, x)
+    logx, _ = _log_wealth(wp, pi, ens)
+    x = np.exp(logx)
+    gamma_path = np.add(logx, np.log(pi.values), order="F")
     tc = wealth_linear(uc.theta, x, s0, g0,
                        pi_is_deterministic=pi.deterministic)
 
@@ -373,7 +409,7 @@ def picard_utility_y0(wp: WealthParams, uc: UtilityCoefficients,
     if basis is None:
         basis = RegressionBasis(degree=2, jump_features=True)
     basis = replace(basis, extras={**basis.extras, "wealth": x,
-                                   "log_wealth": np.log(x)})
+                                   "log_wealth": logx})
     sol, rep = picard_full_freeze(driver, phi, tc, ens, basis, tol=tol,
                                   max_iter=max_iter, check=False)
     # the driver at nodes 0 and 1 only: the trapezoid of the first step

@@ -30,7 +30,7 @@ from mfbsde import (
     solve_linear_y0,
 )
 from mfbsde import levy_paths
-from mfbsde.levy_paths import _log_exponential
+from mfbsde.levy_paths import _PASS_ROWS, _log_exponential
 
 from conftest import mc_se
 
@@ -313,29 +313,65 @@ class TestBlockKeys:
         assert abs(excess.mean()) <= 4 * mc_se(excess)
 
 
+def _step_loop(ens, drift, vol, jump):
+    """The exponent stepped increment by increment, per atom: the
+    reference for _log_exponential, shape (n, M+1)."""
+    grid, levy = ens.grid, ens.levy
+    dt = grid.dt
+    drift = np.broadcast_to(drift, (ens.n_paths, grid.steps))
+    db = np.diff(ens.brownian_nodes, axis=1)
+    dn = np.diff(ens.count_nodes, axis=1)
+    want = np.zeros((ens.n_paths, grid.steps + 1))
+    for i in range(grid.steps):
+        step = (drift[:, i] - 0.5 * vol[i] ** 2) * dt + vol[i] * db[:, i]
+        for a, w in enumerate(levy.weights):
+            step += math.log1p(jump[i, a]) * dn[:, i, a] \
+                - jump[i, a] * w * dt
+        want[:, i + 1] = want[:, i] + step
+    return want
+
+
 class TestLogExponential:
     def test_matches_step_loop(self, grid50, levy2):
         """Vectorised exponent against a per-step, per-atom loop: two
         atoms, a (t, mark) jump coefficient and a pathwise drift."""
         ens = simulate_ensemble(grid50, levy2, 500, seed=31)
-        nodes, dt = grid50.nodes[:-1], grid50.dt
+        nodes = grid50.nodes[:-1]
         drift = 0.1 + 0.05 * np.sin(ens.brownian_nodes[:, :-1])
-        db = np.diff(ens.brownian_nodes, axis=1)
-        dn = np.diff(ens.count_nodes, axis=1)
         vol = 0.3 - 0.2 * nodes
         jump = np.array([[0.4 * z - 0.1 * t for z in levy2.marks]
                          for t in nodes])
-        want = np.zeros((ens.n_paths, grid50.steps + 1))
-        for i in range(grid50.steps):
-            step = (drift[:, i] - 0.5 * vol[i] ** 2) * dt \
-                + vol[i] * db[:, i]
-            for a, w in enumerate(levy2.weights):
-                step += math.log1p(jump[i, a]) * dn[:, i, a] \
-                    - jump[i, a] * w * dt
-            want[:, i + 1] = want[:, i] + step
+        want = _step_loop(ens, drift, vol, jump)
         got = _log_exponential(ens, drift, vol, jump).T
         assert np.all(got[:, 0] == 0.0)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("case", [
+        "constant", "vol_moves_at_one_node", "jump_moves_on_last_step",
+        "deterministic_drift_moving_vol"])
+    def test_level_form_matches_step_loop(self, grid50, levy2, case):
+        """The level form read off B(t_i) and N_j(t_i), and its switch to
+        steps at the first node where vol or jump moves, against the step
+        loop; a row block straddling two chunks has the bytes of the same
+        rows of the whole exponent."""
+        m = grid50.steps
+        nodes = grid50.nodes[:-1]
+        ens = simulate_ensemble(grid50, levy2, _PASS_ROWS + 300, seed=32)
+        drift, vol = 0.07, np.full(m, 0.25)
+        jump = np.tile([0.3, -0.2], (m, 1))
+        if case == "vol_moves_at_one_node":
+            vol[20:] = 0.4
+        elif case == "jump_moves_on_last_step":
+            jump[-1] = [0.5, -0.6]
+        elif case == "deterministic_drift_moving_vol":
+            drift, vol = 0.1 - 0.3 * nodes, 0.3 - 0.2 * nodes
+        got = _log_exponential(ens, drift, vol, jump)
+        assert np.all(got[0] == 0.0)
+        np.testing.assert_allclose(got.T, _step_loop(ens, drift, vol, jump),
+                                   rtol=0.0, atol=1e-14)
+        rows = slice(200, _PASS_ROWS + 100)
+        assert _log_exponential(ens, drift, vol, jump, rows).tobytes() == \
+            got[:, rows].tobytes()
 
 
 def _tilt(t, z):

@@ -473,6 +473,18 @@ class TestBlockPasses:
         assert g.factor(10, 40).tobytes() == \
             np.exp(lv[:, 40] - lv[:, 10]).tobytes()
 
+    def test_reverse_trapezoid_is_the_cumulative_sum(self):
+        """The node-by-node reverse sums have the bytes of a cumulative
+        sum of the trapezoid pairs taken from the right."""
+        v = np.random.default_rng(3).standard_normal((51, 40))
+        v[-2:] = -0.0          # S_{M-1} = -0 keeps its sign
+        pairs = v[:-1] + v[1:]
+        want = np.zeros_like(v)
+        want[-2::-1] = np.cumsum(pairs[::-1], axis=0)
+        got = v.copy()
+        linear_module._reverse_trapezoid(got, np.empty_like(v))
+        assert got.tobytes() == want.tobytes()
+
     def test_gamma_of_another_ensemble_rejected(self, grid50, levy1):
         ens_a = simulate_ensemble(grid50, levy1, 300, seed=16)
         ens_b = simulate_ensemble(grid50, levy1, 300, seed=17)

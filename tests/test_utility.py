@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mfbsde
-from mfbsde import utility
+from mfbsde import levy_paths, utility
 from mfbsde import (
     ControlProcess,
     DomainError,
@@ -33,6 +33,7 @@ from mfbsde import (
     smooth_of_brownian,
     solve_adjoints,
 )
+from mfbsde.levy_paths import _PASS_ROWS
 from mfbsde.linear import MeanVector, assemble_system
 
 from conftest import mc_se
@@ -455,6 +456,78 @@ class TestRunningCostReverseSum:
                          (got.f.v3, ref.v3),
                          (got.f_se.stack(), ref_se.stack())):
             assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+
+def _utility_cases(ens):
+    """(wealth, utility coefficients, rate) for an adapted rate and for a
+    deterministic one with the mean-Z/K derivative rows on."""
+    wp = WealthParams(x0=1.3, b0=0.05, sigma0=0.2, gamma0=0.1)
+    adapted = (wp, UtilityCoefficients(alpha0=0.05, alpha1=0.03,
+                                       beta0=0.15, eta0=0.2,
+                                       theta=constant(4.0)),
+               ControlProcess(np.asfortranarray(
+                   0.3 + 0.1 * np.cos(ens.brownian_nodes)), False))
+    rate = 0.4 + 0.2 * ens.grid.nodes
+    deterministic = (wp, UtilityCoefficients(alpha0=0.05, alpha1=0.04,
+                                             beta0=0.1, beta1=0.08,
+                                             eta0=0.15, eta1=0.1,
+                                             theta=constant(1.5)),
+                     ControlProcess(rate, True))
+    return {"adapted": adapted, "deterministic_rows": deterministic}
+
+
+class TestLogWealthBlocks:
+    """evaluate_j forms log(pi X) in log space on the block workers."""
+
+    @pytest.mark.parametrize("case", ["adapted", "deterministic_rows"])
+    def test_running_cost_is_log_of_wealth(self, ens_small, monkeypatch,
+                                           case):
+        """The running cost passed to the closed form equals log(pi X)
+        of simulate_wealth, and its terminal wealth is X(T)."""
+        wp, uc, pi = _utility_cases(ens_small)[case]
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return assemble_system(*args, **kwargs)
+
+        monkeypatch.setattr(utility, "assemble_system", record)
+        evaluate_j(wp, uc, pi, ens_small)
+        (args, kwargs), = calls
+        assert kwargs["derivative_rows"] == (case != "adapted")
+        x = simulate_wealth(wp, pi, ens_small)
+        want = np.log(pi.paths(ens_small.n_paths) * x)
+        assert np.abs(kwargs["gamma_path"] - want).max() <= 1e-12
+        wealth = args[1].params["wealth"]
+        assert wealth.shape == (ens_small.n_paths, 1)
+        np.testing.assert_allclose(wealth[:, 0], x[:, -1], rtol=1e-15,
+                                   atol=0.0)
+
+    @pytest.mark.parametrize("case", ["adapted", "deterministic_rows"])
+    def test_worker_count_changes_no_byte(self, grid50, levy2, monkeypatch,
+                                          case):
+        """1, 2 and 3 workers over three row blocks, the last one ragged,
+        with thread switches forced often."""
+        ens = simulate_ensemble(grid50, levy2, 2 * _PASS_ROWS + 300,
+                                seed=19)
+        wp, uc, pi = _utility_cases(ens)[case]
+
+        def run(workers):
+            monkeypatch.setattr(levy_paths, "_worker_count",
+                                lambda: workers)
+            j, se, v, sample = evaluate_j(wp, uc, pi, ens,
+                                          return_sample=True)
+            return [np.array([j, se]).tobytes(), v.stack().tobytes(),
+                    sample.tobytes()]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            want = run(1)
+            for workers in (2, 3):
+                assert run(workers) == want
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # the utility route of acceptance criterion 9 ("diffusive" scenario),
