@@ -7,12 +7,10 @@ solution map.
 """
 import math
 
-import numpy as np
-
 from mfbsde import (
-    DriverSpec,
     LevyMeasure,
     RegressionBasis,
+    affine_driver,
     build_grid,
     constant,
     contraction_check,
@@ -28,8 +26,7 @@ levy = LevyMeasure.from_atoms([(1.0, 0.5)])
 ens = simulate_ensemble(grid, levy, n_paths=30_000, seed=7)
 basis = RegressionBasis(degree=2)
 
-driver = DriverSpec(lambda t, y, z, k, mu: np.full_like(y, mu[0]),
-                    lipschitz_c=1.0, mean_dim=1, name="mean-growth")
+driver = affine_driver(grid, 1, 1, 1.0, name="mean-growth", mu=1.0)
 
 sol, rep = picard_full_freeze(driver, mean_y(), constant(1.0), ens, basis)
 print(f"full freeze: Y(0) = {sol.y[:, 0].mean():.6f} (target e = "

@@ -6,6 +6,8 @@ below the terminal node is a regression fit X_i b_i, and the next iterate
 is a linear map of the previous coefficients.  `picard` runs its full
 freeze and the inner loop of its mean freeze through `CoefficientRoute`
 whenever both forms are present; custom callables keep the path sweep.
+The results are read off the coefficients: `solution` writes the
+(n, M+1) arrays, `summary` only the node means and Y at nodes 0 and 1.
 """
 from __future__ import annotations
 
@@ -42,10 +44,13 @@ class CoefficientRoute:
     K_j; node M holds xi (or its mean, in the initial iterate).  One pass
     over the paths builds, per node, the Gram G_i = X_i'X_i, the
     cross-Gram X_i'X_{i+1}, X_i' diag(dM_c) X_i and X_i' diag(dM_c)
-    X_{i+1} for the martingale increments dM_c (dB, then dNtilde_j), all
-    from the one product [X_i | X_i dM_c]' [X_i | X_{i+1}].  At node M-1,
-    xi takes the place of X_M; a pathwise driver source joins as two
-    more columns.  Multiplied by the cached ridge factor S_i^-1 these
+    X_{i+1} for the martingale increments dM_c (dB, then dNtilde_j):
+    the product [X_i | X_i dB]' [X_i | X_{i+1}] gives the G and dB
+    blocks, and each jump block is summed over the paths that jump in
+    the step only, plus its compensator times the first block
+    (`_Regressions.jump_products`).  At node M-1, xi takes the place of
+    X_M; a pathwise driver source joins as two more columns.
+    Multiplied by the cached ridge factor S_i^-1 these
     give the sweep as a linear map of the coefficients:
         b_i  = A_i b_{i+1} + r_i,   A_i = S_i^-1 X_i'X_{i+1},
         zk_i = E_i b_{i+1},         E_ic = (S_i^-1 X_i' diag(dM_c) X_{i+1}
@@ -56,10 +61,11 @@ class CoefficientRoute:
     the cross-Gram; f(t_M) reads xi and the node M-1 estimates of Z and
     K, so it projects through G_{M-1}.  Means are x_i . b with x_i the
     column means of X_i, E[Y^2] is b'G_i b / n, and so is the Picard
-    delta E|dY_i|^2 = d'G_i d / n.  No iteration touches the paths; the
-    solution is written once at the end.  `reg` is the solve's
-    picard._Regressions: the set-up fills its per-node Cholesky factors
-    and Grams, and reads its design matrices.
+    delta E|dY_i|^2 = d'G_i d / n.  No iteration touches the paths;
+    `solution` writes Y, Z and K once at the end, and `summary` reads
+    the node means and Y at nodes 0 and 1 without them.  `reg` is the
+    solve's picard._Regressions: the set-up fills its per-node Cholesky
+    factors and Grams, and reads its design matrices.
     """
 
     def __init__(self, driver: DriverSpec, phi: Optional[MeanFunctional],
@@ -91,10 +97,11 @@ class CoefficientRoute:
         self.xi_var = float(((self.xi - self.xi_mean) ** 2).mean())
         src = driver.source
         ns = 0 if src is None else 2
-        # columns: [s_i, s_{i+1} | X_{i+1} or (xi, 0..) | X_i | X_i dM_c]
+        # columns: [s_i, s_{i+1} | X_{i+1} or (xi, 0..) | X_i | X_i dB]
         cn, cx = ns, ns + p
-        buf = np.zeros((n, cx + (1 + nc) * p), order="F")
-        dm = np.empty((n, nc), order="F")
+        buf = np.zeros((n, cx + 2 * p), order="F")
+        db = np.empty(n)
+        bn = ens.brownian_nodes
         prod = np.empty((m, 1 + nc, p, cx + p))
         for i in reversed(range(m)):
             if i == m - 1:
@@ -102,16 +109,16 @@ class CoefficientRoute:
             else:
                 buf[:, cn:cx] = buf[:, cx:cx + p]
             x = reg.design(i, out=buf[:, cx:cx + p])
-            ens.increments(i, out=dm)
-            dm += reg.shift[i]
-            for c in range(nc):
-                lo = cx + (1 + c) * p
-                np.multiply(x, dm[:, c, None], out=buf[:, lo:lo + p])
+            np.subtract(bn[:, i + 1], bn[:, i], out=db)
+            db += reg.shift[i, 0]
+            np.multiply(x, db[:, None], out=buf[:, cx + p:])
             if src is not None:
                 buf[:, 0] = src[:, i]
                 buf[:, 1] = src[:, i + 1]
-            prod[i] = (buf[:, cx:].T @ buf[:, :cx + p]).reshape(
-                1 + nc, p, cx + p)
+            prod[i, :2] = (buf[:, cx:].T @ buf[:, :cx + p]).reshape(
+                2, p, cx + p)
+            prod[i, 2:] = reg.jump_products(i, x, buf[:, :cx + p],
+                                            prod[i, 0])
         gram = prod[:, 0, :, cx:]
         chol = np.stack([reg.factor(i, gram[i].copy()) for i in range(m)])
         self.gn = gram / n
@@ -194,6 +201,19 @@ class CoefficientRoute:
     def ybar(self, it: CoefIterate) -> np.ndarray:
         return np.append(np.einsum("ip,ip->i", self.xbar, it.b),
                          self.xi_mean)
+
+    def summary(self, it: CoefIterate):
+        """Node means of Y, Z and K_j, then Y at nodes 0 and 1 per path,
+        from the coefficients: x_i . b_i, x_i . zk_i, X_0 b_0 and X_1 b_1
+        (at M = 1 node 1 holds xi).  No (n, M+1) array is formed."""
+        zk = np.einsum("ip,icp->ic", self.xbar, it.zk)
+        y0 = self.reg.design(0) @ it.b[0]
+        if self.m > 1:
+            y1 = self.reg.design(1) @ it.b[1]
+        else:
+            y1 = np.full_like(self.xi, self.xi_mean) if it.mean_tail \
+                else self.xi
+        return self.ybar(it), zk[:, 0], zk[:, 1:], y0, y1
 
     def solution(self, it: CoefIterate) -> SolutionGrid:
         """Write Y, Z and K: one X product per node."""

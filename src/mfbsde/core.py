@@ -317,6 +317,17 @@ class DriverSpec:
         return self.eval(t, y, z, k, mu)
 
 
+def _form_values(form: DriverForm, node, y, z, k, base) -> np.ndarray:
+    """The affine form at node(s) `node` (an index, or one per row) with
+    its mean and constant term `base` = mu_i . mu + const_i."""
+    out = form.y[node] * y
+    out += form.z[node] * z
+    out += base
+    for a in range(k.shape[1]):  # per-atom columns, not a strided k @ v
+        out += form.k[node, a] * k[:, a]
+    return out
+
+
 def affine_driver(grid, n_atoms: int, mean_dim: int, lipschitz_c: float,
                   name: str = "affine", *, y=0.0, z=0.0, k=0.0, mu=0.0,
                   const=0.0) -> DriverSpec:
@@ -336,12 +347,7 @@ def affine_driver(grid, n_atoms: int, mean_dim: int, lipschitz_c: float,
 
     def ev(t, y, z, k, mu):
         i = int(round(t / dt))
-        out = form.y[i] * y
-        out += form.z[i] * z
-        out += form.mu[i] @ mu + form.const[i]
-        for a in range(n_atoms):  # per-atom columns, not a strided k @ v
-            out += form.k[i, a] * k[:, a]
-        return out
+        return _form_values(form, i, y, z, k, form.mu[i] @ mu + form.const[i])
 
     return DriverSpec(eval=ev, lipschitz_c=float(lipschitz_c),
                       mean_dim=mean_dim, name=name, form=form)
@@ -560,54 +566,90 @@ _PROBE_STEP = 1e-5   # forward-difference step of the mean functional probe
 _DRIVER_SEED, _MEAN_FUNCTIONAL_SEED = 7, 11
 
 
-def _probe_blocks(seed: int, n_probes: int, n_nodes: int, row_width: int,
-                  node_width: int = 0) -> list:
-    """n_probes uniform rows on the box, each at a uniform node (the node
-    counts are multinomial), as (i, rows (n_i, row_width), node values
-    (node_width,)) for each node i that drew a row."""
+def _probe_draw(seed: int, n_probes: int, n_nodes: int, row_width: int,
+                node_width: int = 0):
+    """n_probes uniform rows on the box, each at a uniform node, in node
+    order, as (rows per node (n_nodes,), multinomial; rows (n_probes,
+    row_width); node values (n_nodes, node_width))."""
     if n_probes < 1:
         raise ConfigError("n_probes must be >= 1")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n_probes, np.full(n_nodes, 1.0 / n_nodes))
     rows = rng.uniform(-_PROBE_BOX, _PROBE_BOX, (n_probes, row_width))
     per_node = rng.uniform(-_PROBE_BOX, _PROBE_BOX, (n_nodes, node_width))
+    return counts, rows, per_node
+
+
+def _probe_blocks(seed: int, n_probes: int, n_nodes: int, row_width: int,
+                  node_width: int = 0) -> list:
+    """The draw of `_probe_draw` as (i, rows (n_i, row_width), node
+    values (node_width,)) for each node i that drew a row."""
+    counts, rows, per_node = _probe_draw(seed, n_probes, n_nodes,
+                                         row_width, node_width)
     blocks = np.split(rows, np.cumsum(counts)[:-1])
     return [(i, r, per_node[i]) for i, r in enumerate(blocks) if len(r)]
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_r @ b_r for each row r, with the bits of the 1-D product."""
+    return np.matmul(a[:, None], b[:, :, None])[:, 0, 0]
 
 
 def probe_driver(driver: DriverSpec, grid, levy, n_probes: int = 1000
                  ) -> float:
     """Sampled Lipschitz ratio of the driver over a randomised box.
 
-    Each probed node draws one mean pair, and the driver is called once
-    per mean on all of that node's probe rows.  Raises when the driver is
-    not finite on a probe or at the origin of any node; warns when the
-    largest observed ratio exceeds the declared constant by more than the
-    factor 1.05, and returns that ratio.
+    Each probed node draws one mean pair.  A catalog driver whose form
+    covers the grid is evaluated through the form on all probe rows at
+    once, and it is finite at the origin of every node exactly when all
+    its coefficients are finite; any other driver is called once per
+    mean on each probed node's rows and once at each node's origin.
+    Raises when the driver is not finite on a probe or at the origin of
+    any node; warns when the largest observed ratio exceeds the declared
+    constant by more than the factor 1.05, and returns that ratio.
     """
     nj, d, nodes = levy.n_atoms, driver.mean_dim, grid.nodes
-    worst = 0.0
-    for i, r, m in _probe_blocks(_DRIVER_SEED, n_probes, len(nodes),
-                                 4 + 2 * nj, 2 * d):
-        y1, y2, z1, z2 = r[:, :4].T
-        k1, k2 = r[:, 4:4 + nj], r[:, 4 + nj:]
-        f1 = driver(nodes[i], y1, z1, k1, m[:d])
-        f2 = driver(nodes[i], y2, z2, k2, m[d:])
-        if not (np.isfinite(f1).all() and np.isfinite(f2).all()):
-            raise ConfigError("driver produced a non-finite value on probes")
-        denom = np.abs(y1 - y2) + np.abs(z1 - z2) \
-            + np.sqrt(((k1 - k2) ** 2 * levy.weights).sum(axis=1)) \
-            + np.linalg.norm(m[:d] - m[d:])
-        ok = denom > 1e-12
-        worst = max(worst, float(
-            (np.abs(f1 - f2)[ok] / denom[ok]).max(initial=0.0)))
-    for t in nodes:  # square-summable over the grid at the origin
-        zero = driver(float(t), np.zeros(1), np.zeros(1),
-                      np.zeros((1, nj)), np.zeros(d))
-        if not np.isfinite(zero).all():
-            raise ConfigError(
-                f"driver not finite at the origin for t={t:g}"
-            )
+    counts, r, m = _probe_draw(_DRIVER_SEED, n_probes, len(nodes),
+                               4 + 2 * nj, 2 * d)
+    node = np.repeat(np.arange(len(nodes)), counts)
+    y1, y2, z1, z2 = r[:, :4].T
+    k1, k2 = r[:, 4:4 + nj], r[:, 4 + nj:]
+    m1, m2 = m[:, :d], m[:, d:]
+    form = driver.form
+    by_form = form is not None and form.k.shape == (len(nodes), nj)
+    if by_form:
+        finite = np.isfinite(np.column_stack(
+            [form.y, form.z, form.k, form.mu, form.const])).all(axis=1)
+        if not finite.all():
+            raise ConfigError(f"driver not finite at the origin for "
+                              f"t={nodes[np.argmin(finite)]:g}")
+        # eval's own operations, with its per-node mean term
+        f1 = _form_values(form, node, y1, z1, k1,
+                          (_rowdot(form.mu, m1) + form.const)[node])
+        f2 = _form_values(form, node, y2, z2, k2,
+                          (_rowdot(form.mu, m2) + form.const)[node])
+    else:
+        f1, f2 = np.empty(n_probes), np.empty(n_probes)
+        ends = np.cumsum(counts)
+        for i in np.flatnonzero(counts):
+            rows = slice(ends[i] - counts[i], ends[i])
+            f1[rows] = driver(nodes[i], y1[rows], z1[rows], k1[rows], m1[i])
+            f2[rows] = driver(nodes[i], y2[rows], z2[rows], k2[rows], m2[i])
+    if not (np.isfinite(f1).all() and np.isfinite(f2).all()):
+        raise ConfigError("driver produced a non-finite value on probes")
+    if not by_form:
+        for t in nodes:  # square-summable over the grid at the origin
+            zero = driver(float(t), np.zeros(1), np.zeros(1),
+                          np.zeros((1, nj)), np.zeros(d))
+            if not np.isfinite(zero).all():
+                raise ConfigError(
+                    f"driver not finite at the origin for t={t:g}")
+    dm = m1 - m2
+    denom = np.abs(y1 - y2) + np.abs(z1 - z2) \
+        + np.sqrt(((k1 - k2) ** 2 * levy.weights).sum(axis=1)) \
+        + np.sqrt(_rowdot(dm, dm))[node]
+    ok = denom > 1e-12
+    worst = float((np.abs(f1 - f2)[ok] / denom[ok]).max(initial=0.0))
     if worst > driver.lipschitz_c * _PROBE_SLACK:
         warnings.warn(
             f"sampled Lipschitz ratio {worst:.4g} exceeds declared "
@@ -625,8 +667,7 @@ def probe_mean_functional(phi: MeanFunctional, n_atoms: int,
     largest quotient exceeds the declared bound by more than the factor
     1.05, and returns that quotient.
     """
-    ((_, r, _),) = _probe_blocks(_MEAN_FUNCTIONAL_SEED, n_probes, 1,
-                                 2 + n_atoms)
+    _, r, _ = _probe_draw(_MEAN_FUNCTIONAL_SEED, n_probes, 1, 2 + n_atoms)
     base = phi.eval(r[:, 0], r[:, 1], r[:, 2:])
     worst = 0.0
     for c in range(2 + n_atoms):

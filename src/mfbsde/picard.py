@@ -158,15 +158,35 @@ class _Regressions:
         S^-1 X'(Y dM_c) - H_c b without a second pass over the paths.
         """
         if self._cov[i] is None:
-            nc = self.shift.shape[1]
-            dms = self.ens.increments(i)
-            dms += self.shift[i]
-            xdx = np.concatenate([(x * dm[:, None]).T @ x for dm in dms.T],
-                                 axis=1)
+            if self._chol[i] is None:
+                self.factor(i, x.T @ x)
+            b = self.ens.brownian_nodes
+            db = b[:, i + 1] - b[:, i]
+            db += self.shift[i, 0]
+            xdx = np.concatenate(
+                [(x * db[:, None]).T @ x,
+                 *self.jump_products(i, x, x, self._gram[i])], axis=1)
             p = x.shape[1]
-            h = self.solve(i, x, xdx).reshape(p, nc, p)
+            h = self.solve(i, x, xdx).reshape(p, self.shift.shape[1], p)
             self._cov[i] = np.ascontiguousarray(h.transpose(1, 0, 2))
         return self._cov[i]
+
+    def jump_products(self, i: int, x: np.ndarray, rows: np.ndarray,
+                      base: np.ndarray) -> np.ndarray:
+        """X' diag(dNtilde_j) R over [t_i, t_{i+1}] for each atom j, shape
+        (J, p, w), for the node-i design X, per-path rows R (n, w) and
+        base = X'R.  Only the paths that jump read R:
+            X' diag(dN_j + s_j) R = sum_{dN_j > 0} dN_j x r' + s_j X'R,
+        with s_j = -comp_ij the compensator shift."""
+        counts = self.ens.count_nodes
+        out = np.empty((self.ens.levy.n_atoms, x.shape[1], rows.shape[1]))
+        for j in range(out.shape[0]):
+            # forward difference of the counts: cannot wrap
+            dn = counts[:, i + 1, j] - counts[:, i, j]
+            hit = np.flatnonzero(dn)
+            np.matmul((x[hit] * dn[hit, None]).T, rows[hit], out=out[j])
+            out[j] += self.shift[i, 1 + j] * base
+        return out
 
 
 def condexp(targets: np.ndarray, basis: RegressionBasis, ens: PathEnsemble,
@@ -332,6 +352,9 @@ class _PathRoute:
     def solution(self, sol: SolutionGrid) -> SolutionGrid:
         return sol
 
+    def summary(self, sol: SolutionGrid):
+        return sol.ybar, sol.zbar, sol.kbar, sol.y[:, 0], sol.y[:, 1]
+
 
 def _route(driver: DriverSpec, phi: Optional[MeanFunctional],
            tc: TerminalCondition, ens: PathEnsemble, reg: _Regressions):
@@ -387,6 +410,29 @@ def _finish(report: PicardReport, route):
     report.setup_s = route.setup_s
 
 
+def _full_freeze(driver: DriverSpec, phi: MeanFunctional,
+                 tc: TerminalCondition, ens: PathEnsemble,
+                 basis: RegressionBasis, tol: float, max_iter: int,
+                 check: bool):
+    """The full-freeze solve up to its last iterate: (route, iterate,
+    report), so that a caller reads the results off the route."""
+    _check_step(driver, ens)
+    _check_caps(max_iter=max_iter)
+    if check:
+        probe_driver(driver, ens.grid, ens.levy)
+        probe_mean_functional(phi, ens.levy.n_atoms)
+    route = _route(driver, phi, tc, ens, _Regressions(ens, basis))
+    it, report = _freeze_loop(route, tol, max_iter, route.mean_channel,
+                              "full-freeze")
+    _finish(report, route)
+    if not report.converged:
+        warnings.warn(
+            f"Picard full freeze did not converge in {report.iterations} "
+            f"iterations (last delta {report.deltas[-1]:.3g})", stacklevel=3,
+        )
+    return route, it, report
+
+
 def picard_full_freeze(driver: DriverSpec, phi: MeanFunctional,
                        tc: TerminalCondition, ens: PathEnsemble,
                        basis: RegressionBasis, tol: float = 1e-6,
@@ -401,22 +447,9 @@ def picard_full_freeze(driver: DriverSpec, phi: MeanFunctional,
     Catalog drivers and mean functionals iterate on regression
     coefficients (see coefficient_route); custom callables sweep paths.
     """
-    _check_step(driver, ens)
-    _check_caps(max_iter=max_iter)
-    if check:
-        probe_driver(driver, ens.grid, ens.levy)
-        probe_mean_functional(phi, ens.levy.n_atoms)
-    route = _route(driver, phi, tc, ens, _Regressions(ens, basis))
-    it, report = _freeze_loop(route, tol, max_iter, route.mean_channel,
-                              "full-freeze")
-    sol = route.solution(it)
-    _finish(report, route)
-    if not report.converged:
-        warnings.warn(
-            f"Picard full freeze did not converge in {report.iterations} "
-            f"iterations (last delta {report.deltas[-1]:.3g})", stacklevel=2,
-        )
-    return sol, report
+    route, it, report = _full_freeze(driver, phi, tc, ens, basis, tol,
+                                     max_iter, check)
+    return route.solution(it), report
 
 
 def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,

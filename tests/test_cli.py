@@ -583,3 +583,117 @@ def test_picard_run_independent_of_blas_threads(tmp_path):
             (out / "picard_solution.csv").read_text().splitlines()[1:])
     assert len(bodies[0]) > 100
     assert bodies[0] == bodies[1]
+
+
+SUMMARY_INI = textwrap.dedent("""
+    [run]
+    mode = picard
+    [grid]
+    horizon = 1.0
+    steps = 20
+    [levy]
+    atoms = {atoms}
+    [mc]
+    paths = 3000
+    seed = 5
+    [solver]
+    tol = 1e-10
+    max_iter = 30
+    [mean_functional]
+    name = {phi}
+""")
+SUMMARY_AFFINE = textwrap.dedent("""
+    [driver]
+    name = affine
+    c_y = 0.2
+    c_z = 0.15
+    c_k = 0.1
+    c_mean = {c_mean}
+    const = 0.05
+    [terminal]
+    kind = jump_linear
+    psi = 0.7
+""")
+SUMMARY_CASES = {
+    "0atoms-mean_y": ("", "mean_y", SUMMARY_AFFINE.format(c_mean="0.3")
+                      .replace("jump_linear\npsi = 0.7",
+                               "smooth_of_brownian\ncoeffs = 0.5, 1.0, 0.2")),
+    "1atom-linear-mean_yzk": (
+        "1.0:0.5", "mean_yzk",
+        "[driver]\nname = linear\n[linear_coeffs]\nalpha1 = 0.12\n"
+        "alpha2 = 0.18\nbeta1 = 0.3\nbeta2 = 0.12\neta1 = 0.25\n"
+        "eta2 = 0.15\ngamma = 0.1\n[terminal]\n"
+        "kind = smooth_of_brownian\ncoeffs = 1.0, 0.5, 0.2\n"),
+    "2atoms-mean_yzk_avg": ("1.0:0.5, -0.5:0.7", "mean_yzk_avg",
+                            SUMMARY_AFFINE.format(c_mean="0.2, 0.1, 0.1")),
+    "2atoms-mean_y_squared": ("1.0:0.5, -0.5:0.7", "mean_y_squared",
+                              SUMMARY_AFFINE.format(c_mean="0.05")),
+}
+
+
+@pytest.mark.parametrize("case", SUMMARY_CASES)
+def test_picard_rows_match_the_solution_grid(tmp_path, case):
+    """The CLI reads its picard rows off the solver's route; each value
+    and SE agrees with the row built from picard_full_freeze's
+    SolutionGrid on the same scenario and seed."""
+    from mfbsde import RegressionBasis, picard_full_freeze, \
+        simulate_ensemble
+
+    atoms, phi, sections = SUMMARY_CASES[case]
+    text = SUMMARY_INI.format(atoms=atoms, phi=phi) + sections
+    ini = tmp_path / "s.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    assert main(["picard", "--config", str(ini), "--out", str(out)]) == 0
+    got = [ln.split(",") for ln in
+           (out / "picard_solution.csv").read_text().splitlines()[2:]]
+
+    cfg = parse_config(text)
+    ens = simulate_ensemble(cfg.grid, cfg.levy, cfg.n_paths, cfg.seed)
+    driver, phi_obj = build_driver_objects(cfg)
+    sol, rep = picard_full_freeze(
+        driver, phi_obj, cfg.terminal, ens,
+        RegressionBasis(cfg.basis_degree, cfg.jump_features),
+        tol=cfg.tol, max_iter=cfg.max_iter)
+    assert rep.converged
+    want = [("ybar", i, v, 0.0) for i, v in enumerate(sol.ybar)]
+    want += [("zbar", i, v, 0.0) for i, v in enumerate(sol.zbar)]
+    for a in range(cfg.levy.n_atoms):
+        want += [(f"kbar_atom{a}", i, v, 0.0)
+                 for i, v in enumerate(sol.kbar[:, a])]
+    want.append(("y0", 0, sol.y[:, 0].mean(),
+                 sol.y[:, 1].std(ddof=1) / ens.n_paths ** 0.5))
+    assert [(s, int(i)) for i, _, s, _, _ in got] == \
+        [(s, i) for s, i, _, _ in want]
+    for (*_, value, se), (_, _, v, e) in zip(got, want):
+        for g, w in ((float(value), v), (float(se), e)):
+            assert abs(g - w) <= max(1e-10 * abs(w), 1e-14)
+
+
+PICARD_RSS = textwrap.dedent("""
+    import resource, sys
+    from mfbsde.cli import main
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    main(["picard", "--config", sys.argv[1], "--out", sys.argv[2]])
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print((after - before) * 1024)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_picard_peak_rss_below_two_path_arrays(tmp_path):
+    """A CLI picard run on a catalog driver writes no (n, M+1) solution:
+    at 1e5 paths and M=50 its peak RSS grows by less than two such
+    arrays, of which the ensemble is about one."""
+    ini = tmp_path / "picard.ini"
+    ini.write_text(DETERMINISM_PICARD.replace("steps = 100", "steps = 50")
+                   .replace("paths = 20000", "paths = 100000")
+                   .replace("1.0:0.5, -0.5:0.7", "1.0:0.5"))
+    src = str(Path(mfbsde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    grown = int(subprocess.run(
+        [sys.executable, "-c", PICARD_RSS, str(ini), str(tmp_path / "out")],
+        env=env, check=True, capture_output=True, text=True).stdout)
+    assert grown < 2 * 100000 * 51 * 8

@@ -8,8 +8,10 @@ from mfbsde import (
     CapabilityError,
     ConfigError,
     DriverSpec,
+    LevyMeasure,
     LinearCoefficients,
     SolutionGrid,
+    affine_driver,
     beta_norm,
     brownian_linear,
     constant,
@@ -233,6 +235,47 @@ class TestProbes:
                                       n_probes=n_probes)
         assert calls == [n_probes] * 5
         assert worst == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("atoms", [0, 1, 2])
+    @pytest.mark.parametrize("mean_dim", [1, 3])
+    def test_form_probe_keeps_the_ratio(self, grid50, atoms, mean_dim):
+        """A catalog driver is probed through its form; the ratio has the
+        bits of the per-node calls of the same driver without it."""
+        levy = LevyMeasure.from_atoms([(1.0, 0.5), (-0.5, 0.7)][:atoms])
+        nodes = grid50.nodes
+        drv = affine_driver(
+            grid50, atoms, mean_dim, 2.0, y=0.3 - 0.5 * nodes, z=0.4,
+            k=np.outer(1.0 + nodes, levy.weights),
+            mu=np.linspace(0.1, -0.5, mean_dim), const=np.sin(nodes))
+        worst = probe_driver(drv, grid50, levy)
+        assert worst > 0.0
+        assert worst == probe_driver(replace(drv, form=None), grid50, levy)
+
+    def test_catalog_driver_makes_no_eval_call(self, grid50, levy1):
+        c = LinearCoefficients(alpha1=0.2, beta1=0.1, eta1=0.3, alpha2=0.1)
+        drv = c.as_driver(grid50, levy1)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return drv.eval(*args)
+
+        worst = probe_driver(replace(drv, eval=counting), grid50, levy1)
+        assert calls == []
+        assert worst == probe_driver(replace(drv, form=None), grid50, levy1)
+
+    @pytest.mark.parametrize("coef", ["y", "z", "k", "mu", "const"])
+    def test_inf_coefficient_fails_the_origin_check(self, grid50, levy1,
+                                                    coef):
+        """Through the form, the origin check is "every coefficient is
+        finite" (0 * inf is nan): it names the first bad node."""
+        values = np.full(len(grid50.nodes), 0.2)
+        values[17] = np.inf
+        if coef in ("k", "mu"):   # per node and per atom or component
+            values = values[:, None]
+        drv = affine_driver(grid50, 1, 1, 1.0, **{coef: values})
+        with pytest.raises(ConfigError, match=r"origin for t=0\.34$"):
+            probe_driver(drv, grid50, levy1)
 
     def test_default_beta(self):
         drv = DriverSpec(lambda t, y, z, k, mu: y, 1.0, 1)

@@ -353,11 +353,14 @@ def _path_route(driver, phi):
         dataclasses.replace(phi, form=None)
 
 
-def _catalog_problem(atoms, measure, extras, phi_name, source, seed):
+def _catalog_problem(atoms, measure, extras, phi_name, source, seed,
+                     scale=1.0):
     """An ensemble, basis, driver, functional and terminal for one case
-    of the route-equivalence matrix (25 steps, 2000 paths)."""
+    of the route-equivalence matrix (25 steps, 2000 paths); `scale`
+    multiplies the atom weights."""
     grid = build_grid(1.0, 25)
-    levy = LevyMeasure.from_atoms([(1.0, 0.8), (-0.5, 0.6)][:atoms])
+    levy = LevyMeasure.from_atoms(
+        [(1.0, 0.8 * scale), (-0.5, 0.6 * scale)][:atoms])
     ens = simulate_ensemble(grid, levy, 2000, seed=seed)
     if measure == "Q":
         ens = shift_to_q(ens, 0.3, lambda t, z: 0.2 * z)
@@ -384,7 +387,11 @@ def _catalog_problem(atoms, measure, extras, phi_name, source, seed):
 
 
 ROUTE_CASES = [
-    # (atoms, measure, extras, mean functional, source, freeze)
+    # (atoms, measure, extras, mean functional, source, freeze[, atom
+    # weight scale: 8 gives steps with dN >= 2 on some paths, 0.005
+    # steps on which no path jumps; each such case has a jump of every
+    # atom in the first step, since before an atom's first jump its
+    # feature column is constant and cond_max reads rounding noise])
     (0, "P", False, "mean_y", False, "full"),
     (1, "P", True, "mean_yzk", False, "full"),
     (2, "Q", False, "mean_yzk", True, "full"),
@@ -396,22 +403,37 @@ ROUTE_CASES = [
     (0, "P", True, "mean_y", False, "mean"),
     (1, "Q", False, "mean_y", True, "mean"),
     (2, "Q", True, "mean_y", False, "mean"),
+    (2, "P", True, "mean_yzk", False, "full", 8.0),
+    (1, "Q", False, "mean_yzk_avg", True, "full", 0.005),
+    (2, "Q", False, "mean_y", False, "mean", 8.0),
+    (1, "P", False, "mean_y_squared", True, "full", 0.005),
 ]
 
 
 @pytest.mark.parametrize(
-    "atoms,measure,extras,phi_name,source,freeze", ROUTE_CASES,
-    ids=[f"{a}atoms-{m}-{'extras' if e else 'plain'}-{p}"
-         f"{'-source' if s else ''}-{f}"
-         for a, m, e, p, s, f in ROUTE_CASES])
+    "atoms,measure,extras,phi_name,source,freeze,scale",
+    [c if len(c) == 7 else (*c, 1.0) for c in ROUTE_CASES],
+    ids=[f"{c[0]}atoms-{c[1]}-{'extras' if c[2] else 'plain'}-{c[3]}"
+         f"{'-source' if c[4] else ''}-{c[5]}"
+         f"{f'-weights{c[6]:g}' if len(c) == 7 else ''}"
+         for c in ROUTE_CASES])
 def test_coefficient_route_matches_path_sweep(atoms, measure, extras,
-                                              phi_name, source, freeze):
+                                              phi_name, source, freeze,
+                                              scale):
     """Catalog drivers iterate on regression coefficients; the same
     problem without the structured forms takes the path sweep.  Both
     give the same Y, Z, K and Picard deltas to 1e-10 of each array's
-    largest entry, in the same number of iterations."""
+    largest entry, in the same number of iterations.  The scaled-weight
+    cases reach the jump products' edge cases: paths with several jumps
+    in one step, and steps on which no path jumps."""
     ens, basis, driver, phi, tc = _catalog_problem(
-        atoms, measure, extras, phi_name, source, seed=300 + atoms)
+        atoms, measure, extras, phi_name, source, seed=300 + atoms,
+        scale=scale)
+    dn = np.diff(ens.count_nodes, axis=1)
+    if scale > 1.0:
+        assert dn.max() >= 2
+    elif scale < 1.0:
+        assert (dn.max(axis=0) == 0).any() and dn.max() >= 1
     drv_p, phi_p = _path_route(driver, phi)
     if freeze == "full":
         sol, rep = picard_full_freeze(driver, phi, tc, ens, basis,
