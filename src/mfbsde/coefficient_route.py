@@ -1,11 +1,12 @@
 """Picard iteration on regression coefficients.
 
-For a driver with an affine form (`core.DriverForm`) and a mean
-functional with a linear form (`core.MeanForm`), every Picard iterate
-below the terminal node is a regression fit X_i b_i, and the next iterate
-is a linear map of the previous coefficients.  `picard` runs its full
-freeze and the inner loop of its mean freeze through `CoefficientRoute`
-whenever both forms are present; custom callables keep the path sweep.
+Every Picard iterate below the terminal node is a regression fit X_i b_i
+(Gobet, Lemor & Warin, Ann. Appl. Probab. 2005), so `picard` runs every
+full freeze and the inner loop of every mean freeze on the node
+coefficients through `CoefficientRoute`.  A driver with an affine form
+(`core.DriverForm`) and a mean functional with a linear form
+(`core.MeanForm`) are linear maps of the coefficients; a custom callable
+is evaluated pathwise on the iterate written from them, once per node.
 The results are read off the coefficients: `solution` writes the
 (n, M+1) arrays, `summary` only the node means and Y at nodes 0 and 1.
 """
@@ -37,8 +38,7 @@ class CoefIterate:
 
 
 class CoefficientRoute:
-    """Picard iteration on regression coefficients, for a driver with an
-    affine form and (full freeze) a mean functional with a form.
+    """Picard iteration on regression coefficients.
 
     Below node M every iterate is X_i b_i for Y and X_i zk_i for Z and
     K_j; node M holds xi (or its mean, in the initial iterate).  One pass
@@ -56,16 +56,20 @@ class CoefficientRoute:
         zk_i = E_i b_{i+1},         E_ic = (S_i^-1 X_i' diag(dM_c) X_{i+1}
                                            - H_ic A_i) / scale_ic,
     with H_ic = S_i^-1 X_i' diag(dM_c) X_i as in solve_inner, and b_M the
-    unit vector on the xi column.  The frozen driver at node i < M is
-    X_i phi_i, so r_i = dt/2 S_i^-1 X_i'(f_i + f_{i+1}) comes from G_i and
-    the cross-Gram; f(t_M) reads xi and the node M-1 estimates of Z and
-    K, so it projects through G_{M-1}.  Means are x_i . b with x_i the
-    column means of X_i, E[Y^2] is b'G_i b / n, and so is the Picard
-    delta E|dY_i|^2 = d'G_i d / n.  No iteration touches the paths;
-    `solution` writes Y, Z and K once at the end, and `summary` reads
-    the node means and Y at nodes 0 and 1 without them.  `reg` is the
-    solve's picard._Regressions: the set-up fills its per-node Cholesky
-    factors and Grams, and reads its design matrices.
+    unit vector on the xi column.  With an affine form the frozen driver
+    at node i < M is X_i phi_i, so r_i = dt/2 S_i^-1 X_i'(f_i + f_{i+1})
+    comes from G_i and the cross-Gram; f(t_M) reads xi and the node M-1
+    estimates of Z and K, so it projects through G_{M-1}.  Without a
+    form, the driver is called once per node on V_i = X_i [b_i | zk_i']
+    (node M: xi with the node M-1 Z and K, as in picard._frozen_driver)
+    and X_i'(f_i + f_{i+1}) is solved over the stacked factors; phi
+    without a form is averaged over the same V_i.  Means are
+    x_i . b with x_i the column means of X_i, E[Y^2] is b'G_i b / n, and
+    so is the Picard delta E|dY_i|^2 = d'G_i d / n.  `solution` writes
+    Y, Z and K once at the end, and `summary` reads the node means and Y
+    at nodes 0 and 1 without them.  `reg` is the solve's
+    picard._Regressions: the set-up fills its per-node Cholesky factors
+    and Grams, and reads its design matrices.
     """
 
     def __init__(self, driver: DriverSpec, phi: Optional[MeanFunctional],
@@ -73,14 +77,16 @@ class CoefficientRoute:
         started = time.perf_counter()
         n, m, nj = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
         form = driver.form
-        if form.y.shape[0] != m + 1 or form.k.shape[1] != nj:
+        if form is not None and (form.y.shape[0] != m + 1
+                                 or form.k.shape[1] != nj):
             raise ConfigError(
                 f"driver coefficients cover {form.y.shape[0]} nodes and "
                 f"{form.k.shape[1]} atoms; the ensemble has {m + 1} nodes "
                 f"and {nj} atoms"
             )
-        self.ens, self.reg = ens, reg
-        if phi is not None:
+        self.ens, self.reg, self.driver, self.phi = ens, reg, driver, phi
+        self.lmap = None
+        if phi is not None and phi.form is not None:
             # phi's linear map on the node values (y, z, k_1..k_J)
             f = phi.form
             self.lmap = np.column_stack(
@@ -89,8 +95,9 @@ class CoefficientRoute:
         self.m, self.dt = m, ens.grid.dt
         p, nc = reg.n_cols, 1 + nj
         self.p = p
-        self.ay, self.amu, self.ac = form.y, form.mu, form.const
-        self.azk = np.column_stack([form.z, form.k])
+        if form is not None:
+            self.ay, self.amu, self.ac = form.y, form.mu, form.const
+            self.azk = np.column_stack([form.z, form.k])
         self.xi = terminal_value(tc, ens)
         self.xi_mean = self.xi.mean()
         self.xi_sq = float(np.mean(self.xi ** 2))
@@ -137,15 +144,35 @@ class CoefficientRoute:
             / scale[:, :, None, None]
         self.src = None if src is None else w[:, 0, :, 0] + w[:, 0, :, 1]
         self.e0 = np.eye(p)[0]
+        self.chol = chol
         self.setup_s = time.perf_counter() - started
 
     def initial(self) -> CoefIterate:
-        m, p, nc = self.m, self.p, self.azk.shape[1]
+        m, p, nc = self.m, self.p, 1 + self.ens.levy.n_atoms
         return CoefIterate(np.outer(np.full(m, self.xi_mean), self.e0),
                             np.zeros((m, nc, p)), True)
 
+    def _values(self, it: CoefIterate):
+        """(i, X, V_i) for i = M .. 0: the iterate's Y, Z and K_j per path
+        at node i, (n, 2+J), written with X = the node min(i, M-1) design
+        (valid until the next step), one design per node below M."""
+        coefs = np.concatenate([it.b[:, None], it.zk], axis=1)
+        for i in reversed(range(self.m)):
+            x = self.reg.design(i)
+            v = (coefs[i] @ x.T).T     # each column of V is contiguous
+            if i == self.m - 1:
+                tail = v.copy()
+                tail[:, 0] = self.xi_mean if it.mean_tail else self.xi
+                yield self.m, x, tail
+            yield i, x, v
+
     def mean_channel(self, it: CoefIterate) -> np.ndarray:
-        """Means of phi at every node, (M+1, d), from the coefficients."""
+        """Means of phi at every node, (M+1, d): from the coefficients,
+        or for phi without a form over the written iterate."""
+        if self.lmap is None:
+            return np.stack([np.einsum("nd->d", self.phi.eval(
+                v[:, 0], v[:, 1], v[:, 2:])) / v.shape[0]
+                for _, _, v in self._values(it)][::-1])
         lmap, m = self.lmap, self.m
         ly = lmap[:, 0]
         coefs = np.concatenate([it.b[:, None], it.zk], axis=1)
@@ -164,7 +191,20 @@ class CoefficientRoute:
                 + 2.0 * ly * (tail @ eyx) + ly ** 2 * ey2
         return mu
 
-    def sweep(self, it: CoefIterate, mu: np.ndarray) -> CoefIterate:
+    def _call_rhs(self, it: CoefIterate, mu: np.ndarray) -> np.ndarray:
+        """S_i^-1 X_i'(f_i + f_{i+1}), (M, p), for a driver without a form:
+        one call per node on the written iterate."""
+        t, rhs = self.ens.grid.nodes, np.empty((self.m, self.p, 1))
+        for i, x, v in self._values(it):
+            f = self.driver(t[i], v[:, 0], v[:, 1], v[:, 2:], mu[i])
+            if i < self.m:              # node M comes first
+                rhs[i, :, 0] = x.T @ (f + f_next)
+            f_next = f
+        return np.linalg.solve(self.chol.transpose(0, 2, 1),
+                               np.linalg.solve(self.chol, rhs))[:, :, 0]
+
+    def _form_rhs(self, it: CoefIterate, mu: np.ndarray) -> np.ndarray:
+        """S_i^-1 X_i'(f_i + f_{i+1}), (M, p), for a driver with a form."""
         m = self.m
         base = np.einsum("id,id->i", self.amu, mu) + self.ac
         phi = self.ay[:m, None] * it.b \
@@ -177,6 +217,11 @@ class CoefficientRoute:
         y_tail = self.xi_mean * self.sg[m - 1][:, 0] if it.mean_tail \
             else self.a[m - 1][:, 0]
         r[-1] += self.sg[m - 1] @ psi + self.ay[m] * y_tail
+        return r
+
+    def sweep(self, it: CoefIterate, mu: np.ndarray) -> CoefIterate:
+        m = self.m
+        r = (self._form_rhs if self.driver.form else self._call_rhs)(it, mu)
         if self.src is not None:
             r += self.src
         r *= 0.5 * self.dt
@@ -220,15 +265,11 @@ class CoefficientRoute:
         ens, m = self.ens, self.m
         n, nj = ens.n_paths, ens.levy.n_atoms
         y = np.empty((n, m + 1), order="F")
-        y[:, m] = self.xi_mean if it.mean_tail else self.xi
         z = np.empty((n, m), order="F")
         k = np.empty((n, m, nj), order="F")
-        coef = np.empty((self.p, 2 + nj))
-        for i in range(m):
-            coef[:, 0] = it.b[i]
-            coef[:, 1:] = it.zk[i].T
-            fitted = self.reg.design(i) @ coef
-            y[:, i] = fitted[:, 0]
-            z[:, i] = fitted[:, 1]
-            k[:, i, :] = fitted[:, 2:]
+        for i, _, v in self._values(it):
+            y[:, i] = v[:, 0]
+            if i < m:
+                z[:, i] = v[:, 1]
+                k[:, i, :] = v[:, 2:]
         return SolutionGrid(ens, y, z, k)

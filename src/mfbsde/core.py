@@ -301,9 +301,9 @@ class DriverSpec:
     -> (n,).  `source`, if given, is an exogenous per-path, per-node term
     (n, M+1) added on top of eval; it is exempt from the Lipschitz probes.
     `form` holds the per-node affine coefficients of the catalog drivers,
-    which build their eval from it; the Picard solver then iterates on
-    regression coefficients instead of paths.  A custom callable has no
-    form.
+    which build their eval from it; the Picard sweep is then a linear map
+    of the regression coefficients.  A custom callable has no form: the
+    sweep calls it once per node on the iterate written from them.
     """
 
     eval: Callable[..., np.ndarray]

@@ -6,9 +6,10 @@ adapted path features.  The driver is frozen along the previous iterate
 (full freeze), or only its mean channel is frozen while an inner solve
 converges in (Y, Z, K) (mean freeze).  Driver time integrals use the
 trapezoid weights 1/2 (f(t_i) + f(t_{i+1})); the backward recursion and
-the covariation extractions of Z and K are left-endpoint.  Drivers and
-mean functionals that carry their structured form iterate on the node
-regression coefficients; custom callables sweep the paths.
+the covariation extractions of Z and K are left-endpoint.  The solvers
+iterate on the node regression coefficients (`coefficient_route`) and
+evaluate custom callables pathwise; `solve_inner`, `_frozen_driver` and
+`_mean_channel` are the same map on the paths (`contraction_check`).
 """
 from __future__ import annotations
 
@@ -135,12 +136,19 @@ class _Regressions:
         return np.linalg.solve(c.T, np.linalg.solve(c, rhs))
 
     def cond_max(self) -> float:
-        """Largest cond(X_i'X_i) over the factored nodes after node 0.
-        Every feature is deterministic at t_0, so X_0'X_0 is singular by
-        construction and only its ridge makes it invertible."""
-        grams = [g for g in self._gram[1:] if g is not None]
-        return float(np.linalg.cond(np.stack(grams)).max()) if grams \
-            else 0.0
+        """Largest cond(X_i'X_i) over the factored nodes after node 0, on
+        the columns that vary at the node: all features are constant at
+        t_0, and an atom's jump column until its first jump on any path."""
+        nodes = [i for i, g in enumerate(self._gram) if i and g is not None]
+        if not nodes:
+            return 0.0
+        grams = np.stack([self._gram[i] for i in nodes])
+        keep, c = np.ones(grams.shape[:2], dtype=bool), 1 + self.basis.degree
+        keep[:, c:c + self.n_jump] = \
+            self.ens.count_nodes[:, :, :self.n_jump].any(axis=0)[nodes]
+        return float(max(
+            np.linalg.cond(grams[np.ix_((keep == k).all(axis=1), k, k)]).max()
+            for k in np.unique(keep, axis=0)))
 
     def fit(self, i: int, targets: np.ndarray) -> np.ndarray:
         """Fitted values of the node-i least-squares projection."""
@@ -210,7 +218,7 @@ class PicardReport:
     ridge_max: float = 0.0
     cond_max: float = 0.0        # largest cond(X_i'X_i), see _Regressions
     setup_s: float = 0.0         # one-off pass over the paths before the
-                                 # first iteration (coefficient route)
+                                 # first iteration
     scheme: str = "full-freeze"
     inner_unconverged: int = 0   # mean freeze: outer steps whose inner
                                  # solve hit its iteration cap
@@ -312,61 +320,12 @@ def _frozen_driver(driver: DriverSpec, sol: SolutionGrid,
     return f_hat
 
 
-def _initial_iterate(tc: TerminalCondition, ens: PathEnsemble) -> SolutionGrid:
-    """Y0 identically the ensemble mean of the terminal value, Z0 = K0 = 0."""
-    n, m, j = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
-    y0 = np.full((n, m + 1), terminal_value(tc, ens).mean())
-    return SolutionGrid(ens, y0, np.zeros((n, m)), np.zeros((n, m, j)))
-
-
-class _PathRoute:
-    """Iterates are SolutionGrids: each iteration freezes the driver along
-    the paths and sweeps them.  Custom callables take this route, and it
-    is the oracle of the coefficient route."""
-
-    setup_s = 0.0
-
-    def __init__(self, driver: DriverSpec, phi: Optional[MeanFunctional],
-                 tc: TerminalCondition, ens: PathEnsemble,
-                 reg: _Regressions):
-        self.driver, self.phi, self.tc, self.ens, self.reg = \
-            driver, phi, tc, ens, reg
-
-    def initial(self) -> SolutionGrid:
-        return _initial_iterate(self.tc, self.ens)
-
-    def mean_channel(self, sol: SolutionGrid) -> np.ndarray:
-        return _mean_channel(self.phi, sol)
-
-    def sweep(self, sol: SolutionGrid, mu: np.ndarray) -> SolutionGrid:
-        f_hat = _frozen_driver(self.driver, sol, mu)
-        return solve_inner(f_hat, self.tc, self.ens, self.reg.basis,
-                           _reg=self.reg)
-
-    def dy2(self, new: SolutionGrid, old: SolutionGrid) -> np.ndarray:
-        return ((new.y - old.y) ** 2).mean(axis=0)
-
-    def ybar(self, sol: SolutionGrid) -> np.ndarray:
-        return sol.ybar.copy()
-
-    def solution(self, sol: SolutionGrid) -> SolutionGrid:
-        return sol
-
-    def summary(self, sol: SolutionGrid):
-        return sol.ybar, sol.zbar, sol.kbar, sol.y[:, 0], sol.y[:, 1]
-
-
 def _route(driver: DriverSpec, phi: Optional[MeanFunctional],
-           tc: TerminalCondition, ens: PathEnsemble, reg: _Regressions):
-    """The coefficient route when the driver and the mean functional (if
-    the solve reads one) carry their structured forms, else the path
-    sweep."""
-    if driver.form is not None and (phi is None or phi.form is not None):
-        # imported on first use: the closed-form and utility routes
-        # import the package without ever taking this route
-        from .coefficient_route import CoefficientRoute
-        return CoefficientRoute(driver, phi, tc, ens, reg)
-    return _PathRoute(driver, phi, tc, ens, reg)
+           tc: TerminalCondition, ens: PathEnsemble, basis: RegressionBasis):
+    # imported on first use: the closed-form and utility routes import
+    # the package without ever taking this route
+    from .coefficient_route import CoefficientRoute
+    return CoefficientRoute(driver, phi, tc, ens, _Regressions(ens, basis))
 
 
 def _check_step(driver: DriverSpec, ens: PathEnsemble):
@@ -421,7 +380,7 @@ def _full_freeze(driver: DriverSpec, phi: MeanFunctional,
     if check:
         probe_driver(driver, ens.grid, ens.levy)
         probe_mean_functional(phi, ens.levy.n_atoms)
-    route = _route(driver, phi, tc, ens, _Regressions(ens, basis))
+    route = _route(driver, phi, tc, ens, basis)
     it, report = _freeze_loop(route, tol, max_iter, route.mean_channel,
                               "full-freeze")
     _finish(report, route)
@@ -444,8 +403,8 @@ def picard_full_freeze(driver: DriverSpec, phi: MeanFunctional,
     channel of the previous iterate and performs one backward sweep.
     Stops when the sup-node mean-square iterate difference drops below
     tol; non-convergence is reported through the flag, never silently.
-    Catalog drivers and mean functionals iterate on regression
-    coefficients (see coefficient_route); custom callables sweep paths.
+    The iteration runs on regression coefficients (see coefficient_route)
+    and custom callables are evaluated on the paths once per node.
     """
     route, it, report = _full_freeze(driver, phi, tc, ens, basis, tol,
                                      max_iter, check)
@@ -477,7 +436,7 @@ def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
         probe_driver(driver, ens.grid, ens.levy)
     if inner_tol is None:
         inner_tol = tol
-    route = _route(driver, None, tc, ens, _Regressions(ens, basis))
+    route = _route(driver, None, tc, ens, basis)
 
     report = PicardReport(tol=tol, scheme="mean-freeze")
     prev = route.initial()

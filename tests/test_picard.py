@@ -10,8 +10,10 @@ from mfbsde import (
     DriverSpec,
     LevyMeasure,
     LinearCoefficients,
+    MeanFunctional,
     NumericalError,
     RegressionBasis,
+    SolutionGrid,
     affine_driver,
     brownian_linear,
     build_grid,
@@ -167,12 +169,14 @@ def test_fused_sweep_matches_condexp_reference(grid50, levy2, measure):
 
 class TestFullFreeze:
     def test_zero_driver_converges_first_iteration(self, ens_small, basis):
+        """One iteration, and the path sweep's Y: the solver runs on
+        regression coefficients, so the two agree to rounding."""
         f0 = np.zeros((ens_small.n_paths, ens_small.grid.steps))
         direct = solve_inner(f0, constant(2.0), ens_small, basis)
         sol, rep = picard_full_freeze(zero_driver(), mean_y(),
                                       constant(2.0), ens_small, basis)
-        assert rep.converged
-        assert np.array_equal(sol.y, direct.y)
+        assert rep.converged and rep.iterations == 1
+        assert np.abs(sol.y - direct.y).max() <= 1e-12 * 2.0
 
     def test_mean_feedback_ode(self, ens_small, basis):
         """driver = E[Y], terminal 1: backward ODE with value e at 0."""
@@ -343,18 +347,70 @@ class TestContraction:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient route against the path sweep
+# The solvers against the Picard freezes on the paths
 # ---------------------------------------------------------------------------
 
-def _path_route(driver, phi):
-    """The same driver and functional without their structured forms, so
-    the solver falls back to the path sweep."""
+def _without_forms(driver, phi):
+    """The same driver and functional as custom callables: no structured
+    forms, so the solver evaluates them pathwise."""
     return dataclasses.replace(driver, form=None), \
         dataclasses.replace(phi, form=None)
 
 
+def _path_freeze(driver, phi, tc, ens, basis, freeze, tol=1e-6,
+                 max_iter=50):
+    """The oracle of the solvers: the full or mean freeze on the paths.
+    Each iteration freezes the driver along the whole previous iterate
+    (`_frozen_driver`, with `_mean_channel` in the full freeze) and sweeps
+    it with `solve_inner`; the deltas are path means.  Every iteration,
+    inner ones included, starts from the terminal's mean with Z = K = 0,
+    as the solvers do."""
+    reg = _Regressions(ens, basis)
+    n, m, dt = ens.n_paths, ens.grid.steps, ens.grid.dt
+    start = SolutionGrid(
+        ens, np.full((n, m + 1), terminal_value(tc, ens).mean()),
+        np.zeros((n, m)), np.zeros((n, m, ens.levy.n_atoms)))
+
+    def iterate(step):
+        it, deltas, integ = start, [], []
+        for _ in range(max_iter):
+            new = step(it)
+            d = ((new.y - it.y) ** 2).mean(axis=0)
+            deltas.append(d.max())
+            integ.append(d[:-1].sum() * dt)
+            it = new
+            if deltas[-1] < tol:
+                break
+        return it, deltas, integ
+
+    def sweep(mu_fn):
+        return lambda it: solve_inner(_frozen_driver(driver, it, mu_fn(it)),
+                                      tc, ens, basis, _reg=reg)
+
+    if freeze == "full":
+        sol, deltas, integ = iterate(sweep(lambda it: _mean_channel(phi, it)))
+    else:
+        sol, deltas, integ = iterate(lambda outer: iterate(
+            sweep(lambda _it: outer.ybar[:, None]))[0])
+    return sol, dict(deltas=deltas, integrated=integ,
+                     iterations=len(deltas), converged=deltas[-1] < tol,
+                     cond_max=reg.cond_max())
+
+
+def _custom_driver(kind, levy, dim):
+    """Custom callables: a nonlinear driver in (y, z, k, mu), and the
+    mean-growth/zero pair of the comparison theorem."""
+    kw, mw = 0.1 * levy.weights, np.linspace(0.05, 0.1, dim)
+    fn = {"nonlinear": lambda t, y, z, k, mu: 0.2 * np.sin(y)
+          + 0.15 * np.abs(z) + k @ kw + mu @ mw + 0.05,
+          "mean-growth": lambda t, y, z, k, mu: np.full_like(
+              y, max(mu[0], 0.0)),
+          "zero": lambda t, y, z, k, mu: np.zeros_like(y)}[kind]
+    return DriverSpec(fn, 1.0, dim, name=kind)
+
+
 def _catalog_problem(atoms, measure, extras, phi_name, source, seed,
-                     scale=1.0):
+                     scale=1.0, driver_kind="catalog"):
     """An ensemble, basis, driver, functional and terminal for one case
     of the route-equivalence matrix (25 steps, 2000 paths); `scale`
     multiplies the atom weights."""
@@ -369,8 +425,13 @@ def _catalog_problem(atoms, measure, extras, phi_name, source, seed,
         degree=2, extras={"sin_b": np.sin(bn)} if extras else {})
     phi = {"mean_y": mean_y(), "mean_yzk": mean_yzk(atoms),
            "mean_yzk_avg": mean_yzk_avg(levy),
-           "mean_y_squared": mean_y_squared(1.0)}[phi_name]
-    if phi_name == "mean_yzk":
+           "mean_y_squared": mean_y_squared(1.0),
+           "y_and_y2": MeanFunctional(
+               2, lambda y, z, k: np.column_stack([y, y * y]), 10.0,
+               "y_and_y2")}[phi_name]
+    if driver_kind != "catalog":
+        driver = _custom_driver(driver_kind, levy, phi.dim)
+    elif phi_name == "mean_yzk":
         coeffs = LinearCoefficients(
             alpha1=lambda t: 0.2 + 0.1 * t, alpha2=0.1, beta1=0.25,
             beta2=0.1, eta1=0.2, eta2=0.1, gamma=lambda t: 0.05 * t)
@@ -389,9 +450,8 @@ def _catalog_problem(atoms, measure, extras, phi_name, source, seed,
 ROUTE_CASES = [
     # (atoms, measure, extras, mean functional, source, freeze[, atom
     # weight scale: 8 gives steps with dN >= 2 on some paths, 0.005
-    # steps on which no path jumps; each such case has a jump of every
-    # atom in the first step, since before an atom's first jump its
-    # feature column is constant and cond_max reads rounding noise])
+    # steps on which no path jumps, and with two atoms a second atom
+    # that first jumps after the first step[, custom driver]])
     (0, "P", False, "mean_y", False, "full"),
     (1, "P", True, "mean_yzk", False, "full"),
     (2, "Q", False, "mean_yzk", True, "full"),
@@ -407,71 +467,90 @@ ROUTE_CASES = [
     (1, "Q", False, "mean_yzk_avg", True, "full", 0.005),
     (2, "Q", False, "mean_y", False, "mean", 8.0),
     (1, "P", False, "mean_y_squared", True, "full", 0.005),
+    (2, "Q", True, "mean_yzk", False, "full", 0.005),
+    # custom callables: a nonlinear driver with a catalog phi, a catalog
+    # driver with a phi without a form (y and y^2), both custom, and the
+    # mean-growth/zero pair of the comparison theorem
+    (0, "P", False, "mean_y", False, "full", 1.0, "nonlinear"),
+    (1, "Q", True, "mean_yzk", False, "full", 1.0, "nonlinear"),
+    (2, "P", False, "mean_yzk_avg", True, "full", 1.0, "nonlinear"),
+    (1, "P", False, "y_and_y2", False, "full"),
+    (2, "Q", True, "y_and_y2", True, "full"),
+    (0, "Q", False, "y_and_y2", False, "full", 1.0, "nonlinear"),
+    (1, "Q", False, "mean_y", True, "mean", 1.0, "nonlinear"),
+    (0, "P", False, "mean_y", False, "mean", 1.0, "mean-growth"),
+    (2, "Q", True, "mean_y", False, "mean", 1.0, "mean-growth"),
+    (1, "P", False, "mean_y", False, "mean", 1.0, "zero"),
+    (2, "Q", False, "mean_y", False, "mean", 1.0, "zero"),
 ]
 
 
 @pytest.mark.parametrize(
-    "atoms,measure,extras,phi_name,source,freeze,scale",
-    [c if len(c) == 7 else (*c, 1.0) for c in ROUTE_CASES],
+    "atoms,measure,extras,phi_name,source,freeze,scale,driver_kind",
+    [c + (1.0, "catalog")[len(c) - 6:] for c in ROUTE_CASES],
     ids=[f"{c[0]}atoms-{c[1]}-{'extras' if c[2] else 'plain'}-{c[3]}"
          f"{'-source' if c[4] else ''}-{c[5]}"
-         f"{f'-weights{c[6]:g}' if len(c) == 7 else ''}"
+         f"{f'-weights{c[6]:g}' if len(c) > 6 and c[6] != 1.0 else ''}"
+         f"{f'-{c[7]}' if len(c) > 7 else ''}"
          for c in ROUTE_CASES])
 def test_coefficient_route_matches_path_sweep(atoms, measure, extras,
                                               phi_name, source, freeze,
-                                              scale):
-    """Catalog drivers iterate on regression coefficients; the same
-    problem without the structured forms takes the path sweep.  Both
-    give the same Y, Z, K and Picard deltas to 1e-10 of each array's
+                                              scale, driver_kind):
+    """Every solve iterates on regression coefficients; the Picard
+    freezes on the paths (`_path_freeze`) are its oracle.  The problem as
+    given and, when it has forms, the same problem as custom callables
+    give the oracle's Y, Z, K and Picard deltas to 1e-10 of each array's
     largest entry, in the same number of iterations.  The scaled-weight
     cases reach the jump products' edge cases: paths with several jumps
     in one step, and steps on which no path jumps."""
     ens, basis, driver, phi, tc = _catalog_problem(
         atoms, measure, extras, phi_name, source, seed=300 + atoms,
-        scale=scale)
+        scale=scale, driver_kind=driver_kind)
     dn = np.diff(ens.count_nodes, axis=1)
     if scale > 1.0:
         assert dn.max() >= 2
     elif scale < 1.0:
         assert (dn.max(axis=0) == 0).any() and dn.max() >= 1
-    drv_p, phi_p = _path_route(driver, phi)
-    if freeze == "full":
-        sol, rep = picard_full_freeze(driver, phi, tc, ens, basis,
-                                      check=False)
-        ref, ref_rep = picard_full_freeze(drv_p, phi_p, tc, ens, basis,
+        # with two atoms, one has no jump in the first step
+        assert atoms < 2 or not ens.count_nodes[:, 1].any(axis=0).all()
+    ref, want = _path_freeze(driver, phi, tc, ens, basis, freeze)
+    assert want["converged"]
+    problems = [(driver, phi)]
+    if driver.form is not None or phi.form is not None:
+        problems.append(_without_forms(driver, phi))
+    for drv, fn in problems:
+        if freeze == "full":
+            sol, rep = picard_full_freeze(drv, fn, tc, ens, basis,
                                           check=False)
-    else:
-        sol, rep = picard_mean_freeze(driver, tc, ens, basis, check=False)
-        ref, ref_rep = picard_mean_freeze(drv_p, tc, ens, basis,
-                                          check=False)
-    assert rep.setup_s > 0.0 and ref_rep.setup_s == 0.0
-    for got, want in ((sol.y, ref.y), (sol.z, ref.z), (sol.k, ref.k)):
-        if want.size:
-            assert np.abs(want).max() > 1e-3
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-    for key in ("deltas", "integrated"):
-        got, want = np.asarray(getattr(rep, key)), \
-            np.asarray(getattr(ref_rep, key))
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-10 * want.max()
-    assert (rep.iterations, rep.converged) == \
-        (ref_rep.iterations, ref_rep.converged)
-    assert rep.converged
-    assert rep.cond_max == pytest.approx(ref_rep.cond_max, rel=1e-8)
+        else:
+            sol, rep = picard_mean_freeze(drv, tc, ens, basis, check=False)
+        assert rep.setup_s > 0.0
+        for got, exp in ((sol.y, ref.y), (sol.z, ref.z), (sol.k, ref.k)):
+            if exp.size:
+                assert np.abs(exp).max() > 1e-3
+                assert np.abs(got - exp).max() <= 1e-10 * np.abs(exp).max()
+        for key in ("deltas", "integrated"):
+            got, exp = np.asarray(getattr(rep, key)), np.asarray(want[key])
+            assert got.shape == exp.shape
+            assert np.abs(got - exp).max() <= 1e-10 * exp.max()
+        assert (rep.iterations, rep.converged) == \
+            (want["iterations"], want["converged"])
+        assert rep.cond_max == pytest.approx(want["cond_max"], rel=1e-8)
 
 
 @pytest.mark.parametrize("route", ["coefficients", "paths"])
 def test_design_passes_fixed_on_coefficient_route(monkeypatch, ens_small,
                                                   basis, route):
-    """The coefficient route builds each node's design twice per solve
-    (set-up and the final write), however many iterations it runs; the
-    path sweep builds it again in every iteration."""
+    """A solve builds each node's design twice (set-up and the final
+    write), however many iterations it runs; custom callables are
+    evaluated on the iterate written with one more design per node and
+    iteration for the driver, and one for the mean functional."""
     coeffs = LinearCoefficients(alpha1=0.2, alpha2=0.1, beta1=0.25,
                                 beta2=0.1, eta1=0.2, eta2=0.1)
     driver = coeffs.as_driver(ens_small.grid, ens_small.levy)
     phi = mean_yzk(1)
     if route == "paths":
-        driver, phi = _path_route(driver, phi)
+        driver, phi = _without_forms(driver, phi)
     calls = []
     design = _Regressions.design
 
@@ -491,10 +570,25 @@ def test_design_passes_fixed_on_coefficient_route(monkeypatch, ens_small,
                                         max_iter=max_iter, check=False)
         assert rep.iterations == max_iter
         counts.append(len(calls))
-    if route == "coefficients":
-        assert counts == [2 * ens_small.grid.steps] * 2
-    else:
-        assert counts[1] > counts[0]
+    per_iter = 0 if route == "coefficients" else 2
+    assert counts == [(2 + per_iter * it) * ens_small.grid.steps
+                      for it in (2, 5)]
+
+
+def test_custom_driver_non_finite_value_rejected(ens_small, basis):
+    """A custom driver that returns NaN on one path at one node fails the
+    sweep, like a non-finite form coefficient."""
+    t_bad = ens_small.grid.nodes[17]
+
+    def fn(t, y, z, k, mu):
+        out = 0.2 * y
+        if t == t_bad:
+            out[123] = np.nan
+        return out
+
+    with pytest.raises(NumericalError, match="non-finite"):
+        picard_full_freeze(DriverSpec(fn, 0.2, 1), mean_y(), constant(1.0),
+                           ens_small, basis, check=False)
 
 
 def test_coefficient_route_rejects_non_finite_driver(ens_small, basis):
