@@ -27,7 +27,6 @@ from .core import (
     SolutionGrid,
     TerminalCondition,
     affine_driver,
-    beta_norm,
     brownian_linear,
     constant,
     default_beta,
@@ -79,11 +78,9 @@ from .linear import (
 from .picard import (
     PicardReport,
     RegressionBasis,
-    condexp,
     contraction_check,
     picard_full_freeze,
     picard_mean_freeze,
-    solve_inner,
 )
 from .utility import (
     AdjointState,

@@ -30,46 +30,49 @@ from .levy_paths import PathEnsemble
 
 class CoefIterate:
     """b (M, p): Y_i = X_i b_i at nodes 0..M-1; zk (M, 1+J, p): Z_i, then
-    K_ij, = X_i zk_i; mean_tail: Y_M is the terminal's mean (the initial
-    iterate), else the pathwise terminal xi."""
+    K_ij, = X_i zk_i; yt (1+p): Y_M = [xi | X_M] yt, so s xi + X_M c
+    covers xi (a sweep's output), the terminal's mean (the initial
+    iterate) and a random input X_M c."""
 
-    def __init__(self, b, zk, mean_tail):
-        self.b, self.zk, self.mean_tail = b, zk, mean_tail
+    def __init__(self, b, zk, yt):
+        self.b, self.zk, self.yt = b, zk, yt
 
 
 class CoefficientRoute:
     """Picard iteration on regression coefficients.
 
     Below node M every iterate is X_i b_i for Y and X_i zk_i for Z and
-    K_j; node M holds xi (or its mean, in the initial iterate).  One pass
-    over the paths builds, per node, the Gram G_i = X_i'X_i, the
-    cross-Gram X_i'X_{i+1}, X_i' diag(dM_c) X_i and X_i' diag(dM_c)
-    X_{i+1} for the martingale increments dM_c (dB, then dNtilde_j):
-    the product [X_i | X_i dB]' [X_i | X_{i+1}] gives the G and dB
-    blocks, and each jump block is summed over the paths that jump in
-    the step only, plus its compensator times the first block
-    (`_Regressions.jump_products`).  At node M-1, xi takes the place of
-    X_M; a pathwise driver source joins as two more columns.
-    Multiplied by the cached ridge factor S_i^-1 these
-    give the sweep as a linear map of the coefficients:
+    K_j; node M holds Y_M = [xi | X_M] yt.  One pass over the paths
+    builds, per node, the Gram G_i = X_i'X_i, the cross-Gram
+    X_i'X_{i+1}, X_i' diag(dM_c) X_i and X_i' diag(dM_c) X_{i+1} for the
+    martingale increments dM_c (dB, then dNtilde_j): the product
+    [X_i | X_i dB]' [X_i | X_{i+1}] gives the G and dB blocks, and each
+    jump block is summed over the paths that jump in the step only, plus
+    its compensator times the first block (`_Regressions.jump_products`).
+    At node M-1, xi takes the place of X_M; a pathwise driver source
+    joins as two more columns.  Multiplied by the cached ridge factor
+    S_i^-1 these give the sweep as a linear map of the coefficients:
         b_i  = A_i b_{i+1} + r_i,   A_i = S_i^-1 X_i'X_{i+1},
         zk_i = E_i b_{i+1},         E_ic = (S_i^-1 X_i' diag(dM_c) X_{i+1}
                                            - H_ic A_i) / scale_ic,
-    with H_ic = S_i^-1 X_i' diag(dM_c) X_i as in solve_inner, and b_M the
-    unit vector on the xi column.  With an affine form the frozen driver
-    at node i < M is X_i phi_i, so r_i = dt/2 S_i^-1 X_i'(f_i + f_{i+1})
-    comes from G_i and the cross-Gram; f(t_M) reads xi and the node M-1
-    estimates of Z and K, so it projects through G_{M-1}.  Without a
+    with H_ic = S_i^-1 X_i' diag(dM_c) X_i, which centres the one-step
+    value Y_{i+1}, and b_M the unit vector on the xi column: a sweep
+    ends at Y_M = xi.  The input's Y_M enters the frozen driver and phi
+    at t_M, so the set-up also keeps X_M and the Gram of
+    [X_{M-1} | xi | X_M].  With an affine form the frozen driver at node
+    i < M is X_i phi_i, so r_i = dt/2 S_i^-1 X_i'(f_i + f_{i+1}) comes
+    from G_i and the cross-Gram; f(t_M) reads Y_M and the node M-1
+    estimates of Z and K, so it projects through that Gram.  Without a
     form, the driver is called once per node on V_i = X_i [b_i | zk_i']
-    (node M: xi with the node M-1 Z and K, as in picard._frozen_driver)
-    and X_i'(f_i + f_{i+1}) is solved over the stacked factors; phi
-    without a form is averaged over the same V_i.  Means are
-    x_i . b with x_i the column means of X_i, E[Y^2] is b'G_i b / n, and
-    so is the Picard delta E|dY_i|^2 = d'G_i d / n.  `solution` writes
-    Y, Z and K once at the end, and `summary` reads the node means and Y
-    at nodes 0 and 1 without them.  `reg` is the solve's
-    picard._Regressions: the set-up fills its per-node Cholesky factors
-    and Grams, and reads its design matrices.
+    (node M: Y_M with the node M-1 Z and K) and X_i'(f_i + f_{i+1}) is
+    solved over the stacked factors; phi without a form is averaged over
+    the same V_i.  Means are x_i . b with x_i the column means of X_i,
+    E[Y^2] is b'G_i b / n, and so is the Picard delta
+    E|dY_i|^2 = d'G_i d / n.  `solution` writes Y, Z and K once at the
+    end, and `summary` reads the node means and Y at nodes 0 and 1
+    without them.  `reg` is the solve's picard._Regressions: the set-up
+    fills its per-node Cholesky factors and Grams, and reads its design
+    matrices.
     """
 
     def __init__(self, driver: DriverSpec, phi: Optional[MeanFunctional],
@@ -98,10 +101,11 @@ class CoefficientRoute:
         if form is not None:
             self.ay, self.amu, self.ac = form.y, form.mu, form.const
             self.azk = np.column_stack([form.z, form.k])
-        self.xi = terminal_value(tc, ens)
+        self.xa = np.empty((n, 1 + p), order="F")      # [xi | X_M]
+        self.xa[:, 0] = terminal_value(tc, ens)
+        reg.design(m, out=self.xa[:, 1:])
+        self.xi = self.xa[:, 0]
         self.xi_mean = self.xi.mean()
-        self.xi_sq = float(np.mean(self.xi ** 2))
-        self.xi_var = float(((self.xi - self.xi_mean) ** 2).mean())
         src = driver.source
         ns = 0 if src is None else 2
         # columns: [s_i, s_{i+1} | X_{i+1} or (xi, 0..) | X_i | X_i dB]
@@ -110,12 +114,13 @@ class CoefficientRoute:
         db = np.empty(n)
         bn = ens.brownian_nodes
         prod = np.empty((m, 1 + nc, p, cx + p))
+        buf[:, cn] = self.xi
         for i in reversed(range(m)):
-            if i == m - 1:
-                buf[:, cn] = self.xi
-            else:
+            if i < m - 1:
                 buf[:, cn:cx] = buf[:, cx:cx + p]
             x = reg.design(i, out=buf[:, cx:cx + p])
+            if i == m - 1:
+                cross = x.T @ self.xa               # X_{M-1}'[xi | X_M]
             np.subtract(bn[:, i + 1], bn[:, i], out=db)
             db += reg.shift[i, 0]
             np.multiply(x, db[:, None], out=buf[:, cx + p:])
@@ -130,7 +135,14 @@ class CoefficientRoute:
         chol = np.stack([reg.factor(i, gram[i].copy()) for i in range(m)])
         self.gn = gram / n
         self.xbar = gram[:, 0, :] / n
-        self.xi_x = prod[m - 1, 0, :, cn] / n    # E[xi X_{M-1}]
+        # Gram / n and column means of [X_{M-1} | xi | X_M], and
+        # S_{M-1}^-1 X_{M-1}'[xi | X_M]
+        self.gt = np.block([[gram[m - 1], cross],
+                            [cross.T, self.xa.T @ self.xa]]) / n
+        self.xt = np.concatenate([self.xbar[m - 1], [self.xi_mean],
+                                  self.gt[0, p + 1:]])
+        self.at = np.linalg.solve(chol[m - 1].T,
+                                  np.linalg.solve(chol[m - 1], cross))
         # S^-1 applied to every block at once
         w = prod.transpose(0, 2, 1, 3).reshape(m, p, -1)
         w = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, w))
@@ -144,13 +156,22 @@ class CoefficientRoute:
             / scale[:, :, None, None]
         self.src = None if src is None else w[:, 0, :, 0] + w[:, 0, :, 1]
         self.e0 = np.eye(p)[0]
+        self.y_xi = np.eye(p + 1)[0]             # yt of Y_M = xi
         self.chol = chol
         self.setup_s = time.perf_counter() - started
 
     def initial(self) -> CoefIterate:
-        m, p, nc = self.m, self.p, 1 + self.ens.levy.n_atoms
-        return CoefIterate(np.outer(np.full(m, self.xi_mean), self.e0),
-                            np.zeros((m, nc, p)), True)
+        """Y = the terminal's mean at every node, Z = K = 0."""
+        c = np.zeros((2 + self.ens.levy.n_atoms, self.p))
+        c[0, 0] = self.xi_mean
+        return self.uniform(c)
+
+    def uniform(self, c: np.ndarray) -> CoefIterate:
+        """The iterate X_i c at every node 0..M: Y from c[0], Z and K_j
+        from c[1:], with c of shape (2+J, p)."""
+        m = self.m
+        return CoefIterate(np.tile(c[0], (m, 1)), np.tile(c[1:], (m, 1, 1)),
+                           np.append(0.0, c[0]))
 
     def _values(self, it: CoefIterate):
         """(i, X, V_i) for i = M .. 0: the iterate's Y, Z and K_j per path
@@ -162,7 +183,7 @@ class CoefficientRoute:
             v = (coefs[i] @ x.T).T     # each column of V is contiguous
             if i == self.m - 1:
                 tail = v.copy()
-                tail[:, 0] = self.xi_mean if it.mean_tail else self.xi
+                tail[:, 0] = self.xa @ it.yt
                 yield self.m, x, tail
             yield i, x, v
 
@@ -174,21 +195,18 @@ class CoefficientRoute:
                 v[:, 0], v[:, 1], v[:, 2:])) / v.shape[0]
                 for _, _, v in self._values(it)][::-1])
         lmap, m = self.lmap, self.m
-        ly = lmap[:, 0]
         coefs = np.concatenate([it.b[:, None], it.zk], axis=1)
         wts = np.einsum("dc,icp->idp", lmap, coefs)      # X_i parts
-        tail = lmap[:, 1:] @ it.zk[m - 1]                # X_{M-1} part
-        ey = self.xi_mean
-        eyx, ey2 = (ey * self.xbar[m - 1], ey ** 2) if it.mean_tail \
-            else (self.xi_x, self.xi_sq)
+        # node M on [X_{M-1} | xi | X_M]: Z and K_j, then Y_M
+        tail = np.concatenate([lmap[:, 1:] @ it.zk[m - 1],
+                               np.outer(lmap[:, 0], it.yt)], axis=1)
         mu = np.empty((m + 1, lmap.shape[0]))
         if not self.squared:
             mu[:m] = np.einsum("idp,ip->id", wts, self.xbar)
-            mu[m] = tail @ self.xbar[m - 1] + ly * ey
+            mu[m] = tail @ self.xt
         else:
             mu[:m] = np.einsum("idp,ipq,idq->id", wts, self.gn, wts)
-            mu[m] = np.einsum("dp,pq,dq->d", tail, self.gn[m - 1], tail) \
-                + 2.0 * ly * (tail @ eyx) + ly ** 2 * ey2
+            mu[m] = np.einsum("dp,pq,dq->d", tail, self.gt, tail)
         return mu
 
     def _call_rhs(self, it: CoefIterate, mu: np.ndarray) -> np.ndarray:
@@ -214,9 +232,7 @@ class CoefficientRoute:
         psi[0] += base[m]
         r = np.einsum("ipq,iq->ip", self.sg, phi)
         r[:-1] += np.einsum("ipq,iq->ip", self.a[:-1], phi[1:])
-        y_tail = self.xi_mean * self.sg[m - 1][:, 0] if it.mean_tail \
-            else self.a[m - 1][:, 0]
-        r[-1] += self.sg[m - 1] @ psi + self.ay[m] * y_tail
+        r[-1] += self.sg[m - 1] @ psi + self.ay[m] * (self.at @ it.yt)
         return r
 
     def sweep(self, it: CoefIterate, mu: np.ndarray) -> CoefIterate:
@@ -234,30 +250,29 @@ class CoefficientRoute:
             bnext = b[i]
         zk = np.einsum("icpq,iq->icp", self.e,
                        np.concatenate([b[1:], self.e0[None]]))
-        return CoefIterate(b, zk, False)
+        return CoefIterate(b, zk, self.y_xi)
 
     def dy2(self, new: CoefIterate, old: CoefIterate) -> np.ndarray:
-        d = new.b - old.b
+        d, e, p = new.b - old.b, new.yt - old.yt, self.p
         out = np.empty(self.m + 1)
-        out[:-1] = np.maximum(np.einsum("ip,ipq,iq->i", d, self.gn, d), 0.0)
-        out[-1] = self.xi_var if new.mean_tail != old.mean_tail else 0.0
-        return out
+        out[:-1] = np.einsum("ip,ipq,iq->i", d, self.gn, d)
+        out[-1] = e @ self.gt[p:, p:] @ e
+        return np.maximum(out, 0.0)
 
     def ybar(self, it: CoefIterate) -> np.ndarray:
         return np.append(np.einsum("ip,ip->i", self.xbar, it.b),
-                         self.xi_mean)
+                         self.xt[self.p:] @ it.yt)
 
     def summary(self, it: CoefIterate):
         """Node means of Y, Z and K_j, then Y at nodes 0 and 1 per path,
         from the coefficients: x_i . b_i, x_i . zk_i, X_0 b_0 and X_1 b_1
-        (at M = 1 node 1 holds xi).  No (n, M+1) array is formed."""
+        (at M = 1 node 1 holds Y_M).  No (n, M+1) array is formed."""
         zk = np.einsum("ip,icp->ic", self.xbar, it.zk)
         y0 = self.reg.design(0) @ it.b[0]
         if self.m > 1:
             y1 = self.reg.design(1) @ it.b[1]
         else:
-            y1 = np.full_like(self.xi, self.xi_mean) if it.mean_tail \
-                else self.xi
+            y1 = self.xa @ it.yt
         return self.ybar(it), zk[:, 0], zk[:, 1:], y0, y1
 
     def solution(self, it: CoefIterate) -> SolutionGrid:

@@ -42,7 +42,6 @@ __all__ = [
     "mean_y_squared",
     "mean_yzk_avg",
     "SolutionGrid",
-    "beta_norm",
     "mean_functional_eval",
     "LinearCoefficients",
     "CoefficientGrid",
@@ -449,25 +448,6 @@ class SolutionGrid:
         n, m, j = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
         return SolutionGrid(ens, np.zeros((n, m + 1)), np.zeros((n, m)),
                             np.zeros((n, m, j)))
-
-
-def beta_norm(sol: SolutionGrid, beta: float) -> float:
-    """Discrete weighted squared norm
-    E sum_i e^{beta t_i} (y_i^2 + z_i^2 + sum_j k_ij^2 w_j) dt
-    over nodes i = 0..M-1 (left-endpoint rule)."""
-    if beta < 0:
-        raise ConfigError("beta must be nonnegative")
-    ens = sol.ens
-    w = ens.levy.weights
-    t = ens.grid.nodes[:-1]
-    # node-by-node reductions: no squared (n, M[, J]) temporaries
-    yl = sol.y[:, :-1]
-    dens = np.einsum("ni,ni->i", yl, yl) + np.einsum("ni,ni->i", sol.z,
-                                                     sol.z)
-    if w.size:
-        dens += np.einsum("nij,nij->ij", sol.k, sol.k) @ w
-    return float((np.exp(beta * t) * dens).sum() / ens.n_paths
-                 * ens.grid.dt)
 
 
 def mean_functional_eval(phi: MeanFunctional, sol: SolutionGrid, i: int

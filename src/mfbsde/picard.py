@@ -6,10 +6,10 @@ adapted path features.  The driver is frozen along the previous iterate
 (full freeze), or only its mean channel is frozen while an inner solve
 converges in (Y, Z, K) (mean freeze).  Driver time integrals use the
 trapezoid weights 1/2 (f(t_i) + f(t_{i+1})); the backward recursion and
-the covariation extractions of Z and K are left-endpoint.  The solvers
-iterate on the node regression coefficients (`coefficient_route`) and
-evaluate custom callables pathwise; `solve_inner`, `_frozen_driver` and
-`_mean_channel` are the same map on the paths (`contraction_check`).
+the regressions of Z and K on the increments are left-endpoint.  The
+solvers and the contraction check iterate on the node regression
+coefficients (`coefficient_route`) and evaluate custom callables
+pathwise.
 """
 from __future__ import annotations
 
@@ -25,12 +25,9 @@ from .core import (
     MeanFunctional,
     SolutionGrid,
     TerminalCondition,
-    beta_norm,
     default_beta,
-    mean_functional_eval,
     probe_driver,
     probe_mean_functional,
-    terminal_value,
 )
 from .errors import ConfigError, NumericalError
 from .levy_paths import PathEnsemble
@@ -38,8 +35,6 @@ from .levy_paths import PathEnsemble
 __all__ = [
     "RegressionBasis",
     "PicardReport",
-    "condexp",
-    "solve_inner",
     "picard_full_freeze",
     "picard_mean_freeze",
     "contraction_check",
@@ -83,7 +78,6 @@ class _Regressions:
             )
         self._chol = [None] * (ens.grid.steps + 1)
         self._gram = [None] * (ens.grid.steps + 1)
-        self._cov = [None] * ens.grid.steps
         self.ridge_max = 0.0
         self._xbuf = np.empty((ens.n_paths, self.n_cols), order="F")
 
@@ -158,27 +152,6 @@ class _Regressions:
         fitted = x @ self.solve(i, x, x.T @ t)
         return fitted[:, 0] if squeeze else fitted
 
-    def covariation(self, i: int, x: np.ndarray) -> np.ndarray:
-        """H_c = S^-1 X' diag(dM_c) X for the martingale increments dM_c
-        over [t_i, t_{i+1}] (dB, then dNtilde_j), shape (1+J, p, p).
-
-        Built once per node: the projection of (Y - X b) dM_c is then
-        S^-1 X'(Y dM_c) - H_c b without a second pass over the paths.
-        """
-        if self._cov[i] is None:
-            if self._chol[i] is None:
-                self.factor(i, x.T @ x)
-            b = self.ens.brownian_nodes
-            db = b[:, i + 1] - b[:, i]
-            db += self.shift[i, 0]
-            xdx = np.concatenate(
-                [(x * db[:, None]).T @ x,
-                 *self.jump_products(i, x, x, self._gram[i])], axis=1)
-            p = x.shape[1]
-            h = self.solve(i, x, xdx).reshape(p, self.shift.shape[1], p)
-            self._cov[i] = np.ascontiguousarray(h.transpose(1, 0, 2))
-        return self._cov[i]
-
     def jump_products(self, i: int, x: np.ndarray, rows: np.ndarray,
                       base: np.ndarray) -> np.ndarray:
         """X' diag(dNtilde_j) R over [t_i, t_{i+1}] for each atom j, shape
@@ -195,13 +168,6 @@ class _Regressions:
             np.matmul((x[hit] * dn[hit, None]).T, rows[hit], out=out[j])
             out[j] += self.shift[i, 1 + j] * base
         return out
-
-
-def condexp(targets: np.ndarray, basis: RegressionBasis, ens: PathEnsemble,
-            i: int) -> np.ndarray:
-    """Least-squares estimate of the node-i conditional expectation of
-    per-path targets; returns fitted values per path."""
-    return _Regressions(ens, basis).fit(i, np.asarray(targets, dtype=float))
 
 
 @dataclass
@@ -231,93 +197,6 @@ class PicardReport:
         self.integrated.append(integ)
         self.iter_s.append(seconds)
         self.iterations += 1
-
-
-def solve_inner(f_hat: np.ndarray, tc: TerminalCondition, ens: PathEnsemble,
-                basis: RegressionBasis, _reg: Optional[_Regressions] = None
-                ) -> SolutionGrid:
-    """One backward sweep with a frozen per-interval driver f_hat (n, M).
-
-    Y(t_M) = terminal pathwise; then for i = M-1 .. 0
-        Y_i   = condexp(Y_{i+1} + f_hat_i dt)
-        Z_i   = condexp((Y_{i+1} - condexp(Y_{i+1})) dB_i) / dt
-        K_i,j = condexp((Y_{i+1} - condexp(Y_{i+1})) dNtilde_j,i) / comp_j,i
-    with martingale increments and compensators taken under the
-    ensemble's own measure.  Centering Y_{i+1} before the covariation
-    regressions changes nothing in the limit (the conditional mean of a
-    martingale increment vanishes) but removes the dominant noise term,
-    and makes Z and K zero to rounding for deterministic solutions.
-
-    Each node takes one pass over the paths: with b the coefficients of
-    condexp(Y_{i+1}), the centred projections follow from the identity
-        X'((Y_{i+1} - X b) dM) = X'(Y_{i+1} dM) - (X' diag(dM) X) b,
-    so one X' product over [Y_{i+1} + f_hat_i dt, Y_{i+1}, Y_{i+1} dB,
-    Y_{i+1} dNtilde_j], one solve with the cached normal factor and the
-    cached per-node S^-1 X' diag(dM) X give all the coefficients, and one
-    X product writes Y_i, Z_i and K_i.  The raw increments dB and dN_j
-    are differences of the node arrays; their compensation s = -(drift,
-    compensator) under the ensemble's own measure is applied to the
-    coefficients: S^-1 X'(Y_{i+1} (d + s)) = S^-1 X'(Y_{i+1} d) + s b.
-    """
-    reg = _reg if _reg is not None else _Regressions(ens, basis)
-    n, m, j = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
-    dt = ens.grid.dt
-    if not np.all(np.isfinite(f_hat)):
-        raise NumericalError("frozen driver contains non-finite values")
-
-    y = np.empty((n, m + 1), order="F")
-    y[:, m] = terminal_value(tc, ens)
-    z = np.empty((n, m), order="F")
-    k = np.empty((n, m, j), order="F")
-    # per-node divisors of the covariation coefficients: dt, then comp_j
-    scale = np.column_stack([np.full(m, dt), ens.jump_comp])
-    pay = np.empty((n, 3 + j), order="F")
-    coef = np.empty((reg.n_cols, 2 + j))
-    for i in reversed(range(m)):
-        ynext = y[:, i + 1]
-        np.multiply(f_hat[:, i], dt, out=pay[:, 0])
-        pay[:, 0] += ynext
-        pay[:, 1] = ynext
-        ens.increments(i, out=pay[:, 2:])
-        pay[:, 2:] *= ynext[:, None]
-        x = reg.design(i)
-        c = reg.solve(i, x, x.T @ pay)
-        coef[:, 0] = c[:, 0]
-        c[:, 2:] += np.outer(c[:, 1], reg.shift[i])
-        np.subtract(c[:, 2:], (reg.covariation(i, x) @ c[:, 1]).T,
-                    out=coef[:, 1:])
-        coef[:, 1:] /= scale[i]
-        fitted = x @ coef
-        y[:, i] = fitted[:, 0]
-        z[:, i] = fitted[:, 1]
-        k[:, i, :] = fitted[:, 2:]
-    return SolutionGrid(ens, y, z, k)
-
-
-def _mean_channel(phi: MeanFunctional, sol: SolutionGrid) -> np.ndarray:
-    """Ensemble means of phi at every node, (M+1, d)."""
-    return np.stack([mean_functional_eval(phi, sol, i)
-                     for i in range(sol.ens.grid.steps + 1)])
-
-
-def _frozen_driver(driver: DriverSpec, sol: SolutionGrid,
-                   mu_by_node: np.ndarray) -> np.ndarray:
-    """Driver frozen along sol: per-interval trapezoid averages
-    (f(t_i) + f(t_{i+1})) / 2 of the pathwise driver values, (n, M).
-    Z and K at the terminal node reuse the last interval's estimates."""
-    ens = sol.ens
-    m = ens.grid.steps
-    nodes = ens.grid.nodes
-    fvals = np.empty((ens.n_paths, m + 1), order="F")
-    for i in range(m + 1):
-        zi = min(i, m - 1)
-        fvals[:, i] = driver(nodes[i], sol.y[:, i], sol.z[:, zi],
-                             sol.k[:, zi, :], mu_by_node[i])
-    if driver.source is not None:
-        fvals += driver.source
-    f_hat = fvals[:, :-1] + fvals[:, 1:]
-    f_hat *= 0.5
-    return f_hat
 
 
 def _route(driver: DriverSpec, phi: Optional[MeanFunctional],
@@ -470,53 +349,45 @@ def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
     return route.solution(prev), report
 
 
-def _random_triplet(ens: PathEnsemble, reg: _Regressions,
-                    rng: np.random.Generator) -> SolutionGrid:
-    """Adapted triplet built from random combinations of the degree-2
-    basis paths: at each node the (n, F) design block times an (F, 2+J)
-    coefficient matrix gives Y, Z and K_j."""
-    n, m, j = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
-    feats = _Regressions(ens, RegressionBasis(2, reg.basis.jump_features))
-    coef = rng.normal(size=(2 + j, feats.n_cols)).T
-    out = np.empty((n, m + 1, 2 + j), order="F")
-    for i in range(m + 1):
-        np.matmul(feats.design(i), coef, out=out[:, i])
-    return SolutionGrid(ens, out[:, :, 0], out[:, :-1, 1], out[:, :-1, 2:])
-
-
 def contraction_check(driver: DriverSpec, phi: MeanFunctional,
                       tc: TerminalCondition, ens: PathEnsemble,
                       basis: RegressionBasis, beta: Optional[float] = None,
                       n_pairs: int = 10, seed: int = 123) -> list[float]:
     """Observed contraction ratios of the one-step solution map.
 
-    Applies the map (input triplet -> driver freeze -> one sweep) to
-    random adapted input pairs and returns the ratio of weighted squared
-    norms of output and input differences; a pair of equal inputs scores
-    zero by convention.
+    Applies the map (input triplet -> mean channel and driver freeze ->
+    one sweep) to random adapted input pairs and returns the ratio of
+    weighted squared norms of output and input differences; a pair of
+    equal inputs scores zero by convention.  Each input is X_i c at every
+    node 0..M, for one standard normal (p, 2+J) coefficient matrix c on
+    the solver's basis.  Inputs and outputs are node coefficients on one
+    route, so the norm
+        sum_{i<M} e^{beta t_i} dt (d_Y'G_i d_Y + d_Z'G_i d_Z
+                                   + sum_j w_j d_Kj'G_i d_Kj) / n
+    is a quadratic form in the per-node Grams G_i (left-endpoint rule).
     """
     if beta is None:
         beta = default_beta(driver, phi)
+    if beta < 0:
+        raise ConfigError("beta must be nonnegative")
     rng = np.random.default_rng(seed)
-    reg = _Regressions(ens, basis)
+    route = _route(driver, phi, tc, ens, basis)
+    wt = np.exp(beta * ens.grid.nodes[:-1]) * ens.grid.dt
+    wc = np.concatenate([[1.0, 1.0], ens.levy.weights])
 
-    def apply_map(sol_in: SolutionGrid) -> SolutionGrid:
-        f_hat = _frozen_driver(driver, sol_in, _mean_channel(phi, sol_in))
-        return solve_inner(f_hat, tc, ens, basis, _reg=reg)
+    def norm(a, b):
+        d = np.concatenate([(a.b - b.b)[:, None], a.zk - b.zk], axis=1)
+        return float(np.einsum("i,c,icp,ipq,icq->", wt, wc, d, route.gn, d))
+
+    def draw():
+        return route.uniform(rng.normal(size=(2 + ens.levy.n_atoms,
+                                              route.p)))
 
     ratios = []
     for _ in range(n_pairs):
-        in1 = _random_triplet(ens, reg, rng)
-        in2 = _random_triplet(ens, reg, rng)
-        din = beta_norm(
-            SolutionGrid(ens, in1.y - in2.y, in1.z - in2.z, in1.k - in2.k),
-            beta,
-        )
-        out1, out2 = apply_map(in1), apply_map(in2)
-        dout = beta_norm(
-            SolutionGrid(ens, out1.y - out2.y, out1.z - out2.z,
-                         out1.k - out2.k),
-            beta,
-        )
-        ratios.append(0.0 if din == 0.0 else dout / din)
+        in1, in2 = draw(), draw()
+        din = norm(in1, in2)
+        out1, out2 = (route.sweep(it, route.mean_channel(it))
+                      for it in (in1, in2))
+        ratios.append(0.0 if din == 0.0 else norm(out1, out2) / din)
     return ratios

@@ -18,6 +18,7 @@ from mfbsde import (
     RegressionBasis,
     UtilityCoefficients,
     WealthParams,
+    affine_driver,
     brownian_linear,
     build_grid,
     constant,
@@ -26,6 +27,7 @@ from mfbsde import (
     dh_dpi,
     evaluate_j,
     jump_linear,
+    mean_y,
     mean_yzk,
     optimal_pi,
     picard_full_freeze,
@@ -36,7 +38,6 @@ from mfbsde import (
     simulate_gamma,
     smooth_of_brownian,
     solve_adjoints,
-    solve_inner,
     solve_linear_y0,
     terminal_value,
 )
@@ -401,14 +402,16 @@ def test_criterion_09_control_optimality(ens_50k):
 
 def test_criterion_10_malliavin_representation():
     """With a Brownian-linear terminal and zero driver, the regression Z
-    averages to the terminal's closed-form Brownian derivative within 3
-    batch-means SE."""
+    of the Picard solver averages to the terminal's closed-form Brownian
+    derivative within 3 batch-means SE."""
     slope = 0.8
+    zero = affine_driver(GRID, LEVY.n_atoms, 1, 0.0, name="zero")
     stats = []
     for b in range(20):
         ens = simulate_ensemble(GRID, LEVY, 2000, seed=4100 + b)
-        f0 = np.zeros((2000, GRID.steps))
-        sol = solve_inner(f0, brownian_linear(slope, 0.3), ens, BASIS)
+        sol, rep = picard_full_freeze(zero, mean_y(),
+                                      brownian_linear(slope, 0.3), ens, BASIS)
+        assert rep.converged
         stats.append(sol.z[:, :-1].mean())
     stats = np.asarray(stats)
     se = stats.std(ddof=1) / math.sqrt(stats.size)

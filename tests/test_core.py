@@ -12,7 +12,6 @@ from mfbsde import (
     LinearCoefficients,
     SolutionGrid,
     affine_driver,
-    beta_norm,
     brownian_linear,
     constant,
     default_beta,
@@ -29,6 +28,8 @@ from mfbsde import (
     terminal_value,
 )
 from mfbsde.core import probe_driver, probe_mean_functional
+
+from path_map import beta_norm
 
 
 class TestTerminalValue:

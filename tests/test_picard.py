@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +14,9 @@ from mfbsde import (
     MeanFunctional,
     NumericalError,
     RegressionBasis,
-    SolutionGrid,
     affine_driver,
     brownian_linear,
     build_grid,
-    condexp,
     constant,
     contraction_check,
     jump_linear,
@@ -30,12 +29,19 @@ from mfbsde import (
     shift_to_q,
     simulate_ensemble,
     smooth_of_brownian,
-    solve_inner,
 )
 from mfbsde.core import mean_functional_eval, terminal_value
-from mfbsde.picard import _Regressions, _frozen_driver, _mean_channel
+from mfbsde.picard import _Regressions
 
 from conftest import mc_se
+from path_map import (
+    _frozen_driver,
+    _mean_channel,
+    _path_freeze,
+    condexp,
+    path_contraction_check,
+    solve_inner,
+)
 
 
 def zero_driver(dim=1):
@@ -331,19 +337,21 @@ class TestContraction:
                                    ens_small, basis, n_pairs=10)
         assert max(ratios) <= 0.5 + 0.05
 
-    def test_equal_inputs_score_zero(self, ens_small, basis):
-        # the map sees identical inputs when the rng draws coincide; the
-        # convention is exercised directly on the ratio definition
-        from mfbsde.picard import _random_triplet, _Regressions
+    def test_equal_inputs_score_zero(self, ens_small, basis, monkeypatch):
+        """With every draw equal, each pair maps equal inputs to equal
+        outputs, and the pair scores 0.0 where the ratio is 0/0."""
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: (
+            SimpleNamespace(normal=lambda size: np.full(size, 0.5))))
+        coeffs = LinearCoefficients(alpha1=0.15, beta1=0.1, eta1=0.1)
+        drv = coeffs.as_driver(ens_small.grid, ens_small.levy)
+        ratios = contraction_check(drv, mean_yzk(1), constant(1.0),
+                                   ens_small, basis, n_pairs=3)
+        assert ratios == [0.0, 0.0, 0.0]
 
-        reg = _Regressions(ens_small, basis)
-        rng = np.random.default_rng(0)
-        trip = _random_triplet(ens_small, reg, rng)
-        from mfbsde import SolutionGrid, beta_norm
-
-        diff = SolutionGrid(ens_small, trip.y - trip.y, trip.z - trip.z,
-                            trip.k - trip.k)
-        assert beta_norm(diff, 13.0) == 0.0
+    def test_negative_beta_rejected(self, ens_small, basis):
+        with pytest.raises(ConfigError, match="beta"):
+            contraction_check(zero_driver(), mean_y(), constant(1.0),
+                              ens_small, basis, beta=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,46 +363,6 @@ def _without_forms(driver, phi):
     forms, so the solver evaluates them pathwise."""
     return dataclasses.replace(driver, form=None), \
         dataclasses.replace(phi, form=None)
-
-
-def _path_freeze(driver, phi, tc, ens, basis, freeze, tol=1e-6,
-                 max_iter=50):
-    """The oracle of the solvers: the full or mean freeze on the paths.
-    Each iteration freezes the driver along the whole previous iterate
-    (`_frozen_driver`, with `_mean_channel` in the full freeze) and sweeps
-    it with `solve_inner`; the deltas are path means.  Every iteration,
-    inner ones included, starts from the terminal's mean with Z = K = 0,
-    as the solvers do."""
-    reg = _Regressions(ens, basis)
-    n, m, dt = ens.n_paths, ens.grid.steps, ens.grid.dt
-    start = SolutionGrid(
-        ens, np.full((n, m + 1), terminal_value(tc, ens).mean()),
-        np.zeros((n, m)), np.zeros((n, m, ens.levy.n_atoms)))
-
-    def iterate(step):
-        it, deltas, integ = start, [], []
-        for _ in range(max_iter):
-            new = step(it)
-            d = ((new.y - it.y) ** 2).mean(axis=0)
-            deltas.append(d.max())
-            integ.append(d[:-1].sum() * dt)
-            it = new
-            if deltas[-1] < tol:
-                break
-        return it, deltas, integ
-
-    def sweep(mu_fn):
-        return lambda it: solve_inner(_frozen_driver(driver, it, mu_fn(it)),
-                                      tc, ens, basis, _reg=reg)
-
-    if freeze == "full":
-        sol, deltas, integ = iterate(sweep(lambda it: _mean_channel(phi, it)))
-    else:
-        sol, deltas, integ = iterate(lambda outer: iterate(
-            sweep(lambda _it: outer.ybar[:, None]))[0])
-    return sol, dict(deltas=deltas, integrated=integ,
-                     iterations=len(deltas), converged=deltas[-1] < tol,
-                     cond_max=reg.cond_max())
 
 
 def _custom_driver(kind, levy, dim):
@@ -497,12 +465,13 @@ def test_coefficient_route_matches_path_sweep(atoms, measure, extras,
                                               phi_name, source, freeze,
                                               scale, driver_kind):
     """Every solve iterates on regression coefficients; the Picard
-    freezes on the paths (`_path_freeze`) are its oracle.  The problem as
-    given and, when it has forms, the same problem as custom callables
-    give the oracle's Y, Z, K and Picard deltas to 1e-10 of each array's
-    largest entry, in the same number of iterations.  The scaled-weight
-    cases reach the jump products' edge cases: paths with several jumps
-    in one step, and steps on which no path jumps."""
+    freezes and the contraction check on the paths (`path_map`) are its
+    oracle.  The problem as given and, when it has forms, the same
+    problem as custom callables give the oracle's Y, Z, K and Picard
+    deltas to 1e-10 of each array's largest entry, in the same number of
+    iterations, and its contraction ratios to 1e-10 relative.  The
+    scaled-weight cases reach the jump products' edge cases: paths with
+    several jumps in one step, and steps on which no path jumps."""
     ens, basis, driver, phi, tc = _catalog_problem(
         atoms, measure, extras, phi_name, source, seed=300 + atoms,
         scale=scale, driver_kind=driver_kind)
@@ -515,6 +484,10 @@ def test_coefficient_route_matches_path_sweep(atoms, measure, extras,
         assert atoms < 2 or not ens.count_nodes[:, 1].any(axis=0).all()
     ref, want = _path_freeze(driver, phi, tc, ens, basis, freeze)
     assert want["converged"]
+    # a fixed weight: the default 1 + 12 * 10^2 of y_and_y2 overflows
+    want_ratios = path_contraction_check(driver, phi, tc, ens, basis,
+                                         beta=3.0, n_pairs=3)
+    assert np.isfinite(want_ratios).all()
     problems = [(driver, phi)]
     if driver.form is not None or phi.form is not None:
         problems.append(_without_forms(driver, phi))
@@ -536,15 +509,20 @@ def test_coefficient_route_matches_path_sweep(atoms, measure, extras,
         assert (rep.iterations, rep.converged) == \
             (want["iterations"], want["converged"])
         assert rep.cond_max == pytest.approx(want["cond_max"], rel=1e-8)
+        ratios = contraction_check(drv, fn, tc, ens, basis, beta=3.0,
+                                   n_pairs=3)
+        np.testing.assert_allclose(ratios, want_ratios, rtol=1e-10, atol=0,
+                                   equal_nan=False)
 
 
 @pytest.mark.parametrize("route", ["coefficients", "paths"])
 def test_design_passes_fixed_on_coefficient_route(monkeypatch, ens_small,
                                                   basis, route):
     """A solve builds each node's design twice (set-up and the final
-    write), however many iterations it runs; custom callables are
-    evaluated on the iterate written with one more design per node and
-    iteration for the driver, and one for the mean functional."""
+    write) and the node-M design once (set-up), however many iterations
+    it runs; custom callables are evaluated on the iterate written with
+    one more design per node below M and iteration for the driver, and
+    one for the mean functional."""
     coeffs = LinearCoefficients(alpha1=0.2, alpha2=0.1, beta1=0.25,
                                 beta2=0.1, eta1=0.2, eta2=0.1)
     driver = coeffs.as_driver(ens_small.grid, ens_small.levy)
@@ -571,7 +549,7 @@ def test_design_passes_fixed_on_coefficient_route(monkeypatch, ens_small,
         assert rep.iterations == max_iter
         counts.append(len(calls))
     per_iter = 0 if route == "coefficients" else 2
-    assert counts == [(2 + per_iter * it) * ens_small.grid.steps
+    assert counts == [(2 + per_iter * it) * ens_small.grid.steps + 1
                       for it in (2, 5)]
 
 
@@ -623,7 +601,8 @@ def test_cond_max_grows_with_basis_degree(ens_small):
 def test_mean_channel_from_coefficients(ens_small, basis):
     """The coefficient means equal the path means of the written iterate
     for each catalog functional: on the initial iterate (node M holds the
-    terminal's mean) and after one sweep (node M holds xi)."""
+    terminal's mean), after one sweep (node M holds xi) and on a random
+    input (node M holds X_M c)."""
     from mfbsde.coefficient_route import CoefficientRoute
 
     coeffs = LinearCoefficients(alpha1=0.2, beta1=0.1, eta1=0.1)
@@ -634,7 +613,9 @@ def test_mean_channel_from_coefficients(ens_small, basis):
         route = CoefficientRoute(driver, phi, brownian_linear(1.0, 0.5),
                                   ens_small, _Regressions(ens_small, basis))
         first = route.initial()
-        for it in (first, route.sweep(first, mu)):
+        rand = route.uniform(np.random.default_rng(5).normal(
+            size=(2 + ens_small.levy.n_atoms, route.p)))
+        for it in (first, route.sweep(first, mu), rand):
             got = route.mean_channel(it)
             want = _mean_channel(phi, route.solution(it))
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()

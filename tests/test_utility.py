@@ -246,7 +246,7 @@ class TestEvaluateJ:
         """The Y(0) standard error evaluates the driver at nodes 0 and 1
         only; it equals the one from the whole-grid frozen driver."""
         import mfbsde.utility as utility_mod
-        from mfbsde.picard import _frozen_driver, _mean_channel
+        from path_map import _frozen_driver, _mean_channel
 
         solved = []
 
