@@ -4,6 +4,10 @@ seeded path ensembles and the exponential change of measure.
 The jump part is a compound Poisson process described by a finite list of
 atoms (mark, weight); every integral against the Levy measure downstream
 becomes a weighted sum over atoms.
+
+Work that reads the noise a row block at a time, node-major (the
+stochastic exponent and the closed-form passes), runs on the threads of
+the draw in chunks whose size `_pass_rows` sets from the node count.
 """
 from __future__ import annotations
 
@@ -144,10 +148,21 @@ class PathEnsemble:
 _BLOCK_ROWS = 256
 
 
-# Paths per chunk of the work that reads the noise a row block at a
-# time, node-major: the stochastic exponent and the closed-form passes.
-# Four noise blocks, so that one chunk's (M+1, k) planes stay in cache.
+# Largest number of paths per chunk of the work that reads the noise a
+# row block at a time, node-major: the stochastic exponent and the
+# closed-form passes.  `_pass_rows` sizes the chunk from the node count.
 _PASS_ROWS = 4 * _BLOCK_ROWS
+
+
+def _pass_rows(nodes: int) -> int:
+    """Paths per chunk for planes of `nodes` values per path: at most
+    _PASS_ROWS, and at most the _PASS_ROWS x 101 values of a 101-node
+    plane, rounded down to a multiple of 64 (64 at least).  That is
+    1,024 rows up to 101 nodes, 256 at 401 and 128 at 801, so that one
+    chunk's planes stay in cache and a worker's scratch is O(M), not
+    O(M x 1,024).  The chunk depends on the grid only, never on the
+    worker count."""
+    return min(_PASS_ROWS, max(64, _PASS_ROWS * 101 // nodes // 64 * 64))
 
 
 def _block_generator(seed: int, source: int, block: int):
@@ -210,19 +225,19 @@ def _for_each_block(draw, n_blocks: int, buffer_size: int) -> None:
 
 def _over_row_blocks(rows: range, shape: tuple, work) -> None:
     """Call work(b, part, scratch) for the b-th run `part` of at most
-    _PASS_ROWS consecutive rows, on the block workers; scratch is a
-    node-major (*shape, k) view of the worker's buffer for a run of k
-    rows."""
-    size = math.prod(shape)
+    _pass_rows(shape[-1]) consecutive rows, on the block workers; scratch
+    is a node-major (*shape, k) view of the worker's buffer for a run of
+    k rows."""
+    size, step = math.prod(shape), _pass_rows(shape[-1])
 
     def run(b: int, buf: np.ndarray) -> None:
-        lo = rows.start + b * _PASS_ROWS
-        part = slice(lo, min(lo + _PASS_ROWS, rows.stop))
+        lo = rows.start + b * step
+        part = slice(lo, min(lo + step, rows.stop))
         k = part.stop - part.start
         work(b, part, buf[:size * k].reshape(*shape, k))
 
-    _for_each_block(run, -(-len(rows) // _PASS_ROWS),
-                    size * min(len(rows), _PASS_ROWS))
+    _for_each_block(run, -(-len(rows) // step),
+                    size * min(len(rows), step))
 
 
 def _cumulate_nodes(levels: np.ndarray) -> None:
@@ -379,7 +394,7 @@ def _log_exponential(ens: PathEnsemble, drift, vol, jump,
     from there on the exponent continues step by step.  With
     time-constant vol and jump the level form covers every node.  A
     pathwise drift adds its own running sum.  The rows are taken in
-    chunks of _PASS_ROWS on the block workers; each element sees the
+    chunks of _pass_rows(M) on the block workers; each element sees the
     same operations in the same order whatever the chunk, so a path's
     exponent does not depend on the rows it is computed with.  `out`,
     if given, is the (M+1, k) array to write.

@@ -8,11 +8,16 @@ propagator-weighted functional.  A measure-change special case solves the
 tilted equation by weighted and by shifted simulation.
 
 The paths are read only through per-node averages, so the route runs in
-two passes over blocks of _PASS_ROWS paths on the block workers of the
-noise draw: the source assembly, then the closed formula.  Each block
-computes its propagator exponent in its worker's scratch; no (n, M+1)
-propagator, source or sample array is formed.  Per-block moments are
-merged in block order, so the worker count changes no byte.
+two passes over chunks of paths on the block workers of the noise draw:
+the source assembly, then the closed formula.  A chunk has
+`levy_paths._pass_rows(M+1)` paths: 1,024 up to M = 100 and fewer on
+finer grids, so that its node-major planes stay in cache and a worker's
+scratch is O(M).  Each chunk computes its propagator exponent in its
+worker's scratch; no (n, M+1) propagator, source or sample array is
+formed.  Per-chunk moments are merged in chunk order, and the chunk
+depends on the grid alone, so the worker count changes no byte.  The
+mean system is built in one (M+1)^2 array, which after assembly is the
+kernel, the only one the system holds.
 
 Derivative conventions: variational derivatives are taken as left limits
 in time, so the propagator factors drop out of the rows for Zbar and
@@ -39,13 +44,13 @@ from .core import (
 )
 from .errors import CapabilityError, ConfigError, NumericalError
 from .levy_paths import (
-    _PASS_ROWS,
     PathEnsemble,
     _check_jump_tilt,
     _eval_nodes,
     _exponent_writer,
     _log_exponential,
     _over_row_blocks,
+    _pass_rows,
     girsanov_density,
     shift_to_q,
 )
@@ -278,11 +283,11 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     deterministic derivative profiles `gamma_db` (M+1,) and `gamma_dn`
     (M+1, J) supply the last terms (they vanish for deterministic gamma).
 
-    One pass over blocks of _PASS_ROWS paths on the block workers: each
-    block forms its propagator exponent, exp(-L) and G(., T) in the
+    One pass over chunks of _pass_rows(M+1) paths on the block workers:
+    each chunk forms its propagator exponent, exp(-L) and G(., T) in the
     worker's scratch and writes the per-node sums and centred sums of
     squares of every source row into its own slot; after the join the
-    slots are merged in block order, so the worker count changes no
+    slots are merged in chunk order, so the worker count changes no
     byte.  A row that is one (path factor) x (node profile) term takes
     the moments of the path factor's sample and scales them by the
     profile.  The pathwise running cost sum_l wq_il E[G(t_i, t_l) g_l]
@@ -290,7 +295,9 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     per-path reverse trapezoid sum: O(nM) work, where the (M+1)^2
     matrix of joint means costs O(nM^2).  The tail int_t^T E[G] ds of
     the derivative rows is the same sum with g = 1, taken only when
-    such a row reads it.
+    such a row reads it.  The quadrature weights of the mean system are
+    built in place in one (M+1)^2 array, which then becomes the kernel,
+    so at most two such arrays are alive at once.
     """
     grid, levy = ens.grid, ens.levy
     if tc is None:
@@ -309,16 +316,6 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     dt = grid.dt
     n = ens.n_paths
 
-    # E[Gamma(t_i, t_l)] = exp(int a1) on grid quadrature, upper triangular
-    eg = np.exp(gamma.a1_cum[None, :] - gamma.a1_cum[:, None])
-    eg[np.tril_indices(m1, k=-1)] = 0.0
-    # trapezoid weights for int_{t_i}^T (.) ds, row i over columns i..M
-    wq = np.triu(np.full((m1, m1), dt))
-    wq[np.arange(m1), np.arange(m1)] = 0.5 * dt
-    wq[:, -1] = 0.5 * dt
-    wq[-1, -1] = 0.0
-    wq[np.tril_indices(m1, k=-1)] = 0.0
-
     # source rows as (path factor, node profile) terms: F1's terminal
     # part, then F2 and each F3_j
     brownian, jumps = derivative_terms(tc, ens) if derivative_rows \
@@ -332,12 +329,13 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     tail = gp is not None and derivative_rows and (
         gamma_db is not None or gamma_dn is not None)
 
-    n_blocks = -(-n // _PASS_ROWS)
-    sizes = np.minimum(_PASS_ROWS, n - _PASS_ROWS * np.arange(n_blocks)
-                       ).astype(float)
+    step = _pass_rows(m1)            # the chunk of _over_row_blocks below
+    n_blocks = -(-n // step)
+    sizes = np.minimum(step, n - step * np.arange(n_blocks)).astype(float)
     sums = np.zeros((len(row_terms), n_blocks, m1))
     m2 = np.zeros((len(row_terms), n_blocks, m1))
-    running = np.zeros((2, n_blocks, m1))   # running cost, then tail
+    # per chunk: the pathwise running cost, then the tail if read
+    running = None if gp is None else np.zeros((1 + tail, n_blocks, m1))
     write = gamma.writer()
 
     def work(b: int, rows: slice, planes: np.ndarray) -> None:
@@ -386,6 +384,18 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     for a in range(nj):
         f3[:, a], f3_se[:, a] = moments[2 + a]
 
+    # quad[i, l] = E[Gamma(t_i, t_l)] = exp(int a1) on the grid
+    # quadrature, times the trapezoid weight of node l in int_{t_i}^T
+    # (.) ds: upper triangular, built in place in one (M+1)^2 array
+    quad = gamma.a1_cum[None, :] - gamma.a1_cum[:, None]
+    np.exp(quad, out=quad)
+    quad *= dt
+    quad.reshape(-1)[::m1 + 1] *= 0.5        # the diagonal
+    quad[:, -1] *= 0.5
+    quad[-1, -1] = 0.0
+    for i in range(1, m1):
+        quad[i, :i] = 0.0
+
     # deterministic or pathwise running-cost contribution
     if gp is not None:
         # the trapezoids' 0.5 dt, and 1/n, applied once after the merge
@@ -397,17 +407,17 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
             if gamma_dn is not None:
                 f3 += np.asarray(gamma_dn, dtype=float) * run[1][:, None]
     else:
-        f1 += (eg * wq * cg.g[None, :]).sum(axis=1)
+        f1 += (quad * cg.g[None, :]).sum(axis=1)
 
     # E[Z] = F2 and E[K] = F3 (left-limit derivative convention): their
     # couplings move into the source of the E[Y] equation
-    quad = eg * wq                                     # (M+1, M+1) weights
     coupling = cg.b2 * f2
     if nj:
         coupling = coupling + (cg.e2 * levy.weights * f3).sum(axis=1)
+    source = f1 + quad @ coupling
+    quad *= cg.a2[None, :]                   # now the kernel
     return VolterraSystem(
-        grid=grid, kernel=quad * cg.a2[None, :],
-        source=f1 + quad @ coupling,
+        grid=grid, kernel=quad, source=source,
         f=MeanVector(grid, f1, f2, f3),
         f_se=MeanVector(grid, f1_se, f2_se, f3_se), n_nodes=m1)
 

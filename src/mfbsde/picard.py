@@ -362,9 +362,13 @@ def contraction_check(driver: DriverSpec, phi: MeanFunctional,
     node 0..M, for one standard normal (p, 2+J) coefficient matrix c on
     the solver's basis.  Inputs and outputs are node coefficients on one
     route, so the norm
-        sum_{i<M} e^{beta t_i} dt (d_Y'G_i d_Y + d_Z'G_i d_Z
-                                   + sum_j w_j d_Kj'G_i d_Kj) / n
+        sum_{i<M} e^{beta (t_i - T)} dt (d_Y'G_i d_Y + d_Z'G_i d_Z
+                                         + sum_j w_j d_Kj'G_i d_Kj) / n
     is a quadratic form in the per-node Grams G_i (left-endpoint rule).
+    The weight is the e^{beta t_i} of the paper's norm divided by
+    e^{beta T}, a factor that cancels in every ratio, so that no weight
+    exceeds one and a large beta (the default is 1 + 12 c^2) cannot
+    overflow.
     """
     if beta is None:
         beta = default_beta(driver, phi)
@@ -372,7 +376,8 @@ def contraction_check(driver: DriverSpec, phi: MeanFunctional,
         raise ConfigError("beta must be nonnegative")
     rng = np.random.default_rng(seed)
     route = _route(driver, phi, tc, ens, basis)
-    wt = np.exp(beta * ens.grid.nodes[:-1]) * ens.grid.dt
+    grid = ens.grid
+    wt = np.exp(beta * (grid.nodes[:-1] - grid.horizon)) * grid.dt
     wc = np.concatenate([[1.0, 1.0], ens.levy.weights])
 
     def norm(a, b):

@@ -199,7 +199,6 @@ class AdjointState:
 
     p: np.ndarray             # (n, M+1)
     lam: np.ndarray           # (n, M+1)
-    upsilon: np.ndarray       # (n, M+1)
     mean_lam: np.ndarray      # (M+1,) analytic exp(int (a0+a1))
     pi_hat: Optional[np.ndarray] = None
     floor_hits: int = 0
@@ -252,7 +251,7 @@ def adjoint_lambda(uc: UtilityCoefficients, ens: PathEnsemble):
         grow *= d[:, 0]
         grow += bracket[:, i]
     bracket += 1.0
-    lam = bracket / ups
+    lam = np.divide(bracket, ups, out=bracket)
     return lam, ups, mean_lam
 
 
@@ -262,8 +261,9 @@ def solve_adjoints(uc: UtilityCoefficients, ens: PathEnsemble,
     if uc.theta is None:
         raise ConfigError("utility coefficients need a terminal theta")
     lam, ups, mean_lam = adjoint_lambda(uc, ens)
+    del ups   # (n, M+1) and read by nothing: free it before p is built
     p = adjoint_p(uc.theta, ens, basis)
-    return AdjointState(p=p, lam=lam, upsilon=ups, mean_lam=mean_lam)
+    return AdjointState(p=p, lam=lam, mean_lam=mean_lam)
 
 
 def optimal_pi(adj: AdjointState) -> ControlProcess:

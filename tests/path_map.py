@@ -152,13 +152,14 @@ def _frozen_driver(driver: DriverSpec, sol: SolutionGrid,
 
 def beta_norm(sol: SolutionGrid, beta: float) -> float:
     """Discrete weighted squared norm
-    E sum_i e^{beta t_i} (y_i^2 + z_i^2 + sum_j k_ij^2 w_j) dt
-    over nodes i = 0..M-1 (left-endpoint rule)."""
+    E sum_i e^{beta (t_i - T)} (y_i^2 + z_i^2 + sum_j k_ij^2 w_j) dt
+    over nodes i = 0..M-1 (left-endpoint rule): the paper's e^{beta t}
+    weight divided by e^{beta T}, so that a large beta cannot overflow."""
     if beta < 0:
         raise ConfigError("beta must be nonnegative")
     ens = sol.ens
     w = ens.levy.weights
-    t = ens.grid.nodes[:-1]
+    t = ens.grid.nodes[:-1] - ens.grid.horizon
     # node-by-node reductions: no squared (n, M[, J]) temporaries
     yl = sol.y[:, :-1]
     dens = np.einsum("ni,ni->i", yl, yl) + np.einsum("ni,ni->i", sol.z,

@@ -132,18 +132,20 @@ class TestBetaNorm:
     def test_unit_constant_beta_one(self, ens_small):
         sol = SolutionGrid.zeros(ens_small)
         sol.y[:] = 1.0
-        # left-endpoint quadrature of int_0^1 e^t dt
+        # left-endpoint quadrature of int_0^1 e^{t - 1} dt
         assert beta_norm(sol, 1.0) == pytest.approx(
-            math.e - 1.0, abs=2 * ens_small.grid.dt
+            1.0 - math.exp(-1.0), abs=2 * ens_small.grid.dt
         )
 
     def test_monotone_in_beta(self, ens_small):
+        """The weight e^{beta (t - T)} is at most one and falls as beta
+        grows."""
         rng = np.random.default_rng(0)
         sol = SolutionGrid.zeros(ens_small)
         sol.y[:] = rng.normal(size=sol.y.shape)
         sol.z[:] = rng.normal(size=sol.z.shape)
-        assert beta_norm(sol, 2.0) >= beta_norm(sol, 1.0) \
-            >= beta_norm(sol, 0.0)
+        assert beta_norm(sol, 2.0) <= beta_norm(sol, 1.0) \
+            <= beta_norm(sol, 0.0)
 
 
 class TestMeanFunctional:

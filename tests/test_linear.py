@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from mfbsde import (
     CapabilityError,
     ConfigError,
     DomainError,
+    LevyMeasure,
     LinearCoefficients,
     brownian_linear,
     build_grid,
@@ -36,7 +38,7 @@ from mfbsde import (
 from mfbsde import levy_paths
 from mfbsde import linear as linear_module
 from mfbsde.core import terminal_value
-from mfbsde.levy_paths import _PASS_ROWS
+from mfbsde.levy_paths import _PASS_ROWS, _pass_rows
 from mfbsde.linear import assemble_system
 
 from conftest import mc_se
@@ -135,6 +137,37 @@ class TestAssembleSystem:
         assert np.allclose(sys.f.v1, 2.0)               # E[xi Gamma] = 2
         assert np.allclose(sys.f.v2, 0.0)               # derivatives vanish
         assert np.allclose(sys.f.v3, 0.0)
+
+    def test_kernel_matches_dense_construction(self, ens_small):
+        """The in-place weights have the bytes of the product of the
+        propagator means and a dense trapezoid weight matrix, in the
+        kernel, the deterministic running cost and the source."""
+        c = LinearCoefficients(alpha1=lambda t: 0.2 - 0.3 * t,
+                               alpha2=lambda t: 0.1 - 0.2 * t,
+                               beta1=0.1, beta2=0.15, eta1=0.2, eta2=0.1,
+                               gamma=lambda t: 0.05 + t,
+                               terminal=brownian_linear(0.5, 1.0))
+        g = simulate_gamma(c, ens_small)
+        got = assemble_system(c, c.terminal, ens_small, gamma=g)
+        grid, levy = ens_small.grid, ens_small.levy
+        cg = c.on_grid(grid, levy)
+        m1, dt = grid.steps + 1, grid.dt
+        eg = np.exp(g.a1_cum[None, :] - g.a1_cum[:, None])
+        eg[np.tril_indices(m1, k=-1)] = 0.0
+        wq = np.triu(np.full((m1, m1), dt))
+        wq[np.arange(m1), np.arange(m1)] = 0.5 * dt
+        wq[:, -1] = 0.5 * dt
+        wq[-1, -1] = 0.0
+        quad = eg * wq
+        assert got.kernel.tobytes() == (quad * cg.a2[None, :]).tobytes()
+        f1 = assemble_system(c, c.terminal, ens_small, gamma=g,
+                             gamma_path=np.zeros((ens_small.n_paths, m1))
+                             ).f.v1
+        f1 = f1 + (quad * cg.g[None, :]).sum(axis=1)
+        assert got.f.v1.tobytes() == f1.tobytes()
+        coupling = cg.b2 * got.f.v2 \
+            + (cg.e2 * levy.weights * got.f.v3).sum(axis=1)
+        assert got.source.tobytes() == (f1 + quad @ coupling).tobytes()
 
     def test_brownian_terminal_brownian_row(self, ens_mid):
         """With unit-slope Brownian terminal, the Z-row source is the
@@ -390,30 +423,43 @@ def _whole_moments(sample: np.ndarray):
 
 
 class TestBlockPasses:
-    """The closed-form route runs over blocks of _PASS_ROWS paths on the
-    block workers and merges per-block moments in block order."""
+    """The closed-form route runs over chunks of _pass_rows(M+1) paths on
+    the block workers and merges per-chunk moments in chunk order."""
 
     COEFFS = dict(alpha1=0.2, alpha2=0.1, beta1=0.3, beta2=0.15,
                   eta1=0.25, eta2=0.2)
 
-    def test_worker_count_changes_no_byte(self, grid50, levy2,
-                                          monkeypatch):
-        """1, 2 and 3 workers over three blocks, the last one ragged,
-        with thread switches forced often; a shared scratch buffer or a
-        lost write would change bytes."""
-        n = 2 * _PASS_ROWS + 300
-        ens = simulate_ensemble(grid50, levy2, n, seed=12)
+    def test_pass_rows_from_node_count(self):
+        """1,024 paths up to 101 nodes, then at most 1,024 x 101 values
+        per plane in multiples of 64 paths, and never fewer than 64."""
+        assert [_pass_rows(m + 1) for m in (1, 50, 100, 101, 400, 800,
+                                            1600, 10 ** 5)] == \
+            [_PASS_ROWS] * 3 + [960, 256, 128, 64, 64]
+        for nodes in range(2, 3000, 7):
+            k = _pass_rows(nodes)
+            assert k % 64 == 0 and 64 <= k <= _PASS_ROWS
+            assert k == 64 or k * nodes <= _PASS_ROWS * 101
+
+    def test_worker_count_changes_no_byte(self, levy2, monkeypatch):
+        """1, 2 and 3 workers over three 256-path chunks of a fine grid,
+        the last one ragged, with thread switches forced often; a shared
+        scratch buffer or a lost write would change bytes."""
+        grid = build_grid(1.0, 400)
+        k = _pass_rows(grid.steps + 1)
+        assert k < _PASS_ROWS
+        n = 2 * k + 100
+        ens = simulate_ensemble(grid, levy2, n, seed=12)
         tc = poly_of_jump_linear([0.3, 0.5, -0.2, 0.1], [0.6, -0.4])
         c = LinearCoefficients(**self.COEFFS, terminal=tc)
         gp = np.asfortranarray(np.cos(ens.brownian_nodes))
-        dn = np.tile([0.1, -0.2], (grid50.steps + 1, 1))
+        dn = np.tile([0.1, -0.2], (grid.steps + 1, 1))
 
         def run(workers):
             monkeypatch.setattr(levy_paths, "_worker_count",
                                 lambda: workers)
             g = simulate_gamma(c, ens)
             sys_ = assemble_system(c, tc, ens, gamma=g, gamma_path=gp,
-                                   gamma_db=np.full(grid50.steps + 1, 0.3),
+                                   gamma_db=np.full(grid.steps + 1, 0.3),
                                    gamma_dn=dn)
             v = neumann_solve(sys_)
             y0, se, _, sample = y_closed_formula(
@@ -430,15 +476,17 @@ class TestBlockPasses:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("n", [500, 2 * _PASS_ROWS, 2 * _PASS_ROWS + 452,
-                                   1],
-                             ids=["below_one_block", "exact_multiple",
-                                  "ragged", "one_path"])
-    def test_merge_matches_whole_array(self, grid50, levy1, n):
+    @pytest.mark.parametrize(
+        "steps,n", [(50, 500), (50, 2 * _PASS_ROWS),
+                    (50, 2 * _PASS_ROWS + 452), (50, 1),
+                    (800, 3 * _pass_rows(801) + 37)],
+        ids=["below_one_block", "exact_multiple", "ragged", "one_path",
+             "fine_grid_ragged"])
+    def test_merge_matches_whole_array(self, levy1, steps, n):
         """The per-node means and standard errors of the terminal source
         row and of a one-term derivative row against a whole-array numpy
         mean and std(ddof=1), on the exponent from log_levels."""
-        ens = simulate_ensemble(grid50, levy1, n, seed=14)
+        ens = simulate_ensemble(build_grid(1.0, steps), levy1, n, seed=14)
         tc = smooth_of_brownian([1.0, 0.5, 0.3])
         c = LinearCoefficients(**self.COEFFS, terminal=tc)
         g = simulate_gamma(c, ens)
@@ -521,6 +569,37 @@ class TestBlockPasses:
             [sys.executable, "-c", LINEAR_RSS], env=env, check=True,
             capture_output=True, text=True).stdout)
         assert grown < 100000 * 51 * 8
+
+
+    def test_fine_grid_memory_bound(self, monkeypatch):
+        """At M = 1600 the route's traced peak stays below 2.5 (M+1)^2
+        doubles plus the chunk planes of the two workers and the
+        per-chunk moment slots: assembly holds at most two (M+1)^2 arrays
+        and O(M) scratch per worker, and the solve and the closed formula
+        add no (M+1)^2 array to the kernel."""
+        grid = build_grid(1.0, 1600)
+        levy = LevyMeasure.from_atoms([(1.0, 0.5), (-0.5, 0.7)])
+        ens = simulate_ensemble(grid, levy, 3000, seed=21)
+        tc = poly_of_jump_linear([0.3, 0.5, -0.2], [0.6, -0.4])
+        c = LinearCoefficients(**self.COEFFS, gamma=0.1, terminal=tc)
+        monkeypatch.setattr(levy_paths, "_worker_count", lambda: 2)
+        m1, k = grid.steps + 1, 64      # 64 paths per chunk at M = 1600
+        planes = 2 * 2 * m1 * k * 8
+        slots = 2 * 4 * -(-ens.n_paths // k) * m1 * 8
+        bound = 2.5 * m1 * m1 * 8 + planes + slots
+        g = simulate_gamma(c, ens)
+        tracemalloc.start()
+        try:
+            sys_ = assemble_system(c, tc, ens, gamma=g)
+            _, assembly = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            v = neumann_solve(sys_)
+            y_closed_formula(c, tc, ens, v, gamma=g)
+            _, solve = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert assembly < bound
+        assert solve < bound
 
 
 class TestCrossSolver:

@@ -19,6 +19,7 @@ from mfbsde import (
     build_grid,
     constant,
     contraction_check,
+    default_beta,
     jump_linear,
     mean_y,
     mean_y_squared,
@@ -484,7 +485,7 @@ def test_coefficient_route_matches_path_sweep(atoms, measure, extras,
         assert atoms < 2 or not ens.count_nodes[:, 1].any(axis=0).all()
     ref, want = _path_freeze(driver, phi, tc, ens, basis, freeze)
     assert want["converged"]
-    # a fixed weight: the default 1 + 12 * 10^2 of y_and_y2 overflows
+    # a fixed weight here; the default beta has a test of its own
     want_ratios = path_contraction_check(driver, phi, tc, ens, basis,
                                          beta=3.0, n_pairs=3)
     assert np.isfinite(want_ratios).all()
@@ -513,6 +514,23 @@ def test_coefficient_route_matches_path_sweep(atoms, measure, extras,
                                    n_pairs=3)
         np.testing.assert_allclose(ratios, want_ratios, rtol=1e-10, atol=0,
                                    equal_nan=False)
+
+
+def test_contraction_check_at_large_default_beta():
+    """y_and_y2's derivative bound 10 gives the default beta = 1 + 12 *
+    10^2 = 1201, and e^{beta t} overflows float64 beyond t = 0.59 at
+    T = 1.  The weight e^{beta (t - T)} keeps the ratios finite, with no
+    RuntimeWarning, and equal to the oracle's to 1e-10 relative."""
+    ens, basis, driver, phi, tc = _catalog_problem(
+        1, "P", False, "y_and_y2", False, seed=301)
+    assert default_beta(driver, phi) == pytest.approx(1201.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ratios = contraction_check(driver, phi, tc, ens, basis, n_pairs=3)
+        want = path_contraction_check(driver, phi, tc, ens, basis,
+                                      n_pairs=3)
+    assert np.isfinite(ratios).all() and min(ratios) > 0.0
+    np.testing.assert_allclose(ratios, want, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("route", ["coefficients", "paths"])

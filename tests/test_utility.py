@@ -33,7 +33,7 @@ from mfbsde import (
     smooth_of_brownian,
     solve_adjoints,
 )
-from mfbsde.levy_paths import _PASS_ROWS
+from mfbsde.levy_paths import _PASS_ROWS, _pass_rows
 from mfbsde.linear import MeanVector, assemble_system
 
 from conftest import mc_se
@@ -504,12 +504,13 @@ class TestLogWealthBlocks:
                                    atol=0.0)
 
     @pytest.mark.parametrize("case", ["adapted", "deterministic_rows"])
-    def test_worker_count_changes_no_byte(self, grid50, levy2, monkeypatch,
-                                          case):
-        """1, 2 and 3 workers over three row blocks, the last one ragged,
-        with thread switches forced often."""
-        ens = simulate_ensemble(grid50, levy2, 2 * _PASS_ROWS + 300,
-                                seed=19)
+    def test_worker_count_changes_no_byte(self, levy2, monkeypatch, case):
+        """1, 2 and 3 workers over three 256-path chunks of a fine grid,
+        the last one ragged, with thread switches forced often."""
+        grid = build_grid(1.0, 400)
+        k = _pass_rows(grid.steps + 1)
+        assert k < _PASS_ROWS
+        ens = simulate_ensemble(grid, levy2, 2 * k + 100, seed=19)
         wp, uc, pi = _utility_cases(ens)[case]
 
         def run(workers):
