@@ -7,8 +7,9 @@ coefficients through `CoefficientRoute`.  A driver with an affine form
 (`core.DriverForm`) and a mean functional with a linear form
 (`core.MeanForm`) are linear maps of the coefficients; a custom callable
 is evaluated pathwise on the iterate written from them, once per node.
-The results are read off the coefficients: `solution` writes the
-(n, M+1) arrays, `summary` only the node means and Y at nodes 0 and 1.
+The results are read off the coefficients: `solution` holds the node
+means and writes each (n, M+1) array on its first read, `summary` gives
+the node means and Y at nodes 0 and 1.
 """
 from __future__ import annotations
 
@@ -66,11 +67,13 @@ class CoefficientRoute:
     form, the driver is called once per node on V_i = X_i [b_i | zk_i']
     (node M: Y_M with the node M-1 Z and K) and X_i'(f_i + f_{i+1}) is
     solved over the stacked factors; phi without a form is averaged over
-    the same V_i.  Means are x_i . b with x_i the column means of X_i,
+    the same V_i in the same node pass, so a sweep builds each design
+    once.  Means are x_i . b with x_i the column means of X_i,
     E[Y^2] is b'G_i b / n, and so is the Picard delta
-    E|dY_i|^2 = d'G_i d / n.  `solution` writes Y, Z and K once at the
-    end, and `summary` reads the node means and Y at nodes 0 and 1
-    without them.  `reg` is the solve's picard._Regressions: the set-up
+    E|dY_i|^2 = d'G_i d / n.  `solution` returns the node means with Y, Z
+    and K each written on its first read, one design per node and one
+    X_i c product per column; `summary` reads the node means and Y at
+    nodes 0 and 1.  `reg` is the solve's picard._Regressions: the set-up
     fills its per-node Cholesky factors and Grams, and reads its design
     matrices.
     """
@@ -173,27 +176,41 @@ class CoefficientRoute:
         return CoefIterate(np.tile(c[0], (m, 1)), np.tile(c[1:], (m, 1, 1)),
                            np.append(0.0, c[0]))
 
+    def node_values(self, it: CoefIterate, i: int,
+                    x: Optional[np.ndarray] = None) -> np.ndarray:
+        """The iterate's Y, Z and K_j per path at node i, (n, 2+J), with X
+        the node min(i, M-1) design (built if not given): at node M, Y_M
+        with the node M-1 estimates of Z and K."""
+        j = min(i, self.m - 1)
+        if x is None:
+            x = self.reg.design(j)
+        coefs = np.concatenate([it.b[j, None], it.zk[j]])
+        v = (coefs @ x.T).T            # each column of V is contiguous
+        if i == self.m:
+            v[:, 0] = self.xa @ it.yt
+        return v
+
     def _values(self, it: CoefIterate):
-        """(i, X, V_i) for i = M .. 0: the iterate's Y, Z and K_j per path
-        at node i, (n, 2+J), written with X = the node min(i, M-1) design
-        (valid until the next step), one design per node below M."""
-        coefs = np.concatenate([it.b[:, None], it.zk], axis=1)
+        """(i, X, V_i) for i = M .. 0, V_i of `node_values` with X the
+        node min(i, M-1) design (valid until the next step): one design
+        per node below M."""
         for i in reversed(range(self.m)):
             x = self.reg.design(i)
-            v = (coefs[i] @ x.T).T     # each column of V is contiguous
             if i == self.m - 1:
-                tail = v.copy()
-                tail[:, 0] = self.xa @ it.yt
-                yield self.m, x, tail
-            yield i, x, v
+                yield self.m, x, self.node_values(it, self.m, x)
+            yield i, x, self.node_values(it, i, x)
+
+    def path_mean(self, v: np.ndarray) -> np.ndarray:
+        """phi's mean over the per-path node values V (n, 2+J), (d,)."""
+        return np.einsum("nd->d", self.phi.eval(
+            v[:, 0], v[:, 1], v[:, 2:])) / v.shape[0]
 
     def mean_channel(self, it: CoefIterate) -> np.ndarray:
         """Means of phi at every node, (M+1, d): from the coefficients,
         or for phi without a form over the written iterate."""
         if self.lmap is None:
-            return np.stack([np.einsum("nd->d", self.phi.eval(
-                v[:, 0], v[:, 1], v[:, 2:])) / v.shape[0]
-                for _, _, v in self._values(it)][::-1])
+            return np.stack([self.path_mean(v)
+                             for _, _, v in self._values(it)][::-1])
         lmap, m = self.lmap, self.m
         coefs = np.concatenate([it.b[:, None], it.zk], axis=1)
         wts = np.einsum("dc,icp->idp", lmap, coefs)      # X_i parts
@@ -209,12 +226,15 @@ class CoefficientRoute:
             mu[m] = np.einsum("dp,pq,dq->d", tail, self.gt, tail)
         return mu
 
-    def _call_rhs(self, it: CoefIterate, mu: np.ndarray) -> np.ndarray:
+    def _call_rhs(self, it: CoefIterate, mu: Optional[np.ndarray]
+                  ) -> np.ndarray:
         """S_i^-1 X_i'(f_i + f_{i+1}), (M, p), for a driver without a form:
-        one call per node on the written iterate."""
+        one call per node on the written iterate, with phi's mean over
+        the same values when no mean channel is given."""
         t, rhs = self.ens.grid.nodes, np.empty((self.m, self.p, 1))
         for i, x, v in self._values(it):
-            f = self.driver(t[i], v[:, 0], v[:, 1], v[:, 2:], mu[i])
+            mu_i = self.path_mean(v) if mu is None else mu[i]
+            f = self.driver(t[i], v[:, 0], v[:, 1], v[:, 2:], mu_i)
             if i < self.m:              # node M comes first
                 rhs[i, :, 0] = x.T @ (f + f_next)
             f_next = f
@@ -235,8 +255,14 @@ class CoefficientRoute:
         r[-1] += self.sg[m - 1] @ psi + self.ay[m] * (self.at @ it.yt)
         return r
 
-    def sweep(self, it: CoefIterate, mu: np.ndarray) -> CoefIterate:
+    def sweep(self, it: CoefIterate, mu: Optional[np.ndarray] = None
+              ) -> CoefIterate:
+        """One backward sweep with the driver frozen along `it` and the
+        mean channel mu (M+1, d), by default phi's means of `it`."""
         m = self.m
+        if mu is None and (self.driver.form or self.lmap is not None):
+            mu = self.mean_channel(it)
+        # else phi is averaged in the driver's node pass
         r = (self._form_rhs if self.driver.form else self._call_rhs)(it, mu)
         if self.src is not None:
             r += self.src
@@ -263,28 +289,39 @@ class CoefficientRoute:
         return np.append(np.einsum("ip,ip->i", self.xbar, it.b),
                          self.xt[self.p:] @ it.yt)
 
+    def _means(self, it: CoefIterate):
+        """Node means of Y, Z and K_j: x_i . b_i and x_i . zk_i."""
+        zk = np.einsum("ip,icp->ic", self.xbar, it.zk)
+        return self.ybar(it), zk[:, 0], zk[:, 1:]
+
     def summary(self, it: CoefIterate):
         """Node means of Y, Z and K_j, then Y at nodes 0 and 1 per path,
-        from the coefficients: x_i . b_i, x_i . zk_i, X_0 b_0 and X_1 b_1
-        (at M = 1 node 1 holds Y_M).  No (n, M+1) array is formed."""
-        zk = np.einsum("ip,icp->ic", self.xbar, it.zk)
+        from the coefficients: X_0 b_0 and X_1 b_1 (at M = 1 node 1 holds
+        Y_M), the bytes of the same columns of `solution`'s y.  No
+        (n, M+1) array is formed."""
         y0 = self.reg.design(0) @ it.b[0]
         if self.m > 1:
             y1 = self.reg.design(1) @ it.b[1]
         else:
             y1 = self.xa @ it.yt
-        return self.ybar(it), zk[:, 0], zk[:, 1:], y0, y1
+        return (*self._means(it), y0, y1)
 
     def solution(self, it: CoefIterate) -> SolutionGrid:
-        """Write Y, Z and K: one X product per node."""
-        ens, m = self.ens, self.m
-        n, nj = ens.n_paths, ens.levy.n_atoms
-        y = np.empty((n, m + 1), order="F")
-        z = np.empty((n, m), order="F")
-        k = np.empty((n, m, nj), order="F")
-        for i, _, v in self._values(it):
-            y[:, i] = v[:, 0]
-            if i < m:
-                z[:, i] = v[:, 1]
-                k[:, i, :] = v[:, 2:]
-        return SolutionGrid(ens, y, z, k)
+        """Y, Z and K of the iterate: the means from the coefficients, and
+        each path array written by `_write` on its first read."""
+        return SolutionGrid._on_read(
+            self.ens, lambda name: self._write(it, name), *self._means(it))
+
+    def _write(self, it: CoefIterate, name: str) -> np.ndarray:
+        """Y (n, M+1), Z (n, M) or K (n, M, J), Fortran order: per node
+        one design and one product per component, into its column."""
+        n, m = self.ens.n_paths, self.m
+        c = {"y": it.b[:, None], "z": it.zk[:, :1], "k": it.zk[:, 1:]}[name]
+        out = np.empty((n, m + (name == "y"), c.shape[1]), order="F")
+        for i in range(m if c.shape[1] else 0):
+            x = self.reg.design(i)
+            for j in range(c.shape[1]):
+                np.matmul(x, c[i, j], out=out[:, i, j])
+        if name == "y":
+            np.matmul(self.xa, it.yt, out=out[:, m, 0])
+        return out if name == "k" else out[:, :, 0]

@@ -8,6 +8,7 @@ numbers turn the almost-sure ordering into a testable margin.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,7 +19,7 @@ from .core import DriverSpec, TerminalCondition, _probe_blocks, \
     terminal_value
 from .errors import ConfigError
 from .levy_paths import PathEnsemble, _eval_nodes_atoms
-from .picard import RegressionBasis, picard_mean_freeze
+from .picard import RegressionBasis, _mean_freeze
 
 __all__ = [
     "ComparisonScenario",
@@ -147,15 +148,19 @@ class ComparisonReport:
             and self.ordering_holds
 
 
-def _batch_min_se(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node min margin and its batch-means standard error."""
-    n = diff.shape[0]
-    nb = min(N_BATCHES, n)
-    edges = np.linspace(0, n, nb + 1).astype(int)
-    batch_mins = np.stack([diff[edges[b]:edges[b + 1]].min(axis=0)
-                           for b in range(nb)])
-    se = batch_mins.std(axis=0, ddof=1) / math.sqrt(nb)
-    return diff.min(axis=0), se
+def _batch_min_se(columns) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node min margin and its batch-means standard error, from the
+    (n,) margin column of each node in turn: the minimum over each of
+    N_BATCHES consecutive path batches, and the spread of those minima."""
+    mins, ses = [], []
+    for d in columns:
+        n = d.shape[0]
+        nb = min(N_BATCHES, n)
+        starts = np.linspace(0, n, nb + 1).astype(int)[:-1]
+        mins.append(d.min())
+        ses.append(np.minimum.reduceat(d, starts).std(ddof=1)
+                   / math.sqrt(nb))
+    return np.array(mins), np.array(ses)
 
 
 def run_comparison(sc: ComparisonScenario, ens: PathEnsemble,
@@ -173,11 +178,15 @@ def run_comparison(sc: ComparisonScenario, ens: PathEnsemble,
     if not hyp.all_pass and not force:
         return ComparisonReport(hypotheses=hyp, solved=False)
 
-    sol1, rep1 = picard_mean_freeze(sc.g1, sc.xi1, ens, basis, tol=tol,
-                                    max_iter=max_iter, check=False)
-    sol2, rep2 = picard_mean_freeze(sc.g2, sc.xi2, ens, basis, tol=tol,
-                                    max_iter=max_iter, check=False)
-    margin, margin_se = _batch_min_se(sol1.y - sol2.y)
+    (r1, it1, rep1), (r2, it2, rep2) = (
+        _mean_freeze(g, xi, ens, basis, tol, max_iter, check=False)
+        for g, xi in ((sc.g1, sc.xi1), (sc.g2, sc.xi2)))
+    # both routes regress on the same designs: below node M the margin is
+    # X_i (b1_i - b2_i); node M holds xi after a sweep
+    m = ens.grid.steps
+    margin, margin_se = _batch_min_se(itertools.chain(
+        (r1.reg.design(i) @ (it1.b[i] - it2.b[i]) for i in range(m)),
+        [r1.xi - r2.xi]))
     imin = int(np.argmin(margin))
     ok = bool(margin[imin] >= -3.0 * max(margin_se[imin], 1e-300)) \
         if margin[imin] < 0 else True

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -419,24 +419,40 @@ def mean_yzk_avg(levy) -> MeanFunctional:
 # Solution grids and norms
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SolutionGrid:
     """Triplet (Y, Z, K) on the grid plus ensemble means.
 
     y has shape (n, M+1); z (n, M) and k (n, M, J) live on nodes 0..M-1
     (they multiply the forward increments of the corresponding interval).
+    A grid built from arrays holds them and their means.  A Picard
+    solver's grid (`CoefficientRoute.solution`) holds only ybar, zbar and
+    kbar, read off the regression coefficients, and writes each of y, z
+    and k from the coefficients on its first read.
     """
 
-    ens: PathEnsemble
-    y: np.ndarray
-    z: np.ndarray
-    k: np.ndarray
-    ybar: np.ndarray = field(init=False)
-    zbar: np.ndarray = field(init=False)
-    kbar: np.ndarray = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, ens: PathEnsemble, y: np.ndarray, z: np.ndarray,
+                 k: np.ndarray):
+        self.ens, self.y, self.z, self.k = ens, y, z, k
         self.recompute_means()
+
+    @classmethod
+    def _on_read(cls, ens: PathEnsemble, writer, ybar, zbar, kbar
+                 ) -> "SolutionGrid":
+        """A grid of the given means whose y, z and k are writer("y"),
+        writer("z") and writer("k"), each called on the first read."""
+        sol = cls.__new__(cls)
+        sol.ens, sol._writer = ens, writer
+        sol.ybar, sol.zbar, sol.kbar = ybar, zbar, kbar
+        return sol
+
+    def __getattr__(self, name):
+        # only reached for an attribute not yet set: y, z or k of a grid
+        # from `_on_read` before its first read
+        if name not in ("y", "z", "k") or "_writer" not in vars(self):
+            raise AttributeError(name)
+        arr = self._writer(name)
+        setattr(self, name, arr)
+        return arr
 
     def recompute_means(self):
         self.ybar = self.y.mean(axis=0)

@@ -224,19 +224,22 @@ def _for_each_block(draw, n_blocks: int, buffer_size: int) -> None:
 
 
 def _over_row_blocks(rows: range, shape: tuple, work) -> None:
-    """Call work(b, part, scratch) for the b-th run `part` of at most
-    _pass_rows(shape[-1]) consecutive rows, on the block workers; scratch
-    is a node-major (*shape, k) view of the worker's buffer for a run of
-    k rows."""
+    """Call work(b, part, scratch) for runs `part` of at most
+    _pass_rows(shape[-1]) consecutive rows of the b-th _PASS_ROWS-row
+    slot, on the block workers: a worker takes whole slots and runs each
+    slot's parts in row order.  scratch is a node-major (*shape, k) view
+    of the worker's buffer for a run of k rows."""
     size, step = math.prod(shape), _pass_rows(shape[-1])
 
     def run(b: int, buf: np.ndarray) -> None:
-        lo = rows.start + b * step
-        part = slice(lo, min(lo + step, rows.stop))
-        k = part.stop - part.start
-        work(b, part, buf[:size * k].reshape(*shape, k))
+        lo = rows.start + b * _PASS_ROWS
+        hi = min(lo + _PASS_ROWS, rows.stop)
+        for start in range(lo, hi, step):
+            part = slice(start, min(start + step, hi))
+            k = part.stop - part.start
+            work(b, part, buf[:size * k].reshape(*shape, k))
 
-    _for_each_block(run, -(-len(rows) // step),
+    _for_each_block(run, -(-len(rows) // _PASS_ROWS),
                     size * min(len(rows), step))
 
 

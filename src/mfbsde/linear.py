@@ -14,10 +14,10 @@ the source assembly, then the closed formula.  A chunk has
 finer grids, so that its node-major planes stay in cache and a worker's
 scratch is O(M).  Each chunk computes its propagator exponent in its
 worker's scratch; no (n, M+1) propagator, source or sample array is
-formed.  Per-chunk moments are merged in chunk order, and the chunk
-depends on the grid alone, so the worker count changes no byte.  The
-mean system is built in one (M+1)^2 array, which after assembly is the
-kernel, the only one the system holds.
+formed.  Per-chunk moments are merged in chunk order into fixed
+1,024-path slots, and the chunk depends on the grid alone, so the worker
+count changes no byte.  The mean system is built in one (M+1)^2 array,
+which after assembly is the kernel, the only one the system holds.
 
 Derivative conventions: variational derivatives are taken as left limits
 in time, so the propagator factors drop out of the rows for Zbar and
@@ -45,12 +45,12 @@ from .core import (
 from .errors import CapabilityError, ConfigError, NumericalError
 from .levy_paths import (
     PathEnsemble,
+    _PASS_ROWS,
     _check_jump_tilt,
     _eval_nodes,
     _exponent_writer,
     _log_exponential,
     _over_row_blocks,
-    _pass_rows,
     girsanov_density,
     shift_to_q,
 )
@@ -285,13 +285,15 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
 
     One pass over chunks of _pass_rows(M+1) paths on the block workers:
     each chunk forms its propagator exponent, exp(-L) and G(., T) in the
-    worker's scratch and writes the per-node sums and centred sums of
-    squares of every source row into its own slot; after the join the
-    slots are merged in chunk order, so the worker count changes no
-    byte.  A row that is one (path factor) x (node profile) term takes
-    the moments of the path factor's sample and scales them by the
-    profile.  The pathwise running cost sum_l wq_il E[G(t_i, t_l) g_l]
-    is E[G(0, t_i)^-1 R_i] with R_i = sum_{l>=i} wq_il G(0, t_l) g_l, a
+    worker's scratch and merges the per-node sums and centred sums of
+    squares of every source row, in row order, into the slot of its
+    _PASS_ROWS paths (one worker runs a slot's chunks in turn), so the
+    slots are O(n(M+1)/1,024) at any M; after the join the slots are
+    merged in slot order, so the worker count changes no byte.  A row
+    that is one (path factor) x (node profile) term takes the moments of
+    the path factor's sample and scales them by the profile.  The
+    pathwise running cost sum_l wq_il E[G(t_i, t_l) g_l] is
+    E[G(0, t_i)^-1 R_i] with R_i = sum_{l>=i} wq_il G(0, t_l) g_l, a
     per-path reverse trapezoid sum: O(nM) work, where the (M+1)^2
     matrix of joint means costs O(nM^2).  The tail int_t^T E[G] ds of
     the derivative rows is the same sum with g = 1, taken only when
@@ -329,16 +331,19 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     tail = gp is not None and derivative_rows and (
         gamma_db is not None or gamma_dn is not None)
 
-    step = _pass_rows(m1)            # the chunk of _over_row_blocks below
-    n_blocks = -(-n // step)
-    sizes = np.minimum(step, n - step * np.arange(n_blocks)).astype(float)
-    sums = np.zeros((len(row_terms), n_blocks, m1))
-    m2 = np.zeros((len(row_terms), n_blocks, m1))
-    # per chunk: the pathwise running cost, then the tail if read
-    running = None if gp is None else np.zeros((1 + tail, n_blocks, m1))
+    # one slot per _PASS_ROWS paths, as in _over_row_blocks below
+    n_slots = -(-n // _PASS_ROWS)
+    sizes = np.minimum(_PASS_ROWS,
+                       n - _PASS_ROWS * np.arange(n_slots)).astype(float)
+    sums = np.zeros((len(row_terms), n_slots, m1))
+    m2 = np.zeros((len(row_terms), n_slots, m1))
+    # per slot: the pathwise running cost, then the tail if read
+    running = None if gp is None else np.zeros((1 + tail, n_slots, m1))
     write = gamma.writer()
 
     def work(b: int, rows: slice, planes: np.ndarray) -> None:
+        # paths of slot b merged so far, and in this chunk
+        done, k = rows.start - b * _PASS_ROWS, rows.stop - rows.start
         einv, sample = planes[:2]
         write(rows, einv, sample[1:])
         exp_t = np.exp(einv[-1])
@@ -356,19 +361,26 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
                 # on threading
                 np.einsum("kn,km->mn", factors, profs[r], out=sample)
                 sample *= einv
-            # the block's sum and centred sum of squares at each node
-            np.sum(sample, axis=1, out=sums[r, b])
-            sample -= (sums[r, b] / sample.shape[1])[:, None]
-            np.einsum("ij,ij->i", sample, sample, out=m2[r, b])
+            # the chunk's sum and centred sum of squares at each node,
+            # merged into its slot in row order (Chan, Golub & LeVeque)
+            s = np.sum(sample, axis=1)
+            sample -= (s / k)[:, None]
+            q = np.einsum("ij,ij->i", sample, sample)
+            if done:
+                d = s / k - sums[r, b] / done
+                m2[r, b] += q + d * d * (done * k / (done + k))
+                sums[r, b] += s
+            else:
+                sums[r, b], m2[r, b] = s, q
         if gp is None:
             return
         v[...] = gp[rows].T   # node-major, whatever the caller's layout
         v *= expl
         _reverse_trapezoid(v, sample)
-        np.einsum("ij,ij->i", einv, v, out=running[0, b])
+        running[0, b] += np.einsum("ij,ij->i", einv, v)
         if tail:
             _reverse_trapezoid(expl, sample)
-            np.einsum("ij,ij->i", einv, expl, out=running[1, b])
+            running[1, b] += np.einsum("ij,ij->i", einv, expl)
 
     _over_row_blocks(range(n), (2 if gp is None else 4, m1), work)
 

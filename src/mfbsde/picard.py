@@ -221,17 +221,17 @@ def _check_caps(**caps):
             raise ConfigError(f"{name} must be >= 1, got {cap}")
 
 
-def _freeze_loop(route, tol: float, max_iter: int, mu_fn,
+def _freeze_loop(route, tol: float, max_iter: int, mu: Optional[np.ndarray],
                  scheme: str) -> tuple[object, PicardReport]:
-    """Shared driver-freezing iteration on the route's iterates.
-    mu_fn(iterate) supplies the per-node mean channel (M+1, d) for the
-    next freeze."""
+    """Shared driver-freezing iteration on the route's iterates, each
+    sweep with the mean channel mu (M+1, d), or without mu phi's means of
+    the previous iterate."""
     dt = route.ens.grid.dt
     report = PicardReport(tol=tol, scheme=scheme)
     it = route.initial()
     for _ in range(max_iter):
         started = time.perf_counter()
-        new = route.sweep(it, mu_fn(it))
+        new = route.sweep(it, mu)
         dy2 = route.dy2(new, it)
         report.record(float(dy2.max()), float(dy2[:-1].sum() * dt),
                       time.perf_counter() - started)
@@ -260,8 +260,7 @@ def _full_freeze(driver: DriverSpec, phi: MeanFunctional,
         probe_driver(driver, ens.grid, ens.levy)
         probe_mean_functional(phi, ens.levy.n_atoms)
     route = _route(driver, phi, tc, ens, basis)
-    it, report = _freeze_loop(route, tol, max_iter, route.mean_channel,
-                              "full-freeze")
+    it, report = _freeze_loop(route, tol, max_iter, None, "full-freeze")
     _finish(report, route)
     if not report.converged:
         warnings.warn(
@@ -283,28 +282,22 @@ def picard_full_freeze(driver: DriverSpec, phi: MeanFunctional,
     Stops when the sup-node mean-square iterate difference drops below
     tol; non-convergence is reported through the flag, never silently.
     The iteration runs on regression coefficients (see coefficient_route)
-    and custom callables are evaluated on the paths once per node.
+    and custom callables are evaluated on the paths once per node.  The
+    solution holds the node means; its y, z and k are each written from
+    the coefficients on first read, so a caller that reads none of them
+    forms no (n, M+1) array.
     """
     route, it, report = _full_freeze(driver, phi, tc, ens, basis, tol,
                                      max_iter, check)
     return route.solution(it), report
 
 
-def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
-                       ens: PathEnsemble, basis: RegressionBasis,
-                       tol: float = 1e-6, max_iter: int = 50,
-                       inner_tol: Optional[float] = None,
-                       inner_max_iter: int = 50, check: bool = True
-                       ) -> tuple[SolutionGrid, PicardReport]:
-    """Outer iteration freezing only the mean of Y.
-
-    The driver must read the mean channel as the scalar E[Y].  Each outer
-    step solves the inner equation in (Y, Z, K) to convergence with the
-    frozen mean path, then updates the mean.  Outer iterate differences
-    are the quantity whose factorial-rate decay the convergence lemma
-    predicts.  All outer steps share one route, so the coefficient
-    route's set-up is paid once.
-    """
+def _mean_freeze(driver: DriverSpec, tc: TerminalCondition,
+                 ens: PathEnsemble, basis: RegressionBasis, tol: float,
+                 max_iter: int, inner_tol: Optional[float] = None,
+                 inner_max_iter: int = 50, check: bool = True):
+    """The mean-freeze solve up to its last iterate: (route, iterate,
+    report), as `_full_freeze`."""
     if driver.mean_dim != 1:
         raise ConfigError(
             "mean-freeze driver must depend on the mean through E[Y] only"
@@ -323,15 +316,12 @@ def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
     dt = ens.grid.dt
     for _ in range(max_iter):
         started = time.perf_counter()
-        mu_fixed = frozen[:, None]
-        it, inner_rep = _freeze_loop(
-            route, inner_tol, inner_max_iter, lambda _it: mu_fixed,
-            "mean-freeze-inner",
-        )
+        it, inner_rep = _freeze_loop(route, inner_tol, inner_max_iter,
+                                     frozen[:, None], "mean-freeze-inner")
         if not inner_rep.converged:
             report.inner_unconverged += 1
             warnings.warn("mean-freeze inner solve did not converge",
-                          stacklevel=2)
+                          stacklevel=3)
         dy2 = route.dy2(it, prev)
         report.record(float(dy2.max()), float(dy2[:-1].sum() * dt),
                       time.perf_counter() - started)
@@ -344,9 +334,30 @@ def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
     if not report.converged:
         warnings.warn(
             f"Picard mean freeze did not converge in {report.iterations} "
-            f"outer iterations", stacklevel=2,
+            f"outer iterations", stacklevel=3,
         )
-    return route.solution(prev), report
+    return route, prev, report
+
+
+def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
+                       ens: PathEnsemble, basis: RegressionBasis,
+                       tol: float = 1e-6, max_iter: int = 50,
+                       inner_tol: Optional[float] = None,
+                       inner_max_iter: int = 50, check: bool = True
+                       ) -> tuple[SolutionGrid, PicardReport]:
+    """Outer iteration freezing only the mean of Y.
+
+    The driver must read the mean channel as the scalar E[Y].  Each outer
+    step solves the inner equation in (Y, Z, K) to convergence with the
+    frozen mean path, then updates the mean.  Outer iterate differences
+    are the quantity whose factorial-rate decay the convergence lemma
+    predicts.  All outer steps share one route, so the coefficient
+    route's set-up is paid once.  The solution's y, z and k are written
+    on first read (see `picard_full_freeze`).
+    """
+    route, it, report = _mean_freeze(driver, tc, ens, basis, tol, max_iter,
+                                     inner_tol, inner_max_iter, check)
+    return route.solution(it), report
 
 
 def contraction_check(driver: DriverSpec, phi: MeanFunctional,
@@ -392,7 +403,6 @@ def contraction_check(driver: DriverSpec, phi: MeanFunctional,
     for _ in range(n_pairs):
         in1, in2 = draw(), draw()
         din = norm(in1, in2)
-        out1, out2 = (route.sweep(it, route.mean_channel(it))
-                      for it in (in1, in2))
+        out1, out2 = (route.sweep(it) for it in (in1, in2))
         ratios.append(0.0 if din == 0.0 else norm(out1, out2) / din)
     return ratios

@@ -27,7 +27,6 @@ import numpy as np
 from .core import (
     LinearCoefficients,
     TerminalCondition,
-    mean_functional_eval,
     mean_yzk,
     terminal_value,
     wealth_linear,
@@ -38,7 +37,7 @@ from .levy_paths import PathEnsemble, _check_jump_tilt, _cumulate_nodes, \
     _over_row_blocks
 from .linear import assemble_system, neumann_solve, simulate_gamma, \
     y_closed_formula
-from .picard import RegressionBasis, _Regressions, picard_full_freeze
+from .picard import RegressionBasis, _Regressions, _full_freeze
 
 __all__ = [
     "WealthParams",
@@ -410,17 +409,17 @@ def picard_utility_y0(wp: WealthParams, uc: UtilityCoefficients,
         basis = RegressionBasis(degree=2, jump_features=True)
     basis = replace(basis, extras={**basis.extras, "wealth": x,
                                    "log_wealth": logx})
-    sol, rep = picard_full_freeze(driver, phi, tc, ens, basis, tol=tol,
-                                  max_iter=max_iter, check=False)
-    # the driver at nodes 0 and 1 only: the trapezoid of the first step
-    f01 = [driver(grid.nodes[i], sol.y[:, i], sol.z[:, zi],
-                  sol.k[:, zi, :], mean_functional_eval(phi, sol, i))
-           + gamma_path[:, i]
-           for i, zi in ((0, 0), (1, min(1, grid.steps - 1)))]
-    f_hat0 = f01[0] + f01[1]
+    route, it, rep = _full_freeze(driver, phi, tc, ens, basis, tol,
+                                  max_iter, False)
+    # Y, Z and K at nodes 0 and 1 only, and the driver there: the
+    # trapezoid of the first step
+    v0, v1 = (route.node_values(it, i) for i in (0, 1))
+    f0, f1 = (driver(grid.nodes[i], v[:, 0], v[:, 1], v[:, 2:],
+                     route.path_mean(v)) + gamma_path[:, i]
+              for i, v in ((0, v0), (1, v1)))
+    f_hat0 = f0 + f1
     f_hat0 *= 0.5
-    target0 = sol.y[:, 1] + f_hat0 * grid.dt
-    n = ens.n_paths
-    y0 = float(sol.y[:, 0].mean())
-    se = float(target0.std(ddof=1) / math.sqrt(n))
+    target0 = v1[:, 0] + f_hat0 * grid.dt
+    y0 = float(v0[:, 0].mean())
+    se = float(target0.std(ddof=1) / math.sqrt(ens.n_paths))
     return y0, se, rep

@@ -171,3 +171,56 @@ class TestRunComparison:
         rep = run_comparison(sc, ens_mid, basis, n_probes=100)
         assert rep.passed
         assert rep.min_margin >= -3 * max(rep.min_margin_se, 1e-300)
+
+
+def _whole_array_margin(sc, ens, basis):
+    """The margin from the written solutions: the per-node minimum of
+    Y1 - Y2 over all paths, and the batch-means SE of the minima over
+    N_BATCHES consecutive path batches."""
+    from mfbsde.comparison import N_BATCHES
+
+    sols = [picard_mean_freeze(g, xi, ens, basis, check=False)[0]
+            for g, xi in ((sc.g1, sc.xi1), (sc.g2, sc.xi2))]
+    diff = sols[0].y - sols[1].y
+    edges = np.linspace(0, ens.n_paths, N_BATCHES + 1).astype(int)
+    mins = np.stack([diff[edges[b]:edges[b + 1]].min(axis=0)
+                     for b in range(N_BATCHES)])
+    return diff.min(axis=0), mins.std(axis=0, ddof=1) / math.sqrt(N_BATCHES)
+
+
+def test_margin_off_the_coefficients_matches_the_written_solutions():
+    """Criterion 7's pairs, the forced violating pair and a pair whose
+    margin varies across paths: the margin read node by node off both
+    routes' coefficients equals the one formed from the two written
+    solutions to 1e-12, and so does the ordering verdict."""
+    from mfbsde import (LevyMeasure, RegressionBasis, build_grid,
+                        simulate_ensemble, smooth_of_brownian)
+
+    levy = LevyMeasure.from_atoms([(1.0, 0.5)])
+    ens = simulate_ensemble(build_grid(1.0, 100), levy, 15000, seed=303)
+    basis = RegressionBasis(degree=2)
+    neg_k = drv(lambda t, y, z, k, mu: -(k @ levy.weights), 1.0, "neg-k")
+    pairs = [
+        ComparisonScenario(zero(), zero(), constant(1.0), constant(0.0)),
+        ComparisonScenario(plus_one(), zero(), constant(0.0),
+                           constant(0.0)),
+        ComparisonScenario(mean_plus(), zero(), constant(1.0),
+                           constant(1.0)),
+        ComparisonScenario(zero(), neg_k, constant(1.0), constant(0.0),
+                           eta_bound=1.0),
+        ComparisonScenario(mean_plus(), zero(),
+                           smooth_of_brownian([1.0, 0.3, 0.4]),
+                           smooth_of_brownian([0.5, 0.3, 0.1])),
+    ]
+    for sc in pairs:
+        rep = run_comparison(sc, ens, basis, n_probes=10, force=True)
+        margin, se = _whole_array_margin(sc, ens, basis)
+        imin = int(np.argmin(margin))
+        assert np.abs(rep.margin - margin).max() <= 1e-12
+        assert np.abs(rep.margin_se - se).max() <= 1e-12
+        assert abs(rep.min_margin - margin[imin]) <= 1e-12
+        assert abs(rep.min_margin_se - se[imin]) <= 1e-12
+        assert rep.ordering_holds == bool(
+            margin[imin] >= -3.0 * max(se[imin], 1e-300)
+            or margin[imin] >= 0)
+    assert rep.margin_se.max() > 1e-4       # the last pair's spread

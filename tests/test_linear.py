@@ -503,6 +503,53 @@ class TestBlockPasses:
             if n == 1:
                 assert not got_se.any()
 
+    @pytest.mark.parametrize("steps", [101, 800])
+    def test_moment_slots_hold_1024_paths(self, levy2, monkeypatch, steps):
+        """Each chunk merges its moments into the slot of its 1,024 paths,
+        so the slot count is n / 1,024 at any M: here 4 slots, of eight
+        128-path chunks at M = 800 and of a 960-path and a 64-path chunk
+        at M = 101.  The merged means and SEs match a whole-array mean
+        and std(ddof=1), with a pathwise running cost, and 3 workers
+        with thread switches forced often give the bytes of one."""
+        n = 3 * _PASS_ROWS + 37
+        ens = simulate_ensemble(build_grid(1.0, steps), levy2, n, seed=16)
+        tc = smooth_of_brownian([1.0, 0.5, 0.3])
+        c = LinearCoefficients(**self.COEFFS, terminal=tc)
+        gp = np.asfortranarray(np.cos(ens.brownian_nodes))
+        over_rows, slots = linear_module._over_row_blocks, []
+
+        def spy(rows, shape, work):
+            cells = dict(zip(work.__code__.co_freevars, work.__closure__))
+            slots.append([cells[k].cell_contents.shape[1]
+                          for k in ("sums", "m2", "running")])
+            over_rows(rows, shape, work)
+
+        monkeypatch.setattr(linear_module, "_over_row_blocks", spy)
+
+        def run(workers):
+            monkeypatch.setattr(levy_paths, "_worker_count",
+                                lambda: workers)
+            g = simulate_gamma(c, ens)
+            return g, assemble_system(c, tc, ens, gamma=g, gamma_path=gp)
+
+        g, sys_ = run(1)
+        assert slots == [[4, 4, 4]]
+        lv = g.log_levels()
+        weight = np.exp(-lv) * np.exp(lv[:, -1:])
+        # the Brownian derivative row: no running cost without gamma_db
+        want, want_se = _whole_moments(
+            (0.5 + 0.6 * ens.brownian_nodes[:, -1:]) * weight)
+        assert np.all(np.abs(sys_.f.v2 - want) <= 1e-12 * np.abs(want))
+        assert np.all(np.abs(sys_.f_se.v2 - want_se) <= 1e-12 * want_se)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, other = run(3)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in ((sys_.f, other.f), (sys_.f_se, other.f_se)):
+            assert a.stack().tobytes() == b.stack().tobytes()
+
     def test_deterministic_propagator_has_no_spread(self, grid50, levy1):
         ens = simulate_ensemble(grid50, levy1, 2 * _PASS_ROWS + 452,
                                 seed=15)

@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import mfbsde
 from mfbsde import (
     ConfigError,
     DriverSpec,
@@ -453,8 +458,8 @@ ROUTE_CASES = [
     (2, "Q", False, "mean_y", False, "mean", 1.0, "zero"),
 ]
 
-
-@pytest.mark.parametrize(
+# every case with its defaults filled in, under its own id
+ROUTE_PARAMS = pytest.mark.parametrize(
     "atoms,measure,extras,phi_name,source,freeze,scale,driver_kind",
     [c + (1.0, "catalog")[len(c) - 6:] for c in ROUTE_CASES],
     ids=[f"{c[0]}atoms-{c[1]}-{'extras' if c[2] else 'plain'}-{c[3]}"
@@ -462,6 +467,9 @@ ROUTE_CASES = [
          f"{f'-weights{c[6]:g}' if len(c) > 6 and c[6] != 1.0 else ''}"
          f"{f'-{c[7]}' if len(c) > 7 else ''}"
          for c in ROUTE_CASES])
+
+
+@ROUTE_PARAMS
 def test_coefficient_route_matches_path_sweep(atoms, measure, extras,
                                               phi_name, source, freeze,
                                               scale, driver_kind):
@@ -516,6 +524,100 @@ def test_coefficient_route_matches_path_sweep(atoms, measure, extras,
                                    equal_nan=False)
 
 
+def _eager_write(route, it):
+    """Y, Z and K written in one pass over the nodes, V_i = X_i [b_i |
+    zk_i'] as one product per node, and per entry the scale of its
+    rounding, the sum of |x_ij c_j| over the basis."""
+    ens, m = route.ens, route.m
+    n, nj = ens.n_paths, ens.levy.n_atoms
+    y, z, k = np.empty((n, m + 1)), np.empty((n, m)), np.empty((n, m, nj))
+    scale = np.empty((n, m + 1, 2 + nj))
+    coefs = np.concatenate([it.b[:, None], it.zk], axis=1)
+    for i, x, v in route._values(it):
+        y[:, i] = v[:, 0]
+        if i < m:
+            z[:, i], k[:, i] = v[:, 1], v[:, 2:]
+            scale[:, i] = np.abs(x) @ np.abs(coefs[i]).T
+    scale[:, m, 0] = np.abs(route.xa) @ np.abs(it.yt)
+    return (y, z, k), (scale[:, :, 0], scale[:, :m, 1], scale[:, :m, 2:])
+
+
+@ROUTE_PARAMS
+def test_solution_written_on_read(atoms, measure, extras, phi_name, source,
+                                  freeze, scale, driver_kind):
+    """The solvers' SolutionGrid holds the node means off the coefficients
+    and writes y, z and k on first read, one column product at a time.
+    They equal the arrays written in one pass with one product per node
+    (V_i = X_i [b_i | zk_i']) to 1e-15 of each entry's rounding scale,
+    the means equal theirs to 1e-12, a second read returns the same
+    array, and Y at nodes 0 and 1 has the bytes of the route's summary.
+    The problem as given and as custom callables."""
+    from mfbsde.picard import _full_freeze, _mean_freeze
+
+    ens, basis, driver, phi, tc = _catalog_problem(
+        atoms, measure, extras, phi_name, source, seed=300 + atoms,
+        scale=scale, driver_kind=driver_kind)
+    problems = [(driver, phi)]
+    if driver.form is not None or phi.form is not None:
+        problems.append(_without_forms(driver, phi))
+    for drv, fn in problems:
+        if freeze == "full":
+            route, it, _ = _full_freeze(drv, fn, tc, ens, basis, 1e-6, 50,
+                                        False)
+        else:
+            route, it, _ = _mean_freeze(drv, tc, ens, basis, 1e-6, 50,
+                                        check=False)
+        sol = route.solution(it)
+        assert not {"y", "z", "k"} & set(vars(sol))
+        arrays, scales = _eager_write(route, it)
+        for name, want, sc in zip("yzk", arrays, scales):
+            got = getattr(sol, name)
+            assert got.shape == want.shape and got.flags.f_contiguous
+            assert np.all(np.abs(got - want) <= 1e-15 * sc)
+            assert getattr(sol, name) is got
+        for got, want in ((sol.ybar, arrays[0]), (sol.zbar, arrays[1]),
+                          (sol.kbar, arrays[2])):
+            assert np.abs(got - want.mean(axis=0)).max(initial=0.0) <= 1e-12
+        *_, y0, y1 = route.summary(it)
+        assert y0.tobytes() == sol.y[:, 0].tobytes()
+        assert y1.tobytes() == sol.y[:, 1].tobytes()
+
+
+FREEZE_RSS = """
+import resource, sys
+from mfbsde import (LevyMeasure, LinearCoefficients, RegressionBasis,
+                    brownian_linear, build_grid, mean_yzk,
+                    picard_full_freeze, simulate_ensemble)
+grid = build_grid(1.0, 50)
+levy = LevyMeasure.from_atoms([(1.0, 0.5)])
+ens = simulate_ensemble(grid, levy, 100000, seed=5)
+c = LinearCoefficients(alpha1=0.2, alpha2=0.1, beta1=0.25, beta2=0.1,
+                       eta1=0.2, eta2=0.1, terminal=brownian_linear(0.5, 1.0))
+driver = c.as_driver(grid, levy)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+sol, rep = picard_full_freeze(driver, mean_yzk(1), c.terminal, ens,
+                              RegressionBasis(2), check=False)
+assert rep.converged and sol.y[:, 0].mean() > 0.0
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_full_freeze_reading_y0_writes_y_only():
+    """A full freeze at 1e5 paths and M=50 whose caller reads only
+    sol.y[:, 0] grows the peak RSS by less than three (n, M+1) float
+    arrays: y is written, z and k are not."""
+    src = str(Path(mfbsde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    grown = int(subprocess.run(
+        [sys.executable, "-c", FREEZE_RSS], env=env, check=True,
+        capture_output=True, text=True).stdout)
+    assert grown < 3 * 100000 * 51 * 8
+
+
 def test_contraction_check_at_large_default_beta():
     """y_and_y2's derivative bound 10 gives the default beta = 1 + 12 *
     10^2 = 1201, and e^{beta t} overflows float64 beyond t = 0.59 at
@@ -536,11 +638,13 @@ def test_contraction_check_at_large_default_beta():
 @pytest.mark.parametrize("route", ["coefficients", "paths"])
 def test_design_passes_fixed_on_coefficient_route(monkeypatch, ens_small,
                                                   basis, route):
-    """A solve builds each node's design twice (set-up and the final
-    write) and the node-M design once (set-up), however many iterations
-    it runs; custom callables are evaluated on the iterate written with
-    one more design per node below M and iteration for the driver, and
-    one for the mean functional."""
+    """A solve builds each node's design once (set-up) and the node-M
+    design once, however many iterations it runs; custom callables are
+    evaluated on the iterate written with one more design per node below
+    M and iteration, which serves the driver and the mean functional
+    alike.  The solution writes nothing until it is read: the first read
+    of y, z or k costs one design per node below M, a second read of the
+    same array none."""
     coeffs = LinearCoefficients(alpha1=0.2, alpha2=0.1, beta1=0.25,
                                 beta2=0.1, eta1=0.2, eta2=0.1)
     driver = coeffs.as_driver(ens_small.grid, ens_small.levy)
@@ -556,19 +660,25 @@ def test_design_passes_fixed_on_coefficient_route(monkeypatch, ens_small,
 
     monkeypatch.setattr(_Regressions, "design", counting)
     counts = []
+    m = ens_small.grid.steps
     for max_iter in (2, 5):
         calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, rep = picard_full_freeze(driver, phi,
-                                        brownian_linear(1.0, 0.0),
-                                        ens_small, basis, tol=1e-300,
-                                        max_iter=max_iter, check=False)
+            sol, rep = picard_full_freeze(driver, phi,
+                                          brownian_linear(1.0, 0.0),
+                                          ens_small, basis, tol=1e-300,
+                                          max_iter=max_iter, check=False)
         assert rep.iterations == max_iter
         counts.append(len(calls))
-    per_iter = 0 if route == "coefficients" else 2
-    assert counts == [(2 + per_iter * it) * ens_small.grid.steps + 1
-                      for it in (2, 5)]
+    per_iter = 0 if route == "coefficients" else 1
+    assert counts == [(1 + per_iter * it) * m + 1 for it in (2, 5)]
+    calls.clear()
+    sol.y[:, 0]
+    assert sorted(calls) == list(range(m))
+    sol.y[:, 1]
+    sol.z
+    assert len(calls) == 2 * m
 
 
 def test_custom_driver_non_finite_value_rejected(ens_small, basis):

@@ -244,18 +244,20 @@ class TestEvaluateJ:
 
     def test_picard_y0_se_reads_first_step_only(self, levy1, monkeypatch):
         """The Y(0) standard error evaluates the driver at nodes 0 and 1
-        only; it equals the one from the whole-grid frozen driver."""
+        only, on Y, Z and K read off the route there; it equals the one
+        from the whole-grid frozen driver on the written solution."""
         import mfbsde.utility as utility_mod
         from path_map import _frozen_driver, _mean_channel
 
         solved = []
+        full_freeze = utility_mod._full_freeze
 
-        def keep(driver, phi, *args, **kwargs):
-            out = picard_full_freeze(driver, phi, *args, **kwargs)
-            solved.append((driver, phi, out[0]))
-            return out
+        def keep(driver, phi, *args):
+            route, it, rep = full_freeze(driver, phi, *args)
+            solved.append((driver, phi, route.solution(it)))
+            return route, it, rep
 
-        monkeypatch.setattr(utility_mod, "picard_full_freeze", keep)
+        monkeypatch.setattr(utility_mod, "_full_freeze", keep)
         grid = build_grid(1.0, 10)
         ens = simulate_ensemble(grid, levy1, 2000, 4)
         wp = WealthParams(x0=1.0, b0=0.05, sigma0=0.2, gamma0=0.1)
