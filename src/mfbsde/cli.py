@@ -5,7 +5,9 @@ run reads one scenario document, writes tidy CSV files with the fixed
 columns (node, time, statistic, value, se) plus a JSON manifest, and
 exits 0 on success, 2 on validation failure (or when the path count
 does not fit in memory), 3 on non-convergence and 4 on a failed
-comparison hypothesis.
+comparison hypothesis.  The runs call the public solvers only; the
+picard run reads its rows off the returned `SolutionGrid` (node means
+and `node(i)`), so it writes no (n, M+1) path array.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .errors import CapabilityError, ConfigError, DomainError, \
     MfbsdeError, NumericalError
 from .levy_paths import PathEnsemble, simulate_ensemble
 from .linear import q_special_solve
-from .picard import RegressionBasis, _full_freeze
+from .picard import RegressionBasis, picard_full_freeze
 from .utility import ControlProcess, UtilityCoefficients, WealthParams, \
     evaluate_j, optimal_pi, solve_adjoints
 
@@ -88,22 +90,20 @@ def _mean_rows(grid, label, values, ses=None):
 
 
 def _run_picard(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
-    """Full-freeze Picard solve.  The rows are read off the solver's
-    route (`summary`): the node means and Y at nodes 0 and 1, which on
-    the coefficient route come from the regression coefficients without
-    writing the (n, M+1) solution."""
+    """Full-freeze Picard solve.  The rows are the solution's node means
+    and Y(0) with the SE of Y at node 1, read through `node(0)` and
+    `node(1)`: the solution never writes an (n, M+1) array."""
     driver, phi = build_driver_objects(cfg)
     basis = RegressionBasis(degree=cfg.basis_degree,
                             jump_features=cfg.jump_features)
-    route, it, rep = _full_freeze(driver, phi, cfg.terminal, ens, basis,
+    sol, rep = picard_full_freeze(driver, phi, cfg.terminal, ens, basis,
                                   cfg.tol, cfg.max_iter, check=True)
-    ybar, zbar, kbar, y0, y1 = route.summary(it)
-    rows = _mean_rows(cfg.grid, "ybar", ybar)
-    rows += _mean_rows(cfg.grid, "zbar", zbar)
+    rows = _mean_rows(cfg.grid, "ybar", sol.ybar)
+    rows += _mean_rows(cfg.grid, "zbar", sol.zbar)
     for a in range(cfg.levy.n_atoms):
-        rows += _mean_rows(cfg.grid, f"kbar_atom{a}", kbar[:, a])
-    rows.append((0, 0.0, "y0", y0.mean(),
-                 y1.std(ddof=1) / np.sqrt(ens.n_paths)))
+        rows += _mean_rows(cfg.grid, f"kbar_atom{a}", sol.kbar[:, a])
+    rows.append((0, 0.0, "y0", sol.node(0)[:, 0].mean(),
+                 sol.node(1)[:, 0].std(ddof=1) / np.sqrt(ens.n_paths)))
     writer.write_csv("picard_solution.csv", rows)
     writer.write_csv(
         "picard_report.csv",

@@ -7,12 +7,14 @@ coefficients through `CoefficientRoute`.  A driver with an affine form
 (`core.DriverForm`) and a mean functional with a linear form
 (`core.MeanForm`) are linear maps of the coefficients; a custom callable
 is evaluated pathwise on the iterate written from them, once per node.
-The results are read off the coefficients: `solution` holds the node
-means and writes each (n, M+1) array on its first read, `summary` gives
-the node means and Y at nodes 0 and 1.
+The results are read off the coefficients through one reader,
+`solution`: a `SolutionGrid` whose node means come from the
+coefficients, whose `node(i)` builds one design, and whose y, z and k
+are each written on their first read.
 """
 from __future__ import annotations
 
+import functools
 import time
 from typing import Optional
 
@@ -70,12 +72,10 @@ class CoefficientRoute:
     the same V_i in the same node pass, so a sweep builds each design
     once.  Means are x_i . b with x_i the column means of X_i,
     E[Y^2] is b'G_i b / n, and so is the Picard delta
-    E|dY_i|^2 = d'G_i d / n.  `solution` returns the node means with Y, Z
-    and K each written on its first read, one design per node and one
-    X_i c product per column; `summary` reads the node means and Y at
-    nodes 0 and 1.  `reg` is the solve's picard._Regressions: the set-up
-    fills its per-node Cholesky factors and Grams, and reads its design
-    matrices.
+    E|dY_i|^2 = d'G_i d / n.  `solution` returns the iterate as a
+    `SolutionGrid` read off the coefficients.  `reg` is the solve's
+    picard._Regressions: the set-up fills its per-node Cholesky factors
+    and Grams, and reads its design matrices.
     """
 
     def __init__(self, driver: DriverSpec, phi: Optional[MeanFunctional],
@@ -176,29 +176,20 @@ class CoefficientRoute:
         return CoefIterate(np.tile(c[0], (m, 1)), np.tile(c[1:], (m, 1, 1)),
                            np.append(0.0, c[0]))
 
-    def node_values(self, it: CoefIterate, i: int,
-                    x: Optional[np.ndarray] = None) -> np.ndarray:
-        """The iterate's Y, Z and K_j per path at node i, (n, 2+J), with X
-        the node min(i, M-1) design (built if not given): at node M, Y_M
-        with the node M-1 estimates of Z and K."""
-        j = min(i, self.m - 1)
-        if x is None:
-            x = self.reg.design(j)
-        coefs = np.concatenate([it.b[j, None], it.zk[j]])
-        v = (coefs @ x.T).T            # each column of V is contiguous
-        if i == self.m:
-            v[:, 0] = self.xa @ it.yt
-        return v
-
     def _values(self, it: CoefIterate):
-        """(i, X, V_i) for i = M .. 0, V_i of `node_values` with X the
-        node min(i, M-1) design (valid until the next step): one design
-        per node below M."""
+        """(i, X, V_i) for i = M .. 0: the iterate's Y, Z and K_j per path
+        at node i, V_i = X [b_i | zk_i'] (n, 2+J) with X the node
+        min(i, M-1) design (valid until the next step), so node M holds
+        Y_M with the node M-1 Z and K.  One design per node below M."""
         for i in reversed(range(self.m)):
             x = self.reg.design(i)
+            coefs = np.concatenate([it.b[i, None], it.zk[i]])
+            v = (coefs @ x.T).T        # each column of V is contiguous
             if i == self.m - 1:
-                yield self.m, x, self.node_values(it, self.m, x)
-            yield i, x, self.node_values(it, i, x)
+                vm = v.copy()
+                vm[:, 0] = self.xa @ it.yt
+                yield self.m, x, vm
+            yield i, x, v
 
     def path_mean(self, v: np.ndarray) -> np.ndarray:
         """phi's mean over the per-path node values V (n, 2+J), (d,)."""
@@ -289,39 +280,53 @@ class CoefficientRoute:
         return np.append(np.einsum("ip,ip->i", self.xbar, it.b),
                          self.xt[self.p:] @ it.yt)
 
-    def _means(self, it: CoefIterate):
-        """Node means of Y, Z and K_j: x_i . b_i and x_i . zk_i."""
-        zk = np.einsum("ip,icp->ic", self.xbar, it.zk)
-        return self.ybar(it), zk[:, 0], zk[:, 1:]
-
-    def summary(self, it: CoefIterate):
-        """Node means of Y, Z and K_j, then Y at nodes 0 and 1 per path,
-        from the coefficients: X_0 b_0 and X_1 b_1 (at M = 1 node 1 holds
-        Y_M), the bytes of the same columns of `solution`'s y.  No
-        (n, M+1) array is formed."""
-        y0 = self.reg.design(0) @ it.b[0]
-        if self.m > 1:
-            y1 = self.reg.design(1) @ it.b[1]
-        else:
-            y1 = self.xa @ it.yt
-        return (*self._means(it), y0, y1)
-
     def solution(self, it: CoefIterate) -> SolutionGrid:
-        """Y, Z and K of the iterate: the means from the coefficients, and
-        each path array written by `_write` on its first read."""
-        return SolutionGrid._on_read(
-            self.ens, lambda name: self._write(it, name), *self._means(it))
+        """Y, Z and K of the iterate, read off the coefficients."""
+        return _CoefSolution(self, it)
 
-    def _write(self, it: CoefIterate, name: str) -> np.ndarray:
+
+class _CoefSolution(SolutionGrid):
+    """A `SolutionGrid` of a coefficient iterate: the node means are
+    x_i . b_i and x_i . zk_i, `node(i)` builds one design, and y, z and
+    k are each written on their first read.  Column c of `node(i)` has
+    the bytes of column i of the array that y, z or k writes: both are
+    one X_i c product per column."""
+
+    def __init__(self, route: CoefficientRoute, it: CoefIterate):
+        self.ens, self.route, self.it = route.ens, route, it
+        zk = np.einsum("ip,icp->ic", route.xbar, it.zk)
+        self.ybar, self.zbar, self.kbar = route.ybar(it), zk[:, 0], zk[:, 1:]
+
+    def node(self, i: int) -> np.ndarray:
+        r, it = self.route, self.it
+        j = min(i, r.m - 1)
+        x = r.reg.design(j)
+        out = np.empty((x.shape[0], 1 + it.zk.shape[1]), order="F")
+        if i == r.m:
+            np.matmul(r.xa, it.yt, out=out[:, 0])
+        else:
+            np.matmul(x, it.b[j], out=out[:, 0])
+        # the coefficient views `_write` reads: a product's bytes depend
+        # on its operands' strides
+        for col, c in enumerate(it.zk[j], 1):
+            np.matmul(x, c, out=out[:, col])
+        return out
+
+    y = functools.cached_property(lambda self: self._write("y"))
+    z = functools.cached_property(lambda self: self._write("z"))
+    k = functools.cached_property(lambda self: self._write("k"))
+
+    def _write(self, name: str) -> np.ndarray:
         """Y (n, M+1), Z (n, M) or K (n, M, J), Fortran order: per node
         one design and one product per component, into its column."""
-        n, m = self.ens.n_paths, self.m
+        r, it = self.route, self.it
+        n, m = self.ens.n_paths, r.m
         c = {"y": it.b[:, None], "z": it.zk[:, :1], "k": it.zk[:, 1:]}[name]
         out = np.empty((n, m + (name == "y"), c.shape[1]), order="F")
         for i in range(m if c.shape[1] else 0):
-            x = self.reg.design(i)
+            x = r.reg.design(i)
             for j in range(c.shape[1]):
                 np.matmul(x, c[i, j], out=out[:, i, j])
         if name == "y":
-            np.matmul(self.xa, it.yt, out=out[:, m, 0])
+            np.matmul(r.xa, it.yt, out=out[:, m, 0])
         return out if name == "k" else out[:, :, 0]

@@ -8,7 +8,6 @@ numbers turn the almost-sure ordering into a testable margin.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -19,7 +18,7 @@ from .core import DriverSpec, TerminalCondition, _probe_blocks, \
     terminal_value
 from .errors import ConfigError
 from .levy_paths import PathEnsemble, _eval_nodes_atoms
-from .picard import RegressionBasis, _mean_freeze
+from .picard import RegressionBasis, picard_mean_freeze
 
 __all__ = [
     "ComparisonScenario",
@@ -178,15 +177,12 @@ def run_comparison(sc: ComparisonScenario, ens: PathEnsemble,
     if not hyp.all_pass and not force:
         return ComparisonReport(hypotheses=hyp, solved=False)
 
-    (r1, it1, rep1), (r2, it2, rep2) = (
-        _mean_freeze(g, xi, ens, basis, tol, max_iter, check=False)
+    (sol1, rep1), (sol2, rep2) = (
+        picard_mean_freeze(g, xi, ens, basis, tol, max_iter, check=False)
         for g, xi in ((sc.g1, sc.xi1), (sc.g2, sc.xi2)))
-    # both routes regress on the same designs: below node M the margin is
-    # X_i (b1_i - b2_i); node M holds xi after a sweep
-    m = ens.grid.steps
-    margin, margin_se = _batch_min_se(itertools.chain(
-        (r1.reg.design(i) @ (it1.b[i] - it2.b[i]) for i in range(m)),
-        [r1.xi - r2.xi]))
+    margin, margin_se = _batch_min_se(
+        sol1.node(i)[:, 0] - sol2.node(i)[:, 0]
+        for i in range(ens.grid.steps + 1))
     imin = int(np.argmin(margin))
     ok = bool(margin[imin] >= -3.0 * max(margin_se[imin], 1e-300)) \
         if margin[imin] < 0 else True

@@ -87,18 +87,24 @@ class _Collector:
 
 def _get(cp, errs, section, key, default=None, required=False,
          convert=float, kind="a number"):
-    """Value of section.key through `convert`; a missing or unconvertible
-    value records an error naming section.key and gives `default`."""
+    """Value of section.key through `convert`; a missing, unconvertible
+    or non-finite value records an error naming section.key and gives
+    `default`."""
     if not cp.has_option(section, key):
         if required:
             errs.add(f"{section}.{key}", "missing required key")
         return default
     raw = cp.get(section, key)
     try:
-        return convert(raw)
+        value = convert(raw)
     except (ValueError, KeyError):
         errs.add(f"{section}.{key}", f"not {kind}: {raw!r}")
         return default
+    # a float, or the float list of `_get_floats`
+    if isinstance(value, (float, list)) and not np.isfinite(value).all():
+        errs.add(f"{section}.{key}", f"not a finite number: {raw!r}")
+        return default
+    return value
 
 
 def _get_int(cp, errs, section, key, default=None, required=False):

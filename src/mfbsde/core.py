@@ -424,10 +424,9 @@ class SolutionGrid:
 
     y has shape (n, M+1); z (n, M) and k (n, M, J) live on nodes 0..M-1
     (they multiply the forward increments of the corresponding interval).
-    A grid built from arrays holds them and their means.  A Picard
-    solver's grid (`CoefficientRoute.solution`) holds only ybar, zbar and
-    kbar, read off the regression coefficients, and writes each of y, z
-    and k from the coefficients on its first read.
+    `node(i)` reads the triplet at one node.  A Picard solver's grid is a
+    subclass (`CoefficientRoute.solution`) that reads its means and nodes
+    off the regression coefficients and writes y, z and k on first read.
     """
 
     def __init__(self, ens: PathEnsemble, y: np.ndarray, z: np.ndarray,
@@ -435,24 +434,16 @@ class SolutionGrid:
         self.ens, self.y, self.z, self.k = ens, y, z, k
         self.recompute_means()
 
-    @classmethod
-    def _on_read(cls, ens: PathEnsemble, writer, ybar, zbar, kbar
-                 ) -> "SolutionGrid":
-        """A grid of the given means whose y, z and k are writer("y"),
-        writer("z") and writer("k"), each called on the first read."""
-        sol = cls.__new__(cls)
-        sol.ens, sol._writer = ens, writer
-        sol.ybar, sol.zbar, sol.kbar = ybar, zbar, kbar
-        return sol
-
-    def __getattr__(self, name):
-        # only reached for an attribute not yet set: y, z or k of a grid
-        # from `_on_read` before its first read
-        if name not in ("y", "z", "k") or "_writer" not in vars(self):
-            raise AttributeError(name)
-        arr = self._writer(name)
-        setattr(self, name, arr)
-        return arr
+    def node(self, i: int) -> np.ndarray:
+        """[Y_i, Z_i', K_i'] per path, (n, 2+J) in Fortran order, with
+        i' = min(i, M-1): node M pairs Y_M with the node M-1 Z and K."""
+        zi = min(i, self.ens.grid.steps - 1)
+        out = np.empty((self.ens.n_paths, 2 + self.ens.levy.n_atoms),
+                       order="F")
+        out[:, 0] = self.y[:, i]
+        out[:, 1] = self.z[:, zi]
+        out[:, 2:] = self.k[:, zi]
+        return out
 
     def recompute_means(self):
         self.ybar = self.y.mean(axis=0)
@@ -472,9 +463,8 @@ def mean_functional_eval(phi: MeanFunctional, sol: SolutionGrid, i: int
 
     The catalog functionals return a C-ordered (n, d) sample; einsum sums
     its columns in one walk, where a mean over axis 0 is strided."""
-    m = sol.ens.grid.steps
-    zi = min(i, m - 1)
-    v = phi.eval(sol.y[:, i], sol.z[:, zi], sol.k[:, zi, :])
+    v = sol.node(i)
+    v = phi.eval(v[:, 0], v[:, 1], v[:, 2:])
     return np.einsum("nd->d", v) / v.shape[0]
 
 

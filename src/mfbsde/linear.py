@@ -434,24 +434,31 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
         f_se=MeanVector(grid, f1_se, f2_se, f3_se), n_nodes=m1)
 
 
-def _spectral_norm(mat: np.ndarray, tol: float = 1e-10,
-                   max_iter: int = 5000, seed: int = 5) -> float:
+# power iteration of `_spectral_norm`: relative tolerance, iteration cap
+# before the exact SVD, and seed of the start vector
+_POWER_TOL, _POWER_MAX_ITER, _POWER_SEED = 1e-10, 5000, 5
+# `neumann_solve`: the largest norm of a window's kernel, and the size of
+# the series term that ends a window's sum
+_TARGET_NORM, _SERIES_TOL = 0.5, 1e-12
+
+
+def _spectral_norm(mat: np.ndarray) -> float:
     """Largest singular value by power iteration on A'A, with an exact
     SVD fallback if the iteration stalls."""
     if mat.size == 0 or not mat.any():
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(mat.shape[1])
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = mat.T @ (mat @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
         new_sigma = math.sqrt(nw)
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
+        if abs(new_sigma - sigma) <= _POWER_TOL * max(new_sigma, 1e-300):
             return new_sigma
         sigma = new_sigma
     return float(np.linalg.norm(mat, 2))
@@ -491,13 +498,12 @@ def _window_starts(m1: int, w_len: int) -> list:
     return out
 
 
-def neumann_solve(sys: VolterraSystem, target_norm: float = 0.5,
-                  series_tol: float = 1e-12,
+def neumann_solve(sys: VolterraSystem,
                   window_len: Optional[int] = None) -> MeanVector:
     """Windowed Neumann-series solution of V1 = source + A V1.
 
     The window length is the largest multiple of dt for which every
-    window's restricted kernel has norm at most target_norm (bisection,
+    window's restricted kernel has norm at most _TARGET_NORM (bisection,
     verified after the fact); `window_len` (in nodes) overrides the
     search.  Windows are solved right to left; already solved nodes feed
     the lower windows as an extra source.
@@ -506,7 +512,7 @@ def neumann_solve(sys: VolterraSystem, target_norm: float = 0.5,
     kernel = sys.kernel
 
     def feasible(w_len: int) -> bool:
-        return all(_spectral_norm(kernel[lo:hi, lo:hi]) <= target_norm
+        return all(_spectral_norm(kernel[lo:hi, lo:hi]) <= _TARGET_NORM
                    for lo, hi in _window_starts(m1, w_len))
 
     if window_len is not None:
@@ -547,7 +553,7 @@ def neumann_solve(sys: VolterraSystem, target_norm: float = 0.5,
         for _ in range(100000):
             term = sub @ term
             acc += term
-            if np.abs(term).max() < series_tol:
+            if np.abs(term).max() < _SERIES_TOL:
                 break
         else:
             raise NumericalError("Neumann series failed to converge")

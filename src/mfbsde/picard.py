@@ -9,7 +9,8 @@ trapezoid weights 1/2 (f(t_i) + f(t_{i+1})); the backward recursion and
 the regressions of Z and K on the increments are left-endpoint.  The
 solvers and the contraction check iterate on the node regression
 coefficients (`coefficient_route`) and evaluate custom callables
-pathwise.
+pathwise; the two solvers are the only entry points, and their
+`SolutionGrid` is the only reader of the answers.
 """
 from __future__ import annotations
 
@@ -248,28 +249,6 @@ def _finish(report: PicardReport, route):
     report.setup_s = route.setup_s
 
 
-def _full_freeze(driver: DriverSpec, phi: MeanFunctional,
-                 tc: TerminalCondition, ens: PathEnsemble,
-                 basis: RegressionBasis, tol: float, max_iter: int,
-                 check: bool):
-    """The full-freeze solve up to its last iterate: (route, iterate,
-    report), so that a caller reads the results off the route."""
-    _check_step(driver, ens)
-    _check_caps(max_iter=max_iter)
-    if check:
-        probe_driver(driver, ens.grid, ens.levy)
-        probe_mean_functional(phi, ens.levy.n_atoms)
-    route = _route(driver, phi, tc, ens, basis)
-    it, report = _freeze_loop(route, tol, max_iter, None, "full-freeze")
-    _finish(report, route)
-    if not report.converged:
-        warnings.warn(
-            f"Picard full freeze did not converge in {report.iterations} "
-            f"iterations (last delta {report.deltas[-1]:.3g})", stacklevel=3,
-        )
-    return route, it, report
-
-
 def picard_full_freeze(driver: DriverSpec, phi: MeanFunctional,
                        tc: TerminalCondition, ens: PathEnsemble,
                        basis: RegressionBasis, tol: float = 1e-6,
@@ -283,21 +262,42 @@ def picard_full_freeze(driver: DriverSpec, phi: MeanFunctional,
     tol; non-convergence is reported through the flag, never silently.
     The iteration runs on regression coefficients (see coefficient_route)
     and custom callables are evaluated on the paths once per node.  The
-    solution holds the node means; its y, z and k are each written from
-    the coefficients on first read, so a caller that reads none of them
-    forms no (n, M+1) array.
+    solution is read off the coefficients: its means at no pass over the
+    paths, `node(i)` with one design, and y, z and k each written on
+    first read, so a caller that reads none of them forms no (n, M+1)
+    array.
     """
-    route, it, report = _full_freeze(driver, phi, tc, ens, basis, tol,
-                                     max_iter, check)
+    _check_step(driver, ens)
+    _check_caps(max_iter=max_iter)
+    if check:
+        probe_driver(driver, ens.grid, ens.levy)
+        probe_mean_functional(phi, ens.levy.n_atoms)
+    route = _route(driver, phi, tc, ens, basis)
+    it, report = _freeze_loop(route, tol, max_iter, None, "full-freeze")
+    _finish(report, route)
+    if not report.converged:
+        warnings.warn(
+            f"Picard full freeze did not converge in {report.iterations} "
+            f"iterations (last delta {report.deltas[-1]:.3g})", stacklevel=2,
+        )
     return route.solution(it), report
 
 
-def _mean_freeze(driver: DriverSpec, tc: TerminalCondition,
-                 ens: PathEnsemble, basis: RegressionBasis, tol: float,
-                 max_iter: int, inner_tol: Optional[float] = None,
-                 inner_max_iter: int = 50, check: bool = True):
-    """The mean-freeze solve up to its last iterate: (route, iterate,
-    report), as `_full_freeze`."""
+def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
+                       ens: PathEnsemble, basis: RegressionBasis,
+                       tol: float = 1e-6, max_iter: int = 50,
+                       inner_max_iter: int = 50, check: bool = True
+                       ) -> tuple[SolutionGrid, PicardReport]:
+    """Outer iteration freezing only the mean of Y.
+
+    The driver must read the mean channel as the scalar E[Y].  Each outer
+    step solves the inner equation in (Y, Z, K) to convergence (to tol,
+    within inner_max_iter sweeps) with the frozen mean path, then updates
+    the mean.  Outer iterate differences are the quantity whose
+    factorial-rate decay the convergence lemma predicts.  All outer steps
+    share one route, so the coefficient route's set-up is paid once.  The
+    solution is read off the coefficients (see `picard_full_freeze`).
+    """
     if driver.mean_dim != 1:
         raise ConfigError(
             "mean-freeze driver must depend on the mean through E[Y] only"
@@ -306,8 +306,6 @@ def _mean_freeze(driver: DriverSpec, tc: TerminalCondition,
     _check_caps(max_iter=max_iter, inner_max_iter=inner_max_iter)
     if check:
         probe_driver(driver, ens.grid, ens.levy)
-    if inner_tol is None:
-        inner_tol = tol
     route = _route(driver, None, tc, ens, basis)
 
     report = PicardReport(tol=tol, scheme="mean-freeze")
@@ -316,12 +314,12 @@ def _mean_freeze(driver: DriverSpec, tc: TerminalCondition,
     dt = ens.grid.dt
     for _ in range(max_iter):
         started = time.perf_counter()
-        it, inner_rep = _freeze_loop(route, inner_tol, inner_max_iter,
+        it, inner_rep = _freeze_loop(route, tol, inner_max_iter,
                                      frozen[:, None], "mean-freeze-inner")
         if not inner_rep.converged:
             report.inner_unconverged += 1
             warnings.warn("mean-freeze inner solve did not converge",
-                          stacklevel=3)
+                          stacklevel=2)
         dy2 = route.dy2(it, prev)
         report.record(float(dy2.max()), float(dy2[:-1].sum() * dt),
                       time.perf_counter() - started)
@@ -334,30 +332,9 @@ def _mean_freeze(driver: DriverSpec, tc: TerminalCondition,
     if not report.converged:
         warnings.warn(
             f"Picard mean freeze did not converge in {report.iterations} "
-            f"outer iterations", stacklevel=3,
+            f"outer iterations", stacklevel=2,
         )
-    return route, prev, report
-
-
-def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
-                       ens: PathEnsemble, basis: RegressionBasis,
-                       tol: float = 1e-6, max_iter: int = 50,
-                       inner_tol: Optional[float] = None,
-                       inner_max_iter: int = 50, check: bool = True
-                       ) -> tuple[SolutionGrid, PicardReport]:
-    """Outer iteration freezing only the mean of Y.
-
-    The driver must read the mean channel as the scalar E[Y].  Each outer
-    step solves the inner equation in (Y, Z, K) to convergence with the
-    frozen mean path, then updates the mean.  Outer iterate differences
-    are the quantity whose factorial-rate decay the convergence lemma
-    predicts.  All outer steps share one route, so the coefficient
-    route's set-up is paid once.  The solution's y, z and k are written
-    on first read (see `picard_full_freeze`).
-    """
-    route, it, report = _mean_freeze(driver, tc, ens, basis, tol, max_iter,
-                                     inner_tol, inner_max_iter, check)
-    return route.solution(it), report
+    return route.solution(prev), report
 
 
 def contraction_check(driver: DriverSpec, phi: MeanFunctional,

@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     LinearCoefficients,
     TerminalCondition,
+    mean_functional_eval,
     mean_yzk,
     terminal_value,
     wealth_linear,
@@ -37,7 +38,7 @@ from .levy_paths import PathEnsemble, _check_jump_tilt, _cumulate_nodes, \
     _over_row_blocks
 from .linear import assemble_system, neumann_solve, simulate_gamma, \
     y_closed_formula
-from .picard import RegressionBasis, _Regressions, _full_freeze
+from .picard import RegressionBasis, _Regressions, picard_full_freeze
 
 __all__ = [
     "WealthParams",
@@ -409,13 +410,13 @@ def picard_utility_y0(wp: WealthParams, uc: UtilityCoefficients,
         basis = RegressionBasis(degree=2, jump_features=True)
     basis = replace(basis, extras={**basis.extras, "wealth": x,
                                    "log_wealth": logx})
-    route, it, rep = _full_freeze(driver, phi, tc, ens, basis, tol,
+    sol, rep = picard_full_freeze(driver, phi, tc, ens, basis, tol,
                                   max_iter, False)
     # Y, Z and K at nodes 0 and 1 only, and the driver there: the
     # trapezoid of the first step
-    v0, v1 = (route.node_values(it, i) for i in (0, 1))
+    v0, v1 = sol.node(0), sol.node(1)
     f0, f1 = (driver(grid.nodes[i], v[:, 0], v[:, 1], v[:, 2:],
-                     route.path_mean(v)) + gamma_path[:, i]
+                     mean_functional_eval(phi, sol, i)) + gamma_path[:, i]
               for i, v in ((0, v0), (1, v1)))
     f_hat0 = f0 + f1
     f_hat0 *= 0.5

@@ -47,6 +47,16 @@ FLOOR_CASES = [
     ("utility", "[theta]\nkind = constant\nc = 1.0\n"
                 "[wealth]\nx0 = 1.0\n", "wealth.gamma0"),
 ]
+FINITE_CASES = [
+    ("utility", "[theta]\nkind = constant\nc = 1.0\n"
+                "[wealth]\nx0 = 1.0\n[control]\n", "control.pi"),
+    ("utility", "[theta]\nkind = constant\nc = 1.0\n[wealth]\n",
+     "wealth.x0"),
+    ("linear", "[terminal]\nkind = constant\nc = 1.0\n"
+               "[linear_coeffs]\n", "linear_coeffs.alpha1"),
+    ("linear", "[terminal]\nkind = brownian_linear\n[linear_coeffs]\n",
+     "terminal.a"),
+]
 PICARD_SECTIONS = ("[driver]\nname = zero\n"
                    "[terminal]\nkind = constant\nc = 1.0\n")
 LINEAR_PICARD_SECTIONS = ("[driver]\nname = linear\n[linear_coeffs]\n"
@@ -100,8 +110,11 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("mode,sections,path,value", [
         *(pytest.param(mode, sections, path, value, id=f"{value}-{mode}")
-          for value in ("-1.5", "abc")
+          for value in ("-1.5", "abc", "nan", "inf")
           for mode, sections, path in FLOOR_CASES),
+        *(pytest.param(mode, sections, path, value, id=f"{value}-{path}")
+          for value in ("nan", "inf")
+          for mode, sections, path in FINITE_CASES),
         pytest.param("picard", PICARD_SECTIONS + "[solver]\n",
                      "solver.max_iter", "0", id="0-max_iter"),
         pytest.param("picard", PICARD_SECTIONS + "[solver]\n",

@@ -167,6 +167,13 @@ class TestMeanFunctional:
         got = mean_functional_eval(mean_yzk(1), sol, 5)
         assert got == pytest.approx([sol.ybar[5], sol.zbar[5],
                                      sol.kbar[5, 0]])
+        # node(i) reads [Y_i, Z_i', K_i'] with i' = min(i, M-1)
+        m = ens_small.grid.steps
+        for i, zi in ((5, 5), (m, m - 1)):
+            v = sol.node(i)
+            assert v.shape == (ens_small.n_paths, 3) and v.flags.f_contiguous
+            np.testing.assert_array_equal(v, np.column_stack(
+                [sol.y[:, i], sol.z[:, zi], sol.k[:, zi, 0]]))
 
     def test_weighted_average_functional(self, ens_small):
         phi = mean_yzk_avg(ens_small.levy)

@@ -549,27 +549,25 @@ def test_solution_written_on_read(atoms, measure, extras, phi_name, source,
     and writes y, z and k on first read, one column product at a time.
     They equal the arrays written in one pass with one product per node
     (V_i = X_i [b_i | zk_i']) to 1e-15 of each entry's rounding scale,
-    the means equal theirs to 1e-12, a second read returns the same
-    array, and Y at nodes 0 and 1 has the bytes of the route's summary.
-    The problem as given and as custom callables."""
-    from mfbsde.picard import _full_freeze, _mean_freeze
-
+    the means equal theirs to 1e-12, and a second read returns the same
+    array.  At every node 0..M, `node(i)` has the bytes of the written
+    columns: Y_i, then Z and K at node min(i, M-1).  The problem as given
+    and as custom callables."""
     ens, basis, driver, phi, tc = _catalog_problem(
         atoms, measure, extras, phi_name, source, seed=300 + atoms,
         scale=scale, driver_kind=driver_kind)
+    m = ens.grid.steps
     problems = [(driver, phi)]
     if driver.form is not None or phi.form is not None:
         problems.append(_without_forms(driver, phi))
     for drv, fn in problems:
         if freeze == "full":
-            route, it, _ = _full_freeze(drv, fn, tc, ens, basis, 1e-6, 50,
-                                        False)
+            sol, _ = picard_full_freeze(drv, fn, tc, ens, basis, check=False)
         else:
-            route, it, _ = _mean_freeze(drv, tc, ens, basis, 1e-6, 50,
-                                        check=False)
-        sol = route.solution(it)
+            sol, _ = picard_mean_freeze(drv, tc, ens, basis, check=False)
+        nodes = [sol.node(i) for i in range(m + 1)]
         assert not {"y", "z", "k"} & set(vars(sol))
-        arrays, scales = _eager_write(route, it)
+        arrays, scales = _eager_write(sol.route, sol.it)
         for name, want, sc in zip("yzk", arrays, scales):
             got = getattr(sol, name)
             assert got.shape == want.shape and got.flags.f_contiguous
@@ -578,9 +576,12 @@ def test_solution_written_on_read(atoms, measure, extras, phi_name, source,
         for got, want in ((sol.ybar, arrays[0]), (sol.zbar, arrays[1]),
                           (sol.kbar, arrays[2])):
             assert np.abs(got - want.mean(axis=0)).max(initial=0.0) <= 1e-12
-        *_, y0, y1 = route.summary(it)
-        assert y0.tobytes() == sol.y[:, 0].tobytes()
-        assert y1.tobytes() == sol.y[:, 1].tobytes()
+        for i, v in enumerate(nodes):
+            zi = min(i, m - 1)
+            assert v.shape == (ens.n_paths, 2 + ens.levy.n_atoms)
+            assert v[:, 0].tobytes() == sol.y[:, i].tobytes()
+            assert v[:, 1].tobytes() == sol.z[:, zi].tobytes()
+            assert v[:, 2:].tobytes() == sol.k[:, zi].tobytes()
 
 
 FREEZE_RSS = """

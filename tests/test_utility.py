@@ -250,14 +250,14 @@ class TestEvaluateJ:
         from path_map import _frozen_driver, _mean_channel
 
         solved = []
-        full_freeze = utility_mod._full_freeze
+        full_freeze = utility_mod.picard_full_freeze
 
         def keep(driver, phi, *args):
-            route, it, rep = full_freeze(driver, phi, *args)
-            solved.append((driver, phi, route.solution(it)))
-            return route, it, rep
+            sol, rep = full_freeze(driver, phi, *args)
+            solved.append((driver, phi, sol))
+            return sol, rep
 
-        monkeypatch.setattr(utility_mod, "_full_freeze", keep)
+        monkeypatch.setattr(utility_mod, "picard_full_freeze", keep)
         grid = build_grid(1.0, 10)
         ens = simulate_ensemble(grid, levy1, 2000, 4)
         wp = WealthParams(x0=1.0, b0=0.05, sigma0=0.2, gamma0=0.1)
