@@ -2,7 +2,9 @@
 
 Writes a scenario document, validates it, runs the linear pipeline and a
 cross-checking Picard run on the same seed, and reads back the CSV/
-manifest outputs.
+manifest outputs.  A scenario with a bad value fails `validate` with
+exit 2 and the offending section.key.  The demo exits non-zero when a
+command gives an exit code other than the expected one.
 """
 import json
 import subprocess
@@ -40,7 +42,7 @@ eta2 = 0.1
 """
 
 
-def run(args):
+def run(args, expect=0):
     proc = subprocess.run([sys.executable, "-m", "mfbsde.cli", *args],
                           capture_output=True, text=True)
     print(f"$ mfbsde {' '.join(args)}  -> exit {proc.returncode}")
@@ -48,6 +50,8 @@ def run(args):
         print(proc.stdout.strip())
     if proc.stderr.strip():
         print(proc.stderr.strip())
+    if proc.returncode != expect:
+        sys.exit(f"expected exit {expect}, got {proc.returncode}")
     return proc
 
 
@@ -58,6 +62,13 @@ with tempfile.TemporaryDirectory() as tmp:
     out = tmp / "out"
 
     run(["validate", "--config", str(cfg)])
+
+    # a bad value fails validation, naming its section.key
+    bad = tmp / "bad.ini"
+    bad.write_text(SCENARIO.replace("eta1 = 0.2", "eta1 = -1.5"))
+    proc = run(["validate", "--config", str(bad)], expect=2)
+    if "linear_coeffs.eta1" not in proc.stderr:
+        sys.exit("validate did not name linear_coeffs.eta1")
     run(["linear", "--config", str(cfg), "--out", str(out)])
 
     body = (out / "linear_solution.csv").read_text().splitlines()

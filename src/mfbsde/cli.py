@@ -5,14 +5,15 @@ run reads one scenario document, writes tidy CSV files with the fixed
 columns (node, time, statistic, value, se) plus a JSON manifest, and
 exits 0 on success, 2 on validation failure (or when the path count
 does not fit in memory), 3 on non-convergence and 4 on a failed
-comparison hypothesis.  The runs call the public solvers only; the
-picard run reads its rows off the returned `SolutionGrid` (node means
-and `node(i)`), so it writes no (n, M+1) path array.
+comparison hypothesis.  `parse_config` builds every solver input, so
+`validate` rejects what a run would; a run draws the ensemble and calls
+the public solvers only.  The picard run reads its rows off the
+returned `SolutionGrid` (node means and `node(i)`), so it writes no
+(n, M+1) path array.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -23,16 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .comparison import ComparisonScenario, run_comparison
-from .config import ScenarioConfig, build_driver_objects, config_hash, \
-    parse_config_file
+from .comparison import run_comparison
+from .config import ScenarioConfig, config_hash, parse_config_file
 from .errors import CapabilityError, ConfigError, DomainError, \
     MfbsdeError, NumericalError
 from .levy_paths import PathEnsemble, simulate_ensemble
 from .linear import q_special_solve
-from .picard import RegressionBasis, picard_full_freeze
-from .utility import ControlProcess, UtilityCoefficients, WealthParams, \
-    evaluate_j, optimal_pi, solve_adjoints
+from .picard import picard_full_freeze
+from .utility import evaluate_j, optimal_pi, solve_adjoints
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -93,11 +92,9 @@ def _run_picard(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
     """Full-freeze Picard solve.  The rows are the solution's node means
     and Y(0) with the SE of Y at node 1, read through `node(0)` and
     `node(1)`: the solution never writes an (n, M+1) array."""
-    driver, phi = build_driver_objects(cfg)
-    basis = RegressionBasis(degree=cfg.basis_degree,
-                            jump_features=cfg.jump_features)
-    sol, rep = picard_full_freeze(driver, phi, cfg.terminal, ens, basis,
-                                  cfg.tol, cfg.max_iter, check=True)
+    sol, rep = picard_full_freeze(cfg.driver, cfg.phi, cfg.linear.terminal,
+                                  ens, cfg.basis, cfg.tol, cfg.max_iter,
+                                  check=True)
     rows = _mean_rows(cfg.grid, "ybar", sol.ybar)
     rows += _mean_rows(cfg.grid, "zbar", sol.zbar)
     for a in range(cfg.levy.n_atoms):
@@ -122,12 +119,13 @@ def _run_linear(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
     from .linear import assemble_system, neumann_solve, \
         operator_norm_estimate, simulate_gamma, y_closed_formula
 
-    coeffs = dataclasses.replace(cfg.linear, terminal=cfg.terminal)
+    coeffs = cfg.linear
     gamma = simulate_gamma(coeffs, ens)
-    system = assemble_system(coeffs, cfg.terminal, ens, gamma=gamma)
+    system = assemble_system(coeffs, coeffs.terminal, ens, gamma=gamma)
     norm = operator_norm_estimate(system, (0.0, cfg.grid.horizon))
     v = neumann_solve(system)
-    y0, se, _ = y_closed_formula(coeffs, cfg.terminal, ens, v, gamma=gamma)
+    y0, se, _ = y_closed_formula(coeffs, coeffs.terminal, ens, v,
+                                 gamma=gamma)
 
     f, f_se = system.f, system.f_se
     rows = _mean_rows(cfg.grid, "ybar", v.v1)
@@ -147,17 +145,8 @@ def _run_linear(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
 
 
 def _run_compare(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
-    cc = cfg.compare
-    cfg1 = _sub_config(cfg, cc["driver1"], cc["terminal1"])
-    cfg2 = _sub_config(cfg, cc["driver2"], cc["terminal2"])
-    g1, _ = build_driver_objects(cfg1)
-    g2, _ = build_driver_objects(cfg2)
-    sc = ComparisonScenario(g1=g1, g2=g2, xi1=cc["terminal1"],
-                            xi2=cc["terminal2"], eta_bound=cc["eta_bound"])
-    basis = RegressionBasis(degree=cfg.basis_degree,
-                            jump_features=cfg.jump_features)
-    rep = run_comparison(sc, ens, basis, tol=cfg.tol,
-                         max_iter=cfg.max_iter, n_probes=cc["n_probes"])
+    rep = run_comparison(cfg.compare, ens, cfg.basis, tol=cfg.tol,
+                         max_iter=cfg.max_iter, n_probes=cfg.n_probes)
     rows = []
     if rep.solved:
         for i, t in enumerate(cfg.grid.nodes):
@@ -181,28 +170,10 @@ def _run_compare(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
     return EXIT_OK if rep.passed else EXIT_HYPOTHESIS
 
 
-def _sub_config(cfg, driver_spec, terminal):
-    return dataclasses.replace(cfg, driver=driver_spec, terminal=terminal,
-                               mean_functional=None)
-
-
 def _run_utility(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
-    u = cfg.utility
-    wp = WealthParams(x0=u["x0"], b0=u["b0"], sigma0=u["sigma0"],
-                      gamma0=u["gamma0"])
-    uc = UtilityCoefficients(
-        alpha0=u["alpha0"], alpha1=u["alpha1"], beta0=u["beta0"],
-        beta1=u["beta1"], eta0=u["eta0"], eta1=u["eta1"],
-        theta=u["theta"],
-    )
-    basis = RegressionBasis(degree=cfg.basis_degree,
-                            jump_features=cfg.jump_features)
-    adj = solve_adjoints(uc, ens, basis)
-    if u["optimal"]:
-        pi = optimal_pi(adj)
-    else:
-        pi = ControlProcess.from_constant(u["pi"], cfg.grid)
-    j, se, _ = evaluate_j(wp, uc, pi, ens)
+    adj = solve_adjoints(cfg.utility, ens, cfg.basis)
+    pi = optimal_pi(adj) if cfg.rate is None else cfg.rate
+    j, se, _ = evaluate_j(cfg.wealth, cfg.utility, pi, ens)
     pv = pi.paths(ens.n_paths)
     rows = []
     for i, t in enumerate(cfg.grid.nodes):
@@ -214,16 +185,16 @@ def _run_utility(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
     rows.append((0, 0.0, "J", j, se))
     writer.write_csv("utility.csv", rows)
     writer.diagnostics["utility"] = {
-        "J": j, "se": se, "optimal_control": bool(u["optimal"]),
+        "J": j, "se": se, "optimal_control": cfg.rate is None,
         "p_floor_hits": adj.floor_hits,
     }
     return EXIT_OK
 
 
 def _run_qcheck(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
-    q = cfg.qcheck
-    res = q_special_solve(q["alpha1"], q["alpha2"], q["beta1"], q["eta1"],
-                          q["gamma"], cfg.terminal, ens)
+    q = cfg.linear
+    res = q_special_solve(q.alpha1, q.alpha2, q.beta1, q.eta1, q.gamma,
+                          q.terminal, ens)
     rows = _mean_rows(cfg.grid, "mean_y_q", res.mean_y)
     rows.append((0, 0.0, "y0_weighted", res.y0_weighted, res.se_weighted))
     rows.append((0, 0.0, "y0_shifted", res.y0_shifted, res.se_shifted))

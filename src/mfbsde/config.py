@@ -2,9 +2,12 @@
 
 Scenarios are INI documents (flat sections of key = value) naming
 built-in drivers, mean functionals and terminal conditions with
-parameters; no code is accepted.  Parsing collects every validation
-error with the offending section.key path instead of stopping at the
-first one.  See README for the full schema.
+parameters; no code is accepted.  Parsing builds every solver input of
+the scenario's mode (drivers, mean functional, coefficients, terminal,
+regression basis, control rate) and collects every validation error
+with the offending section.key path instead of stopping at the first
+one, so a document that parses is one a run accepts.  See README for
+the full schema.
 """
 from __future__ import annotations
 
@@ -17,8 +20,11 @@ from typing import Optional
 import numpy as np
 
 from . import core
+from .comparison import ComparisonScenario
 from .errors import ConfigError
 from .levy_paths import LevyMeasure, TimeGrid, build_grid
+from .picard import RegressionBasis
+from .utility import ControlProcess, UtilityCoefficients, WealthParams
 
 __all__ = ["ScenarioConfig", "parse_config", "parse_config_file", "config_hash"]
 
@@ -50,24 +56,31 @@ _KNOWN_KEYS = {
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario ready to hand to a pipeline."""
+    """Validated scenario with the solver inputs of its mode.
+
+    picard: `driver`, `phi` and `linear`; linear and qcheck: `linear`
+    (qcheck's tilted equation uses alpha1, alpha2, beta1, eta1 and
+    gamma); `linear.terminal` is the scenario's terminal.  compare:
+    `compare` and `n_probes`.  utility: `wealth`, `utility` and `rate`,
+    which is None when the run derives the optimal rate.
+    """
 
     mode: str
     grid: TimeGrid
     levy: LevyMeasure
     n_paths: int
     seed: int
+    basis: RegressionBasis
     tol: float = 1e-6
     max_iter: int = 50
-    basis_degree: int = 2
-    jump_features: bool = True
-    driver: Optional[dict] = None
-    mean_functional: Optional[dict] = None
-    terminal: Optional[core.TerminalCondition] = None
+    driver: Optional[core.DriverSpec] = None
+    phi: Optional[core.MeanFunctional] = None
     linear: Optional[core.LinearCoefficients] = None
-    compare: Optional[dict] = None
-    qcheck: Optional[dict] = None
-    utility: Optional[dict] = None
+    compare: Optional[ComparisonScenario] = None
+    n_probes: int = 10000
+    wealth: Optional[WealthParams] = None
+    utility: Optional[UtilityCoefficients] = None
+    rate: Optional[ControlProcess] = None
     raw: dict = field(default_factory=dict)
 
 
@@ -122,6 +135,11 @@ def _get_floats(cp, errs, section, key, default=()):
                 "a number list")
 
 
+def _scalars(cp, errs, section, *keys):
+    """{key: section.key} for optional numbers that default to 0."""
+    return {key: _get(cp, errs, section, key, default=0.0) for key in keys}
+
+
 def _parse_atoms(cp, errs) -> LevyMeasure:
     """atoms = mark:weight, mark:weight, ... (may be empty)."""
     raw = cp.get("levy", "atoms", fallback="").strip()
@@ -157,11 +175,18 @@ def _atom_coeff(values, levy, path, errs):
     return 0.0
 
 
-def _parse_terminal(cp, errs, levy, section="terminal"):
+_TERMINALS = ("constant", "brownian_linear", "jump_linear",
+              "smooth_of_brownian")
+
+
+def _parse_terminal(cp, errs, levy, section="terminal", kinds=_TERMINALS):
     if not cp.has_section(section):
         errs.add(f"{section}.kind", "missing required section")
         return None
     kind = cp.get(section, "kind", fallback=None)
+    if kind not in kinds:
+        errs.add(f"{section}.kind", f"must be one of {kinds}, got {kind!r}")
+        return None
     if kind == "constant":
         c = _get(cp, errs, section, "c", required=True)
         return core.constant(c if c is not None else 0.0)
@@ -170,146 +195,191 @@ def _parse_terminal(cp, errs, levy, section="terminal"):
         b = _get(cp, errs, section, "b", default=0.0)
         return core.brownian_linear(a if a is not None else 0.0, b)
     if kind == "jump_linear":
-        psi = _get_floats(cp, errs, section, "psi", default=[1.0])
-        return core.jump_linear(_atom_coeff(psi, levy, f"{section}.psi",
-                                            errs))
-    if kind == "smooth_of_brownian":
-        coeffs = _get_floats(cp, errs, section, "coeffs")
-        if not coeffs:
-            errs.add(f"{section}.coeffs", "missing polynomial coefficients")
-            coeffs = [0.0]
-        return core.smooth_of_brownian(coeffs)
-    errs.add(f"{section}.kind", f"unknown terminal kind {kind!r}")
-    return None
+        return core.jump_linear(_atom_floats(cp, errs, levy, section, "psi",
+                                             default=1.0))
+    coeffs = _get_floats(cp, errs, section, "coeffs")
+    if not coeffs:
+        errs.add(f"{section}.coeffs", "missing polynomial coefficients")
+        coeffs = [0.0]
+    return core.smooth_of_brownian(coeffs)
 
 
-def _parse_driver(cp, errs, levy, section="driver"):
-    if not cp.has_section(section):
-        errs.add(f"{section}.name", "missing required section")
-        return None
-    name = cp.get(section, "name", fallback=None)
-    if name == "zero":
-        return {"name": "zero"}
-    if name == "constant":
-        return {"name": "constant",
-                "value": _get(cp, errs, section, "value",
-                                    required=True) or 0.0}
-    if name == "affine":
-        spec = {
-            "name": "affine",
-            "c_y": _get(cp, errs, section, "c_y", default=0.0),
-            "c_z": _get(cp, errs, section, "c_z", default=0.0),
-            "c_k": _get(cp, errs, section, "c_k", default=0.0),
-            "c_mean": _get_floats(cp, errs, section, "c_mean",
-                                  default=[0.0]),
-            "const": _get(cp, errs, section, "const", default=0.0),
-        }
-        lip = _get(cp, errs, section, "lipschitz")
-        if lip is not None:
-            spec["lipschitz"] = lip
-        return spec
-    if name == "linear":
-        return {"name": "linear"}
-    errs.add(f"{section}.name", f"unknown driver {name!r}")
-    return None
-
-
-def _parse_linear_coeffs(cp, errs, levy, section="linear_coeffs"):
-    if not cp.has_section(section):
-        return None
-    e1 = _get_floats(cp, errs, section, "eta1", default=[0.0])
-    if any(v <= -1.0 for v in e1):
-        errs.add(f"{section}.eta1",
-                 f"values must stay above -1, got {min(e1)}")
-    return core.LinearCoefficients(
-        alpha1=_get(cp, errs, section, "alpha1", default=0.0),
-        alpha2=_get(cp, errs, section, "alpha2", default=0.0),
-        beta1=_get(cp, errs, section, "beta1", default=0.0),
-        beta2=_get(cp, errs, section, "beta2", default=0.0),
-        eta1=_atom_coeff(e1, levy, f"{section}.eta1", errs),
-        eta2=_atom_coeff(_get_floats(cp, errs, section, "eta2",
-                                     default=[0.0]),
-                         levy, f"{section}.eta2", errs),
-        gamma=_get(cp, errs, section, "gamma", default=0.0),
-    )
+def _atom_floats(cp, errs, levy, section, key, default=0.0, floor=None,
+                 strict=True):
+    """section.key as one value or one per atom (see `_atom_coeff`);
+    with a `floor`, every value must exceed it (reach it if not
+    `strict`)."""
+    values = _get_floats(cp, errs, section, key, default=[default])
+    low = min(values, default=default)
+    if floor is not None and (low < floor or strict and low == floor):
+        errs.add(f"{section}.{key}", f"values must be "
+                 f"{'>' if strict else '>='} {floor:g}, got {low:g}")
+    return _atom_coeff(values, levy, f"{section}.{key}", errs)
 
 
 _MEAN_FUNCTIONALS = ("mean_y", "mean_yzk", "mean_yzk_avg", "mean_y_squared")
 
 
-def _mean_functional_errors(driver_name, mean_fn: dict):
-    """(section.key, message) for each problem of a picard scenario's
-    [mean_functional]: an unknown name, a name the linear driver cannot
+def _parse_mean_functional(cp, errs, levy, driver_name):
+    """[mean_functional] of a picard scenario as a MeanFunctional; None
+    after recording an unknown name, a name the linear driver cannot
     read, or a bound on a functional without one."""
-    name = mean_fn.get("name")
+    section = "mean_functional"
+    name = cp.get(section, "name", fallback="mean_yzk"
+                  if driver_name == "linear" else "mean_y")
+    bound = _get(cp, errs, section, "bound")
+    if bound is not None and name != "mean_y_squared":
+        errs.add(f"{section}.bound",
+                 f"only mean_y_squared takes a bound, not {name!r}")
     if name not in _MEAN_FUNCTIONALS:
-        yield "mean_functional.name", f"unknown {name!r}"
-    elif driver_name == "linear" and name != "mean_yzk":
-        yield ("mean_functional.name",
-               f"driver.name=linear reads its mean channel through "
-               f"mean_yzk, got {name!r}")
-    if "bound" in mean_fn and name != "mean_y_squared":
-        yield ("mean_functional.bound",
-               f"only mean_y_squared takes a bound, not {name!r}")
+        errs.add(f"{section}.name", f"unknown {name!r}")
+        return None
+    if driver_name == "linear" and name != "mean_yzk":
+        errs.add(f"{section}.name", f"driver.name=linear reads its mean "
+                 f"channel through mean_yzk, got {name!r}")
+        return None
+    if name == "mean_y":
+        return core.mean_y()
+    if name == "mean_yzk":
+        return core.mean_yzk(levy.n_atoms)
+    if name == "mean_yzk_avg":
+        return core.mean_yzk_avg(levy)
+    return core.mean_y_squared() if bound is None else \
+        core.mean_y_squared(bound)
 
 
-def _default_mean_functional(driver_name) -> str:
-    return "mean_yzk" if driver_name == "linear" else "mean_y"
-
-
-def build_driver_objects(cfg: ScenarioConfig):
-    """Materialise (DriverSpec, MeanFunctional) from a parsed scenario."""
-    levy, grid = cfg.levy, cfg.grid
+def _parse_driver(cp, errs, grid, levy, phi, section="driver",
+                  names=("zero", "constant", "affine", "linear"),
+                  linear=None):
+    """A [driver]-style section as a DriverSpec reading the mean of `phi`
+    (None: its errors are recorded and no driver is built); `linear` is
+    the [linear_coeffs] equation that driver name linear expresses."""
+    if not cp.has_section(section):
+        errs.add(f"{section}.name", "missing required section")
+        return None
+    name = cp.get(section, "name", fallback=None)
+    if name not in names:
+        errs.add(f"{section}.name", f"must be one of {names}, got {name!r}")
+        return None
     nj = levy.n_atoms
-    spec = cfg.driver or {"name": "zero"}
-    name = spec["name"]
-    mean_fn = dict(cfg.mean_functional or {})
-    mean_fn.setdefault("name", _default_mean_functional(name))
-    for path, message in _mean_functional_errors(name, mean_fn):
-        raise ConfigError(f"{path}: {message}")
-    phi_name = mean_fn["name"]
-    if phi_name == "mean_y":
-        phi = core.mean_y()
-    elif phi_name == "mean_yzk":
-        phi = core.mean_yzk(nj)
-    elif phi_name == "mean_yzk_avg":
-        phi = core.mean_yzk_avg(levy)
-    else:
-        bound = mean_fn.get("bound")
-        phi = core.mean_y_squared() if bound is None else \
-            core.mean_y_squared(bound)
+    if name == "linear":
+        return None if linear is None else linear.as_driver(grid, levy)
+    if name != "affine":
+        value = 0.0
+        if name == "constant":
+            value = _get(cp, errs, section, "value", required=True) or 0.0
+        return None if phi is None else core.affine_driver(
+            grid, nj, phi.dim, 0.0, name, const=value)
+    c = _scalars(cp, errs, section, "c_y", "c_z", "c_k", "const")
+    cm = np.asarray(_get_floats(cp, errs, section, "c_mean", default=[0.0]))
+    lip = _get(cp, errs, section, "lipschitz")
+    if phi is None:
+        return None
+    if cm.size != phi.dim:
+        errs.add(f"{section}.c_mean", f"need {phi.dim} values for mean "
+                 f"functional {phi.name}, got {cm.size}")
+        return None
+    if lip is None:
+        lip = max(abs(c["c_y"]), abs(c["c_z"]),
+                  abs(c["c_k"]) * np.sqrt(max(levy.total_mass, 1.0)),
+                  float(np.linalg.norm(cm)))
+    return core.affine_driver(grid, nj, phi.dim, lip, "affine", y=c["c_y"],
+                              z=c["c_z"], k=c["c_k"] * levy.weights, mu=cm,
+                              const=c["const"])
 
-    if name in ("zero", "constant"):
-        drv = core.affine_driver(grid, nj, phi.dim, 0.0, name,
-                                 const=spec.get("value", 0.0))
-    elif name == "affine":
-        cy, cz, ck = spec["c_y"], spec["c_z"], spec["c_k"]
-        cm = np.asarray(spec["c_mean"], dtype=float)
-        if cm.size != phi.dim:
-            raise ConfigError(
-                f"driver.c_mean: need {phi.dim} values for mean functional "
-                f"{phi.name}, got {cm.size}"
-            )
-        lip = spec.get("lipschitz")
-        if lip is None:
-            lip = max(abs(cy), abs(cz),
-                      abs(ck) * np.sqrt(max(levy.total_mass, 1.0)),
-                      float(np.linalg.norm(cm)))
-        drv = core.affine_driver(grid, nj, phi.dim, lip, "affine", y=cy,
-                                 z=cz, k=ck * levy.weights, mu=cm,
-                                 const=spec["const"])
-    elif name == "linear":
-        if cfg.linear is None:
-            raise ConfigError("driver.name=linear needs [linear_coeffs]")
-        drv = cfg.linear.as_driver(grid, levy)
-    else:
-        raise ConfigError(f"driver.name: unknown {name!r}")
-    return drv, phi
+
+def _parse_linear_coeffs(cp, errs, levy, terminal):
+    sec = "linear_coeffs"
+    return core.LinearCoefficients(
+        **_scalars(cp, errs, sec, "alpha1", "alpha2", "beta1", "beta2",
+                   "gamma"),
+        eta1=_atom_floats(cp, errs, levy, sec, "eta1", floor=-1.0),
+        eta2=_atom_floats(cp, errs, levy, sec, "eta2"), terminal=terminal)
+
+
+def _picard_inputs(cp, errs, grid, levy):
+    name = cp.get("driver", "name", fallback=None)
+    terminal = _parse_terminal(cp, errs, levy)
+    linear = _parse_linear_coeffs(cp, errs, levy, terminal)
+    if name == "linear" and not cp.has_section("linear_coeffs"):
+        errs.add("linear_coeffs", "driver.name=linear needs this section")
+        linear = None
+    phi = _parse_mean_functional(cp, errs, levy, name)
+    return {"driver": _parse_driver(cp, errs, grid, levy, phi,
+                                    linear=linear),
+            "phi": phi, "linear": linear}
+
+
+def _linear_inputs(cp, errs, grid, levy):
+    if not cp.has_section("linear_coeffs"):
+        errs.add("linear_coeffs", "missing required section")
+    return {"linear": _parse_linear_coeffs(
+        cp, errs, levy, _parse_terminal(cp, errs, levy))}
+
+
+def _compare_inputs(cp, errs, grid, levy):
+    """Both drivers read the mean as E[Y], so driver name linear, whose
+    mean channel is (E[Y], E[Z], E[K]), is not one of theirs."""
+    phi = core.mean_y()
+    g1, g2 = (_parse_driver(cp, errs, grid, levy, phi, section,
+                            ("zero", "constant", "affine"))
+              for section in ("driver", "driver2"))
+    xi1 = _parse_terminal(cp, errs, levy, "terminal")
+    xi2 = _parse_terminal(cp, errs, levy, "terminal2")
+    eta_bound = _atom_floats(cp, errs, levy, "compare", "eta_bound")
+    n_probes = _get_int(cp, errs, "compare", "n_probes", default=10000)
+    if n_probes < 1:
+        errs.add("compare.n_probes", "must be >= 1")
+    if None in (g1, g2, xi1, xi2):
+        return {}
+    return {"compare": ComparisonScenario(g1, g2, xi1, xi2, eta_bound),
+            "n_probes": n_probes}
+
+
+def _qcheck_inputs(cp, errs, grid, levy):
+    if not cp.has_section("qcheck"):
+        errs.add("qcheck", "missing required section")
+    return {"linear": core.LinearCoefficients(
+        **_scalars(cp, errs, "qcheck", "alpha1", "alpha2", "beta1", "gamma"),
+        eta1=_atom_floats(cp, errs, levy, "qcheck", "eta1", floor=-1.0),
+        terminal=_parse_terminal(cp, errs, levy))}
+
+
+def _utility_inputs(cp, errs, grid, levy):
+    """The rate is None for `optimal = true`: the run derives it."""
+    x0 = _get(cp, errs, "wealth", "x0", required=True)
+    if x0 is not None and not x0 > 0.0:
+        errs.add("wealth.x0", "must be > 0")
+    wealth = WealthParams(
+        x0=x0, **_scalars(cp, errs, "wealth", "b0", "sigma0"),
+        gamma0=_atom_floats(cp, errs, levy, "wealth", "gamma0",
+                            floor=-1.0))
+    sec = "utility_coeffs"
+    utility = UtilityCoefficients(
+        **_scalars(cp, errs, sec, "alpha0", "alpha1", "beta0", "beta1"),
+        eta0=_atom_floats(cp, errs, levy, sec, "eta0", floor=-1.0),
+        eta1=_atom_floats(cp, errs, levy, sec, "eta1", floor=-1.0,
+                          strict=False),
+        theta=_parse_terminal(cp, errs, levy, "theta",
+                              ("constant", "smooth_of_brownian")))
+    pi = _get(cp, errs, "control", "pi", default=1.0)
+    rate = None
+    if not _get_bool(cp, errs, "control", "optimal", default=False):
+        if not pi > 0.0:
+            errs.add("control.pi", "must be > 0")
+        else:
+            rate = ControlProcess.from_constant(pi, grid)
+    return {"wealth": wealth, "utility": utility, "rate": rate}
+
+
+_INPUTS = {"picard": _picard_inputs, "linear": _linear_inputs,
+           "compare": _compare_inputs, "utility": _utility_inputs,
+           "qcheck": _qcheck_inputs}
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a scenario document; raises ConfigError listing
-    every problem found."""
+    """Parse and validate a scenario document and build its mode's solver
+    inputs; raises ConfigError listing every problem found."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
@@ -357,95 +427,17 @@ def parse_config(text: str) -> ScenarioConfig:
     degree = _get_int(cp, errs, "solver", "basis_degree", default=2)
     if degree is not None and not (1 <= degree <= 6):
         errs.add("solver.basis_degree", "must be between 1 and 6")
-    jumpf = _get_bool(cp, errs, "solver", "jump_features", default=True)
+    basis = RegressionBasis(degree, _get_bool(cp, errs, "solver",
+                                              "jump_features", default=True))
 
-    driver = mean_fn = terminal = linear = compare = qcheck = usect = None
-    if mode == "picard":
-        driver = _parse_driver(cp, errs, levy)
-        driver_name = (driver or {}).get("name")
-        mean_fn = {"name": cp.get(
-            "mean_functional", "name",
-            fallback=_default_mean_functional(driver_name))}
-        bound = _get(cp, errs, "mean_functional", "bound")
-        if bound is not None:
-            mean_fn["bound"] = bound
-        for path, message in _mean_functional_errors(driver_name, mean_fn):
-            errs.add(path, message)
-        terminal = _parse_terminal(cp, errs, levy)
-        linear = _parse_linear_coeffs(cp, errs, levy)
-        if driver and driver.get("name") == "linear" and linear is None:
-            errs.add("linear_coeffs",
-                     "driver.name=linear needs this section")
-    elif mode == "linear":
-        terminal = _parse_terminal(cp, errs, levy)
-        linear = _parse_linear_coeffs(cp, errs, levy)
-        if not cp.has_section("linear_coeffs"):
-            errs.add("linear_coeffs", "missing required section")
-    elif mode == "compare":
-        compare = {
-            "driver1": _parse_driver(cp, errs, levy, "driver"),
-            "driver2": _parse_driver(cp, errs, levy, "driver2"),
-            "terminal1": _parse_terminal(cp, errs, levy, "terminal"),
-            "terminal2": _parse_terminal(cp, errs, levy, "terminal2"),
-            "eta_bound": _atom_coeff(
-                _get_floats(cp, errs, "compare", "eta_bound", default=[0.0]),
-                levy, "compare.eta_bound", errs,
-            ),
-            "n_probes": _get_int(cp, errs, "compare", "n_probes",
-                                 default=10000),
-        }
-        if compare["n_probes"] < 1:
-            errs.add("compare.n_probes", "must be >= 1")
-    elif mode == "qcheck":
-        if not cp.has_section("qcheck"):
-            errs.add("qcheck", "missing required section")
-        qcheck = {k: _get(cp, errs, "qcheck", k, default=0.0)
-                  for k in ("alpha1", "alpha2", "beta1", "gamma")}
-        eta_vals = _get_floats(cp, errs, "qcheck", "eta1", default=[0.0])
-        qcheck["eta1"] = _atom_coeff(eta_vals, levy, "qcheck.eta1", errs)
-        if any(v <= -1.0 for v in eta_vals):
-            errs.add("qcheck.eta1", "values must stay above -1")
-        terminal = _parse_terminal(cp, errs, levy)
-    elif mode == "utility":
-        g0 = _get_floats(cp, errs, "wealth", "gamma0", default=[0.0])
-        usect = {
-            "x0": _get(cp, errs, "wealth", "x0", required=True),
-            "b0": _get(cp, errs, "wealth", "b0", default=0.0),
-            "sigma0": _get(cp, errs, "wealth", "sigma0", default=0.0),
-            "gamma0": _atom_coeff(g0, levy, "wealth.gamma0", errs),
-            "alpha0": _get(cp, errs, "utility_coeffs", "alpha0",
-                                 default=0.0),
-            "alpha1": _get(cp, errs, "utility_coeffs", "alpha1",
-                                 default=0.0),
-            "beta0": _get(cp, errs, "utility_coeffs", "beta0",
-                                default=0.0),
-            "beta1": _get(cp, errs, "utility_coeffs", "beta1",
-                                default=0.0),
-            "eta0": _atom_coeff(
-                _get_floats(cp, errs, "utility_coeffs", "eta0",
-                            default=[0.0]),
-                levy, "utility_coeffs.eta0", errs,
-            ),
-            "eta1": _atom_coeff(
-                _get_floats(cp, errs, "utility_coeffs", "eta1",
-                            default=[0.0]),
-                levy, "utility_coeffs.eta1", errs,
-            ),
-            "theta": _parse_terminal(cp, errs, levy, "theta"),
-            "pi": _get(cp, errs, "control", "pi", default=1.0),
-            "optimal": _get_bool(cp, errs, "control", "optimal",
-                                 default=False),
-        }
-        if any(v <= -1.0 for v in g0):
-            errs.add("wealth.gamma0", "values must stay above -1")
-
+    # a stand-in grid lets the mode sections report their own errors
+    # when the [grid] ones are already recorded
+    inputs = _INPUTS[mode](cp, errs, grid or build_grid(1.0, 1), levy) \
+        if mode in _INPUTS else {}
     errs.raise_if_any()
     return ScenarioConfig(
         mode=mode, grid=grid, levy=levy, n_paths=n_paths, seed=seed,
-        tol=tol, max_iter=max_iter, basis_degree=degree,
-        jump_features=jumpf, driver=driver, mean_functional=mean_fn,
-        terminal=terminal, linear=linear, compare=compare, qcheck=qcheck,
-        utility=usect,
+        tol=tol, max_iter=max_iter, basis=basis, **inputs,
         raw={s: dict(cp.items(s)) for s in cp.sections()},
     )
 

@@ -5,8 +5,8 @@ and the weighted norm used for contraction diagnostics.
 Terminal conditions are restricted to a catalog for which both the
 pathwise value and the two directional derivatives (Brownian and per-atom
 jump) are available in closed form; that is what the closed-form engine
-needs for its source vector.  Arbitrary square-integrable terminals can
-still be fed to the Picard solver, which never differentiates them.
+needs for its source vector.  Both solvers read a terminal through the
+catalog, so a kind outside it is a CapabilityError on either route.
 """
 from __future__ import annotations
 

@@ -76,9 +76,10 @@ __all__ = [
 # Propagator
 # ---------------------------------------------------------------------------
 
-def _a1_cum(a1: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative left-node dt-quadrature of a1 on the grid nodes."""
-    return np.concatenate([[0.0], np.cumsum(a1[:-1] * dt)])
+def _left_quadrature(v: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative left-node dt-quadrature of the node values v:
+    sum_{l<i} v_l dt at each node i, zero at t_0."""
+    return np.concatenate([[0.0], np.cumsum(v[:-1] * dt)])
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def _simulate_gamma_grid(cg: CoefficientGrid, ens: PathEnsemble
     grid, levy = ens.grid, ens.levy
     _check_jump_tilt(cg.e1, grid.nodes, levy.marks, "eta1")
     return GammaEnsemble(ens=ens, a1=cg.a1, b1=cg.b1, e1=cg.e1,
-                         a1_cum=_a1_cum(cg.a1, grid.dt))
+                         a1_cum=_left_quadrature(cg.a1, grid.dt))
 
 
 def _node_index(grid, t: float, name: str) -> int:
@@ -166,7 +167,7 @@ def mean_gamma(coeffs: LinearCoefficients, grid, levy, t: float, s: float
     if s < t:
         raise ConfigError("mean_gamma needs t <= s")
     i, l = _node_index(grid, t, "t"), _node_index(grid, s, "s")
-    a1_cum = _a1_cum(coeffs.on_grid(grid, levy).a1, grid.dt)
+    a1_cum = _left_quadrature(coeffs.on_grid(grid, levy).a1, grid.dt)
     return float(np.exp(a1_cum[l] - a1_cum[i]))
 
 
@@ -304,13 +305,6 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     grid, levy = ens.grid, ens.levy
     if tc is None:
         raise CapabilityError("assemble_system needs a terminal condition")
-    if tc.kind not in ("constant", "brownian_linear", "jump_linear",
-                       "smooth_of_brownian", "poly_of_jump_linear",
-                       "wealth_linear"):
-        raise CapabilityError(
-            f"terminal kind {tc.kind!r} is outside the closed-form "
-            "derivative catalog; solve with the Picard route instead"
-        )
     cg = coeffs.on_grid(grid, levy)
     gamma, gp = _propagator_inputs(gamma, gamma_path, cg, ens)
     m1 = grid.steps + 1
@@ -694,7 +688,7 @@ def q_special_solve(alpha1, alpha2, beta1, eta1, gamma,
                                    else gi * dt)
         return m
 
-    gprime = np.exp(np.concatenate([[0.0], np.cumsum(a1[:-1] * dt)]))
+    gprime = np.exp(_left_quadrature(a1, dt))
     wq = np.full(grid.steps + 1, dt)
     wq[0] = wq[-1] = 0.5 * dt
     quad_coef = gprime[-1] + (

@@ -36,8 +36,8 @@ from .errors import CapabilityError, ConfigError, DomainError
 from .levy_paths import PathEnsemble, _check_jump_tilt, _cumulate_nodes, \
     _eval_nodes, _eval_nodes_atoms, _exponent_writer, _log_exponential, \
     _over_row_blocks
-from .linear import assemble_system, neumann_solve, simulate_gamma, \
-    y_closed_formula
+from .linear import _left_quadrature, assemble_system, neumann_solve, \
+    simulate_gamma, y_closed_formula
 from .picard import RegressionBasis, _Regressions, picard_full_freeze
 
 __all__ = [
@@ -142,7 +142,7 @@ def _log_wealth(wp: WealthParams, pi: ControlProcess, ens: PathEnsemble,
     if adapted:
         shift = math.log(wp.x0)
     else:
-        spent = np.concatenate([[0.0], np.cumsum(pi.values[:-1] * grid.dt)])
+        spent = _left_quadrature(pi.values, grid.dt)
         shift = (math.log(wp.x0) - spent)[:, None]
         if log_rate:   # a zero rate is a valid wealth input
             log_rate_nodes = np.log(pi.values)[:, None]
@@ -222,9 +222,7 @@ def adjoint_lambda(uc: UtilityCoefficients, ens: PathEnsemble):
     n, m = ens.n_paths, grid.steps
     w = levy.weights
 
-    mean_lam = np.exp(np.concatenate(
-        [[0.0], np.cumsum((a0[:-1] + a1[:-1]) * dt)]
-    ))
+    mean_lam = np.exp(_left_quadrature(a0 + a1, dt))
 
     # integrating factor: inverse of the (a0, b0, e0) propagator
     ups = _log_exponential(ens, a0[:-1], b0[:-1], e0[:-1]).T

@@ -11,7 +11,7 @@ import pytest
 import mfbsde
 from mfbsde import ConfigError
 from mfbsde.cli import main
-from mfbsde.config import build_driver_objects, parse_config
+from mfbsde.config import parse_config
 from mfbsde.core import probe_mean_functional
 
 MINIMAL_PICARD = textwrap.dedent("""
@@ -61,6 +61,45 @@ PICARD_SECTIONS = ("[driver]\nname = zero\n"
                    "[terminal]\nkind = constant\nc = 1.0\n")
 LINEAR_PICARD_SECTIONS = ("[driver]\nname = linear\n[linear_coeffs]\n"
                           "[terminal]\nkind = constant\nc = 1.0\n")
+COMPARE_SECTIONS = ("[driver]\n[terminal]\nkind = constant\nc = 1.0\n"
+                    "[driver2]\nname = affine\n"
+                    "[terminal2]\nkind = constant\nc = 0.0\n")
+UTILITY_SECTIONS = ("[theta]\nkind = constant\nc = 1.0\n"
+                    "[wealth]\nx0 = 1.0\n")
+# scenarios that a solver, a constructor or `on_grid` rejects at run
+# time unless the parse does: (mode, sections, section.key, bad value)
+RUN_CASES = [
+    pytest.param("picard", "[driver]\nname = affine\n"
+                 "[terminal]\nkind = constant\nc = 1.0\n",
+                 "driver.c_mean", "0.1, 0.2", id="driver.c_mean"),
+    pytest.param("compare", COMPARE_SECTIONS.replace("[driver]\n",
+                                                     "[driver]\nname = zero\n"),
+                 "driver2.c_mean", "0.1, 0.2", id="driver2.c_mean"),
+    pytest.param("compare", COMPARE_SECTIONS, "driver.name", "linear",
+                 id="driver.name"),
+    pytest.param("compare", COMPARE_SECTIONS + "[linear_coeffs]\n"
+                 "alpha1 = 0.1\n", "driver.name", "linear",
+                 id="driver.name-with-linear_coeffs"),
+    pytest.param("utility", UTILITY_SECTIONS.replace("kind = constant\n"
+                                                     "c = 1.0\n", ""),
+                 "theta.kind", "jump_linear", id="theta.kind"),
+    pytest.param("utility", UTILITY_SECTIONS.replace("x0 = 1.0\n", ""),
+                 "wealth.x0", "-1", id="wealth.x0"),
+    pytest.param("utility", UTILITY_SECTIONS + "[utility_coeffs]\n",
+                 "utility_coeffs.eta0", "-1", id="utility_coeffs.eta0"),
+    pytest.param("utility", UTILITY_SECTIONS + "[utility_coeffs]\n",
+                 "utility_coeffs.eta1", "-1.5", id="utility_coeffs.eta1"),
+    pytest.param("utility", UTILITY_SECTIONS + "[control]\n",
+                 "control.pi", "0", id="control.pi"),
+]
+
+
+def _scenario(mode, sections, path, value):
+    """A 10-step, 10-path scenario of `mode` with section.key = value."""
+    section, key = path.split(".")
+    return (f"[run]\nmode = {mode}\n[grid]\nhorizon = 1.0\n"
+            f"steps = 10\n[mc]\npaths = 10\n{sections}").replace(
+                f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
 
 
 class TestParseConfig:
@@ -69,7 +108,7 @@ class TestParseConfig:
         assert cfg.mode == "picard"
         assert cfg.grid.steps == 100
         assert cfg.levy.n_atoms == 0
-        assert cfg.terminal.kind == "constant"
+        assert cfg.linear.terminal.kind == "constant"
 
     def test_eta_below_floor_named(self):
         text = MINIMAL_PICARD.replace("name = zero", "name = linear") + \
@@ -127,15 +166,12 @@ class TestParseConfig:
         pytest.param("picard", PICARD_SECTIONS
                      + "[mean_functional]\nname = mean_yzk\n",
                      "mean_functional.bound", "3.0", id="3.0-bound"),
+        *RUN_CASES,
     ])
     def test_one_error_per_bad_floor_value(self, mode, sections, path,
                                            value):
-        section, key = path.split(".")
-        text = (f"[run]\nmode = {mode}\n[grid]\nhorizon = 1.0\n"
-                f"steps = 10\n[mc]\npaths = 10\n{sections}").replace(
-                    f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError) as err:
-            parse_config(text)
+            parse_config(_scenario(mode, sections, path, value))
         entries = str(err.value).splitlines()[1:]
         assert len(entries) == 1
         assert entries[0].strip().startswith(f"{path}:")
@@ -168,7 +204,7 @@ class TestMeanFunctionalBound:
 
     def test_absent_bound_takes_the_functional_default(self):
         cfg = parse_config(self.TEXT)
-        _, phi = build_driver_objects(cfg)
+        phi = cfg.phi
         assert phi.derivative_bound == mfbsde.mean_y_squared().derivative_bound
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -176,7 +212,7 @@ class TestMeanFunctionalBound:
 
     def test_explicit_bound_is_honoured(self):
         cfg = parse_config(self.TEXT + "bound = 2.5\n")
-        _, phi = build_driver_objects(cfg)
+        phi = cfg.phi
         assert phi.derivative_bound == 2.5
         with pytest.warns(UserWarning, match="exceeds declared 2.5"):
             probe_mean_functional(phi, cfg.levy.n_atoms)
@@ -485,6 +521,20 @@ def test_compare_eta_bound_count(tmp_path, capsys, eta_bound, code):
         assert "compare.eta_bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode,sections,path,value", RUN_CASES)
+def test_validate_rejects_what_the_run_rejects(tmp_path, capsys, mode,
+                                               sections, path, value):
+    """Each check a solver, a constructor or `on_grid` makes is made at
+    parse time: `validate` and the run both exit 2 naming the key."""
+    ini = tmp_path / "s.ini"
+    ini.write_text(_scenario(mode, sections, path, value))
+    assert main(["validate", "--config", str(ini)]) == 2
+    assert path in capsys.readouterr().err
+    assert main([mode, "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert path in capsys.readouterr().err
+
+
 def test_compare_n_probes_below_one_fails_validation(tmp_path, capsys):
     ini = tmp_path / "c.ini"
     ini.write_text(COMPARE_THREE_ATOMS.replace("n_probes = 20",
@@ -521,12 +571,12 @@ DETERMINISM_LINEAR = textwrap.dedent("""
 # the closed-form pipeline behind `mfbsde linear`, printing a hash of the
 # raw bytes of its arrays (the CSV rounds them to 12 digits)
 LINEAR_ARRAYS = textwrap.dedent("""
-    import dataclasses, hashlib, sys
+    import hashlib, sys
     import mfbsde as mf
     from mfbsde.config import parse_config_file
     cfg = parse_config_file(sys.argv[1])
     ens = mf.simulate_ensemble(cfg.grid, cfg.levy, cfg.n_paths, cfg.seed)
-    c = dataclasses.replace(cfg.linear, terminal=cfg.terminal)
+    c = cfg.linear
     system = mf.assemble_system(c, c.terminal, ens)
     v = mf.neumann_solve(system)
     y0, se, _ = mf.y_closed_formula(c, c.terminal, ens, v)
@@ -649,8 +699,7 @@ def test_picard_rows_match_the_solution_grid(tmp_path, case):
     """The CLI reads its picard rows off the solver's route; each value
     and SE agrees with the row built from picard_full_freeze's
     SolutionGrid on the same scenario and seed."""
-    from mfbsde import RegressionBasis, picard_full_freeze, \
-        simulate_ensemble
+    from mfbsde import picard_full_freeze, simulate_ensemble
 
     atoms, phi, sections = SUMMARY_CASES[case]
     text = SUMMARY_INI.format(atoms=atoms, phi=phi) + sections
@@ -663,10 +712,8 @@ def test_picard_rows_match_the_solution_grid(tmp_path, case):
 
     cfg = parse_config(text)
     ens = simulate_ensemble(cfg.grid, cfg.levy, cfg.n_paths, cfg.seed)
-    driver, phi_obj = build_driver_objects(cfg)
     sol, rep = picard_full_freeze(
-        driver, phi_obj, cfg.terminal, ens,
-        RegressionBasis(cfg.basis_degree, cfg.jump_features),
+        cfg.driver, cfg.phi, cfg.linear.terminal, ens, cfg.basis,
         tol=cfg.tol, max_iter=cfg.max_iter)
     assert rep.converged
     want = [("ybar", i, v, 0.0) for i, v in enumerate(sol.ybar)]

@@ -670,6 +670,21 @@ class TestCrossSolver:
         sep = mc_se(sol.y[:, 1])
         assert abs(y0l - y0p) <= 3 * math.hypot(sel, sep)
 
+    def test_terminal_outside_the_catalog_rejected_by_both(self, ens_small,
+                                                           basis):
+        """Both routes read the terminal through the catalog, so a
+        hand-made kind is a CapabilityError naming it on either."""
+        from mfbsde import TerminalCondition, mean_yzk, picard_full_freeze
+
+        tc = TerminalCondition("custom", {})
+        c = LinearCoefficients(alpha1=0.2, terminal=tc)
+        with pytest.raises(CapabilityError, match="'custom'"):
+            assemble_system(c, tc, ens_small)
+        drv = c.as_driver(ens_small.grid, ens_small.levy)
+        with pytest.raises(CapabilityError, match="'custom'"):
+            picard_full_freeze(drv, mean_yzk(ens_small.levy.n_atoms), tc,
+                               ens_small, basis, check=False)
+
 
 class TestQSpecial:
     def test_deterministic_ode_exact(self, ens_small):
