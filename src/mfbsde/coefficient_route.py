@@ -3,19 +3,20 @@
 Every Picard iterate below the terminal node is a regression fit X_i b_i
 (Gobet, Lemor & Warin, Ann. Appl. Probab. 2005), so `picard` runs every
 full freeze and the inner loop of every mean freeze on the node
-coefficients through `CoefficientRoute`.  A driver with an affine form
-(`core.DriverForm`) and a mean functional with a linear form
-(`core.MeanForm`) are linear maps of the coefficients; a custom callable
-is evaluated pathwise on the iterate written from them, once per node.
-The results are read off the coefficients through one reader,
-`solution`: a `SolutionGrid` whose node means come from the
+coefficients.  The set-up of an (ensemble, basis) pair, `_Regressions`,
+holds every node moment that does not depend on the scenario, and
+`CoefficientRoute` adds the terminal and a pathwise driver source.  A
+driver with an affine form (`core.DriverForm`) and a mean functional
+with a linear form (`core.MeanForm`) are linear maps of the
+coefficients; a custom callable is evaluated pathwise on the iterate
+written from them, once per node.  The one reader of the results,
+`solution`, is a `SolutionGrid` whose node means come from the
 coefficients, whose `node(i)` builds one design, and whose y, z and k
 are each written on their first read.
 """
 from __future__ import annotations
 
 import functools
-import time
 from typing import Optional
 
 import numpy as np
@@ -29,6 +30,153 @@ from .core import (
 )
 from .errors import ConfigError, NumericalError
 from .levy_paths import PathEnsemble
+from .picard import RegressionBasis
+
+RIDGE_SCALE = 1e-8
+
+
+class _Regressions:
+    """The regression set-up of an (ensemble, basis) pair: every node
+    moment that does not depend on the scenario.
+
+    One backward pass builds each design X_i once, X_M first, and per
+    node i < M the product [X_i | X_i dB]' [X_{i+1} | X_i] with its jump
+    blocks (`jump_products`); X_M is the next design at node M-1.  Kept,
+    stacked over i < M: the Grams G_i (gn = G_i / n, column means xbar),
+    the Cholesky factors `chol` of the ridge normal matrices S_i, and
+    sg = S_i^-1 G_i, a = A_i = S_i^-1 X_i'X_{i+1}, h = H_ic =
+    S_i^-1 X_i' diag(dM_c) X_i for the martingale increments dM_c (dB,
+    then dNtilde_j) and e = E_ic = (S_i^-1 X_i' diag(dM_c) X_{i+1}
+    - H_ic A_i) / scale_ic; and tail = [X_{M-1} | X_M] with its Gram.
+    `ridge_max` and `cond_max` are the largest ridge and cond(G_i) after
+    node 0, on the columns that vary at the node.
+    """
+
+    def __init__(self, ens: PathEnsemble, basis: RegressionBasis):
+        self.basis, self.ens = basis, ens
+        n, m, nj = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
+        # per-node compensator w t_i of the running jump sums
+        self.w_t = np.outer(ens.grid.nodes, ens.levy.weights)
+        self.n_jump = nj if basis.jump_features else 0
+        # per-node shift of the raw increments [dB, dN_j] to the
+        # martingale increments under the ensemble measure
+        self.shift = -np.column_stack([ens.bm_drift, ens.jump_comp])
+        for key, arr in basis.extras.items():
+            if np.shape(arr) != (n, m + 1) or not np.isfinite(arr).all():
+                raise ConfigError(
+                    f"extras[{key!r}] must be a finite (n_paths, M+1) = "
+                    f"({n}, {m + 1}) array, got shape {np.shape(arr)}")
+        self.extra = list(basis.extras.values())
+        self.n_cols = p = 1 + basis.degree + self.n_jump + len(self.extra)
+        if n <= p:
+            raise ConfigError(
+                f"need more paths ({n}) than basis functions ({p})")
+        self._xbuf = np.empty((n, p), order="F")
+        self.tail = np.empty((n, 2 * p), order="F")
+        # columns: [X_{i+1} | X_i | X_i dB]
+        buf = np.empty((n, 3 * p), order="F")
+        buf[:, p:2 * p] = self.design(m, out=self.tail[:, p:])
+        db = np.empty(n)
+        bn = ens.brownian_nodes
+        prod = np.empty((m, 2 + nj, p, 2 * p))
+        for i in reversed(range(m)):
+            buf[:, :p] = buf[:, p:2 * p]
+            x = self.design(i, out=buf[:, p:2 * p])
+            if i == m - 1:
+                self.tail[:, :p] = x
+            np.subtract(bn[:, i + 1], bn[:, i], out=db)
+            db += self.shift[i, 0]
+            np.multiply(x, db[:, None], out=buf[:, 2 * p:])
+            prod[i, :2] = (buf[:, p:].T @ buf[:, :2 * p]).reshape(
+                2, p, 2 * p)
+            prod[i, 2:] = self.jump_products(i, x, buf[:, :2 * p],
+                                             prod[i, 0])
+        self.tail_gram = self.tail.T @ self.tail
+        self.gram = gram = prod[:, 0, :, p:]
+        self.gn = gram / n
+        self.xbar = gram[:, 0, :] / n
+
+        # the ridge RIDGE_SCALE * trace(G_i) / p on every column but the
+        # constant, so means are reproduced exactly
+        lam = RIDGE_SCALE * np.trace(gram, axis1=1, axis2=2) / p
+        self.ridge_max = float(lam.max())
+        s = gram.copy()
+        s[:, range(1, p), range(1, p)] += lam[:, None]
+        try:
+            self.chol = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                "regression normal matrix not positive definite (least "
+                f"eigenvalue at node {np.linalg.eigvalsh(s)[:, 0].argmin()})"
+            ) from exc
+        # cond(G_i) after node 0 on the columns that vary at node i:
+        # every feature is constant at t_0, and an atom's jump column
+        # until its first jump on any path
+        keep = np.ones((m, p), dtype=bool)
+        c = 1 + basis.degree
+        keep[:, c:c + self.n_jump] = \
+            ens.count_nodes[:, :m, :self.n_jump].any(axis=0)
+        self.cond_max = max(
+            (float(np.linalg.cond(
+                gram[1:][np.ix_((keep[1:] == k).all(axis=1), k, k)]).max())
+             for k in np.unique(keep[1:], axis=0)), default=0.0)
+
+        w = self.solve(prod.transpose(0, 2, 1, 3).reshape(m, p, -1))
+        w = w.reshape(m, p, 2 + nj, 2 * p).transpose(0, 2, 1, 3)
+        self.sg = w[:, 0, :, p:]
+        self.a = w[:, 0, :, :p]
+        self.h = w[:, 1:, :, p:]
+        self.scale = np.column_stack([np.full(m, ens.grid.dt),
+                                      ens.jump_comp])
+        self.e = (w[:, 1:, :, :p]
+                  - np.einsum("icpq,iqr->icpr", self.h, self.a)) \
+            / self.scale[:, :, None, None]
+
+    def design(self, i: int, out: Optional[np.ndarray] = None
+               ) -> np.ndarray:
+        """Node-i design matrix, written into `out` (n, n_cols) or else a
+        shared buffer (valid until the next call)."""
+        x = self._xbuf if out is None else out
+        x[:, 0] = 1.0
+        b = self.ens.brownian_nodes[:, i]
+        x[:, 1] = b
+        for p in range(2, self.basis.degree + 1):
+            np.multiply(x[:, p - 1], b, out=x[:, p])
+        c, nj = 1 + self.basis.degree, self.n_jump
+        np.subtract(self.ens.count_nodes[:, i, :nj], self.w_t[i, :nj],
+                    out=x[:, c:c + nj])
+        for c, arr in enumerate(self.extra, c + nj):
+            x[:, c] = arr[:, i]
+        return x
+
+    def solve(self, rhs: np.ndarray, i=slice(None)) -> np.ndarray:
+        """S_i^-1 rhs for the ridge normal matrix S_i of node i, or of
+        every node i < M for a stacked rhs (M, p, k)."""
+        c = self.chol[i]
+        return np.linalg.solve(np.swapaxes(c, -1, -2),
+                               np.linalg.solve(c, rhs))
+
+    def fit(self, i: int, targets: np.ndarray) -> np.ndarray:
+        """Fitted values of the node-i least-squares projection, i < M."""
+        x = self.design(i)
+        return x @ self.solve(x.T @ targets, i)
+
+    def jump_products(self, i: int, x: np.ndarray, rows: np.ndarray,
+                      base: np.ndarray) -> np.ndarray:
+        """X' diag(dNtilde_j) R over [t_i, t_{i+1}] for each atom j, shape
+        (J, p, w), for the node-i design X, per-path rows R (n, w) and
+        base = X'R.  Only the paths that jump read R:
+            X' diag(dN_j + s_j) R = sum_{dN_j > 0} dN_j x r' + s_j X'R,
+        with s_j = -comp_ij the compensator shift."""
+        counts = self.ens.count_nodes
+        out = np.empty((self.ens.levy.n_atoms, x.shape[1], rows.shape[1]))
+        for j in range(out.shape[0]):
+            # forward difference of the counts: cannot wrap
+            dn = counts[:, i + 1, j] - counts[:, i, j]
+            hit = np.flatnonzero(dn)
+            np.matmul((x[hit] * dn[hit, None]).T, rows[hit], out=out[j])
+            out[j] += self.shift[i, 1 + j] * base
+        return out
 
 
 class CoefIterate:
@@ -45,42 +193,24 @@ class CoefficientRoute:
     """Picard iteration on regression coefficients.
 
     Below node M every iterate is X_i b_i for Y and X_i zk_i for Z and
-    K_j; node M holds Y_M = [xi | X_M] yt.  One pass over the paths
-    builds, per node, the Gram G_i = X_i'X_i, the cross-Gram
-    X_i'X_{i+1}, X_i' diag(dM_c) X_i and X_i' diag(dM_c) X_{i+1} for the
-    martingale increments dM_c (dB, then dNtilde_j): the product
-    [X_i | X_i dB]' [X_i | X_{i+1}] gives the G and dB blocks, and each
-    jump block is summed over the paths that jump in the step only, plus
-    its compensator times the first block (`_Regressions.jump_products`).
-    At node M-1, xi takes the place of X_M; a pathwise driver source
-    joins as two more columns.  Multiplied by the cached ridge factor
-    S_i^-1 these give the sweep as a linear map of the coefficients:
-        b_i  = A_i b_{i+1} + r_i,   A_i = S_i^-1 X_i'X_{i+1},
-        zk_i = E_i b_{i+1},         E_ic = (S_i^-1 X_i' diag(dM_c) X_{i+1}
-                                           - H_ic A_i) / scale_ic,
-    with H_ic = S_i^-1 X_i' diag(dM_c) X_i, which centres the one-step
-    value Y_{i+1}, and b_M the unit vector on the xi column: a sweep
-    ends at Y_M = xi.  The input's Y_M enters the frozen driver and phi
-    at t_M, so the set-up also keeps X_M and the Gram of
-    [X_{M-1} | xi | X_M].  With an affine form the frozen driver at node
-    i < M is X_i phi_i, so r_i = dt/2 S_i^-1 X_i'(f_i + f_{i+1}) comes
-    from G_i and the cross-Gram; f(t_M) reads Y_M and the node M-1
-    estimates of Z and K, so it projects through that Gram.  Without a
-    form, the driver is called once per node on V_i = X_i [b_i | zk_i']
-    (node M: Y_M with the node M-1 Z and K) and X_i'(f_i + f_{i+1}) is
-    solved over the stacked factors; phi without a form is averaged over
-    the same V_i in the same node pass, so a sweep builds each design
-    once.  Means are x_i . b with x_i the column means of X_i,
-    E[Y^2] is b'G_i b / n, and so is the Picard delta
-    E|dY_i|^2 = d'G_i d / n.  `solution` returns the iterate as a
-    `SolutionGrid` read off the coefficients.  `reg` is the solve's
-    picard._Regressions: the set-up fills its per-node Cholesky factors
-    and Grams, and reads its design matrices.
+    K_j; node M holds Y_M = [xi | X_M] yt.  On the set-up `reg`, a sweep
+    is the linear map b_i = A_i b_{i+1} + r_i, zk_i = E_i b_{i+1}, ending
+    at Y_M = xi.  The route adds the scenario, and reads the paths only
+    for it: xi's column at node M-1, where xi takes the place of X_M, and
+    dt/2 S_i^-1 X_i'(s_i + s_{i+1}) in r_i for a pathwise source s.  With
+    an affine form the frozen driver at node i < M is X_i phi_i, so
+    r_i = dt/2 S_i^-1 X_i'(f_i + f_{i+1}) comes from S^-1 G_i and A_i;
+    f(t_M) reads Y_M and the node M-1 Z and K, so it projects through
+    the Gram of [X_{M-1} | xi | X_M].  Without a form, the driver is
+    called once per node on V_i = X_i [b_i | zk_i'] (node M: Y_M with
+    the node M-1 Z and K), and phi without a form is averaged over the
+    same V_i, so a sweep builds each design once.  Means are x_i . b,
+    and E[Y^2] and the Picard delta are b'G_i b / n.  `solution` returns
+    the iterate as a `SolutionGrid` read off the coefficients.
     """
 
     def __init__(self, driver: DriverSpec, phi: Optional[MeanFunctional],
-                 tc: TerminalCondition, ens: PathEnsemble, reg):
-        started = time.perf_counter()
+                 tc: TerminalCondition, ens: PathEnsemble, reg: _Regressions):
         n, m, nj = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
         form = driver.form
         if form is not None and (form.y.shape[0] != m + 1
@@ -99,69 +229,43 @@ class CoefficientRoute:
                 [f.y, f.z, np.zeros((f.y.size, nj)) if f.k is None else f.k])
             self.squared = f.squared
         self.m, self.dt = m, ens.grid.dt
-        p, nc = reg.n_cols, 1 + nj
-        self.p = p
+        p = self.p = reg.n_cols
         if form is not None:
             self.ay, self.amu, self.ac = form.y, form.mu, form.const
             self.azk = np.column_stack([form.z, form.k])
+        self.gn, self.xbar, self.sg, self.a, self.e = \
+            reg.gn, reg.xbar, reg.sg, reg.a, reg.e
         self.xa = np.empty((n, 1 + p), order="F")      # [xi | X_M]
         self.xa[:, 0] = terminal_value(tc, ens)
-        reg.design(m, out=self.xa[:, 1:])
-        self.xi = self.xa[:, 0]
-        self.xi_mean = self.xi.mean()
-        src = driver.source
-        ns = 0 if src is None else 2
-        # columns: [s_i, s_{i+1} | X_{i+1} or (xi, 0..) | X_i | X_i dB]
-        cn, cx = ns, ns + p
-        buf = np.zeros((n, cx + 2 * p), order="F")
-        db = np.empty(n)
+        self.xa[:, 1:] = reg.tail[:, p:]
+        xi = self.xa[:, 0]
+        self.xi_mean = xi.mean()
+        # xi's column at node M-1: X_{M-1}' diag(1, dB, dNtilde_j) xi
+        x, tx = reg.tail[:, :p], reg.tail.T @ xi
         bn = ens.brownian_nodes
-        prod = np.empty((m, 1 + nc, p, cx + p))
-        buf[:, cn] = self.xi
-        for i in reversed(range(m)):
-            if i < m - 1:
-                buf[:, cn:cx] = buf[:, cx:cx + p]
-            x = reg.design(i, out=buf[:, cx:cx + p])
-            if i == m - 1:
-                cross = x.T @ self.xa               # X_{M-1}'[xi | X_M]
-            np.subtract(bn[:, i + 1], bn[:, i], out=db)
-            db += reg.shift[i, 0]
-            np.multiply(x, db[:, None], out=buf[:, cx + p:])
-            if src is not None:
-                buf[:, 0] = src[:, i]
-                buf[:, 1] = src[:, i + 1]
-            prod[i, :2] = (buf[:, cx:].T @ buf[:, :cx + p]).reshape(
-                2, p, cx + p)
-            prod[i, 2:] = reg.jump_products(i, x, buf[:, :cx + p],
-                                            prod[i, 0])
-        gram = prod[:, 0, :, cx:]
-        chol = np.stack([reg.factor(i, gram[i].copy()) for i in range(m)])
-        self.gn = gram / n
-        self.xbar = gram[:, 0, :] / n
-        # Gram / n and column means of [X_{M-1} | xi | X_M], and
-        # S_{M-1}^-1 X_{M-1}'[xi | X_M]
-        self.gt = np.block([[gram[m - 1], cross],
-                            [cross.T, self.xa.T @ self.xa]]) / n
-        self.xt = np.concatenate([self.xbar[m - 1], [self.xi_mean],
-                                  self.gt[0, p + 1:]])
-        self.at = np.linalg.solve(chol[m - 1].T,
-                                  np.linalg.solve(chol[m - 1], cross))
-        # S^-1 applied to every block at once
-        w = prod.transpose(0, 2, 1, 3).reshape(m, p, -1)
-        w = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, w))
-        w = w.reshape(m, p, 1 + nc, cx + p).transpose(0, 2, 1, 3)
-        self.sg = w[:, 0, :, cx:]                # S^-1 G_i
-        self.a = w[:, 0, :, cn:cx]     # A_i; A_{M-1} = [S^-1 X'xi, 0, ..]
-        h = w[:, 1:, :, cx:]
-        scale = np.column_stack([np.full(m, self.dt), ens.jump_comp])
-        self.e = (w[:, 1:, :, cn:cx]
-                  - np.einsum("icpq,iqr->icpr", h, self.a)) \
-            / scale[:, :, None, None]
-        self.src = None if src is None else w[:, 0, :, 0] + w[:, 0, :, 1]
-        self.e0 = np.eye(p)[0]
+        rows = np.empty((p, 2 + nj))
+        rows[:, 0] = tx[:p]
+        rows[:, 1] = x.T @ (xi * (bn[:, m] - bn[:, m - 1]
+                                  + reg.shift[m - 1, 0]))
+        rows[:, 2:] = reg.jump_products(m - 1, x, xi[:, None],
+                                        rows[:, :1])[:, :, 0].T
+        w = reg.solve(rows, m - 1)
+        self.axi = w[:, 0]                           # S^-1 X_{M-1}'xi
+        self.exi = (w[:, 1:].T - reg.h[m - 1] @ self.axi) \
+            / reg.scale[m - 1, :, None]
+        # S_{M-1}^-1 X_{M-1}'[xi | X_M]; Gram / n of [X_{M-1} | xi | X_M]
+        # and its column means (the constant column's row)
+        self.at = np.column_stack([self.axi, reg.a[m - 1]])
+        gt = np.insert(reg.tail_gram, p, tx, axis=1)
+        self.gt = np.insert(gt, p, np.insert(tx, p, xi @ xi), axis=0) / n
+        self.xt = self.gt[0]
+        self.src = None
+        if driver.source is not None:
+            s, rhs = driver.source, np.empty((m, p, 1))
+            for i in range(m):
+                rhs[i, :, 0] = reg.design(i).T @ (s[:, i] + s[:, i + 1])
+            self.src = reg.solve(rhs)[:, :, 0]
         self.y_xi = np.eye(p + 1)[0]             # yt of Y_M = xi
-        self.chol = chol
-        self.setup_s = time.perf_counter() - started
 
     def initial(self) -> CoefIterate:
         """Y = the terminal's mean at every node, Z = K = 0."""
@@ -229,8 +333,7 @@ class CoefficientRoute:
             if i < self.m:              # node M comes first
                 rhs[i, :, 0] = x.T @ (f + f_next)
             f_next = f
-        return np.linalg.solve(self.chol.transpose(0, 2, 1),
-                               np.linalg.solve(self.chol, rhs))[:, :, 0]
+        return self.reg.solve(rhs)[:, :, 0]
 
     def _form_rhs(self, it: CoefIterate, mu: np.ndarray) -> np.ndarray:
         """S_i^-1 X_i'(f_i + f_{i+1}), (M, p), for a driver with a form."""
@@ -261,12 +364,12 @@ class CoefficientRoute:
         if not np.all(np.isfinite(r)):
             raise NumericalError("frozen driver contains non-finite values")
         b = np.empty_like(it.b)
-        bnext = self.e0
-        for i in reversed(range(m)):
-            b[i] = self.a[i] @ bnext + r[i]
-            bnext = b[i]
-        zk = np.einsum("icpq,iq->icp", self.e,
-                       np.concatenate([b[1:], self.e0[None]]))
+        b[m - 1] = self.axi + r[m - 1]
+        for i in reversed(range(m - 1)):
+            b[i] = self.a[i] @ b[i + 1] + r[i]
+        zk = np.empty_like(it.zk)
+        np.einsum("icpq,iq->icp", self.e[:-1], b[1:], out=zk[:-1])
+        zk[-1] = self.exi
         return CoefIterate(b, zk, self.y_xi)
 
     def dy2(self, new: CoefIterate, old: CoefIterate) -> np.ndarray:

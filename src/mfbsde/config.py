@@ -369,6 +369,10 @@ def _utility_inputs(cp, errs, grid, levy):
             errs.add("control.pi", "must be > 0")
         else:
             rate = ControlProcess.from_constant(pi, grid)
+    elif utility.beta1 != 0.0:
+        # lambda carries beta1 dB, so the optimal rate is adapted
+        errs.add(f"{sec}.beta1", "must be 0 with control.optimal = true: "
+                 "evaluate_j takes no mean coupling of Z with an adapted rate")
     return {"wealth": wealth, "utility": utility, "rate": rate}
 
 

@@ -9,8 +9,10 @@ trapezoid weights 1/2 (f(t_i) + f(t_{i+1})); the backward recursion and
 the regressions of Z and K on the increments are left-endpoint.  The
 solvers and the contraction check iterate on the node regression
 coefficients (`coefficient_route`) and evaluate custom callables
-pathwise; the two solvers are the only entry points, and their
-`SolutionGrid` is the only reader of the answers.
+pathwise.  Each solve builds one scenario-free regression set-up and
+one route that adds the terminal and any source (`setup_s` times both).
+The two solvers are the only entry points, and their `SolutionGrid` is
+the only reader of the answers.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .core import (
     probe_driver,
     probe_mean_functional,
 )
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .levy_paths import PathEnsemble
 
 __all__ = [
@@ -41,8 +43,6 @@ __all__ = [
     "contraction_check",
 ]
 
-RIDGE_SCALE = 1e-8
-
 
 @dataclass
 class RegressionBasis:
@@ -50,125 +50,12 @@ class RegressionBasis:
 
     Columns at node i: the constant, powers of B(t_i) up to `degree`,
     one running compensated jump sum per atom (if `jump_features`), and
-    any extra (n, M+1) path arrays such as wealth and log-wealth.
+    any extra finite (n, M+1) path arrays such as wealth and log-wealth.
     """
 
     degree: int = 2
     jump_features: bool = True
     extras: dict = field(default_factory=dict)
-
-
-class _Regressions:
-    """Per-node design matrices and cached normal-equation factors."""
-
-    def __init__(self, ens: PathEnsemble, basis: RegressionBasis):
-        self.basis = basis
-        self.ens = ens
-        # per-node compensator w t_i of the running jump sums
-        self.w_t = np.outer(ens.grid.nodes, ens.levy.weights)
-        self.n_jump = ens.levy.n_atoms if basis.jump_features else 0
-        # per-node shift of the raw increments [dB, dN_j] to the
-        # martingale increments under the ensemble measure
-        self.shift = -np.column_stack([ens.bm_drift, ens.jump_comp])
-        self.extra = list(basis.extras.values())
-        self.n_cols = 1 + basis.degree + self.n_jump + len(self.extra)
-        if ens.n_paths <= self.n_cols:
-            raise ConfigError(
-                f"need more paths ({ens.n_paths}) than basis functions "
-                f"({self.n_cols})"
-            )
-        self._chol = [None] * (ens.grid.steps + 1)
-        self._gram = [None] * (ens.grid.steps + 1)
-        self.ridge_max = 0.0
-        self._xbuf = np.empty((ens.n_paths, self.n_cols), order="F")
-
-    def design(self, i: int, out: Optional[np.ndarray] = None
-               ) -> np.ndarray:
-        """Node-i design matrix, written into `out` (n, n_cols) or else a
-        shared buffer (valid until the next call)."""
-        x = self._xbuf if out is None else out
-        x[:, 0] = 1.0
-        b = self.ens.brownian_nodes[:, i]
-        x[:, 1] = b
-        for p in range(2, self.basis.degree + 1):
-            np.multiply(x[:, p - 1], b, out=x[:, p])
-        c, nj = 1 + self.basis.degree, self.n_jump
-        np.subtract(self.ens.count_nodes[:, i, :nj], self.w_t[i, :nj],
-                    out=x[:, c:c + nj])
-        c += nj
-        for arr in self.extra:
-            x[:, c] = arr[:, i]
-            c += 1
-        return x
-
-    def factor(self, i: int, xtx: np.ndarray) -> np.ndarray:
-        """Cholesky factor of the node-i ridge normal matrix
-        S = X'X + ridge, cached per node with the Gram X'X.
-
-        The ridge term RIDGE_SCALE * trace(X'X) / n_cols is applied to all
-        columns except the constant, so means are reproduced exactly.
-        """
-        if self._chol[i] is None:
-            lam = RIDGE_SCALE * np.trace(xtx) / xtx.shape[0]
-            self.ridge_max = max(self.ridge_max, lam)
-            reg = np.full(xtx.shape[0], lam)
-            reg[0] = 0.0
-            try:
-                self._chol[i] = np.linalg.cholesky(xtx + np.diag(reg))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"regression normal matrix not positive definite at "
-                    f"node {i}"
-                ) from exc
-            self._gram[i] = xtx
-        return self._chol[i]
-
-    def solve(self, i: int, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Node-i ridge normal equations S c = rhs (see `factor`)."""
-        c = self._chol[i]
-        if c is None:
-            c = self.factor(i, x.T @ x)
-        return np.linalg.solve(c.T, np.linalg.solve(c, rhs))
-
-    def cond_max(self) -> float:
-        """Largest cond(X_i'X_i) over the factored nodes after node 0, on
-        the columns that vary at the node: all features are constant at
-        t_0, and an atom's jump column until its first jump on any path."""
-        nodes = [i for i, g in enumerate(self._gram) if i and g is not None]
-        if not nodes:
-            return 0.0
-        grams = np.stack([self._gram[i] for i in nodes])
-        keep, c = np.ones(grams.shape[:2], dtype=bool), 1 + self.basis.degree
-        keep[:, c:c + self.n_jump] = \
-            self.ens.count_nodes[:, :, :self.n_jump].any(axis=0)[nodes]
-        return float(max(
-            np.linalg.cond(grams[np.ix_((keep == k).all(axis=1), k, k)]).max()
-            for k in np.unique(keep, axis=0)))
-
-    def fit(self, i: int, targets: np.ndarray) -> np.ndarray:
-        """Fitted values of the node-i least-squares projection."""
-        x = self.design(i)
-        squeeze = targets.ndim == 1
-        t = targets[:, None] if squeeze else targets
-        fitted = x @ self.solve(i, x, x.T @ t)
-        return fitted[:, 0] if squeeze else fitted
-
-    def jump_products(self, i: int, x: np.ndarray, rows: np.ndarray,
-                      base: np.ndarray) -> np.ndarray:
-        """X' diag(dNtilde_j) R over [t_i, t_{i+1}] for each atom j, shape
-        (J, p, w), for the node-i design X, per-path rows R (n, w) and
-        base = X'R.  Only the paths that jump read R:
-            X' diag(dN_j + s_j) R = sum_{dN_j > 0} dN_j x r' + s_j X'R,
-        with s_j = -comp_ij the compensator shift."""
-        counts = self.ens.count_nodes
-        out = np.empty((self.ens.levy.n_atoms, x.shape[1], rows.shape[1]))
-        for j in range(out.shape[0]):
-            # forward difference of the counts: cannot wrap
-            dn = counts[:, i + 1, j] - counts[:, i, j]
-            hit = np.flatnonzero(dn)
-            np.matmul((x[hit] * dn[hit, None]).T, rows[hit], out=out[j])
-            out[j] += self.shift[i, 1 + j] * base
-        return out
 
 
 @dataclass
@@ -184,8 +71,8 @@ class PicardReport:
     tol: float = 0.0
     ridge_max: float = 0.0
     cond_max: float = 0.0        # largest cond(X_i'X_i), see _Regressions
-    setup_s: float = 0.0         # one-off pass over the paths before the
-                                 # first iteration
+    setup_s: float = 0.0         # the regression set-up and the route's
+                                 # scenario columns
     scheme: str = "full-freeze"
     inner_unconverged: int = 0   # mean freeze: outer steps whose inner
                                  # solve hit its iteration cap
@@ -202,10 +89,13 @@ class PicardReport:
 
 def _route(driver: DriverSpec, phi: Optional[MeanFunctional],
            tc: TerminalCondition, ens: PathEnsemble, basis: RegressionBasis):
+    """One solve's route on its own set-up, and the seconds both took."""
     # imported on first use: the closed-form and utility routes import
     # the package without ever taking this route
-    from .coefficient_route import CoefficientRoute
-    return CoefficientRoute(driver, phi, tc, ens, _Regressions(ens, basis))
+    from .coefficient_route import CoefficientRoute, _Regressions
+    started = time.perf_counter()
+    route = CoefficientRoute(driver, phi, tc, ens, _Regressions(ens, basis))
+    return route, time.perf_counter() - started
 
 
 def _check_step(driver: DriverSpec, ens: PathEnsemble):
@@ -243,10 +133,10 @@ def _freeze_loop(route, tol: float, max_iter: int, mu: Optional[np.ndarray],
     return it, report
 
 
-def _finish(report: PicardReport, route):
+def _finish(report: PicardReport, route, setup_s: float):
     report.ridge_max = route.reg.ridge_max
-    report.cond_max = route.reg.cond_max()
-    report.setup_s = route.setup_s
+    report.cond_max = route.reg.cond_max
+    report.setup_s = setup_s
 
 
 def picard_full_freeze(driver: DriverSpec, phi: MeanFunctional,
@@ -272,9 +162,9 @@ def picard_full_freeze(driver: DriverSpec, phi: MeanFunctional,
     if check:
         probe_driver(driver, ens.grid, ens.levy)
         probe_mean_functional(phi, ens.levy.n_atoms)
-    route = _route(driver, phi, tc, ens, basis)
+    route, setup_s = _route(driver, phi, tc, ens, basis)
     it, report = _freeze_loop(route, tol, max_iter, None, "full-freeze")
-    _finish(report, route)
+    _finish(report, route, setup_s)
     if not report.converged:
         warnings.warn(
             f"Picard full freeze did not converge in {report.iterations} "
@@ -306,7 +196,7 @@ def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
     _check_caps(max_iter=max_iter, inner_max_iter=inner_max_iter)
     if check:
         probe_driver(driver, ens.grid, ens.levy)
-    route = _route(driver, None, tc, ens, basis)
+    route, setup_s = _route(driver, None, tc, ens, basis)
 
     report = PicardReport(tol=tol, scheme="mean-freeze")
     prev = route.initial()
@@ -328,7 +218,7 @@ def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
         if report.deltas[-1] < tol:
             report.converged = True
             break
-    _finish(report, route)
+    _finish(report, route, setup_s)
     if not report.converged:
         warnings.warn(
             f"Picard mean freeze did not converge in {report.iterations} "
@@ -347,7 +237,7 @@ def contraction_check(driver: DriverSpec, phi: MeanFunctional,
     one sweep) to random adapted input pairs and returns the ratio of
     weighted squared norms of output and input differences; a pair of
     equal inputs scores zero by convention.  Each input is X_i c at every
-    node 0..M, for one standard normal (p, 2+J) coefficient matrix c on
+    node 0..M, for one standard normal (2+J, p) coefficient matrix c on
     the solver's basis.  Inputs and outputs are node coefficients on one
     route, so the norm
         sum_{i<M} e^{beta (t_i - T)} dt (d_Y'G_i d_Y + d_Z'G_i d_Z
@@ -363,7 +253,7 @@ def contraction_check(driver: DriverSpec, phi: MeanFunctional,
     if beta < 0:
         raise ConfigError("beta must be nonnegative")
     rng = np.random.default_rng(seed)
-    route = _route(driver, phi, tc, ens, basis)
+    route, _ = _route(driver, phi, tc, ens, basis)
     grid = ens.grid
     wt = np.exp(beta * (grid.nodes[:-1] - grid.horizon)) * grid.dt
     wc = np.concatenate([[1.0, 1.0], ens.levy.weights])

@@ -38,7 +38,7 @@ from .levy_paths import PathEnsemble, _check_jump_tilt, _cumulate_nodes, \
     _over_row_blocks
 from .linear import _left_quadrature, assemble_system, neumann_solve, \
     simulate_gamma, y_closed_formula
-from .picard import RegressionBasis, _Regressions, picard_full_freeze
+from .picard import RegressionBasis, picard_full_freeze
 
 __all__ = [
     "WealthParams",
@@ -187,6 +187,7 @@ def adjoint_p(theta: TerminalCondition, ens: PathEnsemble,
     p = np.empty((n, m + 1), order="F")
     p[:] = terminal_value(theta, ens)[:, None]
     if theta.kind != "constant":
+        from .coefficient_route import _Regressions  # as picard._route
         reg = _Regressions(ens, basis)
         for i in range(m):
             p[:, i] = reg.fit(i, p[:, m])

@@ -23,12 +23,14 @@ from mfbsde.core import (
 )
 from mfbsde.errors import ConfigError, NumericalError
 from mfbsde.levy_paths import PathEnsemble
-from mfbsde.picard import RegressionBasis, _Regressions
+from mfbsde.coefficient_route import _Regressions
+from mfbsde.picard import RegressionBasis
 
 
 class _PathRegressions(_Regressions):
-    """The solver's regressions plus the per-node covariation factors of
-    the path sweep."""
+    """The solver's regression set-up plus the path sweep's own
+    per-node covariation factors, built from the set-up's Grams and
+    ridge factors."""
 
     def __init__(self, ens: PathEnsemble, basis: RegressionBasis):
         super().__init__(ens, basis)
@@ -42,16 +44,14 @@ class _PathRegressions(_Regressions):
         S^-1 X'(Y dM_c) - H_c b without a second pass over the paths.
         """
         if self._cov[i] is None:
-            if self._chol[i] is None:
-                self.factor(i, x.T @ x)
             b = self.ens.brownian_nodes
             db = b[:, i + 1] - b[:, i]
             db += self.shift[i, 0]
             xdx = np.concatenate(
                 [(x * db[:, None]).T @ x,
-                 *self.jump_products(i, x, x, self._gram[i])], axis=1)
+                 *self.jump_products(i, x, x, self.gram[i])], axis=1)
             p = x.shape[1]
-            h = self.solve(i, x, xdx).reshape(p, self.shift.shape[1], p)
+            h = self.solve(xdx, i).reshape(p, self.shift.shape[1], p)
             self._cov[i] = np.ascontiguousarray(h.transpose(1, 0, 2))
         return self._cov[i]
 
@@ -111,7 +111,7 @@ def solve_inner(f_hat: np.ndarray, tc: TerminalCondition, ens: PathEnsemble,
         ens.increments(i, out=pay[:, 2:])
         pay[:, 2:] *= ynext[:, None]
         x = reg.design(i)
-        c = reg.solve(i, x, x.T @ pay)
+        c = reg.solve(x.T @ pay, i)
         coef[:, 0] = c[:, 0]
         c[:, 2:] += np.outer(c[:, 1], reg.shift[i])
         np.subtract(c[:, 2:], (reg.covariation(i, x) @ c[:, 1]).T,
@@ -256,4 +256,4 @@ def _path_freeze(driver, phi, tc, ens, basis, freeze, tol=1e-6,
             sweep(lambda _it: outer.ybar[:, None]))[0])
     return sol, dict(deltas=deltas, integrated=integ,
                      iterations=len(deltas), converged=deltas[-1] < tol,
-                     cond_max=reg.cond_max())
+                     cond_max=reg.cond_max)

@@ -91,6 +91,10 @@ RUN_CASES = [
                  "utility_coeffs.eta1", "-1.5", id="utility_coeffs.eta1"),
     pytest.param("utility", UTILITY_SECTIONS + "[control]\n",
                  "control.pi", "0", id="control.pi"),
+    pytest.param("utility", UTILITY_SECTIONS
+                 + "[control]\noptimal = true\n[utility_coeffs]\n",
+                 "utility_coeffs.beta1", "0.1",
+                 id="utility_coeffs.beta1-optimal"),
 ]
 
 

@@ -36,8 +36,8 @@ from mfbsde import (
     simulate_ensemble,
     smooth_of_brownian,
 )
+from mfbsde.coefficient_route import _Regressions
 from mfbsde.core import mean_functional_eval, terminal_value
-from mfbsde.picard import _Regressions
 
 from conftest import mc_se
 from path_map import (
@@ -145,7 +145,8 @@ class TestSolveInner:
 @pytest.mark.parametrize("measure", ["P", "Q"])
 def test_fused_sweep_matches_condexp_reference(grid50, levy2, measure):
     """The one-pass node step of solve_inner equals the plain sequence of
-    condexp calls: Y, then the centred residual, then Z and K."""
+    least-squares fits (condexp, on one set-up): Y, then the centred
+    residual, then Z and K."""
     ens = simulate_ensemble(grid50, levy2, 3000, seed=41)
     if measure == "Q":
         ens = shift_to_q(ens, 0.3, lambda t, z: 0.2 * z)
@@ -164,16 +165,16 @@ def test_fused_sweep_matches_condexp_reference(grid50, levy2, measure):
     y[:, m] = terminal_value(tc, ens)
     z = np.empty((n, m))
     k = np.empty((n, m, 2))
+    fit = _Regressions(ens, basis).fit
     for i in reversed(range(m)):
         ynext = y[:, i + 1]
-        y[:, i] = condexp(ynext + f_hat[:, i] * dt, basis, ens, i)
-        resid = ynext - condexp(ynext, basis, ens, i)
+        y[:, i] = fit(i, ynext + f_hat[:, i] * dt)
+        resid = ynext - fit(i, ynext)
         dm_b = db[:, i] - ens.bm_drift[i]
-        z[:, i] = condexp(resid * dm_b, basis, ens, i) / dt
+        z[:, i] = fit(i, resid * dm_b) / dt
         for a in range(2):
             dm_n = dn[:, i, a] - ens.jump_comp[i, a]
-            k[:, i, a] = condexp(resid * dm_n, basis, ens,
-                                 i) / ens.jump_comp[i, a]
+            k[:, i, a] = fit(i, resid * dm_n) / ens.jump_comp[i, a]
     for got, want in ((sol.y, y), (sol.z, z), (sol.k, k)):
         assert np.abs(want).max() > 0.1
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
@@ -748,3 +749,69 @@ def test_mean_channel_from_coefficients(ens_small, basis):
             got = route.mean_channel(it)
             want = _mean_channel(phi, route.solution(it))
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("bad", ["n-by-M", "transposed", "nan"])
+def test_malformed_extra_named_by_key(ens_small, bad):
+    """The set-up checks every basis extra once: one that is not an
+    (n_paths, M+1) array of finite values fails with a ConfigError that
+    names it, not with an IndexError, a broadcast error or a non-finite
+    driver."""
+    extra = np.sin(ens_small.brownian_nodes)
+    extra = {"n-by-M": extra[:, :-1], "transposed": extra.T,
+             "nan": np.where(np.arange(extra.shape[1]) == 7, np.nan,
+                             extra)}[bad]
+    basis = RegressionBasis(degree=2, extras={"wealth": extra})
+    with pytest.raises(ConfigError, match=r"extras\['wealth'\]"):
+        picard_full_freeze(affine_driver(ens_small.grid, 1, 1, 0.5, y=0.2),
+                           mean_y(), constant(1.0), ens_small, basis,
+                           check=False)
+
+
+def test_one_set_up_serves_many_routes():
+    """One regression set-up serves any number of routes and none of
+    them changes it: on one set-up, the five criterion-2 scenarios and a
+    driver with a pathwise source give the coefficients and Picard deltas
+    of the same route on a fresh set-up, byte for byte, and every array
+    the set-up holds keeps its bytes (the design scratch buffer aside)."""
+    from mfbsde.coefficient_route import CoefficientRoute
+    from mfbsde.picard import _freeze_loop
+    from test_acceptance import CROSS_SCENARIOS
+
+    ens = simulate_ensemble(build_grid(1.0, 25),
+                            LevyMeasure.from_atoms([(1.0, 0.5)]), 2000,
+                            seed=404)
+    basis = RegressionBasis(degree=2)
+    shared = _Regressions(ens, basis)
+    held = {name: v.copy() for name, v in vars(shared).items()
+            if isinstance(v, np.ndarray) and name != "_xbuf"}
+    problems = [(c.as_driver(ens.grid, ens.levy), mean_yzk(1), c.terminal)
+                for _, c in CROSS_SCENARIOS]
+    sourced = affine_driver(ens.grid, 1, 1, 1.0, y=0.2, z=0.15,
+                            k=0.1 * ens.levy.weights, mu=0.1, const=0.05)
+    sourced.source = 0.1 * np.cos(ens.brownian_nodes)
+    problems.append((sourced, mean_y(), smooth_of_brownian([0.5, 1.0, 0.2])))
+    for driver, phi, tc in problems:
+        (it, rep), (want, want_rep) = (
+            _freeze_loop(CoefficientRoute(driver, phi, tc, ens, reg), 1e-6,
+                         50, None, "full-freeze")
+            for reg in (shared, _Regressions(ens, basis)))
+        assert rep.converged
+        for got, exp in ((it.b, want.b), (it.zk, want.zk), (it.yt, want.yt),
+                         (rep.deltas, want_rep.deltas)):
+            assert np.asarray(got).tobytes() == np.asarray(exp).tobytes()
+    for name, v in held.items():
+        assert getattr(shared, name).tobytes() == v.tobytes(), name
+
+
+def test_import_leaves_the_coefficient_route_out():
+    """`import mfbsde` does not import the coefficient route: only the
+    Picard solvers and the adjoint regressions take it, on first use."""
+    src = str(Path(mfbsde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mfbsde; "
+         "print('mfbsde.coefficient_route' in sys.modules)"],
+        env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -109,7 +109,7 @@ class TestAdjointP:
                            ens_mid.brownian_nodes[:, -1] ** 2 + 1.0)
 
     def test_martingale_increments(self, ens_mid, basis):
-        from mfbsde.picard import _Regressions
+        from mfbsde.coefficient_route import _Regressions
 
         p = adjoint_p(smooth_of_brownian([0.0, 1.0]), ens_mid, basis)
         reg = _Regressions(ens_mid, basis)
