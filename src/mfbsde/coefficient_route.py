@@ -39,15 +39,16 @@ class _Regressions:
     """The regression set-up of an (ensemble, basis) pair: every node
     moment that does not depend on the scenario.
 
-    One backward pass builds each design X_i once, X_M first, and per
-    node i < M the product [X_i | X_i dB]' [X_{i+1} | X_i] with its jump
-    blocks (`jump_products`); X_M is the next design at node M-1.  Kept,
-    stacked over i < M: the Grams G_i (gn = G_i / n, column means xbar),
-    the Cholesky factors `chol` of the ridge normal matrices S_i, and
-    sg = S_i^-1 G_i, a = A_i = S_i^-1 X_i'X_{i+1}, h = H_ic =
-    S_i^-1 X_i' diag(dM_c) X_i for the martingale increments dM_c (dB,
-    then dNtilde_j) and e = E_ic = (S_i^-1 X_i' diag(dM_c) X_{i+1}
-    - H_ic A_i) / scale_ic; and tail = [X_{M-1} | X_M] with its Gram.
+    One backward pass builds each design X_i, i < M, once, and the
+    product [X_i | X_i dB]' [X_{i+1} | X_i] with its jump blocks
+    (`jump_products`).  Node M has no design: every iterate holds
+    Y_M = xi, which the route adds.  Kept, stacked over i < M: the Grams
+    G_i (gn = G_i / n, column means xbar), the Cholesky factors `chol`
+    of the ridge normal matrices S_i, and sg = S_i^-1 G_i, a = A_i =
+    S_i^-1 X_i'X_{i+1}, h = H_ic = S_i^-1 X_i' diag(dM_c) X_i for the
+    martingale increments dM_c (dB, then dNtilde_j) and e = E_ic =
+    (S_i^-1 X_i' diag(dM_c) X_{i+1} - H_ic A_i) / scale_ic, with
+    A_{M-1} = E_{M-1} = 0.
     `ridge_max` and `cond_max` are the largest ridge and cond(G_i) after
     node 0, on the columns that vary at the node.
     """
@@ -72,18 +73,15 @@ class _Regressions:
             raise ConfigError(
                 f"need more paths ({n}) than basis functions ({p})")
         self._xbuf = np.empty((n, p), order="F")
-        self.tail = np.empty((n, 2 * p), order="F")
-        # columns: [X_{i+1} | X_i | X_i dB]
-        buf = np.empty((n, 3 * p), order="F")
-        buf[:, p:2 * p] = self.design(m, out=self.tail[:, p:])
+        # columns: [X_{i+1} | X_i | X_i dB], with zeros for X_M: Y_M = xi
+        # is the route's, so A_{M-1} and E_{M-1} are zeros nothing reads
+        buf = np.zeros((n, 3 * p), order="F")
         db = np.empty(n)
         bn = ens.brownian_nodes
         prod = np.empty((m, 2 + nj, p, 2 * p))
         for i in reversed(range(m)):
             buf[:, :p] = buf[:, p:2 * p]
             x = self.design(i, out=buf[:, p:2 * p])
-            if i == m - 1:
-                self.tail[:, :p] = x
             np.subtract(bn[:, i + 1], bn[:, i], out=db)
             db += self.shift[i, 0]
             np.multiply(x, db[:, None], out=buf[:, 2 * p:])
@@ -91,7 +89,6 @@ class _Regressions:
                 2, p, 2 * p)
             prod[i, 2:] = self.jump_products(i, x, buf[:, :2 * p],
                                              prod[i, 0])
-        self.tail_gram = self.tail.T @ self.tail
         self.gram = gram = prod[:, 0, :, p:]
         self.gn = gram / n
         self.xbar = gram[:, 0, :] / n
@@ -180,33 +177,32 @@ class _Regressions:
 
 
 class CoefIterate:
-    """b (M, p): Y_i = X_i b_i at nodes 0..M-1; zk (M, 1+J, p): Z_i, then
-    K_ij, = X_i zk_i; yt (1+p): Y_M = [xi | X_M] yt, so s xi + X_M c
-    covers xi (a sweep's output), the terminal's mean (the initial
-    iterate) and a random input X_M c."""
+    """b (M, p): Y_i = X_i b_i, and zk (M, 1+J, p): Z_i, then K_ij, =
+    X_i zk_i, at nodes 0..M-1.  Every iterate holds Y_M = xi."""
 
-    def __init__(self, b, zk, yt):
-        self.b, self.zk, self.yt = b, zk, yt
+    def __init__(self, b, zk):
+        self.b, self.zk = b, zk
 
 
 class CoefficientRoute:
     """Picard iteration on regression coefficients.
 
     Below node M every iterate is X_i b_i for Y and X_i zk_i for Z and
-    K_j; node M holds Y_M = [xi | X_M] yt.  On the set-up `reg`, a sweep
-    is the linear map b_i = A_i b_{i+1} + r_i, zk_i = E_i b_{i+1}, ending
-    at Y_M = xi.  The route adds the scenario, and reads the paths only
-    for it: xi's column at node M-1, where xi takes the place of X_M, and
-    dt/2 S_i^-1 X_i'(s_i + s_{i+1}) in r_i for a pathwise source s.  With
-    an affine form the frozen driver at node i < M is X_i phi_i, so
-    r_i = dt/2 S_i^-1 X_i'(f_i + f_{i+1}) comes from S^-1 G_i and A_i;
-    f(t_M) reads Y_M and the node M-1 Z and K, so it projects through
-    the Gram of [X_{M-1} | xi | X_M].  Without a form, the driver is
-    called once per node on V_i = X_i [b_i | zk_i'] (node M: Y_M with
-    the node M-1 Z and K), and phi without a form is averaged over the
-    same V_i, so a sweep builds each design once.  Means are x_i . b,
-    and E[Y^2] and the Picard delta are b'G_i b / n.  `solution` returns
-    the iterate as a `SolutionGrid` read off the coefficients.
+    K_j; node M holds Y_M = xi with the node M-1 Z and K.  On the set-up
+    `reg`, a sweep is the linear map b_i = A_i b_{i+1} + r_i,
+    zk_i = E_i b_{i+1}, from Y_M = xi.  The route adds the scenario, and
+    reads the paths only for it: xi's column at node M-1, where xi takes
+    the place of X_{i+1} b_{i+1}, and dt/2 S_i^-1 X_i'(s_i + s_{i+1}) in
+    r_i for a pathwise source s.  With an affine form the frozen driver
+    at node i < M is X_i phi_i, so r_i = dt/2 S_i^-1 X_i'(f_i + f_{i+1})
+    comes from S^-1 G_i and A_i; f(t_M) reads xi and the node M-1 Z and
+    K, so it projects through S^-1 X_{M-1}'xi and S^-1 G_{M-1}, and its
+    means through the Gram of [X_{M-1} | xi].  Without a form, the
+    driver is called once per node on the node values V_i (`write`),
+    and phi without a form is averaged over the same V_i, so a sweep
+    builds each design once.  Means are x_i . b, and E[Y^2] and the
+    Picard delta are b'G_i b / n.  `solution` returns the iterate as a
+    `SolutionGrid` read off the coefficients.
     """
 
     def __init__(self, driver: DriverSpec, phi: Optional[MeanFunctional],
@@ -235,16 +231,13 @@ class CoefficientRoute:
             self.azk = np.column_stack([form.z, form.k])
         self.gn, self.xbar, self.sg, self.a, self.e = \
             reg.gn, reg.xbar, reg.sg, reg.a, reg.e
-        self.xa = np.empty((n, 1 + p), order="F")      # [xi | X_M]
-        self.xa[:, 0] = terminal_value(tc, ens)
-        self.xa[:, 1:] = reg.tail[:, p:]
-        xi = self.xa[:, 0]
-        self.xi_mean = xi.mean()
+        self.xi = xi = terminal_value(tc, ens)
+        self._v = np.empty((n, 2 + nj), order="F")      # `write` scratch
         # xi's column at node M-1: X_{M-1}' diag(1, dB, dNtilde_j) xi
-        x, tx = reg.tail[:, :p], reg.tail.T @ xi
+        x = reg.design(m - 1)
         bn = ens.brownian_nodes
         rows = np.empty((p, 2 + nj))
-        rows[:, 0] = tx[:p]
+        rows[:, 0] = x.T @ xi
         rows[:, 1] = x.T @ (xi * (bn[:, m] - bn[:, m - 1]
                                   + reg.shift[m - 1, 0]))
         rows[:, 2:] = reg.jump_products(m - 1, x, xi[:, None],
@@ -253,11 +246,12 @@ class CoefficientRoute:
         self.axi = w[:, 0]                           # S^-1 X_{M-1}'xi
         self.exi = (w[:, 1:].T - reg.h[m - 1] @ self.axi) \
             / reg.scale[m - 1, :, None]
-        # S_{M-1}^-1 X_{M-1}'[xi | X_M]; Gram / n of [X_{M-1} | xi | X_M]
-        # and its column means (the constant column's row)
-        self.at = np.column_stack([self.axi, reg.a[m - 1]])
-        gt = np.insert(reg.tail_gram, p, tx, axis=1)
-        self.gt = np.insert(gt, p, np.insert(tx, p, xi @ xi), axis=0) / n
+        # Gram / n of [X_{M-1} | xi] and its column means (the constant
+        # column's row), the last one xi's mean
+        gt = np.empty((p + 1, p + 1))
+        gt[:p, :p], gt[p, p] = reg.gram[m - 1], xi @ xi
+        gt[:p, p] = gt[p, :p] = rows[:, 0]
+        self.gt = gt / n
         self.xt = self.gt[0]
         self.src = None
         if driver.source is not None:
@@ -265,35 +259,52 @@ class CoefficientRoute:
             for i in range(m):
                 rhs[i, :, 0] = reg.design(i).T @ (s[:, i] + s[:, i + 1])
             self.src = reg.solve(rhs)[:, :, 0]
-        self.y_xi = np.eye(p + 1)[0]             # yt of Y_M = xi
 
     def initial(self) -> CoefIterate:
-        """Y = the terminal's mean at every node, Z = K = 0."""
+        """Y = the terminal's mean below node M, Z = K = 0."""
         c = np.zeros((2 + self.ens.levy.n_atoms, self.p))
-        c[0, 0] = self.xi_mean
+        c[0, 0] = self.xt[self.p]
         return self.uniform(c)
 
     def uniform(self, c: np.ndarray) -> CoefIterate:
-        """The iterate X_i c at every node 0..M: Y from c[0], Z and K_j
+        """The iterate X_i c at every node below M: Y from c[0], Z and K_j
         from c[1:], with c of shape (2+J, p)."""
         m = self.m
-        return CoefIterate(np.tile(c[0], (m, 1)), np.tile(c[1:], (m, 1, 1)),
-                           np.append(0.0, c[0]))
+        return CoefIterate(np.tile(c[0], (m, 1)), np.tile(c[1:], (m, 1, 1)))
+
+    def write(self, it: CoefIterate, i: int, out: np.ndarray,
+              cols: slice = slice(None), x: Optional[np.ndarray] = None
+              ) -> np.ndarray:
+        """Columns `cols` of the iterate's node values V_i = [Y_i | Z_i' |
+        K_i'] (n, 2+J), written into out and returned.  Node M holds xi
+        with the node M-1 Z and K.  The other columns come from one
+        product X [b_j | zk_j'] over all of them, X the node
+        j = min(i, M-1) design (built unless given), so a column has the
+        same bytes whichever columns are asked for; Y_M alone needs no
+        design."""
+        m = self.m
+        v = out if cols == slice(None) else self._v
+        if i < m or cols != slice(1):
+            j = min(i, m - 1)
+            x = self.reg.design(j) if x is None else x
+            np.matmul(x, np.concatenate([it.b[j, None], it.zk[j]]).T, out=v)
+        if i == m:
+            v[:, 0] = self.xi
+        if v is not out:
+            out[...] = v[:, cols]
+        return out
 
     def _values(self, it: CoefIterate):
-        """(i, X, V_i) for i = M .. 0: the iterate's Y, Z and K_j per path
-        at node i, V_i = X [b_i | zk_i'] (n, 2+J) with X the node
-        min(i, M-1) design (valid until the next step), so node M holds
-        Y_M with the node M-1 Z and K.  One design per node below M."""
+        """(i, X, V_i) for i = M .. 0: the node values (n, 2+J) and the
+        node min(i, M-1) design X (valid until the next step).  One
+        design per node below M."""
+        shape = (self.ens.n_paths, 2 + self.ens.levy.n_atoms)
         for i in reversed(range(self.m)):
             x = self.reg.design(i)
-            coefs = np.concatenate([it.b[i, None], it.zk[i]])
-            v = (coefs @ x.T).T        # each column of V is contiguous
             if i == self.m - 1:
-                vm = v.copy()
-                vm[:, 0] = self.xa @ it.yt
-                yield self.m, x, vm
-            yield i, x, v
+                yield self.m, x, self.write(
+                    it, self.m, np.empty(shape, order="F"), x=x)
+            yield i, x, self.write(it, i, np.empty(shape, order="F"), x=x)
 
     def path_mean(self, v: np.ndarray) -> np.ndarray:
         """phi's mean over the per-path node values V (n, 2+J), (d,)."""
@@ -309,9 +320,8 @@ class CoefficientRoute:
         lmap, m = self.lmap, self.m
         coefs = np.concatenate([it.b[:, None], it.zk], axis=1)
         wts = np.einsum("dc,icp->idp", lmap, coefs)      # X_i parts
-        # node M on [X_{M-1} | xi | X_M]: Z and K_j, then Y_M
-        tail = np.concatenate([lmap[:, 1:] @ it.zk[m - 1],
-                               np.outer(lmap[:, 0], it.yt)], axis=1)
+        # node M on [X_{M-1} | xi]: Z and K_j, then Y_M = xi
+        tail = np.column_stack([lmap[:, 1:] @ it.zk[m - 1], lmap[:, 0]])
         mu = np.empty((m + 1, lmap.shape[0]))
         if not self.squared:
             mu[:m] = np.einsum("idp,ip->id", wts, self.xbar)
@@ -346,7 +356,7 @@ class CoefficientRoute:
         psi[0] += base[m]
         r = np.einsum("ipq,iq->ip", self.sg, phi)
         r[:-1] += np.einsum("ipq,iq->ip", self.a[:-1], phi[1:])
-        r[-1] += self.sg[m - 1] @ psi + self.ay[m] * (self.at @ it.yt)
+        r[-1] += self.sg[m - 1] @ psi + self.ay[m] * self.axi
         return r
 
     def sweep(self, it: CoefIterate, mu: Optional[np.ndarray] = None
@@ -370,18 +380,16 @@ class CoefficientRoute:
         zk = np.empty_like(it.zk)
         np.einsum("icpq,iq->icp", self.e[:-1], b[1:], out=zk[:-1])
         zk[-1] = self.exi
-        return CoefIterate(b, zk, self.y_xi)
+        return CoefIterate(b, zk)
 
     def dy2(self, new: CoefIterate, old: CoefIterate) -> np.ndarray:
-        d, e, p = new.b - old.b, new.yt - old.yt, self.p
-        out = np.empty(self.m + 1)
-        out[:-1] = np.einsum("ip,ipq,iq->i", d, self.gn, d)
-        out[-1] = e @ self.gt[p:, p:] @ e
-        return np.maximum(out, 0.0)
+        """E|Y_i^new - Y_i^old|^2 at nodes 0..M-1; at node M both are xi."""
+        d = new.b - old.b
+        return np.maximum(np.einsum("ip,ipq,iq->i", d, self.gn, d), 0.0)
 
     def ybar(self, it: CoefIterate) -> np.ndarray:
         return np.append(np.einsum("ip,ip->i", self.xbar, it.b),
-                         self.xt[self.p:] @ it.yt)
+                         self.xt[self.p])
 
     def solution(self, it: CoefIterate) -> SolutionGrid:
         """Y, Z and K of the iterate, read off the coefficients."""
@@ -391,9 +399,9 @@ class CoefficientRoute:
 class _CoefSolution(SolutionGrid):
     """A `SolutionGrid` of a coefficient iterate: the node means are
     x_i . b_i and x_i . zk_i, `node(i)` builds one design, and y, z and
-    k are each written on their first read.  Column c of `node(i)` has
-    the bytes of column i of the array that y, z or k writes: both are
-    one X_i c product per column."""
+    k are each written on their first read.  Both come from the route's
+    `write`, so column c of `node(i)` has the bytes of column i of the
+    array that y, z or k writes."""
 
     def __init__(self, route: CoefficientRoute, it: CoefIterate):
         self.ens, self.route, self.it = route.ens, route, it
@@ -401,19 +409,8 @@ class _CoefSolution(SolutionGrid):
         self.ybar, self.zbar, self.kbar = route.ybar(it), zk[:, 0], zk[:, 1:]
 
     def node(self, i: int) -> np.ndarray:
-        r, it = self.route, self.it
-        j = min(i, r.m - 1)
-        x = r.reg.design(j)
-        out = np.empty((x.shape[0], 1 + it.zk.shape[1]), order="F")
-        if i == r.m:
-            np.matmul(r.xa, it.yt, out=out[:, 0])
-        else:
-            np.matmul(x, it.b[j], out=out[:, 0])
-        # the coefficient views `_write` reads: a product's bytes depend
-        # on its operands' strides
-        for col, c in enumerate(it.zk[j], 1):
-            np.matmul(x, c, out=out[:, col])
-        return out
+        return self.route.write(self.it, i, np.empty(
+            (self.ens.n_paths, 2 + self.ens.levy.n_atoms), order="F"))
 
     y = functools.cached_property(lambda self: self._write("y"))
     z = functools.cached_property(lambda self: self._write("z"))
@@ -421,15 +418,12 @@ class _CoefSolution(SolutionGrid):
 
     def _write(self, name: str) -> np.ndarray:
         """Y (n, M+1), Z (n, M) or K (n, M, J), Fortran order: per node
-        one design and one product per component, into its column."""
-        r, it = self.route, self.it
-        n, m = self.ens.n_paths, r.m
-        c = {"y": it.b[:, None], "z": it.zk[:, :1], "k": it.zk[:, 1:]}[name]
-        out = np.empty((n, m + (name == "y"), c.shape[1]), order="F")
-        for i in range(m if c.shape[1] else 0):
-            x = r.reg.design(i)
-            for j in range(c.shape[1]):
-                np.matmul(x, c[i, j], out=out[:, i, j])
-        if name == "y":
-            np.matmul(r.xa, it.yt, out=out[:, m, 0])
+        the route's `write` of its columns."""
+        r, nj = self.route, self.ens.levy.n_atoms
+        cols, width = {"y": (slice(1), 1), "z": (slice(1, 2), 1),
+                       "k": (slice(2, None), nj)}[name]
+        out = np.empty((self.ens.n_paths, r.m + (name == "y"), width),
+                       order="F")
+        for i in range(out.shape[1] if width else 0):
+            r.write(self.it, i, out[:, i], cols)
         return out if name == "k" else out[:, :, 0]

@@ -146,14 +146,14 @@ def _simulate_gamma_grid(cg: CoefficientGrid, ens: PathEnsemble
                          a1_cum=_left_quadrature(cg.a1, grid.dt))
 
 
-def _node_index(grid, t: float, name: str) -> int:
-    """Index of the grid node at time t; ConfigError naming `name`
-    unless t is a node of [0, T]."""
+def _node_index(grid, t: float, name: str, caller: str) -> int:
+    """Index of the grid node at time t; ConfigError naming `caller` and
+    `name` unless t is a node of [0, T]."""
     x = t / grid.dt
     i = int(round(x))
     if not (0 <= i <= grid.steps and abs(x - i) <= 1e-9 * max(1.0, x)):
         raise ConfigError(
-            f"mean_gamma needs {name} on a grid node of [0, "
+            f"{caller} needs {name} on a grid node of [0, "
             f"{grid.horizon:g}], got {name}={t:g}"
         )
     return i
@@ -166,7 +166,8 @@ def mean_gamma(coeffs: LinearCoefficients, grid, levy, t: float, s: float
     the propagator carries."""
     if s < t:
         raise ConfigError("mean_gamma needs t <= s")
-    i, l = _node_index(grid, t, "t"), _node_index(grid, s, "s")
+    i = _node_index(grid, t, "t", "mean_gamma")
+    l = _node_index(grid, s, "s", "mean_gamma")
     a1_cum = _left_quadrature(coeffs.on_grid(grid, levy).a1, grid.dt)
     return float(np.exp(a1_cum[l] - a1_cum[i]))
 

@@ -124,7 +124,7 @@ def _freeze_loop(route, tol: float, max_iter: int, mu: Optional[np.ndarray],
         started = time.perf_counter()
         new = route.sweep(it, mu)
         dy2 = route.dy2(new, it)
-        report.record(float(dy2.max()), float(dy2[:-1].sum() * dt),
+        report.record(float(dy2.max()), float(dy2.sum() * dt),
                       time.perf_counter() - started)
         it = new
         if report.deltas[-1] < tol:
@@ -211,7 +211,7 @@ def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
             warnings.warn("mean-freeze inner solve did not converge",
                           stacklevel=2)
         dy2 = route.dy2(it, prev)
-        report.record(float(dy2.max()), float(dy2[:-1].sum() * dt),
+        report.record(float(dy2.max()), float(dy2.sum() * dt),
                       time.perf_counter() - started)
         prev = it
         frozen = route.ybar(it)
@@ -237,9 +237,10 @@ def contraction_check(driver: DriverSpec, phi: MeanFunctional,
     one sweep) to random adapted input pairs and returns the ratio of
     weighted squared norms of output and input differences; a pair of
     equal inputs scores zero by convention.  Each input is X_i c at every
-    node 0..M, for one standard normal (2+J, p) coefficient matrix c on
-    the solver's basis.  Inputs and outputs are node coefficients on one
-    route, so the norm
+    node below M, for one standard normal (2+J, p) coefficient matrix c
+    on the solver's basis, and the terminal xi at node M, as every
+    iterate of the map is.  Inputs and outputs are node coefficients on
+    one route, so the norm
         sum_{i<M} e^{beta (t_i - T)} dt (d_Y'G_i d_Y + d_Z'G_i d_Z
                                          + sum_j w_j d_Kj'G_i d_Kj) / n
     is a quadratic form in the per-node Grams G_i (left-endpoint rule).

@@ -36,8 +36,8 @@ from .errors import CapabilityError, ConfigError, DomainError
 from .levy_paths import PathEnsemble, _check_jump_tilt, _cumulate_nodes, \
     _eval_nodes, _eval_nodes_atoms, _exponent_writer, _log_exponential, \
     _over_row_blocks
-from .linear import _left_quadrature, assemble_system, neumann_solve, \
-    simulate_gamma, y_closed_formula
+from .linear import _left_quadrature, _node_index, assemble_system, \
+    neumann_solve, simulate_gamma, y_closed_formula
 from .picard import RegressionBasis, picard_full_freeze
 
 __all__ = [
@@ -293,7 +293,8 @@ def optimal_pi(adj: AdjointState) -> ControlProcess:
 def hamiltonian(t, x, y, z, k, ybar, zbar, kbar, pi, p, q, r, lam,
                 wp: WealthParams, uc: UtilityCoefficients, grid, levy
                 ) -> float:
-    """Pointwise Hamiltonian of the consumption problem.
+    """Pointwise Hamiltonian of the consumption problem at the grid node
+    t of [0, T] (a ConfigError otherwise).
 
     Jump integrals are weighted atom sums.  Concave in pi for lam > 0
     (second derivative -lam / pi^2).
@@ -302,7 +303,7 @@ def hamiltonian(t, x, y, z, k, ybar, zbar, kbar, pi, p, q, r, lam,
         raise DomainError("hamiltonian needs pi > 0 and x > 0")
     b0, s0, g0 = wp.on_grid(grid, levy)
     a0, a1, b0u, b1u, e0, e1 = uc.on_grid(grid, levy)
-    i = int(round(t / grid.dt))
+    i = _node_index(grid, t, "t", "hamiltonian")
     w = levy.weights
     k = np.asarray(k, dtype=float)
     kbar = np.asarray(kbar, dtype=float)

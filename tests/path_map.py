@@ -171,15 +171,17 @@ def beta_norm(sol: SolutionGrid, beta: float) -> float:
 
 
 def _random_triplet(ens: PathEnsemble, reg: _Regressions,
-                    rng: np.random.Generator) -> SolutionGrid:
+                    rng: np.random.Generator, xi: np.ndarray
+                    ) -> SolutionGrid:
     """Adapted triplet built from random combinations of the basis paths
-    of `reg`: at each node the (n, p) design times one (p, 2+J)
-    coefficient matrix gives Y, Z and K_j."""
+    of `reg`: at each node below M the (n, p) design times one (p, 2+J)
+    coefficient matrix gives Y, Z and K_j; Y_M is the terminal xi."""
     n, m, j = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
     coef = rng.normal(size=(2 + j, reg.n_cols)).T
     out = np.empty((n, m + 1, 2 + j), order="F")
-    for i in range(m + 1):
+    for i in range(m):
         np.matmul(reg.design(i), coef, out=out[:, i])
+    out[:, m, 0] = xi
     return SolutionGrid(ens, out[:, :, 0], out[:, :-1, 1], out[:, :-1, 2:])
 
 
@@ -196,6 +198,7 @@ def path_contraction_check(driver: DriverSpec, phi: MeanFunctional,
         beta = default_beta(driver, phi)
     rng = np.random.default_rng(seed)
     reg = _PathRegressions(ens, basis)
+    xi = terminal_value(tc, ens)
 
     def apply_map(sol_in: SolutionGrid) -> SolutionGrid:
         f_hat = _frozen_driver(driver, sol_in, _mean_channel(phi, sol_in))
@@ -203,8 +206,8 @@ def path_contraction_check(driver: DriverSpec, phi: MeanFunctional,
 
     ratios = []
     for _ in range(n_pairs):
-        in1 = _random_triplet(ens, reg, rng)
-        in2 = _random_triplet(ens, reg, rng)
+        in1 = _random_triplet(ens, reg, rng, xi)
+        in2 = _random_triplet(ens, reg, rng, xi)
         din = beta_norm(
             SolutionGrid(ens, in1.y - in2.y, in1.z - in2.z, in1.k - in2.k),
             beta,
@@ -225,13 +228,15 @@ def _path_freeze(driver, phi, tc, ens, basis, freeze, tol=1e-6,
     Each iteration freezes the driver along the whole previous iterate
     (`_frozen_driver`, with `_mean_channel` in the full freeze) and sweeps
     it with `solve_inner`; the deltas are path means.  Every iteration,
-    inner ones included, starts from the terminal's mean with Z = K = 0,
-    as the solvers do."""
+    inner ones included, starts from the terminal's mean below node M,
+    xi at node M and Z = K = 0, as the solvers do."""
     reg = _PathRegressions(ens, basis)
     n, m, dt = ens.n_paths, ens.grid.steps, ens.grid.dt
-    start = SolutionGrid(
-        ens, np.full((n, m + 1), terminal_value(tc, ens).mean()),
-        np.zeros((n, m)), np.zeros((n, m, ens.levy.n_atoms)))
+    xi = terminal_value(tc, ens)
+    y = np.full((n, m + 1), xi.mean())
+    y[:, m] = xi
+    start = SolutionGrid(ens, y, np.zeros((n, m)),
+                         np.zeros((n, m, ens.levy.n_atoms)))
 
     def iterate(step):
         it, deltas, integ = start, [], []

@@ -527,19 +527,21 @@ def test_coefficient_route_matches_path_sweep(atoms, measure, extras,
 
 def _eager_write(route, it):
     """Y, Z and K written in one pass over the nodes, V_i = X_i [b_i |
-    zk_i'] as one product per node, and per entry the scale of its
-    rounding, the sum of |x_ij c_j| over the basis."""
+    zk_i'] as one product per node below M, and per entry the scale of
+    its rounding, the sum of |x_ij c_j| over the basis.  Y_M comes from
+    the route's node writer, which writes xi as it is."""
     ens, m = route.ens, route.m
     n, nj = ens.n_paths, ens.levy.n_atoms
     y, z, k = np.empty((n, m + 1)), np.empty((n, m)), np.empty((n, m, nj))
     scale = np.empty((n, m + 1, 2 + nj))
     coefs = np.concatenate([it.b[:, None], it.zk], axis=1)
-    for i, x, v in route._values(it):
-        y[:, i] = v[:, 0]
-        if i < m:
-            z[:, i], k[:, i] = v[:, 1], v[:, 2:]
-            scale[:, i] = np.abs(x) @ np.abs(coefs[i]).T
-    scale[:, m, 0] = np.abs(route.xa) @ np.abs(it.yt)
+    for i in range(m):
+        x = route.reg.design(i)
+        v = x @ coefs[i].T
+        y[:, i], z[:, i], k[:, i] = v[:, 0], v[:, 1], v[:, 2:]
+        scale[:, i] = np.abs(x) @ np.abs(coefs[i]).T
+    route.write(it, m, y[:, m:], slice(1))
+    scale[:, m, 0] = np.abs(y[:, m])
     return (y, z, k), (scale[:, :, 0], scale[:, :m, 1], scale[:, :m, 2:])
 
 
@@ -640,13 +642,14 @@ def test_contraction_check_at_large_default_beta():
 @pytest.mark.parametrize("route", ["coefficients", "paths"])
 def test_design_passes_fixed_on_coefficient_route(monkeypatch, ens_small,
                                                   basis, route):
-    """A solve builds each node's design once (set-up) and the node-M
-    design once, however many iterations it runs; custom callables are
-    evaluated on the iterate written with one more design per node below
-    M and iteration, which serves the driver and the mean functional
-    alike.  The solution writes nothing until it is read: the first read
-    of y, z or k costs one design per node below M, a second read of the
-    same array none."""
+    """A solve builds each node's design below M once (set-up) and the
+    node M-1 design once more for xi's column (route), however many
+    iterations it runs, and never a node-M design: Y_M = xi.  Custom
+    callables are evaluated on the iterate written with one more design
+    per node below M and iteration, which serves the driver and the mean
+    functional alike.  The solution writes nothing until it is read: the
+    first read of y, z or k costs one design per node below M, a second
+    read of the same array none."""
     coeffs = LinearCoefficients(alpha1=0.2, alpha2=0.1, beta1=0.25,
                                 beta2=0.1, eta1=0.2, eta2=0.1)
     driver = coeffs.as_driver(ens_small.grid, ens_small.levy)
@@ -675,6 +678,7 @@ def test_design_passes_fixed_on_coefficient_route(monkeypatch, ens_small,
         counts.append(len(calls))
     per_iter = 0 if route == "coefficients" else 1
     assert counts == [(1 + per_iter * it) * m + 1 for it in (2, 5)]
+    assert m not in calls
     calls.clear()
     sol.y[:, 0]
     assert sorted(calls) == list(range(m))
@@ -730,9 +734,8 @@ def test_cond_max_grows_with_basis_degree(ens_small):
 
 def test_mean_channel_from_coefficients(ens_small, basis):
     """The coefficient means equal the path means of the written iterate
-    for each catalog functional: on the initial iterate (node M holds the
-    terminal's mean), after one sweep (node M holds xi) and on a random
-    input (node M holds X_M c)."""
+    for each catalog functional: on the initial iterate, after one sweep
+    and on a random input, each with xi at node M."""
     from mfbsde.coefficient_route import CoefficientRoute
 
     coeffs = LinearCoefficients(alpha1=0.2, beta1=0.1, eta1=0.1)
@@ -749,6 +752,52 @@ def test_mean_channel_from_coefficients(ens_small, basis):
             got = route.mean_channel(it)
             want = _mean_channel(phi, route.solution(it))
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_every_iterate_holds_the_terminal_at_node_m(monkeypatch,
+                                                     ens_small, basis):
+    """Y_M has xi's bytes in the initial iterate, in every sweep input
+    and output of both freezes, and in both inputs of every
+    contraction-check pair; below M the initial iterate is xi's mean.
+    The set-up builds no node-M design."""
+    from mfbsde.coefficient_route import CoefficientRoute
+
+    coeffs = LinearCoefficients(alpha1=0.2, alpha2=0.1, beta1=0.25,
+                                beta2=0.1, eta1=0.2, eta2=0.1)
+    driver = coeffs.as_driver(ens_small.grid, ens_small.levy)
+    tc = brownian_linear(1.0, 0.5)
+    m, xi = ens_small.grid.steps, terminal_value(tc, ens_small)
+    seen, designs = [], []
+    sweep, design = CoefficientRoute.sweep, _Regressions.design
+
+    def recording(self, it, mu=None):
+        out = sweep(self, it, mu)
+        seen.append((self, it, out))
+        return out
+
+    def counting(self, i, out=None):
+        designs.append(i)
+        return design(self, i, out)
+
+    monkeypatch.setattr(CoefficientRoute, "sweep", recording)
+    monkeypatch.setattr(_Regressions, "design", counting)
+    picard_full_freeze(driver, mean_yzk(1), tc, ens_small, basis,
+                       check=False)
+    route, first, _ = seen[0]
+    start = route.solution(first).y
+    np.testing.assert_allclose(start[:, :m], xi.mean(), rtol=1e-13)
+    picard_mean_freeze(affine_driver(ens_small.grid, 1, 1, 0.5, y=0.2,
+                                     z=0.1, mu=0.1),
+                       tc, ens_small, basis, check=False)
+    freezes = len(seen)
+    contraction_check(driver, mean_yzk(1), tc, ens_small, basis,
+                      n_pairs=3)
+    assert len(seen) - freezes == 6 and m not in designs
+    for route, it, out in seen:
+        for v in (it, out):
+            sol = route.solution(v)
+            assert sol.y[:, m].tobytes() == xi.tobytes()
+            assert sol.node(m)[:, 0].tobytes() == xi.tobytes()
 
 
 @pytest.mark.parametrize("bad", ["n-by-M", "transposed", "nan"])
@@ -792,12 +841,14 @@ def test_one_set_up_serves_many_routes():
     sourced.source = 0.1 * np.cos(ens.brownian_nodes)
     problems.append((sourced, mean_y(), smooth_of_brownian([0.5, 1.0, 0.2])))
     for driver, phi, tc in problems:
+        routes = [CoefficientRoute(driver, phi, tc, ens, reg)
+                  for reg in (shared, _Regressions(ens, basis))]
         (it, rep), (want, want_rep) = (
-            _freeze_loop(CoefficientRoute(driver, phi, tc, ens, reg), 1e-6,
-                         50, None, "full-freeze")
-            for reg in (shared, _Regressions(ens, basis)))
+            _freeze_loop(r, 1e-6, 50, None, "full-freeze") for r in routes)
         assert rep.converged
-        for got, exp in ((it.b, want.b), (it.zk, want.zk), (it.yt, want.yt),
+        last = [r.solution(i).node(ens.grid.steps)
+                for r, i in zip(routes, (it, want))]
+        for got, exp in ((it.b, want.b), (it.zk, want.zk), last,
                          (rep.deltas, want_rep.deltas)):
             assert np.asarray(got).tobytes() == np.asarray(exp).tobytes()
     for name, v in held.items():

@@ -11,6 +11,7 @@ import pytest
 import mfbsde
 from mfbsde import levy_paths, utility
 from mfbsde import (
+    ConfigError,
     ControlProcess,
     DomainError,
     DriverSpec,
@@ -210,6 +211,24 @@ class TestHamiltonian:
         best = grid_pi[int(np.argmax(vals))]
         target = lam / p
         assert abs(best - target) <= grid_pi[1] - grid_pi[0]
+
+    def test_time_must_be_a_grid_node(self, ens_small):
+        """t = -dt, T + dt and an off-node t raise a ConfigError that
+        names hamiltonian; every node of the grid evaluates."""
+        grid = ens_small.grid
+        wp = WealthParams(x0=1.0, b0=0.05, sigma0=0.2, gamma0=0.1)
+        uc = UtilityCoefficients(alpha0=0.1, beta0=0.1, eta0=0.2,
+                                 theta=constant(2.0))
+
+        def h(t):
+            return hamiltonian(t, 1.0, 0.4, 0.1, [0.2], 0.4, 0.1, [0.2],
+                               0.5, 2.0, 0.3, [0.1], 0.8, wp, uc, grid,
+                               ens_small.levy)
+
+        for t in (-grid.dt, grid.horizon + grid.dt, 0.5 * grid.dt):
+            with pytest.raises(ConfigError, match="hamiltonian needs t"):
+                h(t)
+        assert all(math.isfinite(h(t)) for t in grid.nodes)
 
     def test_domain_guards(self, ens_small):
         wp = WealthParams(x0=1.0)
