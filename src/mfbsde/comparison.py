@@ -17,7 +17,7 @@ import numpy as np
 from .core import DriverSpec, TerminalCondition, _probe_blocks, \
     terminal_value
 from .errors import ConfigError
-from .levy_paths import PathEnsemble, _eval_nodes_atoms
+from .levy_paths import PathEnsemble, _on_nodes
 from .picard import RegressionBasis, picard_mean_freeze
 
 __all__ = [
@@ -42,7 +42,7 @@ class ComparisonScenario:
     g2: DriverSpec
     xi1: TerminalCondition
     xi2: TerminalCondition
-    eta_bound: object = 0.0   # scalar or callable (t, mark)
+    eta_bound: object = 0.0   # as an eta of LinearCoefficients
 
     def __post_init__(self):
         if self.g1.mean_dim != 1 or self.g2.mean_dim != 1:
@@ -91,7 +91,8 @@ def verify_hypotheses(sc: ComparisonScenario, ens: PathEnsemble,
 
     nodes, levy = ens.grid.nodes, ens.levy
     nj = levy.n_atoms
-    eta_w = _eval_nodes_atoms(sc.eta_bound, nodes, levy.marks) * levy.weights
+    eta_w = _on_nodes(sc.eta_bound, "eta_bound", nodes, levy.marks) \
+        * levy.weights
 
     for i, r, m in _probe_blocks(_PROBE_SEED, n_probes, len(nodes),
                                  2 + 2 * nj, 3):

@@ -164,17 +164,6 @@ def _parse_atoms(cp, errs) -> LevyMeasure:
         return LevyMeasure.from_atoms([])
 
 
-def _atom_coeff(values, levy, path, errs):
-    """Scalar, or one value per atom, for an eta-style coefficient."""
-    if len(values) == 1:
-        return values[0]
-    if len(values) == levy.n_atoms:
-        arr = np.asarray(values)
-        return lambda t, z: float(arr[np.argmin(np.abs(levy.marks - z))])
-    errs.add(path, f"need 1 or {levy.n_atoms} values, got {len(values)}")
-    return 0.0
-
-
 _TERMINALS = ("constant", "brownian_linear", "jump_linear",
               "smooth_of_brownian")
 
@@ -206,15 +195,20 @@ def _parse_terminal(cp, errs, levy, section="terminal", kinds=_TERMINALS):
 
 def _atom_floats(cp, errs, levy, section, key, default=0.0, floor=None,
                  strict=True):
-    """section.key as one value or one per atom (see `_atom_coeff`);
-    with a `floor`, every value must exceed it (reach it if not
-    `strict`)."""
+    """section.key as one value, or one per atom as a tuple; with a
+    `floor`, every value must exceed it (reach it if not `strict`)."""
+    path = f"{section}.{key}"
     values = _get_floats(cp, errs, section, key, default=[default])
     low = min(values, default=default)
     if floor is not None and (low < floor or strict and low == floor):
-        errs.add(f"{section}.{key}", f"values must be "
-                 f"{'>' if strict else '>='} {floor:g}, got {low:g}")
-    return _atom_coeff(values, levy, f"{section}.{key}", errs)
+        errs.add(path, f"values must be {'>' if strict else '>='} "
+                 f"{floor:g}, got {low:g}")
+    if len(values) == 1:
+        return values[0]
+    if len(values) != levy.n_atoms:
+        errs.add(path, f"need 1 or {levy.n_atoms} values, got {len(values)}")
+        return 0.0
+    return tuple(values)
 
 
 _MEAN_FUNCTIONALS = ("mean_y", "mean_yzk", "mean_yzk_avg", "mean_y_squared")
@@ -369,10 +363,14 @@ def _utility_inputs(cp, errs, grid, levy):
             errs.add("control.pi", "must be > 0")
         else:
             rate = ControlProcess.from_constant(pi, grid)
-    elif utility.beta1 != 0.0:
-        # lambda carries beta1 dB, so the optimal rate is adapted
-        errs.add(f"{sec}.beta1", "must be 0 with control.optimal = true: "
-                 "evaluate_j takes no mean coupling of Z with an adapted rate")
+    else:
+        # lambda carries beta1 dB and, with atoms, eta1 dN: the optimal
+        # rate is then adapted, and evaluate_j takes no mean coupling of
+        # Z or K with an adapted rate
+        if utility.beta1 != 0.0:
+            errs.add(f"{sec}.beta1", "must be 0 with control.optimal = true")
+        if levy.n_atoms and np.any(np.asarray(utility.eta1) != 0.0):
+            errs.add(f"{sec}.eta1", "must be 0 with control.optimal = true")
     return {"wealth": wealth, "utility": utility, "rate": rate}
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CapabilityError, ConfigError
-from .levy_paths import PathEnsemble, _eval_nodes, _eval_nodes_atoms
+from .levy_paths import PathEnsemble, _on_nodes
 
 __all__ = [
     "TerminalCondition",
@@ -80,8 +80,9 @@ def brownian_linear(a: float, b: float = 0.0) -> TerminalCondition:
 def jump_linear(psi) -> TerminalCondition:
     """Integral of psi against the compensated jump measure.
 
-    psi is a per-atom constant (scalar, or sequence over atoms) or a
-    callable (t, mark) -> float, deterministic in either case.
+    psi is a number, one value per atom, or a callable (t, mark) ->
+    float; reading the terminal names psi in a ConfigError if it has
+    another form or is not finite.
     """
     return TerminalCondition("jump_linear", {"psi": psi})
 
@@ -131,20 +132,6 @@ def wealth_linear(theta: TerminalCondition, wealth: np.ndarray,
     )
 
 
-def _psi_nodes(psi, ens: PathEnsemble) -> np.ndarray:
-    """Materialise a jump_linear psi on (nodes, atoms), shape (M+1, J)."""
-    marks = ens.levy.marks
-    nodes = ens.grid.nodes
-    if callable(psi):
-        return _eval_nodes_atoms(psi, nodes, marks)
-    arr = np.asarray(psi, dtype=float)
-    if arr.ndim == 0:
-        return np.full((len(nodes), len(marks)), float(arr))
-    if arr.shape != (len(marks),):
-        raise ConfigError("psi must be scalar, per-atom, or callable (t, mark)")
-    return np.broadcast_to(arr, (len(nodes), len(marks))).copy()
-
-
 def _poly_eval(coeffs, x):
     out = np.zeros_like(x, dtype=float) if isinstance(x, np.ndarray) else 0.0
     for p, c in enumerate(coeffs):
@@ -184,7 +171,8 @@ def _terminal_value(tc: TerminalCondition, ens: PathEnsemble) -> np.ndarray:
     if tc.kind == "jump_linear":
         # sum_i psi_i (dN_i - w dt), summed by parts over the count
         # levels N(t_1..t_M): psi (N(T) - w T) for a constant psi
-        psi = _psi_nodes(p["psi"], ens)[:-1]
+        psi = _on_nodes(p["psi"], "psi", ens.grid.nodes,
+                        ens.levy.marks)[:-1]
         by_parts = -np.diff(psi, axis=0, append=0.0)
         return np.einsum("nij,ij->n", ens.count_nodes[:, 1:], by_parts) \
             - (psi * ens.levy.weights).sum() * ens.grid.dt
@@ -220,14 +208,14 @@ def derivative_terms(tc: TerminalCondition, ens: PathEnsemble):
         slope = _poly_deriv(p["coeffs"], ens.brownian_nodes[:, -1])
         return [(slope, ones)], no_jumps
     if tc.kind == "jump_linear":
-        psi = _psi_nodes(p["psi"], ens)
+        psi = _on_nodes(p["psi"], "psi", ens.grid.nodes, ens.levy.marks)
         return [], [[(np.ones(ens.n_paths), psi[:, a])] for a in range(nj)]
     if tc.kind == "poly_of_jump_linear":
         # difference rule phi(G + psi) - phi(G), expanded binomially:
         # sum_q G^q sum_{p>q} c_p C(p, q) psi^(p-q)
         coeffs = p["coeffs"]
         g = terminal_value(jump_linear(p["psi"]), ens)
-        psi = _psi_nodes(p["psi"], ens)
+        psi = _on_nodes(p["psi"], "psi", ens.grid.nodes, ens.levy.marks)
         jumps = []
         for a in range(nj):
             terms = []
@@ -493,9 +481,10 @@ class LinearCoefficients:
            + a2 E[Y] + b2 E[Z] + sum_j e2_j E[K_j] w_j + g(t)] dt
          + Z dB + sum_j K_j dNtilde_j,   Y(T) = terminal.
 
-    Each scalar coefficient is a constant or a callable of t; eta
-    coefficients are constants or callables of (t, mark).  gamma is
-    deterministic here; the pathwise-gamma channel of the closed-form
+    Each alpha, beta and gamma is a number or a callable of t, each eta a
+    number, one value per atom or a callable of (t, mark); `on_grid`
+    names a coefficient of another form or not finite in a ConfigError.
+    gamma is deterministic here; the pathwise-gamma channel of the closed-form
     engine is fed separately by the utility module.
     """
 
@@ -510,19 +499,15 @@ class LinearCoefficients:
 
     def on_grid(self, grid, levy) -> CoefficientGrid:
         nodes, marks = grid.nodes, levy.marks
-        cg = CoefficientGrid(
-            a1=_eval_nodes(self.alpha1, nodes),
-            a2=_eval_nodes(self.alpha2, nodes),
-            b1=_eval_nodes(self.beta1, nodes),
-            b2=_eval_nodes(self.beta2, nodes),
-            e1=_eval_nodes_atoms(self.eta1, nodes, marks),
-            e2=_eval_nodes_atoms(self.eta2, nodes, marks),
-            g=_eval_nodes(self.gamma, nodes),
+        return CoefficientGrid(
+            a1=_on_nodes(self.alpha1, "alpha1", nodes),
+            a2=_on_nodes(self.alpha2, "alpha2", nodes),
+            b1=_on_nodes(self.beta1, "beta1", nodes),
+            b2=_on_nodes(self.beta2, "beta2", nodes),
+            e1=_on_nodes(self.eta1, "eta1", nodes, marks),
+            e2=_on_nodes(self.eta2, "eta2", nodes, marks),
+            g=_on_nodes(self.gamma, "gamma", nodes),
         )
-        for name in ("a1", "a2", "b1", "b2", "e1", "e2", "g"):
-            if not np.all(np.isfinite(getattr(cg, name))):
-                raise ConfigError(f"coefficient {name} not finite on the grid")
-        return cg
 
     def as_driver(self, grid, levy) -> DriverSpec:
         """The same equation expressed as a generic driver, for feeding the

@@ -340,21 +340,31 @@ def simulate_ensemble(
     )
 
 
-def _eval_nodes(fn, nodes) -> np.ndarray:
-    """Evaluate a scalar-or-callable time coefficient on grid nodes."""
-    if callable(fn):
-        return np.asarray([float(fn(t)) for t in nodes])
-    return np.full(len(nodes), float(fn))
-
-
-def _eval_nodes_atoms(fn, nodes, marks) -> np.ndarray:
-    """Evaluate a scalar-or-callable (t, mark) coefficient, shape (len(nodes), J)."""
-    out = np.empty((len(nodes), len(marks)))
-    if callable(fn):
-        for a, z in enumerate(marks):
-            out[:, a] = [float(fn(t, z)) for t in nodes]
+def _on_nodes(value, name: str, nodes, marks=None) -> np.ndarray:
+    """A deterministic coefficient on the grid nodes: (M+1,) for a time
+    coefficient (a number or a callable of t), (M+1, J) for a jump
+    coefficient, given `marks` (a number, one value per atom, or a
+    callable of (t, mark)).  ConfigError naming `name` for another form,
+    a per-atom sequence of the wrong length or a value that is not
+    finite."""
+    shape = (len(nodes),) if marks is None else (len(nodes), len(marks))
+    if not callable(value):
+        arr = np.asarray(value, dtype=float)
+        if arr.shape not in ((), shape[1:]):
+            forms = "a number or a callable of t" if marks is None else \
+                f"a number, {len(marks)} per-atom values or a callable"
+            raise ConfigError(f"{name} must be {forms}, got {arr.shape}")
+        out = np.full(shape, arr)
+    elif marks is None:
+        out = np.asarray([float(value(t)) for t in nodes])
     else:
-        out[:] = float(fn)
+        out = np.empty(shape)
+        for a, z in enumerate(marks):
+            out[:, a] = [float(value(t, z)) for t in nodes]
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        raise ConfigError(f"coefficient {name} is not finite at "
+                          f"t={nodes[bad[0, 0]]:g}")
     return out
 
 
@@ -464,6 +474,16 @@ def _exponent_writer(ens: PathEnsemble, drift, vol, jump):
     return write
 
 
+def _tilt_nodes(ens: PathEnsemble, beta1, eta1):
+    """The tilt (beta1, eta1) at the left nodes, (M,) and (M, J);
+    DomainError unless eta1 exceeds -1."""
+    nodes, marks = ens.grid.nodes, ens.levy.marks
+    b1 = _on_nodes(beta1, "beta1", nodes)
+    e1 = _on_nodes(eta1, "eta1", nodes, marks)
+    _check_jump_tilt(e1, nodes, marks, "eta1")
+    return b1[:-1], e1[:-1]
+
+
 def girsanov_density(ens: PathEnsemble, beta1, eta1) -> np.ndarray:
     """Density process M(t_i), shape (n, M+1), of the measure that
     removes drift beta1 from B and tilts atom intensities by (1 + eta1).
@@ -471,12 +491,7 @@ def girsanov_density(ens: PathEnsemble, beta1, eta1) -> np.ndarray:
     M is the stochastic exponential of (0, beta1, eta1), so M > 0
     pathwise and E[M(t_i)] = 1 at every node.
     """
-    grid, levy = ens.grid, ens.levy
-    nodes = grid.nodes
-    b1 = _eval_nodes(beta1, nodes)[:-1]
-    e1 = _eval_nodes_atoms(eta1, nodes, levy.marks)
-    _check_jump_tilt(e1, nodes, levy.marks, "eta1")
-    logm = _log_exponential(ens, 0.0, b1, e1[:-1]).T
+    logm = _log_exponential(ens, 0.0, *_tilt_nodes(ens, beta1, eta1)).T
     return np.exp(logm, out=logm)
 
 
@@ -493,12 +508,7 @@ def shift_to_q(ens: PathEnsemble, beta1, eta1) -> PathEnsemble:
     if ens.measure != "P":
         raise ConfigError("shift_to_q expects a P-measure ensemble")
     grid, levy = ens.grid, ens.levy
-    nodes = grid.nodes
-    b1 = _eval_nodes(beta1, nodes)[:-1]
-    e1 = _eval_nodes_atoms(eta1, nodes, levy.marks)
-    _check_jump_tilt(e1, nodes, levy.marks, "eta1")
-    e1 = e1[:-1]
-
+    b1, e1 = _tilt_nodes(ens, beta1, eta1)
     drift = b1 * grid.dt
     comp_q = (1.0 + e1) * levy.weights * grid.dt
     return replace(

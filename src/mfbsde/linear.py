@@ -47,9 +47,9 @@ from .levy_paths import (
     PathEnsemble,
     _PASS_ROWS,
     _check_jump_tilt,
-    _eval_nodes,
     _exponent_writer,
     _log_exponential,
+    _on_nodes,
     _over_row_blocks,
     girsanov_density,
     shift_to_q,
@@ -250,13 +250,16 @@ def _propagator_inputs(gamma: Optional[GammaEnsemble], gamma_path,
                        cg: CoefficientGrid, ens: PathEnsemble):
     """The propagator on ens, simulated when not given, and the pathwise
     running cost as floats or None; ConfigError for a propagator of
-    another ensemble or a running cost of the wrong shape."""
+    another ensemble or of other (a1, b1, e1), or a running cost of the
+    wrong shape."""
     if gamma is None:
         gamma = _simulate_gamma_grid(cg, ens)
-    elif gamma.ens is not ens:
+    elif gamma.ens is not ens or not all(
+            np.array_equal(getattr(gamma, c), getattr(cg, c))
+            for c in ("a1", "b1", "e1")):
         raise ConfigError(
-            "gamma was simulated on another ensemble; pass the "
-            "propagator of this ensemble"
+            "gamma was simulated on another ensemble or from other "
+            "coefficients; pass the propagator of this equation"
         )
     if gamma_path is None:
         return gamma, None
@@ -665,9 +668,9 @@ def q_special_solve(alpha1, alpha2, beta1, eta1, gamma,
     grid, levy = ens.grid, ens.levy
     nodes = grid.nodes
     dt = grid.dt
-    a1 = _eval_nodes(alpha1, nodes)
-    a2 = _eval_nodes(alpha2, nodes)
-    g = _eval_nodes(gamma, nodes)
+    a1 = _on_nodes(alpha1, "alpha1", nodes)
+    a2 = _on_nodes(alpha2, "alpha2", nodes)
+    g = _on_nodes(gamma, "gamma", nodes)
 
     dens = girsanov_density(ens, beta1, eta1)
     ens_q = shift_to_q(ens, beta1, eta1)

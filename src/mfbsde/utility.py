@@ -34,8 +34,7 @@ from .core import (
 )
 from .errors import CapabilityError, ConfigError, DomainError
 from .levy_paths import PathEnsemble, _check_jump_tilt, _cumulate_nodes, \
-    _eval_nodes, _eval_nodes_atoms, _exponent_writer, _log_exponential, \
-    _over_row_blocks
+    _exponent_writer, _log_exponential, _on_nodes, _over_row_blocks
 from .linear import _left_quadrature, _node_index, assemble_system, \
     neumann_solve, simulate_gamma, y_closed_formula
 from .picard import RegressionBasis, picard_full_freeze
@@ -61,8 +60,9 @@ P_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class WealthParams:
-    """Geometric wealth dynamics: drift b0, volatility s0, jump exposures
-    g0(t, mark) > -1, initial wealth x0 > 0."""
+    """Geometric wealth dynamics: drift b0 and volatility s0 of t, jump
+    exposures g0(t, mark) > -1 (in the forms of `UtilityCoefficients`),
+    initial wealth x0 > 0."""
 
     x0: float
     b0: object = 0.0
@@ -72,9 +72,9 @@ class WealthParams:
     def on_grid(self, grid, levy):
         if not self.x0 > 0:
             raise ConfigError("initial wealth must be positive")
-        b0 = _eval_nodes(self.b0, grid.nodes)
-        s0 = _eval_nodes(self.sigma0, grid.nodes)
-        g0 = _eval_nodes_atoms(self.gamma0, grid.nodes, levy.marks)
+        b0 = _on_nodes(self.b0, "b0", grid.nodes)
+        s0 = _on_nodes(self.sigma0, "sigma0", grid.nodes)
+        g0 = _on_nodes(self.gamma0, "gamma0", grid.nodes, levy.marks)
         _check_jump_tilt(g0, grid.nodes, levy.marks, "gamma0")
         return b0, s0, g0
 
@@ -83,7 +83,10 @@ class WealthParams:
 class UtilityCoefficients:
     """Coefficients of the utility equation: (alpha0, beta0, eta0)
     multiply the pathwise triplet, (alpha1, beta1, eta1) its means;
-    theta is the terminal wealth multiplier (positive, bounded kind)."""
+    theta is the terminal wealth multiplier (positive, bounded kind).
+    Each alpha or beta is a number or a callable of t, each eta a number,
+    one value per atom or a callable of (t, mark); `on_grid` names a
+    coefficient of another form or not finite in a ConfigError."""
 
     alpha0: object = 0.0
     alpha1: object = 0.0
@@ -94,12 +97,12 @@ class UtilityCoefficients:
     theta: Optional[TerminalCondition] = None
 
     def on_grid(self, grid, levy):
-        a0 = _eval_nodes(self.alpha0, grid.nodes)
-        a1 = _eval_nodes(self.alpha1, grid.nodes)
-        b0 = _eval_nodes(self.beta0, grid.nodes)
-        b1 = _eval_nodes(self.beta1, grid.nodes)
-        e0 = _eval_nodes_atoms(self.eta0, grid.nodes, levy.marks)
-        e1 = _eval_nodes_atoms(self.eta1, grid.nodes, levy.marks)
+        a0 = _on_nodes(self.alpha0, "alpha0", grid.nodes)
+        a1 = _on_nodes(self.alpha1, "alpha1", grid.nodes)
+        b0 = _on_nodes(self.beta0, "beta0", grid.nodes)
+        b1 = _on_nodes(self.beta1, "beta1", grid.nodes)
+        e0 = _on_nodes(self.eta0, "eta0", grid.nodes, levy.marks)
+        e1 = _on_nodes(self.eta1, "eta1", grid.nodes, levy.marks)
         _check_jump_tilt(e0, grid.nodes, levy.marks, "eta0")
         if np.any(e1 < -1.0):
             raise ConfigError("utility jump coefficient eta1 must be >= -1")
@@ -116,8 +119,8 @@ class ControlProcess:
 
     @staticmethod
     def from_constant(c: float, grid) -> "ControlProcess":
-        if c < 0:
-            raise ConfigError("consumption rate must be nonnegative")
+        if not 0.0 <= c < math.inf:
+            raise ConfigError("consumption rate must be nonnegative, finite")
         return ControlProcess(np.full(grid.steps + 1, float(c)), True)
 
     def paths(self, n: int) -> np.ndarray:
@@ -201,7 +204,6 @@ class AdjointState:
     p: np.ndarray             # (n, M+1)
     lam: np.ndarray           # (n, M+1)
     mean_lam: np.ndarray      # (M+1,) analytic exp(int (a0+a1))
-    pi_hat: Optional[np.ndarray] = None
     floor_hits: int = 0
 
 
@@ -285,7 +287,6 @@ def optimal_pi(adj: AdjointState) -> ControlProcess:
             f"adjoint lambda <= 0 gives a non-positive rate on {bad} "
             "node values", stacklevel=2,
         )
-    adj.pi_hat = pi
     det = bool(np.all(pi == pi[0]))
     return ControlProcess(pi[0].copy() if det else pi, det)
 
@@ -361,8 +362,9 @@ def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
             "mean coupling of Z or K with an adapted consumption rate is "
             "outside the closed-form route; use the Picard solver"
         )
-    if np.any(pi.values <= 0.0):
-        raise DomainError("evaluate_j needs a strictly positive rate")
+    # min and max propagate nan
+    if not (pi.values.min() > 0.0 and pi.values.max() < math.inf):
+        raise DomainError("evaluate_j needs a strictly positive finite rate")
     gamma_path, x_t = _log_wealth(wp, pi, ens, log_rate=True)
 
     coeffs = _utility_linear_coeffs(uc)

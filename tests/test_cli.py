@@ -95,6 +95,10 @@ RUN_CASES = [
                  + "[control]\noptimal = true\n[utility_coeffs]\n",
                  "utility_coeffs.beta1", "0.1",
                  id="utility_coeffs.beta1-optimal"),
+    pytest.param("utility", UTILITY_SECTIONS + "[levy]\natoms = 1.0:0.5\n"
+                 "[control]\noptimal = true\n[utility_coeffs]\n",
+                 "utility_coeffs.eta1", "0.1",
+                 id="utility_coeffs.eta1-optimal"),
 ]
 
 

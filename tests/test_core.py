@@ -24,7 +24,9 @@ from mfbsde import (
     mean_yzk,
     mean_yzk_avg,
     poly_of_jump_linear,
+    simulate_ensemble,
     smooth_of_brownian,
+    solve_linear_y0,
     terminal_value,
 )
 from mfbsde.core import probe_driver, probe_mean_functional
@@ -309,3 +311,36 @@ class TestWealthTerminalGuards:
         with pytest.raises(CapabilityError, match="constant or"):
             wealth_linear(jump_linear(1.0), np.ones((1, 2)), np.zeros(2),
                           np.zeros((2, 1)))
+
+
+class TestCoefficientForms:
+    """One value per atom is the callable of (t, mark) that takes each
+    atom's value at its mark."""
+
+    @staticmethod
+    def by_mark(t, z):
+        return {1.0: 0.1, -0.5: 0.2}[z]     # levy2's marks
+
+    @pytest.mark.parametrize("per_atom", [
+        [0.1, 0.2], (0.1, 0.2), np.array([0.1, 0.2])],
+        ids=["list", "tuple", "array"])
+    def test_per_atom_eta_is_the_callable(self, grid50, levy2, per_atom):
+        got = LinearCoefficients(eta1=per_atom, eta2=per_atom).on_grid(
+            grid50, levy2)
+        want = LinearCoefficients(eta1=self.by_mark,
+                                  eta2=self.by_mark).on_grid(grid50, levy2)
+        for name in ("e1", "e2"):
+            assert getattr(got, name).shape == (51, 2)
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes()
+
+    def test_per_atom_runs_are_the_callable_runs(self, grid50, levy2):
+        ens = simulate_ensemble(grid50, levy2, 500, seed=12)
+        runs = []
+        for eta in ((0.1, 0.2), self.by_mark):
+            c = LinearCoefficients(alpha1=0.1, alpha2=0.2, eta1=eta,
+                                   eta2=eta, terminal=jump_linear(eta))
+            y0, se, v = solve_linear_y0(c, ens)
+            runs.append([np.array([y0, se]).tobytes(), v.stack().tobytes(),
+                         terminal_value(c.terminal, ens).tobytes()])
+        assert runs[0] == runs[1]

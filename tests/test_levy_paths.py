@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from mfbsde import (
+    ComparisonScenario,
     ConfigError,
     ControlProcess,
     DomainError,
+    DriverSpec,
     LevyMeasure,
     LinearCoefficients,
     RegressionBasis,
@@ -17,10 +19,13 @@ from mfbsde import (
     adjoint_lambda,
     build_grid,
     constant,
+    derivative_terms,
     evaluate_j,
     girsanov_density,
+    jump_linear,
     mean_yzk,
     picard_full_freeze,
+    q_special_solve,
     shift_to_q,
     simulate_ensemble,
     simulate_gamma,
@@ -28,6 +33,8 @@ from mfbsde import (
     smooth_of_brownian,
     solve_adjoints,
     solve_linear_y0,
+    terminal_value,
+    verify_hypotheses,
 )
 from mfbsde import levy_paths
 from mfbsde.levy_paths import _PASS_ROWS, _log_exponential
@@ -402,4 +409,63 @@ def test_jump_tilt_domain_error(grid50, levy2, name, call):
     with pytest.raises(DomainError,
                        match=rf"^{name} must exceed -1; violated at "
                              r"t=0\.5, mark=-0\.5$"):
+        call(ens)
+
+
+_NAN = float("nan")
+_ZERO_DRIVER = DriverSpec(lambda t, y, z, k, mu: np.zeros_like(y), 0.0, 1)
+
+
+def _inf_from_half(t):
+    return math.inf if t >= 0.5 else 0.1
+
+
+@pytest.mark.parametrize("name,message,call", [
+    ("alpha1", "not finite at t=0$", lambda ens: q_special_solve(
+        _NAN, 0.0, 0.0, 0.0, 0.0, constant(1.0), ens)),
+    ("gamma", "not finite at t=0.5", lambda ens: q_special_solve(
+        0.0, 0.0, 0.0, 0.0, _inf_from_half, constant(1.0), ens)),
+    ("eta1", "not finite at t=0$", lambda ens: girsanov_density(
+        ens, 0.0, _NAN)),
+    ("beta1", "not finite at t=0$", lambda ens: shift_to_q(ens, _NAN, 0.0)),
+    ("alpha0", "not finite at t=0$", lambda ens: evaluate_j(
+        WealthParams(x0=1.0),
+        UtilityCoefficients(alpha0=_NAN, theta=constant(1.0)),
+        ControlProcess.from_constant(0.1, ens.grid), ens)),
+    ("b0", "not finite at t=0$", lambda ens: simulate_wealth(
+        WealthParams(x0=1.0, b0=_NAN),
+        ControlProcess.from_constant(0.1, ens.grid), ens)),
+    ("sigma0", "not finite at t=0.5", lambda ens: simulate_wealth(
+        WealthParams(x0=1.0, sigma0=_inf_from_half),
+        ControlProcess.from_constant(0.1, ens.grid), ens)),
+    ("eta2", "not finite at t=0$", lambda ens: simulate_gamma(
+        LinearCoefficients(eta2=(0.1, _NAN)), ens)),
+    ("eta1", r"must be a number, 2 per-atom values or a callable, got "
+     r"\(3,\)$", lambda ens: simulate_gamma(
+         LinearCoefficients(eta1=[0.1, 0.2, 0.3]), ens)),
+    ("alpha1", r"must be a number or a callable of t, got \(2,\)$",
+     lambda ens: simulate_gamma(LinearCoefficients(alpha1=[0.1, 0.2]), ens)),
+    ("gamma0", r"got \(1,\)$", lambda ens: simulate_wealth(
+        WealthParams(x0=1.0, gamma0=(0.1,)),
+        ControlProcess.from_constant(0.1, ens.grid), ens)),
+    ("psi", r"got \(3,\)$", lambda ens: terminal_value(
+        jump_linear([1.0, 2.0, 3.0]), ens)),
+    ("psi", r"got \(3,\)$", lambda ens: derivative_terms(
+        jump_linear([1.0, 2.0, 3.0]), ens)),
+    ("eta_bound", r"got \(3,\)$", lambda ens: verify_hypotheses(
+        ComparisonScenario(_ZERO_DRIVER, _ZERO_DRIVER, constant(1.0),
+                           constant(0.0), eta_bound=[0.1, 0.2, 0.3]),
+        ens, n_probes=10)),
+], ids=["q_special_solve", "q_special_solve-callable", "girsanov_density",
+        "shift_to_q", "evaluate_j", "simulate_wealth",
+        "simulate_wealth-callable", "per-atom-nan", "per-atom-length",
+        "time-sequence", "gamma0-length", "terminal_value",
+        "derivative_terms", "verify_hypotheses"])
+def test_coefficient_named_in_config_error(grid50, levy2, name, message,
+                                           call):
+    """Each coefficient reaches the grid through one evaluator, which
+    names it, in the user's terms, for a value that is not finite or a
+    form it does not take."""
+    ens = simulate_ensemble(grid50, levy2, 50, seed=3)
+    with pytest.raises(ConfigError, match=rf"\b{name}\b.*{message}"):
         call(ens)

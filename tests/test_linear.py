@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -347,6 +348,28 @@ class TestSolves:
         assert norms == [(sys.n_nodes, sys.n_nodes)]
         assert got.v1.tobytes() == want.v1.tobytes()
 
+    def test_window_search_matches_direct(self, ens_small, monkeypatch):
+        """alpha2 = 3 puts the whole kernel's norm above the target while
+        two-node windows stay below it, so the search bisects to a
+        shorter window; the windowed series still matches the dense
+        solve."""
+        c = LinearCoefficients(alpha1=0.1, alpha2=3.0,
+                               terminal=constant(2.0))
+        system = assemble_system(c, c.terminal, ens_small)
+        lengths = []
+
+        def recorded(m1, w_len):
+            lengths.append(w_len)
+            return window_starts(m1, w_len)
+
+        window_starts = linear_module._window_starts
+        monkeypatch.setattr(linear_module, "_window_starts", recorded)
+        vn = neumann_solve(system)
+        assert lengths[0] == system.n_nodes and lengths[1] == 2
+        assert 2 < lengths[-1] < system.n_nodes    # the solve's windows
+        assert np.abs(vn.stack() - direct_solve(system).stack()).max() \
+            <= 1e-10
+
     def test_infeasible_window_rejected(self, grid50, levy1):
         ens = simulate_ensemble(grid50, levy1, 200, seed=4)
         c = LinearCoefficients(alpha2=60.0, terminal=constant(1.0))
@@ -590,6 +613,23 @@ class TestBlockPasses:
             assemble_system(c, c.terminal, ens_b, gamma=g)
         with pytest.raises(ConfigError, match="gamma"):
             y_closed_formula(c, c.terminal, ens_b, v, gamma=g)
+
+    @pytest.mark.parametrize("other", [
+        dict(alpha1=-3.0), dict(beta1=0.1), dict(eta1=0.1)],
+        ids=["alpha1", "beta1", "eta1"])
+    def test_gamma_of_other_coefficients_rejected(self, ens_small, other):
+        """Both passes reject a propagator of another (alpha1, beta1,
+        eta1); the other coefficients do not enter the propagator."""
+        c = LinearCoefficients(**self.COEFFS, terminal=constant(1.0))
+        v = neumann_solve(assemble_system(c, c.terminal, ens_small))
+        g = simulate_gamma(replace(c, **other), ens_small)
+        with pytest.raises(ConfigError, match="other coefficients"):
+            assemble_system(c, c.terminal, ens_small, gamma=g)
+        with pytest.raises(ConfigError, match="other coefficients"):
+            y_closed_formula(c, c.terminal, ens_small, v, gamma=g)
+        g = simulate_gamma(replace(c, alpha2=0.5, gamma=1.0), ens_small)
+        assert y_closed_formula(c, c.terminal, ens_small, v, gamma=g)[:2] \
+            == y_closed_formula(c, c.terminal, ens_small, v)[:2]
 
     def test_gamma_path_shape_checked(self, levy1):
         """Both passes reject a running cost of the wrong shape with the

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,33 @@ class TestEvaluateJ:
         pi = ControlProcess.from_constant(0.0, ens_small.grid)
         with pytest.raises(DomainError, match="positive"):
             evaluate_j(wp, uc, pi, ens_small)
+
+    @pytest.mark.parametrize("case", ["nan-constant", "inf-node",
+                                      "nan-adapted"])
+    def test_non_finite_rate_rejected(self, ens_small, case):
+        """A rate that is not finite fails as a non-positive one does,
+        before numpy warns about anything."""
+        n, m1 = ens_small.n_paths, ens_small.grid.steps + 1
+        if case == "nan-constant":
+            pi = ControlProcess(np.full(m1, np.nan), True)
+        elif case == "inf-node":
+            pi = ControlProcess(np.full(m1, 0.1), True)
+            pi.values[7] = np.inf
+        else:
+            pi = ControlProcess(np.full((n, m1), 0.1, order="F"), False)
+            pi.values[3, 7] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match="strictly positive finite rate"):
+                evaluate_j(WealthParams(x0=1.0),
+                           UtilityCoefficients(theta=constant(1.0)), pi,
+                           ens_small)
+
+    @pytest.mark.parametrize("c", [-0.1, np.nan, np.inf])
+    def test_constant_rate_nonnegative_and_finite(self, grid50, c):
+        with pytest.raises(ConfigError, match="nonnegative, finite"):
+            ControlProcess.from_constant(c, grid50)
 
     def test_rate_layout_changes_no_byte(self, ens_small, basis):
         """A C-ordered copy of an adapted rate gives the same bytes as the
