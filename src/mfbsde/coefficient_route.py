@@ -4,7 +4,8 @@ Every Picard iterate below the terminal node is a regression fit X_i b_i
 (Gobet, Lemor & Warin, Ann. Appl. Probab. 2005), so `picard` runs every
 full freeze and the inner loop of every mean freeze on the node
 coefficients.  The set-up of an (ensemble, basis) pair, `_Regressions`,
-holds every node moment that does not depend on the scenario, and
+holds every node moment that does not depend on the scenario, with
+exact Z and K maps for the built-in basis under P, and
 `CoefficientRoute` adds the terminal and a pathwise driver source.  A
 driver with an affine form (`core.DriverForm`) and a mean functional
 with a linear form (`core.MeanForm`) are linear maps of the
@@ -17,6 +18,7 @@ are each written on their first read.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Optional
 
 import numpy as np
@@ -40,15 +42,22 @@ class _Regressions:
     moment that does not depend on the scenario.
 
     One backward pass builds each design X_i, i < M, once, and the
-    product [X_i | X_i dB]' [X_{i+1} | X_i] with its jump blocks
-    (`jump_products`).  Node M has no design: every iterate holds
-    Y_M = xi, which the route adds.  Kept, stacked over i < M: the Grams
-    G_i (gn = G_i / n, column means xbar), the Cholesky factors `chol`
-    of the ridge normal matrices S_i, and sg = S_i^-1 G_i, a = A_i =
-    S_i^-1 X_i'X_{i+1}, h = H_ic = S_i^-1 X_i' diag(dM_c) X_i for the
-    martingale increments dM_c (dB, then dNtilde_j) and e = E_ic =
-    (S_i^-1 X_i' diag(dM_c) X_{i+1} - H_ic A_i) / scale_ic, with
-    A_{M-1} = E_{M-1} = 0.
+    product X_i'[X_{i+1} | X_i].  Node M has no design: every iterate
+    holds Y_M = xi, which the route adds.  Kept, stacked over i < M: the
+    Grams G_i (gn = G_i / n, column means xbar), the Cholesky factors
+    `chol` of the ridge normal matrices S_i, sg = S_i^-1 G_i and the Y
+    map a = A_i = S_i^-1 X_i'X_{i+1}, with A_{M-1} = 0.
+
+    The Z and K maps e = E_ic take the coefficients of Y_{i+1} to those
+    of E[dM_c Y_{i+1} | F_i] / scale_ic for the martingale increments
+    dM_c (dB, then dNtilde_j) and scale_ic (dt, then the compensator),
+    with E_{M-1} = 0: the route fills node M-1 from xi.  On a P ensemble
+    and a basis without extras they are exact (`exact_maps`).  Otherwise
+    (extras, or a `shift_to_q` ensemble) they are the regression
+        E_ic = (S_i^-1 X_i' diag(dM_c) X_{i+1} - H_ic A_i) / scale_ic,
+    H_ic = S_i^-1 X_i' diag(dM_c) X_i, whose dB and jump blocks
+    (`jump_products`) the same pass builds at every node.  Either way h
+    holds H_{M-1,c}, which the route's xi column reads.
     `ridge_max` and `cond_max` are the largest ridge and cond(G_i) after
     node 0, on the columns that vary at the node.
     """
@@ -72,24 +81,32 @@ class _Regressions:
         if n <= p:
             raise ConfigError(
                 f"need more paths ({n}) than basis functions ({p})")
+        exact = ens.measure == "P" and not self.extra
         self._xbuf = np.empty((n, p), order="F")
         # columns: [X_{i+1} | X_i | X_i dB], with zeros for X_M: Y_M = xi
         # is the route's, so A_{M-1} and E_{M-1} are zeros nothing reads
         buf = np.zeros((n, 3 * p), order="F")
         db = np.empty(n)
         bn = ens.brownian_nodes
-        prod = np.empty((m, 2 + nj, p, 2 * p))
+        prod = np.empty((m, p, 2 * p))
+        # X_i' diag(dM_c) [X_{i+1} | X_i]: at every node for the
+        # regression maps, at node M-1 alone (for h) for the exact ones;
+        # node i is row i - m from the end
+        mart = np.empty((1 if exact else m, 1 + nj, p, 2 * p))
         for i in reversed(range(m)):
             buf[:, :p] = buf[:, p:2 * p]
             x = self.design(i, out=buf[:, p:2 * p])
+            if exact and i < m - 1:
+                np.matmul(x.T, buf[:, :2 * p], out=prod[i])
+                continue
             np.subtract(bn[:, i + 1], bn[:, i], out=db)
             db += self.shift[i, 0]
             np.multiply(x, db[:, None], out=buf[:, 2 * p:])
-            prod[i, :2] = (buf[:, p:].T @ buf[:, :2 * p]).reshape(
-                2, p, 2 * p)
-            prod[i, 2:] = self.jump_products(i, x, buf[:, :2 * p],
-                                             prod[i, 0])
-        self.gram = gram = prod[:, 0, :, p:]
+            both = buf[:, p:].T @ buf[:, :2 * p]
+            prod[i], mart[i - m, 0] = both[:p], both[p:]
+            mart[i - m, 1:] = self.jump_products(i, x, buf[:, :2 * p],
+                                                 prod[i])
+        self.gram = gram = prod[:, :, p:]
         self.gn = gram / n
         self.xbar = gram[:, 0, :] / n
 
@@ -118,16 +135,44 @@ class _Regressions:
                 gram[1:][np.ix_((keep[1:] == k).all(axis=1), k, k)]).max())
              for k in np.unique(keep[1:], axis=0)), default=0.0)
 
-        w = self.solve(prod.transpose(0, 2, 1, 3).reshape(m, p, -1))
-        w = w.reshape(m, p, 2 + nj, 2 * p).transpose(0, 2, 1, 3)
-        self.sg = w[:, 0, :, p:]
-        self.a = w[:, 0, :, :p]
-        self.h = w[:, 1:, :, p:]
+        w = self.solve(prod)
+        self.sg, self.a = w[:, :, p:], w[:, :, :p]
+        k = mart.shape[0]
+        w = self.solve(mart.transpose(0, 2, 1, 3).reshape(k, p, -1),
+                       slice(m - k, m))
+        w = w.reshape(k, p, 1 + nj, 2 * p).transpose(0, 2, 1, 3)
+        self.h = w[-1, :, :, p:]
         self.scale = np.column_stack([np.full(m, ens.grid.dt),
                                       ens.jump_comp])
-        self.e = (w[:, 1:, :, :p]
-                  - np.einsum("icpq,iqr->icpr", self.h, self.a)) \
-            / self.scale[:, :, None, None]
+        if exact:
+            self.e = np.zeros((m, 1 + nj, p, p))
+            self.e[:-1] = self.exact_maps()
+        else:
+            self.e = (w[:, :, :, :p]
+                      - np.einsum("icpq,iqr->icpr", w[:, :, :, p:], self.a)) \
+                / self.scale[:, :, None, None]
+
+    def exact_maps(self) -> np.ndarray:
+        """The Z and K maps (1+J, p, p) of the basis without extras under
+        P, the same at every node (regression later with martingale
+        basis functions: Glasserman & Yu, Ann. Appl. Probab. 2004).  With
+        mu_k the moments of N(0, dt),
+            E[dB (B + dB)^q | F_i] / dt = sum_s C(q, s) mu_{q-s+1} / dt B^s,
+        and dNtilde_j is independent of B and of the other atoms with
+        E[dNtilde_j^2] = w_j dt, the compensator."""
+        dt, d, p = self.ens.grid.dt, self.basis.degree, self.n_cols
+        # mu_k for k = 0 .. d+1: mu_odd = 0, mu_2r = (2r-1)!! dt^r
+        mu = np.zeros(d + 2)
+        mu[0] = 1.0
+        for k in range(2, d + 2, 2):
+            mu[k] = mu[k - 2] * (k - 1) * dt
+        e = np.zeros((1 + self.ens.levy.n_atoms, p, p))
+        for q in range(1, d + 1):
+            for s in range(q):
+                e[0, s, q] = math.comb(q, s) * mu[q - s + 1] / dt
+        for j in range(self.n_jump):
+            e[1 + j, 0, 1 + d + j] = 1.0
+        return e
 
     def design(self, i: int, out: Optional[np.ndarray] = None
                ) -> np.ndarray:
@@ -190,9 +235,11 @@ class CoefficientRoute:
     Below node M every iterate is X_i b_i for Y and X_i zk_i for Z and
     K_j; node M holds Y_M = xi with the node M-1 Z and K.  On the set-up
     `reg`, a sweep is the linear map b_i = A_i b_{i+1} + r_i,
-    zk_i = E_i b_{i+1}, from Y_M = xi.  The route adds the scenario, and
+    zk_i = E_i b_{i+1} for i < M-1 (E_i exact or regressed, see
+    `_Regressions`), from Y_M = xi.  The route adds the scenario, and
     reads the paths only for it: xi's column at node M-1, where xi takes
-    the place of X_{i+1} b_{i+1}, and dt/2 S_i^-1 X_i'(s_i + s_{i+1}) in
+    the place of X_{i+1} b_{i+1} and Z and K are regressions through
+    the set-up's H_{M-1}, and dt/2 S_i^-1 X_i'(s_i + s_{i+1}) in
     r_i for a pathwise source s.  With an affine form the frozen driver
     at node i < M is X_i phi_i, so r_i = dt/2 S_i^-1 X_i'(f_i + f_{i+1})
     comes from S^-1 G_i and A_i; f(t_M) reads xi and the node M-1 Z and
@@ -244,7 +291,7 @@ class CoefficientRoute:
                                         rows[:, :1])[:, :, 0].T
         w = reg.solve(rows, m - 1)
         self.axi = w[:, 0]                           # S^-1 X_{M-1}'xi
-        self.exi = (w[:, 1:].T - reg.h[m - 1] @ self.axi) \
+        self.exi = (w[:, 1:].T - reg.h @ self.axi) \
             / reg.scale[m - 1, :, None]
         # Gram / n of [X_{M-1} | xi] and its column means (the constant
         # column's row), the last one xi's mean

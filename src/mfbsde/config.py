@@ -429,8 +429,8 @@ def parse_config(text: str) -> ScenarioConfig:
     degree = _get_int(cp, errs, "solver", "basis_degree", default=2)
     if degree is not None and not (1 <= degree <= 6):
         errs.add("solver.basis_degree", "must be between 1 and 6")
-    basis = RegressionBasis(degree, _get_bool(cp, errs, "solver",
-                                              "jump_features", default=True))
+    jump_features = _get_bool(cp, errs, "solver", "jump_features",
+                              default=True)
 
     # a stand-in grid lets the mode sections report their own errors
     # when the [grid] ones are already recorded
@@ -439,7 +439,8 @@ def parse_config(text: str) -> ScenarioConfig:
     errs.raise_if_any()
     return ScenarioConfig(
         mode=mode, grid=grid, levy=levy, n_paths=n_paths, seed=seed,
-        tol=tol, max_iter=max_iter, basis=basis, **inputs,
+        tol=tol, max_iter=max_iter,
+        basis=RegressionBasis(degree, jump_features), **inputs,
         raw={s: dict(cp.items(s)) for s in cp.sections()},
     )
 

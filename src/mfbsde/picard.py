@@ -1,8 +1,11 @@
 """Least-squares Monte Carlo Picard solver for mean-field backward
 equations on a grid.
 
-Conditional expectations are ordinary ridge-regularised least squares on
-adapted path features.  The driver is frozen along the previous iterate
+Conditional expectations of Y are ridge-regularised least squares on
+adapted path features.  Those of the Z and K integrands are exact on a
+P ensemble with the built-in features (powers of B and compensated jump
+sums, no extras), whose one-step moments are known, and the same least
+squares otherwise.  The driver is frozen along the previous iterate
 (full freeze), or only its mean channel is frozen while an inner solve
 converges in (Y, Z, K) (mean freeze).  Driver time integrals use the
 trapezoid weights 1/2 (f(t_i) + f(t_{i+1})); the backward recursion and
@@ -16,6 +19,7 @@ the only reader of the answers.
 """
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -48,14 +52,22 @@ __all__ = [
 class RegressionBasis:
     """Adapted path features used to estimate conditional expectations.
 
-    Columns at node i: the constant, powers of B(t_i) up to `degree`,
-    one running compensated jump sum per atom (if `jump_features`), and
-    any extra finite (n, M+1) path arrays such as wealth and log-wealth.
+    Columns at node i: the constant, powers of B(t_i) up to `degree`
+    (an integer from 1 to 6, else a ConfigError), one running
+    compensated jump sum per atom (if `jump_features`), and any extra
+    finite (n, M+1) path arrays such as wealth and log-wealth.
     """
 
     degree: int = 2
     jump_features: bool = True
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        d = self.degree
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral) \
+                or not 1 <= d <= 6:
+            raise ConfigError(
+                f"degree must be an integer from 1 to 6, got {d!r}")
 
 
 @dataclass

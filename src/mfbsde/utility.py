@@ -69,13 +69,15 @@ class WealthParams:
     sigma0: object = 0.0
     gamma0: object = 0.0
 
-    def on_grid(self, grid, levy):
+    def on_grid(self, grid, levy, nodes=slice(None)):
+        """(b0, s0, g0) on the grid nodes, or on `nodes` of them."""
         if not self.x0 > 0:
             raise ConfigError("initial wealth must be positive")
-        b0 = _on_nodes(self.b0, "b0", grid.nodes)
-        s0 = _on_nodes(self.sigma0, "sigma0", grid.nodes)
-        g0 = _on_nodes(self.gamma0, "gamma0", grid.nodes, levy.marks)
-        _check_jump_tilt(g0, grid.nodes, levy.marks, "gamma0")
+        t = grid.nodes[nodes]
+        b0 = _on_nodes(self.b0, "b0", t)
+        s0 = _on_nodes(self.sigma0, "sigma0", t)
+        g0 = _on_nodes(self.gamma0, "gamma0", t, levy.marks)
+        _check_jump_tilt(g0, t, levy.marks, "gamma0")
         return b0, s0, g0
 
 
@@ -96,14 +98,17 @@ class UtilityCoefficients:
     eta1: object = 0.0
     theta: Optional[TerminalCondition] = None
 
-    def on_grid(self, grid, levy):
-        a0 = _on_nodes(self.alpha0, "alpha0", grid.nodes)
-        a1 = _on_nodes(self.alpha1, "alpha1", grid.nodes)
-        b0 = _on_nodes(self.beta0, "beta0", grid.nodes)
-        b1 = _on_nodes(self.beta1, "beta1", grid.nodes)
-        e0 = _on_nodes(self.eta0, "eta0", grid.nodes, levy.marks)
-        e1 = _on_nodes(self.eta1, "eta1", grid.nodes, levy.marks)
-        _check_jump_tilt(e0, grid.nodes, levy.marks, "eta0")
+    def on_grid(self, grid, levy, nodes=slice(None)):
+        """(a0, a1, b0, b1, e0, e1) on the grid nodes, or on `nodes` of
+        them."""
+        t = grid.nodes[nodes]
+        a0 = _on_nodes(self.alpha0, "alpha0", t)
+        a1 = _on_nodes(self.alpha1, "alpha1", t)
+        b0 = _on_nodes(self.beta0, "beta0", t)
+        b1 = _on_nodes(self.beta1, "beta1", t)
+        e0 = _on_nodes(self.eta0, "eta0", t, levy.marks)
+        e1 = _on_nodes(self.eta1, "eta1", t, levy.marks)
+        _check_jump_tilt(e0, t, levy.marks, "eta0")
         if np.any(e1 < -1.0):
             raise ConfigError("utility jump coefficient eta1 must be >= -1")
         return a0, a1, b0, b1, e0, e1
@@ -302,20 +307,22 @@ def hamiltonian(t, x, y, z, k, ybar, zbar, kbar, pi, p, q, r, lam,
     """
     if pi <= 0 or x <= 0:
         raise DomainError("hamiltonian needs pi > 0 and x > 0")
-    b0, s0, g0 = wp.on_grid(grid, levy)
-    a0, a1, b0u, b1u, e0, e1 = uc.on_grid(grid, levy)
     i = _node_index(grid, t, "t", "hamiltonian")
+    # each coefficient evaluated at node i only: one-row arrays
+    (b0,), (s0,), (g0,) = wp.on_grid(grid, levy, [i])
+    (a0,), (a1,), (b0u,), (b1u,), (e0,), (e1,) = \
+        uc.on_grid(grid, levy, [i])
     w = levy.weights
     k = np.asarray(k, dtype=float)
     kbar = np.asarray(kbar, dtype=float)
     r = np.asarray(r, dtype=float)
-    out = (b0[i] - pi) * x * p + s0[i] * x * q
+    out = (b0 - pi) * x * p + s0 * x * q
     if levy.n_atoms:
-        out += float((g0[i] * x * r * w).sum())
-    util = a0[i] * y + a1[i] * ybar + b0u[i] * z + b1u[i] * zbar \
+        out += float((g0 * x * r * w).sum())
+    util = a0 * y + a1 * ybar + b0u * z + b1u * zbar \
         + math.log(pi) + math.log(x)
     if levy.n_atoms:
-        util += float(((e0[i] * k + e1[i] * kbar) * w).sum())
+        util += float(((e0 * k + e1 * kbar) * w).sum())
     return float(out + lam * util)
 
 

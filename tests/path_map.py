@@ -88,6 +88,11 @@ def solve_inner(f_hat: np.ndarray, tc: TerminalCondition, ens: PathEnsemble,
     are differences of the node arrays; their compensation s = -(drift,
     compensator) under the ensemble's own measure is applied to the
     coefficients: S^-1 X'(Y_{i+1} (d + s)) = S^-1 X'(Y_{i+1} d) + s b.
+
+    On a P ensemble with a basis without extras, Z_i and K_i below node
+    M-1 take the set-up's exact maps instead, E_i b_{i+1} for the
+    coefficients b_{i+1} of the fit that wrote Y_{i+1}; node M-1, where
+    Y_M is the terminal, keeps the regressions.
     """
     reg = _reg if _reg is not None else _PathRegressions(ens, basis)
     n, m, j = ens.n_paths, ens.grid.steps, ens.levy.n_atoms
@@ -103,6 +108,8 @@ def solve_inner(f_hat: np.ndarray, tc: TerminalCondition, ens: PathEnsemble,
     scale = np.column_stack([np.full(m, dt), ens.jump_comp])
     pay = np.empty((n, 3 + j), order="F")
     coef = np.empty((reg.n_cols, 2 + j))
+    # the exact Z and K maps of a P ensemble and a basis without extras
+    exact = ens.measure == "P" and not basis.extras
     for i in reversed(range(m)):
         ynext = y[:, i + 1]
         np.multiply(f_hat[:, i], dt, out=pay[:, 0])
@@ -112,11 +119,15 @@ def solve_inner(f_hat: np.ndarray, tc: TerminalCondition, ens: PathEnsemble,
         pay[:, 2:] *= ynext[:, None]
         x = reg.design(i)
         c = reg.solve(x.T @ pay, i)
+        if exact and i < m - 1:
+            # Y_{i+1} = X_{i+1} b_{i+1}, b_{i+1} the last node's fit
+            coef[:, 1:] = (reg.e[i] @ coef[:, 0]).T
+        else:
+            c[:, 2:] += np.outer(c[:, 1], reg.shift[i])
+            np.subtract(c[:, 2:], (reg.covariation(i, x) @ c[:, 1]).T,
+                        out=coef[:, 1:])
+            coef[:, 1:] /= scale[i]
         coef[:, 0] = c[:, 0]
-        c[:, 2:] += np.outer(c[:, 1], reg.shift[i])
-        np.subtract(c[:, 2:], (reg.covariation(i, x) @ c[:, 1]).T,
-                    out=coef[:, 1:])
-        coef[:, 1:] /= scale[i]
         fitted = x @ coef
         y[:, i] = fitted[:, 0]
         z[:, i] = fitted[:, 1]

@@ -41,6 +41,7 @@ from mfbsde.core import mean_functional_eval, terminal_value
 
 from conftest import mc_se
 from path_map import (
+    _PathRegressions,
     _frozen_driver,
     _mean_channel,
     _path_freeze,
@@ -113,8 +114,9 @@ class TestSolveInner:
 
     def test_z_converges_to_closed_form_derivative(self, grid100, levy1,
                                                    basis):
-        """Mean-square gap between the regression Z and the terminal's
-        (constant) Brownian derivative shrinks as paths grow."""
+        """Mean-square gap between the sweep's Z (the exact maps of the
+        regressed Y coefficients) and the terminal's (constant) Brownian
+        derivative shrinks as paths grow."""
         slope = 1.3
         gaps = []
         for n in (2000, 16000):
@@ -866,3 +868,81 @@ def test_import_leaves_the_coefficient_route_out():
          "print('mfbsde.coefficient_route' in sys.modules)"],
         env=env, check=True, capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# The exact Z and K maps of the built-in basis
+# ---------------------------------------------------------------------------
+
+def _martingale_basis_maps(dt, degree, atoms):
+    """E[dM_c X_{i+1} | F_i] / scale_c on the basis [1, B, .., B^d,
+    Ntilde_1 .. Ntilde_J] under P, written out: C(q, s) mu_{q-s+1} / dt
+    at row B^s, column B^q, for mu_r the r-th moment of N(0, dt), which
+    is (r-1)!! dt^(r/2) for even r and 0 for odd r; and 1 at row
+    "constant", column Ntilde_j, for atom j (E[dNtilde_j^2] = w_j dt)."""
+    p = 1 + degree + atoms
+    e = np.zeros((1 + atoms, p, p))
+    for q in range(degree + 1):
+        for s in range(q + 1):
+            r = q - s + 1
+            if r % 2 == 0:
+                mu = math.prod(range(r - 1, 0, -2)) * dt ** (r // 2)
+                e[0, s, q] = math.comb(q, s) * mu / dt
+    for j in range(atoms):
+        e[1 + j, 0, 1 + degree + j] = 1.0
+    return e
+
+
+@pytest.fixture(scope="module", params=[0, 1, 2],
+                ids=lambda atoms: f"{atoms}atoms")
+def large_p_ensemble(request):
+    """1e5 paths, M = 20, under P, with 0, 1 or 2 atoms."""
+    levy = LevyMeasure.from_atoms([(1.0, 0.8), (-0.5, 0.6)][:request.param])
+    return simulate_ensemble(build_grid(1.0, 20), levy, 100_000,
+                             seed=600 + request.param)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_exact_maps_are_the_regression_limit(large_p_ensemble, degree):
+    """On a P ensemble and a basis without extras the set-up's Z and K
+    maps are exact: e equals the written-out moments to 1e-15 at every
+    node below M-1 and is zero at node M-1, which the route fills from
+    xi.  They are the large-sample limit of the regression they replace:
+    per node i in 1..M-2, the regression estimate
+        (S_i^-1 X_i' diag(dM_c) X_{i+1} - H_ic A_i) / scale_ic,
+    with H_ic from the path oracle's `covariation`, averages over the
+    nodes to within 5 standard errors of e, the standard error being the
+    node-to-node spread over sqrt(M-2) (at most 2.5 on these seeds).  A
+    wrong binomial index (degree 2 and up), moment or 1/dt or
+    1/(w_j dt) scale moves some entry by 20 or more of them."""
+    ens = large_p_ensemble
+    atoms = ens.levy.n_atoms
+    reg = _PathRegressions(ens, RegressionBasis(degree))
+    m, dt = ens.grid.steps, ens.grid.dt
+    want = _martingale_basis_maps(dt, degree, atoms)
+    assert reg.e.shape == (m,) + want.shape
+    assert np.abs(reg.e[:-1] - want).max() <= 1e-15
+    assert not reg.e[-1].any()
+
+    est = []
+    for i in range(1, m - 1):
+        x = reg.design(i).copy()
+        xn = reg.design(i + 1)
+        dm = ens.increments(i) + reg.shift[i]
+        raw = np.stack([reg.solve((x * dm[:, c, None]).T @ xn, i)
+                        for c in range(1 + atoms)])
+        est.append((raw - reg.covariation(i, x) @ reg.a[i])
+                   / reg.scale[i][:, None, None])
+    est = np.array(est)
+    gap = np.abs(est.mean(axis=0) - want)
+    se = est.std(axis=0, ddof=1) / math.sqrt(len(est))
+    assert np.all(gap <= 5.0 * se + 1e-12)
+
+
+@pytest.mark.parametrize("degree", [0, -1, 2.5, 7])
+def test_basis_degree_outside_one_to_six_rejected(degree):
+    """A degree that is not an integer in 1..6 (the range of
+    `solver.basis_degree`) fails with a ConfigError that names degree
+    when the basis is made, before any path is read."""
+    with pytest.raises(ConfigError, match="degree"):
+        RegressionBasis(degree=degree, jump_features=False)

@@ -231,6 +231,76 @@ class TestHamiltonian:
                 h(t)
         assert all(math.isfinite(h(t)) for t in grid.nodes)
 
+    @staticmethod
+    def _counting_coefficients(calls):
+        """The nine wealth and utility coefficients as callables that
+        vary in t (and mark) and count their calls by name."""
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return wrapped
+        wp = WealthParams(
+            x0=1.0, b0=counted("b0", lambda t: 0.05 + 0.01 * t),
+            sigma0=counted("sigma0", lambda t: 0.2 - 0.05 * t),
+            gamma0=counted("gamma0", lambda t, z: 0.1 * z * (1 + t)))
+        uc = UtilityCoefficients(
+            alpha0=counted("alpha0", lambda t: 0.1 * math.cos(t)),
+            alpha1=counted("alpha1", lambda t: 0.03 * t),
+            beta0=counted("beta0", lambda t: 0.1 + t * t),
+            beta1=counted("beta1", lambda t: -0.02 * t),
+            eta0=counted("eta0", lambda t, z: 0.2 * z - 0.1 * t),
+            eta1=counted("eta1", lambda t, z: 0.05 * (z + t)),
+            theta=constant(2.0))
+        return wp, uc
+
+    def test_coefficients_read_at_the_node_only(self, ens_small):
+        """One `hamiltonian` call evaluates each of the nine coefficients
+        at its node alone: one call per coefficient (one atom), however
+        many nodes the grid has.  The value at every node equals the
+        formula on the coefficients evaluated on the whole grid, bit for
+        bit."""
+        calls = {}
+        wp, uc = self._counting_coefficients(calls)
+        grid, levy = ens_small.grid, ens_small.levy
+        assert levy.n_atoms == 1
+        b0, s0, g0 = wp.on_grid(grid, levy)
+        a0, a1, b0u, b1u, e0, e1 = uc.on_grid(grid, levy)
+        x, y, z, k, ybar, zbar, kbar = 1.3, 0.4, 0.1, [0.2], 0.5, 0.15, [0.3]
+        pi, p, q, r, lam = 0.6, 2.0, 0.3, [0.1], 0.8
+        w = levy.weights
+        for i, t in enumerate(grid.nodes):
+            calls.clear()
+            got = hamiltonian(t, x, y, z, k, ybar, zbar, kbar, pi, p, q, r,
+                              lam, wp, uc, grid, levy)
+            assert calls == dict.fromkeys(
+                ["b0", "sigma0", "gamma0", "alpha0", "alpha1", "beta0",
+                 "beta1", "eta0", "eta1"], 1)
+            out = (b0[i] - pi) * x * p + s0[i] * x * q
+            out += float((g0[i] * x * np.asarray(r) * w).sum())
+            util = a0[i] * y + a1[i] * ybar + b0u[i] * z + b1u[i] * zbar \
+                + math.log(pi) + math.log(x)
+            util += float(((e0[i] * np.asarray(k) + e1[i]
+                            * np.asarray(kbar)) * w).sum())
+            assert got == float(out + lam * util)
+
+    def test_domain_checked_at_the_node(self, ens_small):
+        """A jump exposure at or below -1 fails at the node where it is,
+        and only there: the checks run on the node's coefficients."""
+        grid, levy = ens_small.grid, ens_small.levy
+        wp = WealthParams(x0=1.0, gamma0=lambda t, z: -2.0 if t > 0.5
+                          else 0.1)
+        uc = UtilityCoefficients(theta=constant(1.0))
+
+        def h(t):
+            return hamiltonian(t, 1.0, 0.4, 0.1, [0.2], 0.4, 0.1, [0.2],
+                               0.5, 2.0, 0.3, [0.1], 0.8, wp, uc, grid,
+                               levy)
+
+        assert math.isfinite(h(0.5))
+        with pytest.raises(DomainError, match="gamma0"):
+            h(grid.nodes[-1])
+
     def test_domain_guards(self, ens_small):
         wp = WealthParams(x0=1.0)
         uc = UtilityCoefficients(theta=constant(1.0))
