@@ -140,11 +140,7 @@ def _poly_eval(coeffs, x):
 
 
 def _poly_deriv(coeffs, x):
-    out = np.zeros_like(x, dtype=float) if isinstance(x, np.ndarray) else 0.0
-    for p, c in enumerate(coeffs):
-        if p >= 1:
-            out = out + p * c * x ** (p - 1)
-    return out
+    return _poly_eval([p * c for p, c in enumerate(coeffs)][1:], x)
 
 
 def terminal_value(tc: TerminalCondition, ens: PathEnsemble) -> np.ndarray:

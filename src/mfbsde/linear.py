@@ -94,23 +94,26 @@ class GammaEnsemble:
     """
 
     ens: PathEnsemble
-    a1: np.ndarray          # (M+1,) coefficients on the grid nodes
-    b1: np.ndarray          # (M+1,)
-    e1: np.ndarray          # (M+1, J)
-    a1_cum: np.ndarray      # (M+1,) cumulative dt-quadrature of a1
+    coeffs: LinearCoefficients
+    cg: CoefficientGrid     # every coefficient of `coeffs` on the grid
+
+    @property
+    def a1_cum(self) -> np.ndarray:
+        """(M+1,) cumulative dt-quadrature of a1."""
+        return _left_quadrature(self.cg.a1, self.ens.grid.dt)
 
     def log_block(self, rows: slice, out: Optional[np.ndarray] = None
                   ) -> np.ndarray:
         """L on the paths `rows`, node-major (M+1, k)."""
-        return _log_exponential(self.ens, self.a1[:-1], self.b1[:-1],
-                                self.e1[:-1], rows, out)
+        return _log_exponential(self.ens, self.cg.a1[:-1], self.cg.b1[:-1],
+                                self.cg.e1[:-1], rows, out)
 
     def writer(self):
         """write(rows, level, scratch): L on the paths `rows` into the
         node-major (M+1, k) `level`, with (M, k) `scratch`, for a pass
         on the block workers."""
-        return _exponent_writer(self.ens, self.a1[:-1], self.b1[:-1],
-                                self.e1[:-1])
+        return _exponent_writer(self.ens, self.cg.a1[:-1], self.cg.b1[:-1],
+                                self.cg.e1[:-1])
 
     def log_levels(self) -> np.ndarray:
         """The whole exponent L, shape (n, M+1), L[:, 0] = 0."""
@@ -126,24 +129,17 @@ class GammaEnsemble:
             write(rows, lv, scratch[1:])
             np.exp(lv[l] - lv[i], out=out[rows])
 
-        _over_row_blocks(range(self.ens.n_paths), (2, self.a1.size), work)
+        _over_row_blocks(range(self.ens.n_paths), (2, self.cg.a1.size), work)
         return out
 
 
 def simulate_gamma(coeffs: LinearCoefficients, ens: PathEnsemble
                    ) -> GammaEnsemble:
     """The propagator: the stochastic exponential of (a1, b1, e1) on the
-    ensemble, evaluated path block by path block where it is read."""
+    ensemble, read path block by path block; one evaluation of `coeffs`."""
     cg = coeffs.on_grid(ens.grid, ens.levy)
-    return _simulate_gamma_grid(cg, ens)
-
-
-def _simulate_gamma_grid(cg: CoefficientGrid, ens: PathEnsemble
-                         ) -> GammaEnsemble:
-    grid, levy = ens.grid, ens.levy
-    _check_jump_tilt(cg.e1, grid.nodes, levy.marks, "eta1")
-    return GammaEnsemble(ens=ens, a1=cg.a1, b1=cg.b1, e1=cg.e1,
-                         a1_cum=_left_quadrature(cg.a1, grid.dt))
+    _check_jump_tilt(cg.e1, ens.grid.nodes, ens.levy.marks, "eta1")
+    return GammaEnsemble(ens, coeffs, cg)
 
 
 def _node_index(grid, t: float, name: str, caller: str) -> int:
@@ -208,13 +204,6 @@ class VolterraSystem:
     n_nodes: int
 
 
-def _mc_mean_se(samples: np.ndarray):
-    n = samples.shape[0]
-    se = samples.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else \
-        np.zeros(samples.shape[1:])
-    return samples.mean(axis=0), se
-
-
 def _merge_moments(sizes: np.ndarray, sums: np.ndarray, m2: np.ndarray):
     """Per-node mean and standard error from the (blocks, M+1) slots of
     per-block sums and centred sums of squares over `sizes` paths each,
@@ -247,24 +236,28 @@ def _reverse_trapezoid(v: np.ndarray, tmp: np.ndarray) -> None:
 
 
 def _propagator_inputs(gamma: Optional[GammaEnsemble], gamma_path,
-                       cg: CoefficientGrid, ens: PathEnsemble):
-    """The propagator on ens, simulated when not given, and the pathwise
-    running cost as floats or None; ConfigError for a propagator of
-    another ensemble or of other (a1, b1, e1), or a running cost of the
-    wrong shape."""
+                       coeffs: LinearCoefficients, ens: PathEnsemble,
+                       v: Optional[MeanVector] = None):
+    """The propagator `simulate_gamma(coeffs, ens)`, given or simulated,
+    and the pathwise running cost as floats or None; ConfigError for any
+    other propagator, or for a gamma_path or `v` of another shape."""
     if gamma is None:
-        gamma = _simulate_gamma_grid(cg, ens)
-    elif gamma.ens is not ens or not all(
-            np.array_equal(getattr(gamma, c), getattr(cg, c))
-            for c in ("a1", "b1", "e1")):
+        gamma = simulate_gamma(coeffs, ens)
+    elif gamma.ens is not ens or gamma.coeffs is not coeffs:
         raise ConfigError(
             "gamma was simulated on another ensemble or from other "
             "coefficients; pass the propagator of this equation"
         )
+    m1 = ens.grid.steps + 1
+    shapes = [(m1,), (m1,), (m1, ens.levy.n_atoms)]
+    if v is not None and (v.grid != ens.grid or shapes != [
+            a.shape for a in (v.v1, v.v2, v.v3)]):
+        raise ConfigError(f"v must hold the means of this grid and atom "
+                          f"count, of shapes {shapes}")
     if gamma_path is None:
         return gamma, None
     gp = np.asarray(gamma_path, dtype=float)
-    if gp.shape != (ens.n_paths, ens.grid.steps + 1):
+    if gp.shape != (ens.n_paths, m1):
         raise ConfigError("gamma_path must have shape (n_paths, M+1)")
     return gamma, gp
 
@@ -287,6 +280,8 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     in which case the joint pathwise products are averaged and the
     deterministic derivative profiles `gamma_db` (M+1,) and `gamma_dn`
     (M+1, J) supply the last terms (they vanish for deterministic gamma).
+    Every coefficient is read from `gamma`, `simulate_gamma(coeffs,
+    ens)` of these two objects, simulated here when not given.
 
     One pass over chunks of _pass_rows(M+1) paths on the block workers:
     each chunk forms its propagator exponent, exp(-L) and G(., T) in the
@@ -309,12 +304,9 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     grid, levy = ens.grid, ens.levy
     if tc is None:
         raise CapabilityError("assemble_system needs a terminal condition")
-    cg = coeffs.on_grid(grid, levy)
-    gamma, gp = _propagator_inputs(gamma, gamma_path, cg, ens)
-    m1 = grid.steps + 1
-    nj = levy.n_atoms
-    dt = grid.dt
-    n = ens.n_paths
+    gamma, gp = _propagator_inputs(gamma, gamma_path, coeffs, ens)
+    cg = gamma.cg
+    m1, nj, dt, n = grid.steps + 1, levy.n_atoms, grid.dt, ens.n_paths
 
     # source rows as (path factor, node profile) terms: F1's terminal
     # part, then F2 and each F3_j
@@ -539,8 +531,6 @@ def neumann_solve(sys: VolterraSystem,
             else:
                 hi_len = mid
         w_len = lo_len
-        if not feasible(w_len):  # guards non-monotone corner cases
-            w_len = 2
 
     x = np.zeros(m1)
     for lo, hi in _window_starts(m1, w_len):
@@ -570,7 +560,8 @@ def y_closed_formula(coeffs: LinearCoefficients, tc: TerminalCondition,
             + gamma(t_i)} dt], with the pathwise running cost used when
     `gamma_path` is given.  Returns (Y(0), standard error, V1 grid) or,
     with `return_sample`, additionally the per-path sample (useful for
-    paired comparisons across controls on common noise).
+    paired comparisons across controls on common noise).  As in
+    `assemble_system`, every coefficient is read from `gamma`.
 
     The per-path sample is written block by block on the block workers,
     each block recomputing its propagator exponent; the quadrature adds
@@ -579,8 +570,8 @@ def y_closed_formula(coeffs: LinearCoefficients, tc: TerminalCondition,
     the layout of gamma_path.
     """
     grid, levy = ens.grid, ens.levy
-    cg = coeffs.on_grid(grid, levy)
-    gamma, gp = _propagator_inputs(gamma, gamma_path, cg, ens)
+    gamma, gp = _propagator_inputs(gamma, gamma_path, coeffs, ens, v)
+    cg = gamma.cg
     m1 = grid.steps + 1
     w = levy.weights
     h = cg.a2 * v.v1 + cg.b2 * v.v2
@@ -613,10 +604,10 @@ def y_closed_formula(coeffs: LinearCoefficients, tc: TerminalCondition,
         sample[rows] += term.sum(axis=0)
 
     _over_row_blocks(range(ens.n_paths), (2, m1), work)
-    y0, se = _mc_mean_se(sample[:, None])
-    if return_sample:
-        return float(y0[0]), float(se[0]), v.v1, sample
-    return float(y0[0]), float(se[0]), v.v1
+    n = ens.n_paths
+    y0 = float(sample.mean())
+    se = float(sample.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return (y0, se, v.v1, sample) if return_sample else (y0, se, v.v1)
 
 
 def solve_linear_y0(coeffs: LinearCoefficients, ens: PathEnsemble):

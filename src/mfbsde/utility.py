@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    CoefficientGrid,
     LinearCoefficients,
     TerminalCondition,
     mean_functional_eval,
@@ -35,8 +36,8 @@ from .core import (
 from .errors import CapabilityError, ConfigError, DomainError
 from .levy_paths import PathEnsemble, _check_jump_tilt, _cumulate_nodes, \
     _exponent_writer, _log_exponential, _on_nodes, _over_row_blocks
-from .linear import _left_quadrature, _node_index, assemble_system, \
-    neumann_solve, simulate_gamma, y_closed_formula
+from .linear import GammaEnsemble, _left_quadrature, _node_index, \
+    assemble_system, neumann_solve, y_closed_formula
 from .picard import RegressionBasis, picard_full_freeze
 
 __all__ = [
@@ -134,24 +135,24 @@ class ControlProcess:
         return self.values
 
 
-def _log_wealth(wp: WealthParams, pi: ControlProcess, ens: PathEnsemble,
+def _log_wealth(x0: float, wealth, pi: ControlProcess, ens: PathEnsemble,
                 log_rate: bool = False):
     """log X = log x0 + L_w - cumsum(pi dt), shape (n, M+1), node-major,
-    with L_w the exponent of (b0, s0, g0), written row block by row
-    block on the block workers; with `log_rate`, log(pi X) instead.
-    Returns it and the terminal wealth X(T), shape (n,).  An adapted
-    rate is copied node-major block by block, whatever its layout."""
+    with L_w the exponent of `wealth` = (b0, s0, g0) on the grid, written
+    row block by row block on the block workers; with `log_rate`, log(pi
+    X) instead.  Returns it and the terminal wealth X(T), shape (n,).  An
+    adapted rate is copied node-major block by block, whatever its order."""
     grid = ens.grid
-    b0, s0, g0 = wp.on_grid(grid, ens.levy)
+    b0, s0, g0 = wealth
     n, m1 = ens.n_paths, grid.steps + 1
     out = np.empty((n, m1), order="F")
     x_t = np.empty(n)
     adapted = pi.values.ndim == 2
     if adapted:
-        shift = math.log(wp.x0)
+        shift = math.log(x0)
     else:
         spent = _left_quadrature(pi.values, grid.dt)
-        shift = (math.log(wp.x0) - spent)[:, None]
+        shift = (math.log(x0) - spent)[:, None]
         if log_rate:   # a zero rate is a valid wealth input
             log_rate_nodes = np.log(pi.values)[:, None]
 
@@ -180,7 +181,7 @@ def simulate_wealth(wp: WealthParams, pi: ControlProcess, ens: PathEnsemble
                     ) -> np.ndarray:
     """Strictly positive wealth paths X = x0 times the stochastic
     exponential of (b0 - pi, s0, g0)."""
-    logx, _ = _log_wealth(wp, pi, ens)
+    logx, _ = _log_wealth(wp.x0, wp.on_grid(ens.grid, ens.levy), pi, ens)
     return np.exp(logx, out=logx)
 
 
@@ -335,13 +336,31 @@ def dh_dpi(pi, p, lam):
     return -np.asarray(p) + np.asarray(lam) / pi
 
 
-def _utility_linear_coeffs(uc: UtilityCoefficients) -> LinearCoefficients:
-    """The utility equation in linear-engine notation: pathwise
-    coefficients build the propagator, mean coefficients couple."""
-    return LinearCoefficients(
+def _utility_equation(uc: UtilityCoefficients, grid, levy):
+    """The utility equation in linear-engine notation and its grid, from
+    one `uc.on_grid` (errors keep the utility names), with g = 0 as the
+    running cost is pathwise; ConfigError without a terminal theta."""
+    if uc.theta is None:
+        raise ConfigError("utility coefficients need a terminal theta")
+    coeffs = LinearCoefficients(
         alpha1=uc.alpha0, beta1=uc.beta0, eta1=uc.eta0,
         alpha2=uc.alpha1, beta2=uc.beta1, eta2=uc.eta1,
     )
+    a0, a1, b0, b1, e0, e1 = uc.on_grid(grid, levy)
+    return coeffs, CoefficientGrid(a1=a0, b1=b0, e1=e0, a2=a1, b2=b1,
+                                   e2=e1, g=np.zeros(grid.steps + 1))
+
+
+def _check_rate(pi: ControlProcess, ens: PathEnsemble, caller: str) -> None:
+    """ConfigError unless the rate has shape (M+1,) or (n, M+1);
+    DomainError naming `caller` unless it is positive and finite."""
+    shapes = [(ens.grid.steps + 1,), (ens.n_paths, ens.grid.steps + 1)]
+    if pi.values.shape not in shapes:
+        raise ConfigError(f"the consumption rate must have a shape in "
+                          f"{shapes}, got {pi.values.shape}")
+    # min and max propagate nan
+    if not (pi.values.min() > 0.0 and pi.values.max() < math.inf):
+        raise DomainError(f"{caller} needs a strictly positive finite rate")
 
 
 def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
@@ -353,46 +372,38 @@ def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
     block on the block workers, exponentiating only the terminal wealth
     X(T); builds the propagator from (a0, b0, e0), feeds the mean system
     the pathwise running cost (joint expectations with the propagator),
-    and averages the closed formula pathwise.
+    and averages the closed formula pathwise.  Each wealth and utility
+    coefficient is evaluated once.
     Nonzero mean coefficients on Z or K require a deterministic rate.
     Returns (J, standard error, MeanVector), plus the per-path sample
     when `return_sample` is set.
     """
     grid, levy = ens.grid, ens.levy
-    if uc.theta is None:
-        raise ConfigError("utility coefficients need a terminal theta")
     b0, s0, g0 = wp.on_grid(grid, levy)
-    a0, a1, b0u, b1u, e0, e1 = uc.on_grid(grid, levy)
-    need_rows23 = np.any(b1u != 0.0) or np.any(e1 != 0.0)
+    coeffs, cg = _utility_equation(uc, grid, levy)
+    need_rows23 = np.any(cg.b2 != 0.0) or np.any(cg.e2 != 0.0)
     if need_rows23 and not pi.deterministic:
         raise CapabilityError(
             "mean coupling of Z or K with an adapted consumption rate is "
             "outside the closed-form route; use the Picard solver"
         )
-    # min and max propagate nan
-    if not (pi.values.min() > 0.0 and pi.values.max() < math.inf):
-        raise DomainError("evaluate_j needs a strictly positive finite rate")
-    gamma_path, x_t = _log_wealth(wp, pi, ens, log_rate=True)
+    _check_rate(pi, ens, "evaluate_j")
+    gamma_path, x_t = _log_wealth(wp.x0, (b0, s0, g0), pi, ens, log_rate=True)
 
-    coeffs = _utility_linear_coeffs(uc)
     # wealth_linear reads the terminal column only
     tc = wealth_linear(uc.theta, x_t[:, None], s0, g0,
                        pi_is_deterministic=pi.deterministic)
-    gamma = simulate_gamma(coeffs, ens)
+    gamma = GammaEnsemble(ens, coeffs, cg)
     gamma_db = s0 if need_rows23 else None
     gamma_dn = np.log1p(g0) if need_rows23 else None
     sys = assemble_system(coeffs, tc, ens, gamma=gamma,
                           gamma_path=gamma_path, gamma_db=gamma_db,
                           gamma_dn=gamma_dn, derivative_rows=need_rows23)
     v = neumann_solve(sys)
-    out = y_closed_formula(coeffs, tc, ens, v, gamma=gamma,
-                           gamma_path=gamma_path,
-                           return_sample=return_sample)
-    if return_sample:
-        j, se, _, sample = out
-        return j, se, v, sample
-    j, se, _ = out
-    return j, se, v
+    j, se, _, *sample = y_closed_formula(coeffs, tc, ens, v, gamma=gamma,
+                                         gamma_path=gamma_path,
+                                         return_sample=return_sample)
+    return (j, se, v, *sample)
 
 
 def picard_utility_y0(wp: WealthParams, uc: UtilityCoefficients,
@@ -403,15 +414,15 @@ def picard_utility_y0(wp: WealthParams, uc: UtilityCoefficients,
     solver (wealth and log-wealth join the regression features).
     Returns (Y(0), standard error, report)."""
     grid, levy = ens.grid, ens.levy
-    b0g, s0, g0 = wp.on_grid(grid, levy)
-    a0, a1, b0u, b1u, e0, e1 = uc.on_grid(grid, levy)
-    logx, _ = _log_wealth(wp, pi, ens)
+    b0, s0, g0 = wp.on_grid(grid, levy)
+    coeffs, _ = _utility_equation(uc, grid, levy)
+    _check_rate(pi, ens, "picard_utility_y0")
+    logx, _ = _log_wealth(wp.x0, (b0, s0, g0), pi, ens)
     x = np.exp(logx)
     gamma_path = np.add(logx, np.log(pi.values), order="F")
     tc = wealth_linear(uc.theta, x, s0, g0,
                        pi_is_deterministic=pi.deterministic)
 
-    coeffs = _utility_linear_coeffs(uc)
     driver = coeffs.as_driver(grid, levy)
     driver.source = gamma_path
     phi = mean_yzk(levy.n_atoms)

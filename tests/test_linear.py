@@ -619,7 +619,8 @@ class TestBlockPasses:
         ids=["alpha1", "beta1", "eta1"])
     def test_gamma_of_other_coefficients_rejected(self, ens_small, other):
         """Both passes reject a propagator of another (alpha1, beta1,
-        eta1); the other coefficients do not enter the propagator."""
+        eta1), and also one of other mean coefficients or source: the
+        propagator carries every coefficient the passes read."""
         c = LinearCoefficients(**self.COEFFS, terminal=constant(1.0))
         v = neumann_solve(assemble_system(c, c.terminal, ens_small))
         g = simulate_gamma(replace(c, **other), ens_small)
@@ -628,8 +629,8 @@ class TestBlockPasses:
         with pytest.raises(ConfigError, match="other coefficients"):
             y_closed_formula(c, c.terminal, ens_small, v, gamma=g)
         g = simulate_gamma(replace(c, alpha2=0.5, gamma=1.0), ens_small)
-        assert y_closed_formula(c, c.terminal, ens_small, v, gamma=g)[:2] \
-            == y_closed_formula(c, c.terminal, ens_small, v)[:2]
+        with pytest.raises(ConfigError, match="other coefficients"):
+            y_closed_formula(c, c.terminal, ens_small, v, gamma=g)
 
     def test_gamma_path_shape_checked(self, levy1):
         """Both passes reject a running cost of the wrong shape with the
@@ -643,6 +644,71 @@ class TestBlockPasses:
             assemble_system(c, c.terminal, ens, gamma_path=bad)
         with pytest.raises(ConfigError, match=msg):
             y_closed_formula(c, c.terminal, ens, v, gamma_path=bad)
+
+    def test_means_of_another_grid_or_atom_count_rejected(self, levy1,
+                                                          levy2):
+        """The closed formula names `v` in a ConfigError when its means
+        are of another grid or atom count: numpy would raise on another
+        node count and broadcast another atom count silently."""
+        grid = build_grid(1.0, 10)
+        ens = simulate_ensemble(grid, levy1, 500, seed=3)
+        c = LinearCoefficients(eta2=0.3, terminal=jump_linear(1.0))
+        for other in (simulate_ensemble(build_grid(1.0, 20), levy1, 500, 3),
+                      simulate_ensemble(build_grid(2.0, 10), levy1, 500, 3),
+                      simulate_ensemble(grid, levy2, 500, 3)):
+            v = neumann_solve(assemble_system(c, c.terminal, other))
+            with pytest.raises(ConfigError, match="^v must hold the means"):
+                y_closed_formula(c, c.terminal, ens, v)
+        v = neumann_solve(assemble_system(c, c.terminal, ens))
+        assert math.isfinite(y_closed_formula(c, c.terminal, ens, v)[0])
+
+    def test_coefficients_evaluated_once_per_solve(self, ens_small):
+        """solve_linear_y0 calls each coefficient once per node (one
+        atom): assembly and the closed formula read the grid that the
+        propagator carries."""
+        calls = {}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return wrapped
+
+        c = LinearCoefficients(
+            alpha1=counted("alpha1", lambda t: 0.2 + 0.1 * t),
+            alpha2=counted("alpha2", lambda t: 0.1 * math.cos(t)),
+            beta1=counted("beta1", lambda t: 0.3 - 0.1 * t),
+            beta2=counted("beta2", lambda t: 0.15 * t),
+            eta1=counted("eta1", lambda t, z: 0.25 * z + 0.1 * t),
+            eta2=counted("eta2", lambda t, z: 0.2 * z * t),
+            gamma=counted("gamma", lambda t: 0.1 + t),
+            terminal=brownian_linear(0.5, 1.0))
+        assert ens_small.levy.n_atoms == 1
+        solve_linear_y0(c, ens_small)
+        assert calls == dict.fromkeys(
+            ["alpha1", "alpha2", "beta1", "beta2", "eta1", "eta2", "gamma"],
+            ens_small.grid.steps + 1)
+
+    def test_passed_propagator_changes_no_byte(self, ens_small):
+        """Both passes give the same bytes with and without
+        `gamma=simulate_gamma(c, ens)`, the call pattern of the CLI and
+        the benchmark."""
+        c = LinearCoefficients(**self.COEFFS, gamma=0.1,
+                               terminal=smooth_of_brownian([1.0, 0.5, 0.2]))
+        g = simulate_gamma(c, ens_small)
+        given = assemble_system(c, c.terminal, ens_small, gamma=g)
+        own = assemble_system(c, c.terminal, ens_small)
+        for a, b in ((given.kernel, own.kernel), (given.source, own.source),
+                     (given.f.stack(), own.f.stack()),
+                     (given.f_se.stack(), own.f_se.stack())):
+            assert a.tobytes() == b.tobytes()
+        v = neumann_solve(own)
+        y_given = y_closed_formula(c, c.terminal, ens_small, v, gamma=g,
+                                   return_sample=True)
+        y_own = y_closed_formula(c, c.terminal, ens_small, v,
+                                 return_sample=True)
+        assert y_given[:2] == y_own[:2]
+        assert y_given[3].tobytes() == y_own[3].tobytes()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="ru_maxrss is in KiB on Linux only")

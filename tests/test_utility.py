@@ -41,6 +41,10 @@ from mfbsde.linear import MeanVector, assemble_system
 from conftest import mc_se
 
 
+# the two utility routes, by their names in `mfbsde.utility`
+ROUTES = ["evaluate_j", "picard_utility_y0"]
+
+
 def lambda_euler_residual(uc, ens, lam, mean_lam):
     """Mean-square gap at T between the explicit lambda and an Euler
     stepping of its forward equation (an O(dt) consistency check)."""
@@ -284,6 +288,35 @@ class TestHamiltonian:
                             * np.asarray(kbar)) * w).sum())
             assert got == float(out + lam * util)
 
+    def test_evaluate_j_reads_each_coefficient_once(self, ens_small):
+        """One `evaluate_j` call evaluates each of the nine coefficients
+        once per node (one atom): the closed form reads the grid the
+        propagator carries, and the wealth pass the wealth values the
+        route holds."""
+        calls = {}
+        wp, uc = self._counting_coefficients(calls)
+        assert ens_small.levy.n_atoms == 1
+        evaluate_j(wp, uc, ControlProcess.from_constant(0.5, ens_small.grid),
+                   ens_small)
+        assert calls == dict.fromkeys(
+            ["b0", "sigma0", "gamma0", "alpha0", "alpha1", "beta0",
+             "beta1", "eta0", "eta1"], ens_small.grid.steps + 1)
+
+    def test_picard_route_reads_the_wealth_once(self, grid50, levy1):
+        """`picard_utility_y0` evaluates each wealth coefficient once per
+        node; its driver evaluates the utility coefficients once more."""
+        calls = {}
+        wp, uc = self._counting_coefficients(calls)
+        ens = simulate_ensemble(grid50, levy1, 1000, seed=23)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            picard_utility_y0(wp, uc, ControlProcess.from_constant(
+                0.5, grid50), ens, max_iter=2)
+        m1 = grid50.steps + 1
+        assert {k: calls[k] for k in ("b0", "sigma0", "gamma0")} == \
+            dict.fromkeys(["b0", "sigma0", "gamma0"], m1)
+        assert calls["alpha0"] == 2 * m1
+
     def test_domain_checked_at_the_node(self, ens_small):
         """A jump exposure at or below -1 fails at the node where it is,
         and only there: the checks run on the node's coefficients."""
@@ -447,23 +480,27 @@ class TestEvaluateJ:
             evaluate_j(WealthParams(x0=1.0, sigma0=0.2), uc, pihat,
                        ens_small)
 
-    def test_nonpositive_rate_rejected(self, ens_small, monkeypatch):
-        """A bad rate fails before any wealth path is simulated."""
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_nonpositive_rate_rejected(self, ens_small, monkeypatch, route):
+        """On both routes a bad rate fails before any wealth path is
+        formed."""
         def no_paths(*args, **kwargs):
-            raise AssertionError("wealth simulated for a bad rate")
+            raise AssertionError("wealth formed for a bad rate")
 
-        monkeypatch.setattr(utility, "simulate_wealth", no_paths)
+        monkeypatch.setattr(utility, "_log_wealth", no_paths)
         wp = WealthParams(x0=1.0)
         uc = UtilityCoefficients(theta=constant(1.0))
         pi = ControlProcess.from_constant(0.0, ens_small.grid)
-        with pytest.raises(DomainError, match="positive"):
-            evaluate_j(wp, uc, pi, ens_small)
+        with pytest.raises(DomainError, match=f"^{route} needs a strictly "
+                                              "positive finite rate$"):
+            getattr(utility, route)(wp, uc, pi, ens_small)
 
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("case", ["nan-constant", "inf-node",
                                       "nan-adapted"])
-    def test_non_finite_rate_rejected(self, ens_small, case):
-        """A rate that is not finite fails as a non-positive one does,
-        before numpy warns about anything."""
+    def test_non_finite_rate_rejected(self, ens_small, case, route):
+        """On both routes a rate that is not finite fails as a
+        non-positive one does, before numpy warns about anything."""
         n, m1 = ens_small.n_paths, ens_small.grid.steps + 1
         if case == "nan-constant":
             pi = ControlProcess(np.full(m1, np.nan), True)
@@ -477,9 +514,31 @@ class TestEvaluateJ:
             warnings.simplefilter("error")
             with pytest.raises(DomainError,
                                match="strictly positive finite rate"):
-                evaluate_j(WealthParams(x0=1.0),
-                           UtilityCoefficients(theta=constant(1.0)), pi,
-                           ens_small)
+                getattr(utility, route)(
+                    WealthParams(x0=1.0),
+                    UtilityCoefficients(theta=constant(1.0)), pi, ens_small)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("shape", ["M", "n-by-M", "other-n"])
+    def test_rate_shape_checked(self, ens_small, route, shape):
+        """On both routes a rate of neither shape (M+1,) nor (n, M+1) is
+        a ConfigError, not a numpy broadcast error."""
+        n, m1 = ens_small.n_paths, ens_small.grid.steps + 1
+        values = np.full({"M": (m1 - 1,), "n-by-M": (n, m1 - 1),
+                          "other-n": (n + 1, m1)}[shape], 0.1)
+        pi = ControlProcess(values, values.ndim == 1)
+        with pytest.raises(ConfigError, match=r"rate must have a shape in "
+                           rf"\[\({m1},\), \({n}, {m1}\)\]"):
+            getattr(utility, route)(
+                WealthParams(x0=1.0), UtilityCoefficients(theta=constant(1.0)),
+                pi, ens_small)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_theta_required(self, ens_small, route):
+        pi = ControlProcess.from_constant(0.5, ens_small.grid)
+        with pytest.raises(ConfigError, match="need a terminal theta"):
+            getattr(utility, route)(WealthParams(x0=1.0),
+                                    UtilityCoefficients(), pi, ens_small)
 
     @pytest.mark.parametrize("c", [-0.1, np.nan, np.inf])
     def test_constant_rate_nonnegative_and_finite(self, grid50, c):
