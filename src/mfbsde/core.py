@@ -468,6 +468,23 @@ class CoefficientGrid:
     e2: np.ndarray
     g: np.ndarray    # (M+1,)
 
+    def as_driver(self, grid, levy) -> DriverSpec:
+        """The equation of these coefficients as a generic driver on
+        `grid`, for feeding the Picard solver.  The mean channel is
+        (E[Y], E[Z], E[K_j]...)."""
+        nj = levy.n_atoms
+        lip = max(
+            np.abs(self.a1).max() + np.abs(self.a2).max(),
+            np.abs(self.b1).max() + np.abs(self.b2).max(),
+            (np.abs(self.e1).max() + np.abs(self.e2).max())
+            * np.sqrt(max(levy.total_mass, 1.0)) if nj else 0.0,
+        )
+        return affine_driver(
+            grid, nj, 2 + nj, lip, "linear", y=self.a1, z=self.b1,
+            k=self.e1 * levy.weights, const=self.g,
+            mu=np.column_stack([self.a2, self.b2, self.e2 * levy.weights]),
+        )
+
 
 @dataclass(frozen=True)
 class LinearCoefficients:
@@ -507,20 +524,8 @@ class LinearCoefficients:
 
     def as_driver(self, grid, levy) -> DriverSpec:
         """The same equation expressed as a generic driver, for feeding the
-        Picard solver.  The mean channel is (E[Y], E[Z], E[K_j]...)."""
-        cg = self.on_grid(grid, levy)
-        nj = levy.n_atoms
-        lip = max(
-            np.abs(cg.a1).max() + np.abs(cg.a2).max(),
-            np.abs(cg.b1).max() + np.abs(cg.b2).max(),
-            (np.abs(cg.e1).max() + np.abs(cg.e2).max())
-            * np.sqrt(max(levy.total_mass, 1.0)) if nj else 0.0,
-        )
-        return affine_driver(
-            grid, nj, 2 + nj, lip, "linear", y=cg.a1, z=cg.b1,
-            k=cg.e1 * levy.weights, const=cg.g,
-            mu=np.column_stack([cg.a2, cg.b2, cg.e2 * levy.weights]),
-        )
+        Picard solver (`CoefficientGrid.as_driver` of `on_grid`)."""
+        return self.on_grid(grid, levy).as_driver(grid, levy)
 
 
 # ---------------------------------------------------------------------------

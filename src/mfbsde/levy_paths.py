@@ -393,8 +393,8 @@ def _log_exponential(ens: PathEnsemble, drift, vol, jump,
         + sum_j [log(1 + jump_j) dN_j - jump_j w_j dt],
     evaluated exactly on the grid; the jump term is the compensated log
     term plus the (log(1 + jump) - jump) w dt correction, collected over
-    raw counts.  `drift` is a scalar, (M,) or pathwise (n, M), `vol` is
-    (M,) and `jump` is (M, J), all taken at left nodes; jump values must
+    raw counts.  `drift` is a scalar or (M,), `vol` is (M,) and `jump` is
+    (M, J), all deterministic and taken at left nodes; jump values must
     exceed -1.
 
     Summed by parts, the exponent is read off the node levels,
@@ -405,12 +405,11 @@ def _log_exponential(ens: PathEnsemble, drift, vol, jump,
     first node at which vol or jump moves, so up to there a node costs a
     few products of the levels, with no differencing and no running sum;
     from there on the exponent continues step by step.  With
-    time-constant vol and jump the level form covers every node.  A
-    pathwise drift adds its own running sum.  The rows are taken in
-    chunks of _pass_rows(M) on the block workers; each element sees the
-    same operations in the same order whatever the chunk, so a path's
-    exponent does not depend on the rows it is computed with.  `out`,
-    if given, is the (M+1, k) array to write.
+    time-constant vol and jump the level form covers every node.  The
+    rows are taken in chunks of _pass_rows(M) on the block workers; each
+    element sees the same operations in the same order whatever the
+    chunk, so a path's exponent does not depend on the rows it is
+    computed with.  `out`, if given, is the (M+1, k) array to write.
     """
     lo, hi, _ = rows.indices(ens.n_paths)
     write = _exponent_writer(ens, drift, vol, jump)
@@ -434,12 +433,9 @@ def _exponent_writer(ens: PathEnsemble, drift, vol, jump):
     the thread's arena, which raises the peak RSS)."""
     grid, levy = ens.grid, ens.levy
     dt, m = grid.dt, grid.steps
-    drift = np.asarray(drift, dtype=float)
-    pathwise = drift.ndim == 2
     logj = np.log1p(jump)
     det = (-0.5 * vol**2 - (jump * levy.weights).sum(axis=1)) * dt
-    if not pathwise:
-        det += drift * dt
+    det += np.asarray(drift, dtype=float) * dt
     # the level form holds up to the node `first` after which vol or
     # jump moves; from there the exponent runs on in steps
     moved = (np.diff(vol) != 0.0) \
@@ -465,10 +461,6 @@ def _exponent_writer(ens: PathEnsemble, drift, vol, jump):
             scratch[f:] *= logj[f:, a, None]
             level += scratch
         level += det
-        if pathwise:
-            np.multiply(drift[part].T, dt, out=scratch)
-            _cumulate_nodes(scratch[:f])
-            level += scratch
         _cumulate_nodes(level[f - 1:])
 
     return write

@@ -159,12 +159,13 @@ def mean_gamma(coeffs: LinearCoefficients, grid, levy, t: float, s: float
                ) -> float:
     """E[gamma(t, s)] = exp of the grid quadrature of a1 over [t, s], for
     grid times 0 <= t <= s <= T; from the same cumulative quadrature
-    the propagator carries."""
+    the propagator carries, and no coefficient but alpha1 is read."""
     if s < t:
         raise ConfigError("mean_gamma needs t <= s")
     i = _node_index(grid, t, "t", "mean_gamma")
     l = _node_index(grid, s, "s", "mean_gamma")
-    a1_cum = _left_quadrature(coeffs.on_grid(grid, levy).a1, grid.dt)
+    a1_cum = _left_quadrature(_on_nodes(coeffs.alpha1, "alpha1",
+                                        grid.nodes), grid.dt)
     return float(np.exp(a1_cum[l] - a1_cum[i]))
 
 
@@ -296,10 +297,11 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     E[G(0, t_i)^-1 R_i] with R_i = sum_{l>=i} wq_il G(0, t_l) g_l, a
     per-path reverse trapezoid sum: O(nM) work, where the (M+1)^2
     matrix of joint means costs O(nM^2).  The tail int_t^T E[G] ds of
-    the derivative rows is the same sum with g = 1, taken only when
-    such a row reads it.  The quadrature weights of the mean system are
-    built in place in one (M+1)^2 array, which then becomes the kernel,
-    so at most two such arrays are alive at once.
+    the derivative rows has no sampling error: E[G(t_i, t_l)] is the
+    propagator mean exp(a1_cum_l - a1_cum_i), so the tail is a row sum
+    of the quadrature weights of the mean system.  Those are built in
+    place in one (M+1)^2 array, which then becomes the kernel, so at
+    most two such arrays are alive at once.
     """
     grid, levy = ens.grid, ens.levy
     if tc is None:
@@ -318,8 +320,6 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     paths = [np.array([path for path, _ in terms]) for terms in row_terms]
     profs = [np.array([prof for _, prof in terms]) for terms in row_terms]
     live = [r for r, terms in enumerate(row_terms) if terms]
-    tail = gp is not None and derivative_rows and (
-        gamma_db is not None or gamma_dn is not None)
 
     # one slot per _PASS_ROWS paths, as in _over_row_blocks below
     n_slots = -(-n // _PASS_ROWS)
@@ -327,8 +327,8 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
                        n - _PASS_ROWS * np.arange(n_slots)).astype(float)
     sums = np.zeros((len(row_terms), n_slots, m1))
     m2 = np.zeros((len(row_terms), n_slots, m1))
-    # per slot: the pathwise running cost, then the tail if read
-    running = None if gp is None else np.zeros((1 + tail, n_slots, m1))
+    # per slot: the pathwise running cost
+    running = None if gp is None else np.zeros((n_slots, m1))
     write = gamma.writer()
 
     def work(b: int, rows: slice, planes: np.ndarray) -> None:
@@ -367,10 +367,7 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
         v[...] = gp[rows].T   # node-major, whatever the caller's layout
         v *= expl
         _reverse_trapezoid(v, sample)
-        running[0, b] += np.einsum("ij,ij->i", einv, v)
-        if tail:
-            _reverse_trapezoid(expl, sample)
-            running[1, b] += np.einsum("ij,ij->i", einv, expl)
+        running[b] += np.einsum("ij,ij->i", einv, v)
 
     _over_row_blocks(range(n), (2 if gp is None else 4, m1), work)
 
@@ -401,13 +398,12 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     # deterministic or pathwise running-cost contribution
     if gp is not None:
         # the trapezoids' 0.5 dt, and 1/n, applied once after the merge
-        run = running.sum(axis=1) * (0.5 * dt / n)
-        f1 += run[0]
-        if tail:                                 # int E[G] ds
-            if gamma_db is not None:
-                f2 += np.asarray(gamma_db, dtype=float) * run[1]
-            if gamma_dn is not None:
-                f3 += np.asarray(gamma_dn, dtype=float) * run[1][:, None]
+        f1 += running.sum(axis=0) * (0.5 * dt / n)
+        tail = quad.sum(axis=1)          # int_t^T E[G(t, s)] ds, exact
+        if derivative_rows and gamma_db is not None:
+            f2 += np.asarray(gamma_db, dtype=float) * tail
+        if derivative_rows and gamma_dn is not None:
+            f3 += np.asarray(gamma_dn, dtype=float) * tail[:, None]
     else:
         f1 += (quad * cg.g[None, :]).sum(axis=1)
 

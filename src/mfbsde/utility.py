@@ -117,8 +117,8 @@ class UtilityCoefficients:
 
 @dataclass
 class ControlProcess:
-    """Nonnegative consumption rate; (M+1,) when deterministic or
-    (n, M+1) when adapted."""
+    """Nonnegative consumption rate, (M+1,) or (n, M+1); `deterministic`
+    says it is the same on every path, which the utility routes check."""
 
     values: np.ndarray
     deterministic: bool
@@ -140,40 +140,30 @@ def _log_wealth(x0: float, wealth, pi: ControlProcess, ens: PathEnsemble,
     """log X = log x0 + L_w - cumsum(pi dt), shape (n, M+1), node-major,
     with L_w the exponent of `wealth` = (b0, s0, g0) on the grid, written
     row block by row block on the block workers; with `log_rate`, log(pi
-    X) instead.  Returns it and the terminal wealth X(T), shape (n,).  An
-    adapted rate is copied node-major block by block, whatever its order."""
+    X) instead.  Returns it and the terminal wealth X(T), shape (n,).
+    Every rate, deterministic or adapted, is read as its (n, M+1) paths
+    and copied node-major block by block, whatever its order."""
     grid = ens.grid
     b0, s0, g0 = wealth
     n, m1 = ens.n_paths, grid.steps + 1
     out = np.empty((n, m1), order="F")
     x_t = np.empty(n)
-    adapted = pi.values.ndim == 2
-    if adapted:
-        shift = math.log(x0)
-    else:
-        spent = _left_quadrature(pi.values, grid.dt)
-        shift = (math.log(x0) - spent)[:, None]
-        if log_rate:   # a zero rate is a valid wealth input
-            log_rate_nodes = np.log(pi.values)[:, None]
-
+    rates = pi.paths(n)
     write = _exponent_writer(ens, b0[:-1], s0[:-1], g0[:-1])
 
     def work(b: int, rows: slice, planes: np.ndarray) -> None:
-        level, run, rate = out.T[:, rows], planes[-1], planes[0]
+        level, (rate, run) = out.T[:, rows], planes
         write(rows, level, run[1:])
-        if adapted:
-            rate[...] = pi.values[rows].T
-            np.multiply(rate[:-1], grid.dt, out=run[1:])
-            _cumulate_nodes(run[1:])
-            level[1:] -= run[1:]
-        level += shift
+        rate[...] = rates[rows].T
+        np.multiply(rate[:-1], grid.dt, out=run[1:])
+        _cumulate_nodes(run[1:])
+        level[1:] -= run[1:]
+        level += math.log(x0)
         np.exp(level[-1], out=x_t[rows])
-        if log_rate and adapted:
+        if log_rate:   # a zero rate is a valid wealth input
             level += np.log(rate, out=rate)
-        elif log_rate:
-            level += log_rate_nodes
 
-    _over_row_blocks(range(n), (2 if adapted else 1, m1), work)
+    _over_row_blocks(range(n), (2, m1), work)
     return out, x_t
 
 
@@ -353,14 +343,19 @@ def _utility_equation(uc: UtilityCoefficients, grid, levy):
 
 def _check_rate(pi: ControlProcess, ens: PathEnsemble, caller: str) -> None:
     """ConfigError unless the rate has shape (M+1,) or (n, M+1);
-    DomainError naming `caller` unless it is positive and finite."""
+    DomainError naming `caller` unless it is positive and finite;
+    ConfigError if it is flagged deterministic but its paths differ."""
+    v = pi.values
     shapes = [(ens.grid.steps + 1,), (ens.n_paths, ens.grid.steps + 1)]
-    if pi.values.shape not in shapes:
+    if v.shape not in shapes:
         raise ConfigError(f"the consumption rate must have a shape in "
-                          f"{shapes}, got {pi.values.shape}")
+                          f"{shapes}, got {v.shape}")
     # min and max propagate nan
-    if not (pi.values.min() > 0.0 and pi.values.max() < math.inf):
+    if not (v.min() > 0.0 and v.max() < math.inf):
         raise DomainError(f"{caller} needs a strictly positive finite rate")
+    if pi.deterministic and v.ndim == 2 and np.any(v != v[0]):
+        raise ConfigError("a consumption rate flagged deterministic must "
+                          "be the same on every path")
 
 
 def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
@@ -415,7 +410,7 @@ def picard_utility_y0(wp: WealthParams, uc: UtilityCoefficients,
     Returns (Y(0), standard error, report)."""
     grid, levy = ens.grid, ens.levy
     b0, s0, g0 = wp.on_grid(grid, levy)
-    coeffs, _ = _utility_equation(uc, grid, levy)
+    _, cg = _utility_equation(uc, grid, levy)
     _check_rate(pi, ens, "picard_utility_y0")
     logx, _ = _log_wealth(wp.x0, (b0, s0, g0), pi, ens)
     x = np.exp(logx)
@@ -423,7 +418,7 @@ def picard_utility_y0(wp: WealthParams, uc: UtilityCoefficients,
     tc = wealth_linear(uc.theta, x, s0, g0,
                        pi_is_deterministic=pi.deterministic)
 
-    driver = coeffs.as_driver(grid, levy)
+    driver = cg.as_driver(grid, levy)
     driver.source = gamma_path
     phi = mean_yzk(levy.n_atoms)
     if basis is None:

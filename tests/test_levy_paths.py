@@ -341,10 +341,10 @@ def _step_loop(ens, drift, vol, jump):
 class TestLogExponential:
     def test_matches_step_loop(self, grid50, levy2):
         """Vectorised exponent against a per-step, per-atom loop: two
-        atoms, a (t, mark) jump coefficient and a pathwise drift."""
+        atoms, a (t, mark) jump coefficient and a time-varying drift."""
         ens = simulate_ensemble(grid50, levy2, 500, seed=31)
         nodes = grid50.nodes[:-1]
-        drift = 0.1 + 0.05 * np.sin(ens.brownian_nodes[:, :-1])
+        drift = 0.1 + 0.05 * np.sin(6.0 * nodes)
         vol = 0.3 - 0.2 * nodes
         jump = np.array([[0.4 * z - 0.1 * t for z in levy2.marks]
                          for t in nodes])

@@ -40,7 +40,7 @@ from mfbsde import levy_paths
 from mfbsde import linear as linear_module
 from mfbsde.core import terminal_value
 from mfbsde.levy_paths import _PASS_ROWS, _pass_rows
-from mfbsde.linear import assemble_system
+from mfbsde.linear import _left_quadrature, assemble_system
 
 from conftest import mc_se
 
@@ -109,6 +109,28 @@ class TestMeanGamma:
         nodes = ens_small.grid.nodes
         assert mean_gamma(c, ens_small.grid, ens_small.levy, nodes[7],
                           nodes[40]) == np.exp(g.a1_cum[40] - g.a1_cum[7])
+
+    def test_reads_alpha1_only(self, levy1):
+        """mean_gamma calls alpha1 once per node and no other
+        coefficient, and gives the bytes of the quadrature of alpha1 as
+        the whole coefficient grid holds it."""
+        calls = {}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return wrapped
+
+        grid = build_grid(1.0, 20)
+        c = LinearCoefficients(
+            alpha1=counted("alpha1", lambda t: 0.3 - 0.2 * t),
+            alpha2=counted("alpha2", lambda t: 0.1 * math.cos(t)),
+            beta2=counted("beta2", lambda t: 0.15 * t))
+        got = mean_gamma(c, grid, levy1, grid.nodes[3], grid.nodes[17])
+        assert calls == {"alpha1": grid.steps + 1}
+        a1_cum = _left_quadrature(c.on_grid(grid, levy1).a1, grid.dt)
+        assert got == float(np.exp(a1_cum[17] - a1_cum[3]))
 
     def test_matches_simulated_mean(self, ens_mid):
         c = LinearCoefficients(alpha1=0.3, beta1=0.25, eta1=0.4)
@@ -544,7 +566,8 @@ class TestBlockPasses:
         def spy(rows, shape, work):
             cells = dict(zip(work.__code__.co_freevars, work.__closure__))
             slots.append([cells[k].cell_contents.shape[1]
-                          for k in ("sums", "m2", "running")])
+                          for k in ("sums", "m2")]
+                         + [cells["running"].cell_contents.shape[0]])
             over_rows(rows, shape, work)
 
         monkeypatch.setattr(linear_module, "_over_row_blocks", spy)

@@ -35,6 +35,7 @@ from mfbsde import (
     smooth_of_brownian,
     solve_adjoints,
 )
+from mfbsde.core import CoefficientGrid
 from mfbsde.levy_paths import _PASS_ROWS, _pass_rows
 from mfbsde.linear import MeanVector, assemble_system
 
@@ -303,8 +304,9 @@ class TestHamiltonian:
              "beta1", "eta0", "eta1"], ens_small.grid.steps + 1)
 
     def test_picard_route_reads_the_wealth_once(self, grid50, levy1):
-        """`picard_utility_y0` evaluates each wealth coefficient once per
-        node; its driver evaluates the utility coefficients once more."""
+        """`picard_utility_y0` evaluates each wealth and each utility
+        coefficient once per node: its driver is built from the grid of
+        the utility equation."""
         calls = {}
         wp, uc = self._counting_coefficients(calls)
         ens = simulate_ensemble(grid50, levy1, 1000, seed=23)
@@ -313,9 +315,32 @@ class TestHamiltonian:
             picard_utility_y0(wp, uc, ControlProcess.from_constant(
                 0.5, grid50), ens, max_iter=2)
         m1 = grid50.steps + 1
-        assert {k: calls[k] for k in ("b0", "sigma0", "gamma0")} == \
-            dict.fromkeys(["b0", "sigma0", "gamma0"], m1)
-        assert calls["alpha0"] == 2 * m1
+        assert calls == dict.fromkeys(
+            ["b0", "sigma0", "gamma0", "alpha0", "alpha1", "beta0",
+             "beta1", "eta0", "eta1"], m1)
+
+    def test_picard_driver_from_the_grid_changes_no_byte(self, grid50,
+                                                         levy1, monkeypatch):
+        """The Picard route gives the same bytes when its driver is built
+        from a second evaluation of the utility coefficients, as
+        `LinearCoefficients.as_driver` builds it."""
+        wp, uc = self._counting_coefficients({})
+        ens = simulate_ensemble(grid50, levy1, 1000, seed=23)
+        pi = ControlProcess.from_constant(0.5, grid50)
+
+        def run():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                return picard_utility_y0(wp, uc, pi, ens, max_iter=2)[:2]
+
+        once = run()
+        coeffs, _ = utility._utility_equation(uc, grid50, levy1)
+        as_driver = CoefficientGrid.as_driver
+        monkeypatch.setattr(
+            CoefficientGrid, "as_driver",
+            lambda cg, grid, levy: as_driver(coeffs.on_grid(grid, levy),
+                                             grid, levy))
+        assert run() == once
 
     def test_domain_checked_at_the_node(self, ens_small):
         """A jump exposure at or below -1 fails at the node where it is,
@@ -565,14 +590,80 @@ class TestEvaluateJ:
 
         assert raw(pi_c) == raw(pi)
 
+    def test_deterministic_rate_and_its_paths_agree(self, ens_small):
+        """A deterministic rate and its (n, M+1) copy flagged adapted give
+        the same bytes in `evaluate_j`, `simulate_wealth` and
+        `picard_utility_y0`: every rate takes one per-block wealth
+        pass."""
+        grid = ens_small.grid
+        wp = WealthParams(x0=1.3, b0=0.05, sigma0=0.2, gamma0=0.1)
+        uc = UtilityCoefficients(alpha0=0.05, alpha1=0.03, beta0=0.15,
+                                 eta0=0.2, theta=constant(4.0))
+        rate = ControlProcess(0.4 + 0.2 * grid.nodes, True)
+        copy = ControlProcess(
+            np.asfortranarray(rate.paths(ens_small.n_paths)), False)
+
+        def raw(pi):
+            j, se, v, sample = evaluate_j(wp, uc, pi, ens_small,
+                                          return_sample=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                y0, y0_se, _ = picard_utility_y0(wp, uc, pi, ens_small,
+                                                 max_iter=2)
+            return [np.array([j, se, y0, y0_se]).tobytes(),
+                    v.stack().tobytes(), sample.tobytes(),
+                    simulate_wealth(wp, pi, ens_small).tobytes()]
+
+        assert raw(copy) == raw(rate)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_deterministic_flag_checked(self, ens_small, route):
+        """On both routes a rate flagged deterministic whose paths differ
+        is a ConfigError (the closed form would use wealth derivatives
+        that hold for a deterministic rate only); with a nan in it, it is
+        the DomainError of any rate that is not finite."""
+        wp = WealthParams(x0=1.0, b0=0.05, sigma0=0.2)
+        uc = UtilityCoefficients(beta1=0.2, theta=constant(1.0))
+        r = np.asfortranarray(0.3 + 0.1 * np.cos(ens_small.brownian_nodes))
+        with pytest.raises(ConfigError, match="flagged deterministic"):
+            getattr(utility, route)(wp, uc, ControlProcess(r, True),
+                                    ens_small)
+        r[3, 7] = np.nan
+        with pytest.raises(DomainError, match="strictly positive finite"):
+            getattr(utility, route)(wp, uc, ControlProcess(r, True),
+                                    ens_small)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_candidate_and_its_bumps_pass_the_flag_check(self, ens_small,
+                                                         basis, route):
+        """A deterministic `optimal_pi` rate, and bumps of its paths
+        flagged as it is (as criterion 9 and the utility sweep build
+        them), pass the check on both routes."""
+        wp = WealthParams(x0=1.0, b0=0.05, sigma0=0.2)
+        uc = UtilityCoefficients(alpha0=0.05, alpha1=0.03,
+                                 theta=constant(4.0))
+        pi_hat = optimal_pi(solve_adjoints(uc, ens_small, basis))
+        assert pi_hat.deterministic and pi_hat.values.ndim == 1
+        base = pi_hat.paths(ens_small.n_paths)
+        half = base.copy()
+        half[:, ens_small.grid.steps // 2:] *= 1.15
+        for pi in (pi_hat, ControlProcess(base * 0.9, pi_hat.deterministic),
+                   ControlProcess(half, pi_hat.deterministic)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                out = getattr(utility, route)(wp, uc, pi, ens_small)
+            assert math.isfinite(out[0])
+
 
 def _gemm_sources(coeffs, tc, ens, gamma, gamma_path, gamma_db=None,
                   gamma_dn=None, derivative_rows=True):
     """Reference for assemble_system's pathwise running cost: the joint
-    means E[G(t_i, t_l) g_l] and E[G(t_i, t_l)] as two (M+1)^2 matrix
-    products over the paths, weighted by the trapezoid matrix.  The
-    terminal rows come from assemble_system with a zero running cost.
-    Returns (sources, standard errors)."""
+    means E[G(t_i, t_l) g_l] as an (M+1)^2 matrix product over the
+    paths, weighted by the trapezoid matrix, and the tail of the
+    derivative rows as that matrix's row sums of the exact propagator
+    mean E[G(t_i, t_l)] = exp(a1_cum_l - a1_cum_i).  The terminal rows
+    come from assemble_system with a zero running cost.  Returns
+    (sources, standard errors)."""
     base = assemble_system(coeffs, tc, ens, gamma=gamma,
                            gamma_path=np.zeros_like(gamma_path),
                            derivative_rows=derivative_rows)
@@ -584,7 +675,8 @@ def _gemm_sources(coeffs, tc, ens, gamma, gamma_path, gamma_db=None,
     lv = gamma.log_levels()
     expl, expl_inv = np.exp(lv), np.exp(-lv)
     joint = expl_inv.T @ (expl * gamma_path) / n
-    tail = (expl_inv.T @ expl / n * wq).sum(axis=1)
+    a1_cum = gamma.a1_cum
+    tail = (np.exp(a1_cum[None, :] - a1_cum[:, None]) * wq).sum(axis=1)
     f2, f3 = base.f.v2.copy(), base.f.v3.copy()
     if derivative_rows and gamma_db is not None:
         f2 += gamma_db * tail
