@@ -52,12 +52,12 @@ class _Regressions:
     of E[dM_c Y_{i+1} | F_i] / scale_ic for the martingale increments
     dM_c (dB, then dNtilde_j) and scale_ic (dt, then the compensator),
     with E_{M-1} = 0: the route fills node M-1 from xi.  On a P ensemble
-    and a basis without extras they are exact (`exact_maps`).  Otherwise
-    (extras, or a `shift_to_q` ensemble) they are the regression
+    and a basis without extras they are exact (`exact_maps`), and the
+    set-up reads no increment.  Otherwise (extras, or a `shift_to_q`
+    ensemble) they are the regression
         E_ic = (S_i^-1 X_i' diag(dM_c) X_{i+1} - H_ic A_i) / scale_ic,
     H_ic = S_i^-1 X_i' diag(dM_c) X_i, whose dB and jump blocks
-    (`jump_products`) the same pass builds at every node.  Either way h
-    holds H_{M-1,c}, which the route's xi column reads.
+    (`jump_products`) the same pass builds at every node i < M-1.
     `ridge_max` and `cond_max` are the largest ridge and cond(G_i) after
     node 0, on the columns that vary at the node.
     """
@@ -83,29 +83,26 @@ class _Regressions:
                 f"need more paths ({n}) than basis functions ({p})")
         exact = ens.measure == "P" and not self.extra
         self._xbuf = np.empty((n, p), order="F")
-        # columns: [X_{i+1} | X_i | X_i dB], with zeros for X_M: Y_M = xi
-        # is the route's, so A_{M-1} and E_{M-1} are zeros nothing reads
-        buf = np.zeros((n, 3 * p), order="F")
-        db = np.empty(n)
+        # [X_{i+1} | X_i], and X_i dB for the regression maps; X_M = 0:
+        # Y_M = xi is the route's, so A_{M-1} and E_{M-1} are zeros
+        buf = np.zeros((n, (2 if exact else 3) * p), order="F")
+        db = None if exact else np.empty(n)
         bn = ens.brownian_nodes
         prod = np.empty((m, p, 2 * p))
-        # X_i' diag(dM_c) [X_{i+1} | X_i]: at every node for the
-        # regression maps, at node M-1 alone (for h) for the exact ones;
-        # node i is row i - m from the end
-        mart = np.empty((1 if exact else m, 1 + nj, p, 2 * p))
+        # X_i' diag(dM_c) [X_{i+1} | X_i] for the regression maps, i < M-1
+        mart = np.empty((0 if exact else m - 1, 1 + nj, p, 2 * p))
         for i in reversed(range(m)):
             buf[:, :p] = buf[:, p:2 * p]
             x = self.design(i, out=buf[:, p:2 * p])
-            if exact and i < m - 1:
+            if exact or i == m - 1:
                 np.matmul(x.T, buf[:, :2 * p], out=prod[i])
                 continue
             np.subtract(bn[:, i + 1], bn[:, i], out=db)
             db += self.shift[i, 0]
             np.multiply(x, db[:, None], out=buf[:, 2 * p:])
             both = buf[:, p:].T @ buf[:, :2 * p]
-            prod[i], mart[i - m, 0] = both[:p], both[p:]
-            mart[i - m, 1:] = self.jump_products(i, x, buf[:, :2 * p],
-                                                 prod[i])
+            prod[i], mart[i, 0] = both[:p], both[p:]
+            mart[i, 1:] = self.jump_products(i, x, buf[:, :2 * p], prod[i])
         self.gram = gram = prod[:, :, p:]
         self.gn = gram / n
         self.xbar = gram[:, 0, :] / n
@@ -137,20 +134,18 @@ class _Regressions:
 
         w = self.solve(prod)
         self.sg, self.a = w[:, :, p:], w[:, :, :p]
-        k = mart.shape[0]
-        w = self.solve(mart.transpose(0, 2, 1, 3).reshape(k, p, -1),
-                       slice(m - k, m))
-        w = w.reshape(k, p, 1 + nj, 2 * p).transpose(0, 2, 1, 3)
-        self.h = w[-1, :, :, p:]
         self.scale = np.column_stack([np.full(m, ens.grid.dt),
                                       ens.jump_comp])
+        self.e = np.zeros((m, 1 + nj, p, p))
         if exact:
-            self.e = np.zeros((m, 1 + nj, p, p))
             self.e[:-1] = self.exact_maps()
-        else:
-            self.e = (w[:, :, :, :p]
-                      - np.einsum("icpq,iqr->icpr", w[:, :, :, p:], self.a)) \
-                / self.scale[:, :, None, None]
+        elif m > 1:                 # a one-step grid has no node below M-1
+            w = self.solve(mart.transpose(0, 2, 1, 3).reshape(m - 1, p, -1),
+                           slice(m - 1))
+            w = w.reshape(m - 1, p, 1 + nj, 2 * p).transpose(0, 2, 1, 3)
+            self.e[:-1] = (w[:, :, :, :p] - np.einsum(
+                "icpq,iqr->icpr", w[:, :, :, p:], self.a[:-1])) \
+                / self.scale[:-1, :, None, None]
 
     def exact_maps(self) -> np.ndarray:
         """The Z and K maps (1+J, p, p) of the basis without extras under
@@ -237,19 +232,19 @@ class CoefficientRoute:
     `reg`, a sweep is the linear map b_i = A_i b_{i+1} + r_i,
     zk_i = E_i b_{i+1} for i < M-1 (E_i exact or regressed, see
     `_Regressions`), from Y_M = xi.  The route adds the scenario, and
-    reads the paths only for it: xi's column at node M-1, where xi takes
-    the place of X_{i+1} b_{i+1} and Z and K are regressions through
-    the set-up's H_{M-1}, and dt/2 S_i^-1 X_i'(s_i + s_{i+1}) in
-    r_i for a pathwise source s.  With an affine form the frozen driver
-    at node i < M is X_i phi_i, so r_i = dt/2 S_i^-1 X_i'(f_i + f_{i+1})
-    comes from S^-1 G_i and A_i; f(t_M) reads xi and the node M-1 Z and
-    K, so it projects through S^-1 X_{M-1}'xi and S^-1 G_{M-1}, and its
-    means through the Gram of [X_{M-1} | xi].  Without a form, the
-    driver is called once per node on the node values V_i (`write`),
-    and phi without a form is averaged over the same V_i, so a sweep
-    builds each design once.  Means are x_i . b, and E[Y^2] and the
-    Picard delta are b'G_i b / n.  `solution` returns the iterate as a
-    `SolutionGrid` read off the coefficients.
+    reads the paths only for it: at node M-1, where xi takes the place
+    of X_{i+1} b_{i+1}, X' diag(1, dB, dNtilde_j) [X | xi] in one solve
+    gives S^-1 X'xi, H_{M-1} and the regressed Z and K, and dt/2 S_i^-1
+    X_i'(s_i + s_{i+1}) in r_i for a pathwise source s.  With an affine
+    form the frozen driver at node i < M is X_i phi_i, so r_i = dt/2
+    S_i^-1 X_i'(f_i + f_{i+1}) comes from S^-1 G_i and A_i; f(t_M) reads
+    xi and the node M-1 Z and K, so it projects through S^-1 X_{M-1}'xi
+    and S^-1 G_{M-1}, and its means through the Gram of [X_{M-1} | xi].
+    Without a form, the driver is called once per node on the node
+    values V_i (`write`), and phi without a form is averaged over the
+    same V_i, so a sweep builds each design once.  Means are x_i . b,
+    and E[Y^2] and the Picard delta are b'G_i b / n.  `solution`
+    returns the iterate as a `SolutionGrid` read off the coefficients.
     """
 
     def __init__(self, driver: DriverSpec, phi: Optional[MeanFunctional],
@@ -280,24 +275,26 @@ class CoefficientRoute:
             reg.gn, reg.xbar, reg.sg, reg.a, reg.e
         self.xi = xi = terminal_value(tc, ens)
         self._v = np.empty((n, 2 + nj), order="F")      # `write` scratch
-        # xi's column at node M-1: X_{M-1}' diag(1, dB, dNtilde_j) xi
+        # xi's block at node M-1: X_{M-1}' diag(1, dB, dNtilde_j) [X | xi]
         x = reg.design(m - 1)
+        x_xi = np.column_stack([x, xi])
+        blk = np.empty((2 + nj, p, p + 1))
+        np.matmul(x.T, x_xi, out=blk[0])
+        blk[2:] = reg.jump_products(m - 1, x, x_xi, blk[0])
         bn = ens.brownian_nodes
-        rows = np.empty((p, 2 + nj))
-        rows[:, 0] = x.T @ xi
-        rows[:, 1] = x.T @ (xi * (bn[:, m] - bn[:, m - 1]
-                                  + reg.shift[m - 1, 0]))
-        rows[:, 2:] = reg.jump_products(m - 1, x, xi[:, None],
-                                        rows[:, :1])[:, :, 0].T
-        w = reg.solve(rows, m - 1)
-        self.axi = w[:, 0]                           # S^-1 X_{M-1}'xi
-        self.exi = (w[:, 1:].T - reg.h @ self.axi) \
+        x_xi *= (bn[:, m] - bn[:, m - 1] + reg.shift[m - 1, 0])[:, None]
+        np.matmul(x.T, x_xi, out=blk[1])
+        w = reg.solve(blk.transpose(1, 0, 2).reshape(p, -1), m - 1)
+        w = w.reshape(p, 2 + nj, p + 1).transpose(1, 0, 2)
+        self.axi = w[0, :, p]                        # S^-1 X_{M-1}'xi
+        # Z and K at node M-1, centred by H_{M-1} = S^-1 X' diag(dM) X
+        self.exi = (w[1:, :, p] - w[1:, :, :p] @ self.axi) \
             / reg.scale[m - 1, :, None]
         # Gram / n of [X_{M-1} | xi] and its column means (the constant
         # column's row), the last one xi's mean
         gt = np.empty((p + 1, p + 1))
         gt[:p, :p], gt[p, p] = reg.gram[m - 1], xi @ xi
-        gt[:p, p] = gt[p, :p] = rows[:, 0]
+        gt[:p, p] = gt[p, :p] = blk[0, :, p]
         self.gt = gt / n
         self.xt = self.gt[0]
         self.src = None

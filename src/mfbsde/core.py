@@ -497,8 +497,8 @@ class LinearCoefficients:
     Each alpha, beta and gamma is a number or a callable of t, each eta a
     number, one value per atom or a callable of (t, mark); `on_grid`
     names a coefficient of another form or not finite in a ConfigError.
-    gamma is deterministic here; the pathwise-gamma channel of the closed-form
-    engine is fed separately by the utility module.
+    gamma is deterministic here; the closed-form engine adds a pathwise
+    running cost, its `gamma_path`, to it (the utility module passes one).
     """
 
     alpha1: object = 0.0

@@ -223,6 +223,14 @@ def _merge_moments(sizes: np.ndarray, sums: np.ndarray, m2: np.ndarray):
     return mean, np.sqrt(var) / math.sqrt(n)
 
 
+def _mean_se(sample: np.ndarray):
+    """Mean and standard error std(ddof=1) / sqrt(n) of a per-path sample;
+    the standard error of one path is 0.0, as in `_merge_moments`."""
+    n = sample.size
+    se = float(sample.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(sample.mean()), se
+
+
 def _reverse_trapezoid(v: np.ndarray, tmp: np.ndarray) -> None:
     """Replace v (M+1, k), node-major, by S_i = sum_{i<=l<M} (v_l +
     v_{l+1}), the per-path reverse sums of trapezoid pairs, grown from
@@ -241,7 +249,8 @@ def _propagator_inputs(gamma: Optional[GammaEnsemble], gamma_path,
                        v: Optional[MeanVector] = None):
     """The propagator `simulate_gamma(coeffs, ens)`, given or simulated,
     and the pathwise running cost as floats or None; ConfigError for any
-    other propagator, or for a gamma_path or `v` of another shape."""
+    other propagator, for a gamma_path or `v` of another shape, or for a
+    gamma_path that is not finite."""
     if gamma is None:
         gamma = simulate_gamma(coeffs, ens)
     elif gamma.ens is not ens or gamma.coeffs is not coeffs:
@@ -260,6 +269,8 @@ def _propagator_inputs(gamma: Optional[GammaEnsemble], gamma_path,
     gp = np.asarray(gamma_path, dtype=float)
     if gp.shape != (ens.n_paths, m1):
         raise ConfigError("gamma_path must have shape (n_paths, M+1)")
+    if not np.isfinite(gp).all():
+        raise ConfigError("gamma_path must be finite on every path and node")
     return gamma, gp
 
 
@@ -277,12 +288,12 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
         F2(t) = E[D_t xi  G(t,T)] + int_t^T E[G(t,s)] D_t gamma ds
         F3(t,z) = E[D_{t,z} xi G(t,T)] + int_t^T E[G(t,s)] D_{t,z} gamma ds
     with the derivatives of xi from the closed-form catalog.  gamma is
-    the deterministic coefficient unless `gamma_path` (n, M+1) is given,
-    in which case the joint pathwise products are averaged and the
-    deterministic derivative profiles `gamma_db` (M+1,) and `gamma_dn`
-    (M+1, J) supply the last terms (they vanish for deterministic gamma).
-    Every coefficient is read from `gamma`, `simulate_gamma(coeffs,
-    ens)` of these two objects, simulated here when not given.
+    the deterministic coefficient plus, when given, the pathwise running
+    cost `gamma_path` (n, M+1), whose deterministic derivative profiles
+    `gamma_db` (M+1,) and `gamma_dn` (M+1, J) supply the last terms
+    (they vanish for deterministic gamma).  Every coefficient is read
+    from `gamma`, `simulate_gamma(coeffs, ens)` of these two objects,
+    simulated here when not given.
 
     One pass over chunks of _pass_rows(M+1) paths on the block workers:
     each chunk forms its propagator exponent, exp(-L) and G(., T) in the
@@ -293,15 +304,17 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     merged in slot order, so the worker count changes no byte.  A row
     that is one (path factor) x (node profile) term takes the moments of
     the path factor's sample and scales them by the profile.  The
-    pathwise running cost sum_l wq_il E[G(t_i, t_l) g_l] is
-    E[G(0, t_i)^-1 R_i] with R_i = sum_{l>=i} wq_il G(0, t_l) g_l, a
-    per-path reverse trapezoid sum: O(nM) work, where the (M+1)^2
-    matrix of joint means costs O(nM^2).  The tail int_t^T E[G] ds of
-    the derivative rows has no sampling error: E[G(t_i, t_l)] is the
-    propagator mean exp(a1_cum_l - a1_cum_i), so the tail is a row sum
-    of the quadrature weights of the mean system.  Those are built in
-    place in one (M+1)^2 array, which then becomes the kernel, so at
-    most two such arrays are alive at once.
+    pathwise running cost joins F1's sample: sum_l wq_il G(t_i, t_l)
+    g_l is G(0, t_i)^-1 R_i with R_i = sum_{l>=i} wq_il G(0, t_l) g_l,
+    a per-path reverse trapezoid sum (O(nM) work, where the (M+1)^2
+    matrix of joint means costs O(nM^2)), so F1's sample at node i is
+    G(0, t_i)^-1 (xi G(0, T) + R_i), and its mean and standard error
+    cover both parts.  The deterministic gamma and the tail
+    int_t^T E[G] ds of the derivative rows have no sampling error:
+    E[G(t_i, t_l)] is the propagator mean exp(a1_cum_l - a1_cum_i), so
+    both are row sums of the quadrature weights of the mean system.
+    Those are built in place in one (M+1)^2 array, which then becomes
+    the kernel, so at most two such arrays are alive at once.
     """
     grid, levy = ens.grid, ens.levy
     if tc is None:
@@ -327,8 +340,6 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
                        n - _PASS_ROWS * np.arange(n_slots)).astype(float)
     sums = np.zeros((len(row_terms), n_slots, m1))
     m2 = np.zeros((len(row_terms), n_slots, m1))
-    # per slot: the pathwise running cost
-    running = None if gp is None else np.zeros((n_slots, m1))
     write = gamma.writer()
 
     def work(b: int, rows: slice, planes: np.ndarray) -> None:
@@ -338,13 +349,20 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
         write(rows, einv, sample[1:])
         exp_t = np.exp(einv[-1])
         if gp is not None:
-            expl, v = planes[2:]
-            np.exp(einv, out=expl)
+            # R_i: the running cost's reverse trapezoid sums
+            run = planes[2]
+            np.exp(einv, out=run)
+            run *= gp[rows].T   # node-major, whatever the caller's layout
+            _reverse_trapezoid(run, sample)
+            run *= 0.5 * dt
         np.negative(einv, out=einv)
         np.exp(einv, out=einv)
         for r in live:
             factors = paths[r][:, rows] * exp_t
-            if len(factors) == 1:
+            if r == 0 and gp is not None:
+                run += factors[0]
+                np.multiply(einv, run, out=sample)
+            elif len(factors) == 1:
                 np.multiply(einv, factors[0], out=sample)
             else:
                 # einsum, not a BLAS product: the result must not depend
@@ -362,14 +380,8 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
                 sums[r, b] += s
             else:
                 sums[r, b], m2[r, b] = s, q
-        if gp is None:
-            return
-        v[...] = gp[rows].T   # node-major, whatever the caller's layout
-        v *= expl
-        _reverse_trapezoid(v, sample)
-        running[b] += np.einsum("ij,ij->i", einv, v)
 
-    _over_row_blocks(range(n), (2 if gp is None else 4, m1), work)
+    _over_row_blocks(range(n), (2 if gp is None else 3, m1), work)
 
     moments = [(np.zeros(m1), np.zeros(m1)) for _ in row_terms]
     for r in live:
@@ -395,23 +407,19 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     for i in range(1, m1):
         quad[i, :i] = 0.0
 
-    # deterministic or pathwise running-cost contribution
-    if gp is not None:
-        # the trapezoids' 0.5 dt, and 1/n, applied once after the merge
-        f1 += running.sum(axis=0) * (0.5 * dt / n)
-        tail = quad.sum(axis=1)          # int_t^T E[G(t, s)] ds, exact
-        if derivative_rows and gamma_db is not None:
+    # the deterministic running cost, and the derivative rows' tail
+    # int_t^T E[G(t, s)] ds of a pathwise one, both exact
+    f1 += (quad * cg.g[None, :]).sum(axis=1)
+    if derivative_rows:
+        tail = quad.sum(axis=1)
+        if gamma_db is not None:
             f2 += np.asarray(gamma_db, dtype=float) * tail
-        if derivative_rows and gamma_dn is not None:
+        if gamma_dn is not None:
             f3 += np.asarray(gamma_dn, dtype=float) * tail[:, None]
-    else:
-        f1 += (quad * cg.g[None, :]).sum(axis=1)
 
     # E[Z] = F2 and E[K] = F3 (left-limit derivative convention): their
     # couplings move into the source of the E[Y] equation
-    coupling = cg.b2 * f2
-    if nj:
-        coupling = coupling + (cg.e2 * levy.weights * f3).sum(axis=1)
+    coupling = cg.b2 * f2 + (cg.e2 * levy.weights * f3).sum(axis=1)
     source = f1 + quad @ coupling
     quad *= cg.a2[None, :]                   # now the kernel
     return VolterraSystem(
@@ -553,11 +561,12 @@ def y_closed_formula(coeffs: LinearCoefficients, tc: TerminalCondition,
     """Monte Carlo evaluation of the closed formula at t = 0.
 
     Y(0) = E[xi G(0,T) + sum_i G(0,t_i) {a2 V1 + b2 V2 + sum_j e2 V3 w_j
-            + gamma(t_i)} dt], with the pathwise running cost used when
-    `gamma_path` is given.  Returns (Y(0), standard error, V1 grid) or,
-    with `return_sample`, additionally the per-path sample (useful for
-    paired comparisons across controls on common noise).  As in
-    `assemble_system`, every coefficient is read from `gamma`.
+            + gamma(t_i)} dt], with the pathwise running cost
+    `gamma_path`, when given, added to the deterministic gamma.  Returns
+    (Y(0), standard error, V1 grid) or, with `return_sample`,
+    additionally the per-path sample (useful for paired comparisons
+    across controls on common noise).  As in `assemble_system`, every
+    coefficient is read from `gamma`.
 
     The per-path sample is written block by block on the block workers,
     each block recomputing its propagator exponent; the quadrature adds
@@ -570,11 +579,7 @@ def y_closed_formula(coeffs: LinearCoefficients, tc: TerminalCondition,
     cg = gamma.cg
     m1 = grid.steps + 1
     w = levy.weights
-    h = cg.a2 * v.v1 + cg.b2 * v.v2
-    if levy.n_atoms:
-        h = h + (cg.e2 * v.v3 * w).sum(axis=1)
-    if gp is None:
-        h = h + cg.g
+    h = cg.a2 * v.v1 + cg.b2 * v.v2 + (cg.e2 * v.v3 * w).sum(axis=1) + cg.g
     h, wq = h[:, None], np.full((m1, 1), grid.dt)
     wq[0] = wq[-1] = 0.5 * grid.dt
     xi = terminal_value(tc, ens)
@@ -600,9 +605,7 @@ def y_closed_formula(coeffs: LinearCoefficients, tc: TerminalCondition,
         sample[rows] += term.sum(axis=0)
 
     _over_row_blocks(range(ens.n_paths), (2, m1), work)
-    n = ens.n_paths
-    y0 = float(sample.mean())
-    se = float(sample.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    y0, se = _mean_se(sample)
     return (y0, se, v.v1, sample) if return_sample else (y0, se, v.v1)
 
 
@@ -660,13 +663,8 @@ def q_special_solve(alpha1, alpha2, beta1, eta1, gamma,
     g = _on_nodes(gamma, "gamma", nodes)
 
     dens = girsanov_density(ens, beta1, eta1)
-    ens_q = shift_to_q(ens, beta1, eta1)
-    xi_p = terminal_value(tc, ens)
-    xi_q = terminal_value(tc, ens_q)
-    n = ens.n_paths
-    xiw, xiw_se = float((dens[:, -1] * xi_p).mean()), \
-        float((dens[:, -1] * xi_p).std(ddof=1) / math.sqrt(n))
-    xis, xis_se = float(xi_q.mean()), float(xi_q.std(ddof=1) / math.sqrt(n))
+    xiw, xiw_se = _mean_se(dens[:, -1] * terminal_value(tc, ens))
+    xis, xis_se = _mean_se(terminal_value(tc, shift_to_q(ens, beta1, eta1)))
 
     def backward_mean(xi_mean: float, with_g: bool) -> np.ndarray:
         m = np.empty(grid.steps + 1)

@@ -7,13 +7,13 @@ terminal value is a positive multiple of terminal wealth.  The adjoint
 pair (p, lambda) gives the candidate optimal rate pi = lambda / p from
 the first-order condition of the Hamiltonian.
 
-The utility J(pi) is evaluated through the closed-form engine: the mean
-system is fed the pathwise running cost (joint expectations with the
-propagator, no factorisation), and the final quadrature keeps the
-pathwise log term.  When the mean coefficients of Z or K are nonzero the
-source rows need wealth derivatives, which are closed-form only for
-deterministic consumption; stochastic rates are then cross-checked with
-the Picard solver instead.
+The utility J(pi) is evaluated through the closed-form engine: the
+pathwise running cost joins the per-path samples of the mean system's
+source and of the closed formula, so both keep the pathwise log term.
+When the mean coefficients of Z or K are nonzero the source rows need
+wealth derivatives, which are closed-form only for deterministic
+consumption; stochastic rates are then cross-checked with the Picard
+solver instead.
 """
 from __future__ import annotations
 
@@ -365,13 +365,14 @@ def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
 
     Forms the running cost log(pi X) in log space, row block by row
     block on the block workers, exponentiating only the terminal wealth
-    X(T); builds the propagator from (a0, b0, e0), feeds the mean system
-    the pathwise running cost (joint expectations with the propagator),
-    and averages the closed formula pathwise.  Each wealth and utility
-    coefficient is evaluated once.
-    Nonzero mean coefficients on Z or K require a deterministic rate.
-    Returns (J, standard error, MeanVector), plus the per-path sample
-    when `return_sample` is set.
+    X(T); builds the propagator from (a0, b0, e0), passes the running
+    cost as the engine's `gamma_path` and averages the closed formula
+    pathwise.  Each wealth and utility coefficient is evaluated once.
+    Nonzero mean coefficients on Z or K require a deterministic rate;
+    without them (beta1 = eta1 = 0, as on every adapted rate) the
+    derivative rows are skipped, and the returned MeanVector holds
+    zeros in v2 and v3, not E[Z] and E[K].  Returns (J, standard error,
+    MeanVector), plus the per-path sample with `return_sample`.
     """
     grid, levy = ens.grid, ens.levy
     b0, s0, g0 = wp.on_grid(grid, levy)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -164,7 +165,8 @@ class TestAssembleSystem:
     def test_kernel_matches_dense_construction(self, ens_small):
         """The in-place weights have the bytes of the product of the
         propagator means and a dense trapezoid weight matrix, in the
-        kernel, the deterministic running cost and the source."""
+        kernel, the deterministic running cost and the source; the
+        terminal part of F1 comes from the same equation with gamma = 0."""
         c = LinearCoefficients(alpha1=lambda t: 0.2 - 0.3 * t,
                                alpha2=lambda t: 0.1 - 0.2 * t,
                                beta1=0.1, beta2=0.15, eta1=0.2, eta2=0.1,
@@ -183,14 +185,61 @@ class TestAssembleSystem:
         wq[-1, -1] = 0.0
         quad = eg * wq
         assert got.kernel.tobytes() == (quad * cg.a2[None, :]).tobytes()
-        f1 = assemble_system(c, c.terminal, ens_small, gamma=g,
-                             gamma_path=np.zeros((ens_small.n_paths, m1))
-                             ).f.v1
+        c0 = replace(c, gamma=0.0)
+        f1 = assemble_system(c0, c.terminal, ens_small,
+                             gamma=simulate_gamma(c0, ens_small)).f.v1
         f1 = f1 + (quad * cg.g[None, :]).sum(axis=1)
         assert got.f.v1.tobytes() == f1.tobytes()
         coupling = cg.b2 * got.f.v2 \
             + (cg.e2 * levy.weights * got.f.v3).sum(axis=1)
         assert got.source.tobytes() == (f1 + quad @ coupling).tobytes()
+
+    def test_running_cost_joins_the_f1_sample(self, levy1):
+        """With a gamma_path, F1 and its SE are the mean and the two-pass
+        std(ddof=1) / sqrt(n) of the per-path sample G(t_i, T) xi +
+        sum_l wq_il G(t_i, t_l) gp_l, here written as an (M+1)^2 product
+        over the paths, merged over three 1,024-path slots."""
+        ens = simulate_ensemble(build_grid(1.0, 20), levy1,
+                                2 * _PASS_ROWS + 37, seed=19)
+        c = LinearCoefficients(alpha1=0.2, alpha2=0.1, beta1=0.3,
+                               eta1=0.25, terminal=smooth_of_brownian(
+                                   [1.0, 0.5, 0.3]))
+        g = simulate_gamma(c, ens)
+        gp = 1.0 + 0.5 * np.cos(ens.brownian_nodes)
+        got = assemble_system(c, c.terminal, ens, gamma=g, gamma_path=gp)
+        m1, dt = ens.grid.steps + 1, ens.grid.dt
+        wq = np.triu(np.full((m1, m1), dt))
+        wq[np.arange(m1), np.arange(m1)] = 0.5 * dt
+        wq[:, -1] = 0.5 * dt
+        wq[-1, -1] = 0.0
+        expl = np.exp(g.log_levels())
+        xi = terminal_value(c.terminal, ens)
+        sample = ((expl * gp) @ wq.T + (xi * expl[:, -1])[:, None]) / expl
+        want, want_se = _whole_moments(sample)
+        assert np.all(np.abs(got.f.v1 - want) <= 1e-12 * np.abs(want))
+        assert np.all(np.abs(got.f_se.v1 - want_se) <= 1e-12 * want_se)
+
+    def test_gamma_path_adds_to_gamma(self, ens_small):
+        """With a deterministic propagator, gamma = 0.3 plus a running
+        cost gp gives the Y(0) and the mean system of gamma = 0 with the
+        running cost gp + 0.3."""
+        grid = ens_small.grid
+        gp = np.cos(ens_small.brownian_nodes) + grid.nodes
+        runs = []
+        for g0, path in ((0.3, gp), (0.0, gp + 0.3)):
+            c = LinearCoefficients(alpha1=0.2, alpha2=0.1, gamma=g0,
+                                   terminal=smooth_of_brownian([1.0, 0.5]))
+            g = simulate_gamma(c, ens_small)
+            sys_ = assemble_system(c, c.terminal, ens_small, gamma=g,
+                                   gamma_path=path)
+            v = neumann_solve(sys_)
+            y0, se, _ = y_closed_formula(c, c.terminal, ens_small, v,
+                                         gamma=g, gamma_path=path)
+            runs.append([np.array([y0, se]), sys_.f.stack(),
+                         sys_.f_se.stack(), sys_.source, sys_.kernel,
+                         v.stack()])
+        for a, b in zip(*runs):
+            assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(b).max())
 
     def test_brownian_terminal_brownian_row(self, ens_mid):
         """With unit-slope Brownian terminal, the Z-row source is the
@@ -553,9 +602,10 @@ class TestBlockPasses:
         """Each chunk merges its moments into the slot of its 1,024 paths,
         so the slot count is n / 1,024 at any M: here 4 slots, of eight
         128-path chunks at M = 800 and of a 960-path and a 64-path chunk
-        at M = 101.  The merged means and SEs match a whole-array mean
-        and std(ddof=1), with a pathwise running cost, and 3 workers
-        with thread switches forced often give the bytes of one."""
+        at M = 101, and a pathwise running cost takes one scratch plane
+        more.  The merged means and SEs match a whole-array mean and
+        std(ddof=1), with a pathwise running cost, and 3 workers with
+        thread switches forced often give the bytes of one."""
         n = 3 * _PASS_ROWS + 37
         ens = simulate_ensemble(build_grid(1.0, steps), levy2, n, seed=16)
         tc = smooth_of_brownian([1.0, 0.5, 0.3])
@@ -566,8 +616,7 @@ class TestBlockPasses:
         def spy(rows, shape, work):
             cells = dict(zip(work.__code__.co_freevars, work.__closure__))
             slots.append([cells[k].cell_contents.shape[1]
-                          for k in ("sums", "m2")]
-                         + [cells["running"].cell_contents.shape[0]])
+                          for k in ("sums", "m2")] + [shape[0]])
             over_rows(rows, shape, work)
 
         monkeypatch.setattr(linear_module, "_over_row_blocks", spy)
@@ -579,7 +628,7 @@ class TestBlockPasses:
             return g, assemble_system(c, tc, ens, gamma=g, gamma_path=gp)
 
         g, sys_ = run(1)
-        assert slots == [[4, 4, 4]]
+        assert slots == [[4, 4, 3]]     # 4 slots; 3 scratch planes
         lv = g.log_levels()
         weight = np.exp(-lv) * np.exp(lv[:, -1:])
         # the Brownian derivative row: no running cost without gamma_db
@@ -667,6 +716,24 @@ class TestBlockPasses:
             assemble_system(c, c.terminal, ens, gamma_path=bad)
         with pytest.raises(ConfigError, match=msg):
             y_closed_formula(c, c.terminal, ens, v, gamma_path=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_gamma_path_finiteness_checked(self, levy1, bad):
+        """Both passes name gamma_path in a ConfigError when one value is
+        not finite, before any arithmetic warns."""
+        ens = simulate_ensemble(build_grid(1.0, 10), levy1, 300, seed=18)
+        c = LinearCoefficients(**self.COEFFS, terminal=constant(1.0))
+        v = neumann_solve(assemble_system(c, c.terminal, ens))
+        gp = np.zeros((300, 11))
+        gp[123, 7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="gamma_path must be "
+                                                  "finite"):
+                assemble_system(c, c.terminal, ens, gamma_path=gp)
+            with pytest.raises(ConfigError, match="gamma_path must be "
+                                                  "finite"):
+                y_closed_formula(c, c.terminal, ens, v, gamma_path=gp)
 
     def test_means_of_another_grid_or_atom_count_rejected(self, levy1,
                                                           levy2):
@@ -837,6 +904,21 @@ class TestQSpecial:
                               brownian_linear(0.5, 1.0), ens_mid)
         gap = abs(res.y0_weighted - res.y0_shifted)
         assert gap <= 3 * math.hypot(res.se_weighted, res.se_shifted)
+
+    def test_one_path_has_zero_standard_errors(self, grid50, levy1):
+        """On a one-path ensemble both estimates report SE 0.0 without a
+        warning, as solve_linear_y0 does."""
+        ens = simulate_ensemble(grid50, levy1, 1, seed=8)
+        tc = brownian_linear(0.5, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = q_special_solve(0.1, 0.15, 0.3, 0.4, 0.05, tc, ens)
+            _, se, _ = solve_linear_y0(
+                LinearCoefficients(alpha1=0.1, alpha2=0.2, terminal=tc),
+                ens)
+        assert (res.se_weighted, res.se_shifted, se) == (0.0, 0.0, 0.0)
+        assert math.isfinite(res.y0_weighted)
+        assert math.isfinite(res.y0_shifted)
 
     def test_positivity_inherited(self, ens_small):
         with pytest.raises(DomainError):

@@ -857,6 +857,48 @@ def test_one_set_up_serves_many_routes():
         assert getattr(shared, name).tobytes() == v.tobytes(), name
 
 
+@pytest.mark.parametrize("steps", [50, 1])
+@pytest.mark.parametrize("case", ["P", "extras", "Q"])
+def test_terminal_block_is_the_routes(monkeypatch, ens_small, case, steps):
+    """The set-up holds no node-(M-1) block: each route forms
+    X_{M-1}' diag(1, dB, dNtilde_j) [X_{M-1} | xi] itself, with one
+    `jump_products` call on the p+1 columns.  On a P ensemble and a
+    basis without extras that is the only call of a solve; the
+    regression maps (extras, or a shift_to_q ensemble) add one set-up
+    call per node below M-1, none on a one-step grid."""
+    from mfbsde.coefficient_route import CoefficientRoute
+
+    ens, basis = ens_small, RegressionBasis(degree=2)
+    if steps != ens.grid.steps:
+        ens = simulate_ensemble(build_grid(1.0, steps), ens.levy, 500,
+                                seed=9)
+    if case == "extras":
+        basis = RegressionBasis(degree=2, extras={
+            "cos": np.cos(ens.brownian_nodes)})
+    elif case == "Q":
+        ens = shift_to_q(ens, 0.2, 0.1)
+    coeffs = LinearCoefficients(alpha1=0.2, alpha2=0.1, beta1=0.25,
+                                beta2=0.1, eta1=0.2, eta2=0.1)
+    calls = []
+    products = _Regressions.jump_products
+
+    def counting(self, i, x, rows, base):
+        caller = sys._getframe(1).f_locals["self"]
+        calls.append((type(caller), i, rows.shape[1]))
+        return products(self, i, x, rows, base)
+
+    monkeypatch.setattr(_Regressions, "jump_products", counting)
+    m, p = ens.grid.steps, 4 + (case == "extras")
+    for _ in range(2):
+        sol, _rep = picard_full_freeze(
+            coeffs.as_driver(ens.grid, ens.levy), mean_yzk(1),
+            brownian_linear(1.0, 0.5), ens, basis, check=False)
+        assert not hasattr(sol.route.reg, "h")
+    setup = [] if case == "P" else \
+        [(_Regressions, i, 2 * p) for i in reversed(range(m - 1))]
+    assert calls == 2 * (setup + [(CoefficientRoute, m - 1, p + 1)])
+
+
 def test_import_leaves_the_coefficient_route_out():
     """`import mfbsde` does not import the coefficient route: only the
     Picard solvers and the adjoint regressions take it, on first use."""

@@ -35,7 +35,7 @@ from mfbsde import (
     smooth_of_brownian,
     solve_adjoints,
 )
-from mfbsde.core import CoefficientGrid
+from mfbsde.core import CoefficientGrid, terminal_value
 from mfbsde.levy_paths import _PASS_ROWS, _pass_rows
 from mfbsde.linear import MeanVector, assemble_system
 
@@ -657,39 +657,44 @@ class TestEvaluateJ:
 
 def _gemm_sources(coeffs, tc, ens, gamma, gamma_path, gamma_db=None,
                   gamma_dn=None, derivative_rows=True):
-    """Reference for assemble_system's pathwise running cost: the joint
-    means E[G(t_i, t_l) g_l] as an (M+1)^2 matrix product over the
-    paths, weighted by the trapezoid matrix, and the tail of the
-    derivative rows as that matrix's row sums of the exact propagator
-    mean E[G(t_i, t_l)] = exp(a1_cum_l - a1_cum_i).  The terminal rows
-    come from assemble_system with a zero running cost.  Returns
-    (sources, standard errors)."""
+    """Reference for assemble_system's pathwise running cost: F1 and its
+    SE are the mean and std(ddof=1) / sqrt(n) of the per-path sample
+    G(t_i, T) xi + sum_l wq_il G(t_i, t_l) g_l, written as an (M+1)^2
+    matrix product over the paths, plus the deterministic gamma's row
+    sums; the tail of the derivative rows is the trapezoid row sum of
+    the exact propagator mean E[G(t_i, t_l)] = exp(a1_cum_l - a1_cum_i).
+    The derivative rows' terminal parts come from assemble_system
+    without a running cost.  Returns (sources, standard errors)."""
     base = assemble_system(coeffs, tc, ens, gamma=gamma,
-                           gamma_path=np.zeros_like(gamma_path),
                            derivative_rows=derivative_rows)
     m1, dt, n = ens.grid.steps + 1, ens.grid.dt, ens.n_paths
     wq = np.triu(np.full((m1, m1), dt))
     wq[np.arange(m1), np.arange(m1)] = 0.5 * dt
     wq[:, -1] = 0.5 * dt
     wq[-1, -1] = 0.0
-    lv = gamma.log_levels()
-    expl, expl_inv = np.exp(lv), np.exp(-lv)
-    joint = expl_inv.T @ (expl * gamma_path) / n
+    expl = np.exp(gamma.log_levels())
+    xi = terminal_value(tc, ens)
+    sample = ((expl * gamma_path) @ wq.T
+              + (xi * expl[:, -1])[:, None]) / expl
     a1_cum = gamma.a1_cum
-    tail = (np.exp(a1_cum[None, :] - a1_cum[:, None]) * wq).sum(axis=1)
+    quad = np.exp(a1_cum[None, :] - a1_cum[:, None]) * wq
+    tail = quad.sum(axis=1)
+    f1 = sample.mean(axis=0) + quad @ gamma.cg.g
+    f1_se = sample.std(axis=0, ddof=1) / math.sqrt(n)
     f2, f3 = base.f.v2.copy(), base.f.v3.copy()
     if derivative_rows and gamma_db is not None:
         f2 += gamma_db * tail
     if derivative_rows and gamma_dn is not None:
         f3 += gamma_dn * tail[:, None]
-    f = MeanVector(ens.grid, base.f.v1 + (joint * wq).sum(axis=1), f2, f3)
-    return f, base.f_se
+    return (MeanVector(ens.grid, f1, f2, f3),
+            MeanVector(ens.grid, f1_se, base.f_se.v2, base.f_se.v3))
 
 
 class TestRunningCostReverseSum:
-    """The O(nM) reverse trapezoid sum of the pathwise running cost
-    against the matrix-product reference, on the arguments evaluate_j
-    passes to assemble_system."""
+    """The O(nM) reverse trapezoid sum of the pathwise running cost, in
+    F1's sample, against the matrix-product reference, on the arguments
+    evaluate_j passes to assemble_system: the means and the SEs, which
+    cover the running cost."""
 
     @pytest.mark.parametrize("case", ["adapted", "deterministic_rows"])
     def test_matches_matrix_products(self, ens_small, basis, monkeypatch,
