@@ -4,7 +4,9 @@ cross-validated against the Picard solver on the same ensemble.
 The linear equation's means solve a Volterra system V = F + AV whose
 kernel is built from the deterministic mean of the exponential
 propagator; the system is solved both by a windowed Neumann series and
-by a dense factorisation, and Y(0) follows from the closed formula.
+by a dense factorisation.  Y(0) is the system's E[Y] at t = 0, the
+closed formula with the propagator's exact mean in place of its sample
+mean, so it needs no second pass over the paths.
 """
 import math
 
@@ -58,7 +60,8 @@ print(f"Neumann vs dense solve: max componentwise gap {gap:.1e}")
 
 y0, se, _ = y_closed_formula(coeffs, coeffs.terminal, ens, v_neumann,
                              gamma=gamma)
-print(f"\nclosed formula: Y(0) = {y0:.5f} +/- {se:.5f}")
+print(f"\nclosed form (mean system V1(0)): Y(0) = {y0:.5f} +/- {se:.5f} "
+      f"(SE of F1's node-0 sample)")
 
 driver = coeffs.as_driver(grid, levy)
 sol, rep = picard_full_freeze(driver, mean_yzk(levy.n_atoms),
@@ -66,7 +69,7 @@ sol, rep = picard_full_freeze(driver, mean_yzk(levy.n_atoms),
                               RegressionBasis(degree=2))
 y0p = sol.y[:, 0].mean()
 sep = sol.y[:, 1].std(ddof=1) / math.sqrt(ens.n_paths)
-print(f"Picard solver:  Y(0) = {y0p:.5f} +/- {sep:.5f} "
+print(f"Picard solver:                    Y(0) = {y0p:.5f} +/- {sep:.5f} "
       f"({rep.iterations} iterations)")
 print(f"cross-solver gap {abs(y0 - y0p):.5f} vs 3 combined se "
       f"{3 * math.hypot(se, sep):.5f}")

@@ -140,6 +140,7 @@ def _run_linear(cfg: ScenarioConfig, ens: PathEnsemble, writer) -> int:
     rows.append((0, 0.0, "y0", y0, se))
     writer.write_csv("linear_solution.csv", rows)
     writer.diagnostics["linear"] = {"y0": y0, "se": se,
+                                    "se_method": "f1_node0",
                                     "kernel_norm": norm}
     return EXIT_OK
 

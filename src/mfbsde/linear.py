@@ -3,13 +3,15 @@
 Pipeline: set up the exponential propagator on the ensemble, assemble
 the deterministic system V = F + AV for the means (Ybar, Zbar, Kbar),
 solve it by a windowed Neumann series (with a dense factorisation as the
-oracle route), and evaluate Y(0) as a plain Monte Carlo mean of the
-propagator-weighted functional.  A measure-change special case solves the
+oracle route), and read Y(0) off the solution: the closed formula's
+Y(0) is the mean system's V1(0), with the propagator's exact mean in
+place of its sample mean.  A measure-change special case solves the
 tilted equation by weighted and by shifted simulation.
 
-The paths are read only through per-node averages, so the route runs in
-two passes over chunks of paths on the block workers of the noise draw:
-the source assembly, then the closed formula.  A chunk has
+The paths are read only through per-node averages, so the route is one
+pass over chunks of paths on the block workers of the noise draw: the
+source assembly, which also records F1's node-0 per-path sample for
+Y(0)'s standard error.  A chunk has
 `levy_paths._pass_rows(M+1)` paths: 1,024 up to M = 100 and fewer on
 finer grids, so that its node-major planes stay in cache and a worker's
 scratch is O(M).  Each chunk computes its propagator exponent in its
@@ -175,12 +177,14 @@ def mean_gamma(coeffs: LinearCoefficients, grid, levy, t: float, s: float
 
 @dataclass
 class MeanVector:
-    """Means of the solution triplet on the grid."""
+    """Means of the solution triplet on the grid; on a system's sources
+    and its solutions, also F1's node-0 sample (see `assemble_system`)."""
 
     grid: object
     v1: np.ndarray          # (M+1,)  E[Y]
     v2: np.ndarray          # (M+1,)  E[Z]
     v3: np.ndarray          # (M+1, J) E[K_j]
+    node0: Optional[tuple] = None   # ((n,) sample, its standard error)
 
     def stack(self) -> np.ndarray:
         return np.concatenate([self.v1, self.v2, self.v3.T.ravel()])
@@ -244,16 +248,14 @@ def _reverse_trapezoid(v: np.ndarray, tmp: np.ndarray) -> None:
     v[m] = 0.0
 
 
-def _propagator_inputs(gamma: Optional[GammaEnsemble], gamma_path,
-                       coeffs: LinearCoefficients, ens: PathEnsemble,
-                       v: Optional[MeanVector] = None):
-    """The propagator `simulate_gamma(coeffs, ens)`, given or simulated,
-    and the pathwise running cost as floats or None; ConfigError for any
-    other propagator, for a gamma_path or `v` of another shape, or for a
-    gamma_path that is not finite."""
-    if gamma is None:
-        gamma = simulate_gamma(coeffs, ens)
-    elif gamma.ens is not ens or gamma.coeffs is not coeffs:
+def _check_inputs(gamma: Optional[GammaEnsemble], gamma_path,
+                  coeffs: LinearCoefficients, ens: PathEnsemble,
+                  v: Optional[MeanVector] = None):
+    """The pathwise running cost as floats, or None; ConfigError for a
+    propagator other than `simulate_gamma(coeffs, ens)`, or for a
+    gamma_path or `v` of another shape."""
+    if gamma is not None and (gamma.ens is not ens
+                              or gamma.coeffs is not coeffs):
         raise ConfigError(
             "gamma was simulated on another ensemble or from other "
             "coefficients; pass the propagator of this equation"
@@ -265,13 +267,11 @@ def _propagator_inputs(gamma: Optional[GammaEnsemble], gamma_path,
         raise ConfigError(f"v must hold the means of this grid and atom "
                           f"count, of shapes {shapes}")
     if gamma_path is None:
-        return gamma, None
+        return None
     gp = np.asarray(gamma_path, dtype=float)
     if gp.shape != (ens.n_paths, m1):
         raise ConfigError("gamma_path must have shape (n_paths, M+1)")
-    if not np.isfinite(gp).all():
-        raise ConfigError("gamma_path must be finite on every path and node")
-    return gamma, gp
+    return gp
 
 
 def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
@@ -314,12 +314,19 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     E[G(t_i, t_l)] is the propagator mean exp(a1_cum_l - a1_cum_i), so
     both are row sums of the quadrature weights of the mean system.
     Those are built in place in one (M+1)^2 array, which then becomes
-    the kernel, so at most two such arrays are alive at once.
+    the kernel, so at most two such arrays are alive at once.  F1's
+    node-0 sample xi G(0, T) + R_0 is recorded per path, before the
+    chunk centres it, as the sources' `node0` with F1's node-0 standard
+    error: the solves carry it to `y_closed_formula`.
     """
     grid, levy = ens.grid, ens.levy
     if tc is None:
         raise CapabilityError("assemble_system needs a terminal condition")
-    gamma, gp = _propagator_inputs(gamma, gamma_path, coeffs, ens)
+    gp = _check_inputs(gamma, gamma_path, coeffs, ens)
+    if gp is not None and not np.isfinite(gp).all():
+        raise ConfigError("gamma_path must be finite on every path and node")
+    if gamma is None:
+        gamma = simulate_gamma(coeffs, ens)
     cg = gamma.cg
     m1, nj, dt, n = grid.steps + 1, levy.n_atoms, grid.dt, ens.n_paths
 
@@ -340,6 +347,7 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
                        n - _PASS_ROWS * np.arange(n_slots)).astype(float)
     sums = np.zeros((len(row_terms), n_slots, m1))
     m2 = np.zeros((len(row_terms), n_slots, m1))
+    node0 = np.empty(n)
     write = gamma.writer()
 
     def work(b: int, rows: slice, planes: np.ndarray) -> None:
@@ -369,6 +377,8 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
                 # on threading
                 np.einsum("kn,km->mn", factors, profs[r], out=sample)
                 sample *= einv
+            if r == 0:
+                node0[rows] = sample[0]
             # the chunk's sum and centred sum of squares at each node,
             # merged into its slot in row order (Chan, Golub & LeVeque)
             s = np.sum(sample, axis=1)
@@ -424,7 +434,7 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     quad *= cg.a2[None, :]                   # now the kernel
     return VolterraSystem(
         grid=grid, kernel=quad, source=source,
-        f=MeanVector(grid, f1, f2, f3),
+        f=MeanVector(grid, f1, f2, f3, (node0, float(f1_se[0]))),
         f_se=MeanVector(grid, f1_se, f2_se, f3_se), n_nodes=m1)
 
 
@@ -558,60 +568,38 @@ def y_closed_formula(coeffs: LinearCoefficients, tc: TerminalCondition,
                      gamma: Optional[GammaEnsemble] = None,
                      gamma_path: Optional[np.ndarray] = None,
                      return_sample: bool = False):
-    """Monte Carlo evaluation of the closed formula at t = 0.
+    """Y(0) of the closed formula, read off the mean system's solution `v`.
 
-    Y(0) = E[xi G(0,T) + sum_i G(0,t_i) {a2 V1 + b2 V2 + sum_j e2 V3 w_j
-            + gamma(t_i)} dt], with the pathwise running cost
-    `gamma_path`, when given, added to the deterministic gamma.  Returns
-    (Y(0), standard error, V1 grid) or, with `return_sample`,
-    additionally the per-path sample (useful for paired comparisons
-    across controls on common noise).  As in `assemble_system`, every
-    coefficient is read from `gamma`.
-
-    The per-path sample is written block by block on the block workers,
-    each block recomputing its propagator exponent; the quadrature adds
-    node by node, in node order, on a node-major copy of the block's
-    running cost, so no sample byte depends on the worker count or on
-    the layout of gamma_path.
+    The formula E[xi G(0,T) + sum_l wq_l G(0,t_l) (h_l + gamma_path_l)],
+    h = a2 V1 + b2 V2 + sum_j e2_j w_j V3_j + gamma, with the exact mean
+    E[G(0, t_l)] in place of the sample mean on the h part (a control
+    variate: Glasserman, Monte Carlo Methods in Financial Engineering,
+    2004, 4.1) is the mean system's node-0 row V1(0), so Y(0) is v.v1[0]
+    and no path is read.  The standard error is that of F1's node-0
+    sample xi G(0, T) + R_0; it treats the rest of the system as exact.
+    Returns (Y(0), standard error, V1 grid) or, with `return_sample`,
+    also that sample shifted to mean Y(0) (for paired comparisons across
+    controls on common noise).  `tc` and the values of `gamma_path`
+    entered the sample in the assembly; the arguments are checked as
+    there, and a `v` that no solve of a system on `ens` returned is a
+    ConfigError.
     """
-    grid, levy = ens.grid, ens.levy
-    gamma, gp = _propagator_inputs(gamma, gamma_path, coeffs, ens, v)
-    cg = gamma.cg
-    m1 = grid.steps + 1
-    w = levy.weights
-    h = cg.a2 * v.v1 + cg.b2 * v.v2 + (cg.e2 * v.v3 * w).sum(axis=1) + cg.g
-    h, wq = h[:, None], np.full((m1, 1), grid.dt)
-    wq[0] = wq[-1] = 0.5 * grid.dt
-    xi = terminal_value(tc, ens)
-    sample = np.empty(ens.n_paths)
-
-    write = gamma.writer()
-
-    def work(b: int, rows: slice, planes: np.ndarray) -> None:
-        expl = planes[0]
-        write(rows, expl, planes[1, 1:])
-        np.exp(expl, out=expl)
-        np.multiply(xi[rows], expl[-1], out=sample[rows])
-        if gp is None:
-            term = expl
-            term *= h
-        else:
-            term = planes[1]
-            term[...] = gp[rows].T
-            term += h
-            term *= expl
-        term *= wq
-        # a reduction down the node axis adds one node row at a time
-        sample[rows] += term.sum(axis=0)
-
-    _over_row_blocks(range(ens.n_paths), (2, m1), work)
-    y0, se = _mean_se(sample)
-    return (y0, se, v.v1, sample) if return_sample else (y0, se, v.v1)
+    _check_inputs(gamma, gamma_path, coeffs, ens, v)
+    if v.node0 is None or v.node0[0].shape != (ens.n_paths,):
+        raise ConfigError(
+            "v must be the neumann_solve or direct_solve of a system "
+            "assembled on this ensemble: a MeanVector built otherwise "
+            "holds no node-0 sample for Y(0)")
+    sample, se = v.node0
+    y0 = float(v.v1[0])
+    if not return_sample:
+        return y0, se, v.v1
+    return y0, se, v.v1, sample + (y0 - sample.mean())
 
 
 def solve_linear_y0(coeffs: LinearCoefficients, ens: PathEnsemble):
     """Convenience pipeline: assemble, solve the mean system by the
-    Neumann series (`direct_solve` is its dense oracle), evaluate Y(0).
+    Neumann series (`direct_solve` is its dense oracle), read Y(0).
     Returns (y0, se, MeanVector)."""
     gamma = simulate_gamma(coeffs, ens)
     sys = assemble_system(coeffs, coeffs.terminal, ens, gamma=gamma)

@@ -365,14 +365,17 @@ def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
 
     Forms the running cost log(pi X) in log space, row block by row
     block on the block workers, exponentiating only the terminal wealth
-    X(T); builds the propagator from (a0, b0, e0), passes the running
-    cost as the engine's `gamma_path` and averages the closed formula
-    pathwise.  Each wealth and utility coefficient is evaluated once.
+    X(T); builds the propagator from (a0, b0, e0) and passes the running
+    cost as the engine's `gamma_path`: J is the mean system's V1(0), and
+    the paths are walked twice, for the wealth and for the assembly,
+    which alone scans the running cost for finiteness.  Each wealth and
+    utility coefficient is evaluated once.
     Nonzero mean coefficients on Z or K require a deterministic rate;
     without them (beta1 = eta1 = 0, as on every adapted rate) the
     derivative rows are skipped, and the returned MeanVector holds
     zeros in v2 and v3, not E[Z] and E[K].  Returns (J, standard error,
-    MeanVector), plus the per-path sample with `return_sample`.
+    MeanVector), plus with `return_sample` the per-path sample of
+    `y_closed_formula`: F1's node-0 sample shifted to mean J.
     """
     grid, levy = ens.grid, ens.levy
     b0, s0, g0 = wp.on_grid(grid, levy)

@@ -622,7 +622,31 @@ def test_linear_run_independent_of_blas_threads(tmp_path):
     assert hashes[0] == hashes[1]
 
 
-DETERMINISM_PICARD = DETERMINISM_LINEAR.replace(
+def test_linear_y0_row_is_the_mean_system(tmp_path):
+    """In linear_solution.csv the y0 row is ybar at node 0, and its SE is
+    the f1 row's node-0 SE, as the manifest's `se_method` says; a rerun
+    of the same seed writes the same body."""
+    ini = tmp_path / "linear.ini"
+    ini.write_text(DETERMINISM_LINEAR.replace("paths = 20000",
+                                              "paths = 3000"))
+    bodies = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["linear", "--config", str(ini), "--out",
+                     str(out)]) == 0
+        bodies.append((out / "linear_solution.csv").read_text()
+                      .splitlines()[1:])
+    assert bodies[0] == bodies[1]
+    rows = {(stat, node): (value, se) for node, _, stat, value, se in
+            (line.split(",") for line in bodies[0][1:])}
+    y0, se = rows["y0", "0"]
+    assert y0 == rows["ybar", "0"][0]
+    assert se == rows["f1", "0"][1] and float(se) > 0.0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["diagnostics"]["linear"]["se_method"] == "f1_node0"
+
+
+DETERMINISM_PICARD =DETERMINISM_LINEAR.replace(
     "mode = linear", "mode = picard") + textwrap.dedent("""
     [solver]
     tol = 1e-6

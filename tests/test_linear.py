@@ -41,9 +41,10 @@ from mfbsde import levy_paths
 from mfbsde import linear as linear_module
 from mfbsde.core import terminal_value
 from mfbsde.levy_paths import _PASS_ROWS, _pass_rows
-from mfbsde.linear import _left_quadrature, assemble_system
+from mfbsde.linear import MeanVector, _left_quadrature, assemble_system
 
 from conftest import mc_se
+from formula_pass import formula_pass
 
 
 class TestSimulateGamma:
@@ -475,19 +476,76 @@ class TestClosedFormula:
 
     def test_gamma_path_layout_changes_no_byte(self, ens_small):
         """A node-major running cost and its C-ordered copy, passed
-        straight to the closed formula, give byte-identical per-path
-        samples: the quadrature adds node by node, in node order."""
+        straight to the assembly and the closed formula, give
+        byte-identical Y(0), SE and per-path samples: each chunk reads
+        its running cost elementwise into a node-major plane."""
         c = LinearCoefficients(alpha1=0.2, alpha2=0.1, beta1=0.1,
                                terminal=smooth_of_brownian([1.0, 0.5]))
         g = simulate_gamma(c, ens_small)
         gp = np.asfortranarray(np.cos(ens_small.brownian_nodes))
-        v = neumann_solve(assemble_system(c, c.terminal, ens_small,
-                                          gamma=g, gamma_path=gp))
-        samples = [y_closed_formula(c, c.terminal, ens_small, v, gamma=g,
-                                    gamma_path=layout,
-                                    return_sample=True)[3].tobytes()
-                   for layout in (gp, np.ascontiguousarray(gp))]
-        assert samples[0] == samples[1]
+        outs = []
+        for layout in (gp, np.ascontiguousarray(gp)):
+            v = neumann_solve(assemble_system(c, c.terminal, ens_small,
+                                              gamma=g, gamma_path=layout))
+            y0, se, _, sample = y_closed_formula(
+                c, c.terminal, ens_small, v, gamma=g, gamma_path=layout,
+                return_sample=True)
+            outs.append([np.array([y0, se]).tobytes(), sample.tobytes()])
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("atoms", [0, 1, 2])
+    @pytest.mark.parametrize("pathwise", [False, True],
+                             ids=["gamma", "gamma_path"])
+    def test_formula_pass_minus_mean_system_is_the_control_variate(
+            self, levy0, levy1, levy2, atoms, pathwise):
+        """The closed formula's second pass over the paths differs from
+        the mean system's V1(0) by sum_l wq_l (Gbar(0, t_l) - E G(0, t_l))
+        h_l, to 1e-12 of Y(0), and each path's formula sample differs
+        from the returned sample by the same sum with the path's own
+        G(0, t_l)."""
+        levy = (levy0, levy1, levy2)[atoms]
+        ens = simulate_ensemble(build_grid(1.0, 20), levy,
+                                2 * _PASS_ROWS + 37, seed=23 + atoms)
+        tc = smooth_of_brownian([1.0, 0.5, 0.3]) if atoms == 0 else \
+            poly_of_jump_linear([0.3, 0.5, -0.2], [0.6, -0.4][:atoms])
+        c = LinearCoefficients(alpha1=0.2, alpha2=0.15, beta1=0.3,
+                               beta2=0.12, eta1=0.25, eta2=0.15,
+                               gamma=0.1, terminal=tc)
+        g = simulate_gamma(c, ens)
+        gp = 1.0 + 0.5 * np.cos(ens.brownian_nodes) if pathwise else None
+        v = direct_solve(assemble_system(c, tc, ens, gamma=g,
+                                         gamma_path=gp))
+        y0, se, _, sample = y_closed_formula(c, tc, ens, v, gamma=g,
+                                             gamma_path=gp,
+                                             return_sample=True)
+        y_ref, se_ref, ref = formula_pass(c, tc, ens, v, g, gp)
+        cg, dt = g.cg, ens.grid.dt
+        h = cg.a2 * v.v1 + cg.b2 * v.v2 \
+            + (cg.e2 * v.v3 * levy.weights).sum(axis=1) + cg.g
+        wq = np.full(ens.grid.steps + 1, dt)
+        wq[0] = wq[-1] = 0.5 * dt
+        expl = np.exp(g.log_levels())
+        cv = (expl - np.exp(g.a1_cum)) * (wq * h)
+        assert abs(y_ref - y0 - cv.sum(axis=1).mean()) <= 1e-12 * abs(y_ref)
+        per_path = cv.sum(axis=1)
+        assert np.abs(ref - sample - per_path).max() \
+            <= 1e-12 * np.abs(ref).max()
+        assert sample.mean() == pytest.approx(y0, rel=1e-14)
+        assert se == pytest.approx(mc_se(sample), rel=1e-12)
+        assert 0.5 < se / se_ref < 1.5
+
+    def test_hand_built_means_rejected(self, ens_small):
+        """A MeanVector that no solve returned has no node-0 sample: the
+        closed formula names `v` in a ConfigError, not a silent number."""
+        c = LinearCoefficients(alpha1=0.2, alpha2=0.1,
+                               terminal=smooth_of_brownian([1.0, 0.5]))
+        v = neumann_solve(assemble_system(c, c.terminal, ens_small))
+        bare = MeanVector(v.grid, v.v1, v.v2, v.v3)
+        other = simulate_ensemble(ens_small.grid, ens_small.levy, 500, 3)
+        for means, ens in ((bare, ens_small), (v, other)):
+            with pytest.raises(ConfigError, match="^v must be the "
+                                                  "neumann_solve"):
+                y_closed_formula(c, c.terminal, ens, means)
 
 
 # the desk coefficients at 1e5 paths on a 50-step grid, printing the
@@ -719,21 +777,28 @@ class TestBlockPasses:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_gamma_path_finiteness_checked(self, levy1, bad):
-        """Both passes name gamma_path in a ConfigError when one value is
-        not finite, before any arithmetic warns."""
+        """The one pass, the assembly, names gamma_path in a ConfigError
+        when one value is not finite, before any arithmetic warns.  The
+        closed formula reads only its shape: the values entered the
+        sample in the assembly, so Y(0), its SE and the sample are those
+        of the finite running cost the system was assembled with."""
         ens = simulate_ensemble(build_grid(1.0, 10), levy1, 300, seed=18)
         c = LinearCoefficients(**self.COEFFS, terminal=constant(1.0))
-        v = neumann_solve(assemble_system(c, c.terminal, ens))
         gp = np.zeros((300, 11))
+        v = neumann_solve(assemble_system(c, c.terminal, ens,
+                                          gamma_path=gp))
+        want = y_closed_formula(c, c.terminal, ens, v, gamma_path=gp,
+                                return_sample=True)
         gp[123, 7] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match="gamma_path must be "
                                                   "finite"):
                 assemble_system(c, c.terminal, ens, gamma_path=gp)
-            with pytest.raises(ConfigError, match="gamma_path must be "
-                                                  "finite"):
-                y_closed_formula(c, c.terminal, ens, v, gamma_path=gp)
+            got = y_closed_formula(c, c.terminal, ens, v, gamma_path=gp,
+                                   return_sample=True)
+        assert got[:2] == want[:2]
+        assert got[3].tobytes() == want[3].tobytes()
 
     def test_means_of_another_grid_or_atom_count_rejected(self, levy1,
                                                           levy2):
@@ -780,9 +845,10 @@ class TestBlockPasses:
             ens_small.grid.steps + 1)
 
     def test_passed_propagator_changes_no_byte(self, ens_small):
-        """Both passes give the same bytes with and without
-        `gamma=simulate_gamma(c, ens)`, the call pattern of the CLI and
-        the benchmark."""
+        """The assembly and the closed formula give the same bytes with
+        and without `gamma=simulate_gamma(c, ens)`, the call pattern of
+        the CLI and the benchmark: the sources, with F1's node-0 sample,
+        and the Y(0), SE and sample read off each system's solution."""
         c = LinearCoefficients(**self.COEFFS, gamma=0.1,
                                terminal=smooth_of_brownian([1.0, 0.5, 0.2]))
         g = simulate_gamma(c, ens_small)
@@ -790,13 +856,14 @@ class TestBlockPasses:
         own = assemble_system(c, c.terminal, ens_small)
         for a, b in ((given.kernel, own.kernel), (given.source, own.source),
                      (given.f.stack(), own.f.stack()),
-                     (given.f_se.stack(), own.f_se.stack())):
+                     (given.f_se.stack(), own.f_se.stack()),
+                     (given.f.node0[0], own.f.node0[0])):
             assert a.tobytes() == b.tobytes()
-        v = neumann_solve(own)
-        y_given = y_closed_formula(c, c.terminal, ens_small, v, gamma=g,
+        y_given = y_closed_formula(c, c.terminal, ens_small,
+                                   neumann_solve(given), gamma=g,
                                    return_sample=True)
-        y_own = y_closed_formula(c, c.terminal, ens_small, v,
-                                 return_sample=True)
+        y_own = y_closed_formula(c, c.terminal, ens_small,
+                                 neumann_solve(own), return_sample=True)
         assert y_given[:2] == y_own[:2]
         assert y_given[3].tobytes() == y_own[3].tobytes()
 

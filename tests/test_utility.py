@@ -805,6 +805,45 @@ class TestLogWealthBlocks:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("case", ["adapted", "deterministic_rows"])
+    def test_one_path_pass_per_closed_form_solve(self, ens_small,
+                                                 monkeypatch, case):
+        """A closed-form solve walks the paths once, in the assembly:
+        `solve_linear_y0` makes one pass over row blocks, and
+        `evaluate_j` two (the wealth, then the assembly), whose running
+        cost is scanned for finiteness once."""
+        real = levy_paths._over_row_blocks
+        passes = []
+
+        def spy(rows, shape, work):
+            passes.append(len(rows))
+            real(rows, shape, work)
+
+        # every module that holds the helper by name
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mfbsde" and \
+                    getattr(module, "_over_row_blocks", None) is real:
+                monkeypatch.setattr(module, "_over_row_blocks", spy)
+        n, m1 = ens_small.n_paths, ens_small.grid.steps + 1
+        isfinite, scans = np.isfinite, []
+
+        def scan(x, *args, **kwargs):
+            if np.shape(x) == (n, m1):
+                scans.append(1)
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", scan)
+        c = mfbsde.LinearCoefficients(
+            alpha1=0.2, alpha2=0.1, beta1=0.3, beta2=0.15, eta1=0.25,
+            eta2=0.2, gamma=0.1, terminal=smooth_of_brownian([1.0, 0.5]))
+        mfbsde.solve_linear_y0(c, ens_small)
+        assert passes == [n]
+        passes.clear()
+        wp, uc, pi = _utility_cases(ens_small)[case]
+        evaluate_j(wp, uc, pi, ens_small, return_sample=True)
+        assert passes == [n, n]
+        assert len(scans) == 1
+
 
 # the utility route of acceptance criterion 9 ("diffusive" scenario),
 # printing a hash of the raw bytes of evaluate_j's output
