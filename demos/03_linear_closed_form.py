@@ -45,7 +45,7 @@ gamma = simulate_gamma(coeffs, ens)
 gt = gamma.factor(0, grid.steps)
 print(f"propagator: simulated mean over [0,1] = {gt.mean():.4f}, "
       f"analytic exp(int a1) = "
-      f"{mean_gamma(coeffs, grid, levy, 0.0, 1.0):.4f}")
+      f"{mean_gamma(coeffs, grid, 0.0, 1.0):.4f}")
 flow = gamma.factor(10, 60) - gamma.factor(10, 30) * gamma.factor(30, 60)
 print(f"flow property holds to {np.abs(flow).max():.1e}")
 

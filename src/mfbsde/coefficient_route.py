@@ -28,6 +28,7 @@ from .core import (
     MeanFunctional,
     SolutionGrid,
     TerminalCondition,
+    _phi_mean,
     terminal_value,
 )
 from .errors import ConfigError, NumericalError
@@ -350,16 +351,11 @@ class CoefficientRoute:
                     it, self.m, np.empty(shape, order="F"), x=x)
             yield i, x, self.write(it, i, np.empty(shape, order="F"), x=x)
 
-    def path_mean(self, v: np.ndarray) -> np.ndarray:
-        """phi's mean over the per-path node values V (n, 2+J), (d,)."""
-        return np.einsum("nd->d", self.phi.eval(
-            v[:, 0], v[:, 1], v[:, 2:])) / v.shape[0]
-
     def mean_channel(self, it: CoefIterate) -> np.ndarray:
         """Means of phi at every node, (M+1, d): from the coefficients,
         or for phi without a form over the written iterate."""
         if self.lmap is None:
-            return np.stack([self.path_mean(v)
+            return np.stack([_phi_mean(self.phi, v)
                              for _, _, v in self._values(it)][::-1])
         lmap, m = self.lmap, self.m
         coefs = np.concatenate([it.b[:, None], it.zk], axis=1)
@@ -382,7 +378,7 @@ class CoefficientRoute:
         the same values when no mean channel is given."""
         t, rhs = self.ens.grid.nodes, np.empty((self.m, self.p, 1))
         for i, x, v in self._values(it):
-            mu_i = self.path_mean(v) if mu is None else mu[i]
+            mu_i = _phi_mean(self.phi, v) if mu is None else mu[i]
             f = self.driver(t[i], v[:, 0], v[:, 1], v[:, 2:], mu_i)
             if i < self.m:              # node M comes first
                 rhs[i, :, 0] = x.T @ (f + f_next)

@@ -443,11 +443,14 @@ class SolutionGrid:
 
 def mean_functional_eval(phi: MeanFunctional, sol: SolutionGrid, i: int
                          ) -> np.ndarray:
-    """Ensemble mean of phi applied pathwise at node i, shape (d,).
+    """Ensemble mean of phi applied pathwise at node i, shape (d,)."""
+    return _phi_mean(phi, sol.node(i))
 
-    The catalog functionals return a C-ordered (n, d) sample; einsum sums
-    its columns in one walk, where a mean over axis 0 is strided."""
-    v = sol.node(i)
+
+def _phi_mean(phi: MeanFunctional, v: np.ndarray) -> np.ndarray:
+    """Ensemble mean of phi over node values [Y | Z | K] (n, 2+J), (d,):
+    einsum sums the columns of the catalog's C-ordered (n, d) sample in
+    one walk, where a mean over axis 0 is strided."""
     v = phi.eval(v[:, 0], v[:, 1], v[:, 2:])
     return np.einsum("nd->d", v) / v.shape[0]
 

@@ -157,7 +157,7 @@ def _node_index(grid, t: float, name: str, caller: str) -> int:
     return i
 
 
-def mean_gamma(coeffs: LinearCoefficients, grid, levy, t: float, s: float
+def mean_gamma(coeffs: LinearCoefficients, grid, t: float, s: float
                ) -> float:
     """E[gamma(t, s)] = exp of the grid quadrature of a1 over [t, s], for
     grid times 0 <= t <= s <= T; from the same cumulative quadrature

@@ -5,17 +5,18 @@ Conditional expectations of Y are ridge-regularised least squares on
 adapted path features.  Those of the Z and K integrands are exact on a
 P ensemble with the built-in features (powers of B and compensated jump
 sums, no extras), whose one-step moments are known, and the same least
-squares otherwise.  The driver is frozen along the previous iterate
-(full freeze), or only its mean channel is frozen while an inner solve
-converges in (Y, Z, K) (mean freeze).  Driver time integrals use the
-trapezoid weights 1/2 (f(t_i) + f(t_{i+1})); the backward recursion and
-the regressions of Z and K on the increments are left-endpoint.  The
-solvers and the contraction check iterate on the node regression
-coefficients (`coefficient_route`) and evaluate custom callables
-pathwise.  Each solve builds one scenario-free regression set-up and
-one route that adds the terminal and any source (`setup_s` times both).
-The two solvers are the only entry points, and their `SolutionGrid` is
-the only reader of the answers.
+squares otherwise.  Driver time integrals use the trapezoid weights
+1/2 (f(t_i) + f(t_{i+1})); the backward recursion and the regressions
+of Z and K on the increments are left-endpoint.  The solvers and the
+contraction check iterate on the node regression coefficients
+(`coefficient_route`) and evaluate custom callables pathwise.  Both
+freezes share one preamble (guards, probes, one scenario-free
+regression set-up and one route that adds the terminal and any source,
+`setup_s` timing both) and one loop, `_iterate`: the full freeze over
+sweeps with the driver frozen along the previous iterate, the mean
+freeze over outer steps that each run that loop in (Y, Z, K) with only
+the mean channel frozen.  The two solvers are the only entry points,
+and their `SolutionGrid` is the only reader of the answers.
 """
 from __future__ import annotations
 
@@ -110,45 +111,45 @@ def _route(driver: DriverSpec, phi: Optional[MeanFunctional],
     return route, time.perf_counter() - started
 
 
-def _check_step(driver: DriverSpec, ens: PathEnsemble):
-    if driver.lipschitz_c * ens.grid.dt >= 1.0:
-        raise ConfigError(
-            f"dt * Lipschitz constant = {driver.lipschitz_c * ens.grid.dt:.3g}"
-            " >= 1; refine the grid"
-        )
-
-
-def _check_caps(**caps):
+def _preamble(driver: DriverSpec, phi: Optional[MeanFunctional],
+              tc: TerminalCondition, ens: PathEnsemble,
+              basis: RegressionBasis, check: bool, tol: float, scheme: str,
+              **caps):
+    """A freeze's route and its report with the set-up's diagnostics,
+    after the step guard dt * L < 1, the iteration caps and, if `check`,
+    the probes of the driver and of phi if there is one."""
+    ldt = driver.lipschitz_c * ens.grid.dt
+    if ldt >= 1.0:
+        raise ConfigError(f"dt * Lipschitz constant = {ldt:.3g} >= 1; "
+                          "refine the grid")
     for name, cap in caps.items():
         if cap < 1:
             raise ConfigError(f"{name} must be >= 1, got {cap}")
+    if check:
+        probe_driver(driver, ens.grid, ens.levy)
+        if phi is not None:
+            probe_mean_functional(phi, ens.levy.n_atoms)
+    route, setup_s = _route(driver, phi, tc, ens, basis)
+    return route, PicardReport(tol=tol, scheme=scheme, setup_s=setup_s,
+                               ridge_max=route.reg.ridge_max,
+                               cond_max=route.reg.cond_max)
 
 
-def _freeze_loop(route, tol: float, max_iter: int, mu: Optional[np.ndarray],
-                 scheme: str) -> tuple[object, PicardReport]:
-    """Shared driver-freezing iteration on the route's iterates, each
-    sweep with the mean channel mu (M+1, d), or without mu phi's means of
-    the previous iterate."""
-    dt = route.ens.grid.dt
-    report = PicardReport(tol=tol, scheme=scheme)
-    it = route.initial()
+def _iterate(route, report: PicardReport, step, it, max_iter: int):
+    """The Picard loop: the last of it = step(it), at most max_iter times,
+    each step's sup-node and integrated E|dY|^2 and its seconds recorded
+    on `report`, until the sup-node one drops below report.tol."""
     for _ in range(max_iter):
         started = time.perf_counter()
-        new = route.sweep(it, mu)
+        new = step(it)
         dy2 = route.dy2(new, it)
-        report.record(float(dy2.max()), float(dy2.sum() * dt),
+        report.record(float(dy2.max()), float(dy2.sum() * route.dt),
                       time.perf_counter() - started)
         it = new
-        if report.deltas[-1] < tol:
+        if report.deltas[-1] < report.tol:
             report.converged = True
             break
-    return it, report
-
-
-def _finish(report: PicardReport, route, setup_s: float):
-    report.ridge_max = route.reg.ridge_max
-    report.cond_max = route.reg.cond_max
-    report.setup_s = setup_s
+    return it
 
 
 def picard_full_freeze(driver: DriverSpec, phi: MeanFunctional,
@@ -169,14 +170,9 @@ def picard_full_freeze(driver: DriverSpec, phi: MeanFunctional,
     first read, so a caller that reads none of them forms no (n, M+1)
     array.
     """
-    _check_step(driver, ens)
-    _check_caps(max_iter=max_iter)
-    if check:
-        probe_driver(driver, ens.grid, ens.levy)
-        probe_mean_functional(phi, ens.levy.n_atoms)
-    route, setup_s = _route(driver, phi, tc, ens, basis)
-    it, report = _freeze_loop(route, tol, max_iter, None, "full-freeze")
-    _finish(report, route, setup_s)
+    route, report = _preamble(driver, phi, tc, ens, basis, check, tol,
+                              "full-freeze", max_iter=max_iter)
+    it = _iterate(route, report, route.sweep, route.initial(), max_iter)
     if not report.converged:
         warnings.warn(
             f"Picard full freeze did not converge in {report.iterations} "
@@ -196,47 +192,37 @@ def picard_mean_freeze(driver: DriverSpec, tc: TerminalCondition,
     step solves the inner equation in (Y, Z, K) to convergence (to tol,
     within inner_max_iter sweeps) with the frozen mean path, then updates
     the mean.  Outer iterate differences are the quantity whose
-    factorial-rate decay the convergence lemma predicts.  All outer steps
-    share one route, so the coefficient route's set-up is paid once.  The
-    solution is read off the coefficients (see `picard_full_freeze`).
+    factorial-rate decay the convergence lemma predicts.  Both levels run
+    the full freeze's loop on one route, so the set-up is paid once.
+    The solution is read off the coefficients (see `picard_full_freeze`).
     """
     if driver.mean_dim != 1:
         raise ConfigError(
             "mean-freeze driver must depend on the mean through E[Y] only"
         )
-    _check_step(driver, ens)
-    _check_caps(max_iter=max_iter, inner_max_iter=inner_max_iter)
-    if check:
-        probe_driver(driver, ens.grid, ens.levy)
-    route, setup_s = _route(driver, None, tc, ens, basis)
+    route, report = _preamble(driver, None, tc, ens, basis, check, tol,
+                              "mean-freeze", max_iter=max_iter,
+                              inner_max_iter=inner_max_iter)
 
-    report = PicardReport(tol=tol, scheme="mean-freeze")
-    prev = route.initial()
-    frozen = route.ybar(prev)
-    dt = ens.grid.dt
-    for _ in range(max_iter):
-        started = time.perf_counter()
-        it, inner_rep = _freeze_loop(route, tol, inner_max_iter,
-                                     frozen[:, None], "mean-freeze-inner")
-        if not inner_rep.converged:
+    def outer(prev):
+        frozen = route.ybar(prev)[:, None]
+        inner = PicardReport(tol=tol, scheme="mean-freeze-inner")
+        it = _iterate(route, inner, lambda it: route.sweep(it, frozen),
+                      route.initial(), inner_max_iter)
+        if not inner.converged:
             report.inner_unconverged += 1
+            # attributed to the line that called picard_mean_freeze
             warnings.warn("mean-freeze inner solve did not converge",
-                          stacklevel=2)
-        dy2 = route.dy2(it, prev)
-        report.record(float(dy2.max()), float(dy2.sum() * dt),
-                      time.perf_counter() - started)
-        prev = it
-        frozen = route.ybar(it)
-        if report.deltas[-1] < tol:
-            report.converged = True
-            break
-    _finish(report, route, setup_s)
+                          stacklevel=4)
+        return it
+
+    it = _iterate(route, report, outer, route.initial(), max_iter)
     if not report.converged:
         warnings.warn(
             f"Picard mean freeze did not converge in {report.iterations} "
             f"outer iterations", stacklevel=2,
         )
-    return route.solution(prev), report
+    return route.solution(it), report
 
 
 def contraction_check(driver: DriverSpec, phi: MeanFunctional,

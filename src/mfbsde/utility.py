@@ -28,7 +28,7 @@ from .core import (
     CoefficientGrid,
     LinearCoefficients,
     TerminalCondition,
-    mean_functional_eval,
+    _phi_mean,
     mean_yzk,
     terminal_value,
     wealth_linear,
@@ -435,7 +435,7 @@ def picard_utility_y0(wp: WealthParams, uc: UtilityCoefficients,
     # trapezoid of the first step
     v0, v1 = sol.node(0), sol.node(1)
     f0, f1 = (driver(grid.nodes[i], v[:, 0], v[:, 1], v[:, 2:],
-                     mean_functional_eval(phi, sol, i)) + gamma_path[:, i]
+                     _phi_mean(phi, v)) + gamma_path[:, i]
               for i, v in ((0, v0), (1, v1)))
     f_hat0 = f0 + f1
     f_hat0 *= 0.5

@@ -40,6 +40,7 @@ from mfbsde import (
     solve_adjoints,
     solve_linear_y0,
     terminal_value,
+    verify_hypotheses,
 )
 from mfbsde.linear import assemble_system, direct_solve, mean_gamma, \
     neumann_solve
@@ -237,7 +238,7 @@ def test_criterion_06_mean_gamma_identity(ens_desk):
             i = int(rng.integers(0, GRID.steps))
             l = int(rng.integers(i + 1, GRID.steps + 1))
             sample = g.factor(i, l)
-            target = mean_gamma(coeffs, GRID, LEVY, GRID.nodes[i],
+            target = mean_gamma(coeffs, GRID, GRID.nodes[i],
                                 GRID.nodes[l])
             se = sample.std(ddof=1) / math.sqrt(sample.size)
             assert abs(sample.mean() - target) <= 3 * se + 1e-12
@@ -296,6 +297,80 @@ def test_criterion_07_comparison_theorem():
         + f"...; forced min margin {forced.min_margin:+.3f} (logged)"
     )
     print("\nACCEPTANCE 7 PASS - comparison theorem: " + "; ".join(lines))
+
+
+# The comparison theorem's hypotheses are needed: each pair below breaks
+# exactly one of them, and its ordering fails on the exact solution.
+# Bounds are about three times the errors measured on this ensemble
+# (15,000 paths, M = 50, seed 303).
+
+@pytest.fixture(scope="module")
+def ens_counter():
+    return simulate_ensemble(build_grid(1.0, 50), LEVY, 15000, seed=303)
+
+
+def _forced(sc, ens):
+    """The hypothesis kinds flagged, the forced comparison, and each
+    equation's mean-freeze solution as the comparison solves it."""
+    kinds = [kind for kind, _ in
+             verify_hypotheses(sc, ens, n_probes=5000).violations]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        rep = run_comparison(sc, ens, BASIS, n_probes=5000, force=True)
+        sols = [picard_mean_freeze(g, xi, ens, BASIS, check=False)[0]
+                for g, xi in ((sc.g1, sc.xi1), (sc.g2, sc.xi2))]
+    return kinds, rep, sols
+
+
+def test_comparison_needs_a_driver_nondecreasing_in_the_mean(ens_counter):
+    """g1 = g2 = -3 E[Y], xi1 = B(T)^2 >= xi2 = 0: only the driver
+    hypothesis fails.  Y2 = 0 and Y1(t) = B(t)^2 + (1 - t)
+    + e^{-3(1-t)} - 1, so Y1(0) > 0 but the margin falls to
+    min_t e^{-3(1-t)} - t = -0.300 near t = 0.634, on paths with B = 0.
+    The forced run reads min margin -0.309 (bound: within 0.03 of the
+    exact node minimum) and ordering_holds False.  At t = 0.5 Picard's
+    Y1 is negative on 54.83% of paths and the exact Y1 on the same paths
+    on 54.51% (bound 0.01 apart), with an RMS error of 0.0163 (bound
+    0.05); over all nodes the RMS error is at most 0.024 (bound
+    0.075)."""
+    ens = ens_counter
+    g = DriverSpec(lambda t, y, z, k, mu: np.full_like(y, -3.0 * mu[0]),
+                   3.0, 1, name="-3 E[Y]")
+    kinds, rep, (sol1, sol2) = _forced(ComparisonScenario(
+        g, g, smooth_of_brownian([0.0, 0.0, 1.0]), constant(0.0)), ens)
+    assert kinds == ["driver"]
+    assert not rep.ordering_holds
+    t = ens.grid.nodes
+    exact_min = float((np.exp(-3.0 * (1.0 - t)) - t).min())
+    assert abs(rep.min_margin - exact_min) <= 0.03
+    assert not sol2.y.any()
+    exact = ens.brownian_nodes ** 2 + (1.0 - t) + np.exp(-3.0 * (1.0 - t)) \
+        - 1.0
+    i = 25                                  # t = 0.5
+    assert abs((sol1.y[:, i] < 0).mean() - (exact[:, i] < 0).mean()) <= 0.01
+    rms = np.sqrt(((sol1.y - exact) ** 2).mean(axis=0))
+    assert rms[i] <= 0.05 and rms.max() <= 0.075
+
+
+def test_comparison_needs_the_jump_bound(ens_counter):
+    """g1 = g2 = -3 sum_j k_j w_j, xi1 = Ntilde(T) >= xi2 = -w T: only
+    the jump hypothesis fails.  Y1 - Y2 = N(t) - 2 w (T - t), which is
+    -1 at t = 0 (one atom, w = 0.5).  The forced run reads ordering_holds
+    False and a node-0 margin of -0.981 (bound: within 0.06 of -1); the
+    pathwise margin's RMS error is at most 0.019 at every node (bound
+    0.06)."""
+    ens = ens_counter
+    w = ens.levy.weights
+    g = DriverSpec(lambda t, y, z, k, mu: -3.0 * (k @ w), 3.0, 1,
+                   name="-3 k.w")
+    kinds, rep, (sol1, sol2) = _forced(ComparisonScenario(
+        g, g, jump_linear(1.0), constant(-float(w[0]))), ens)
+    assert kinds == ["jump"]
+    assert not rep.ordering_holds
+    assert abs(rep.margin[0] + 1.0) <= 0.06
+    exact = ens.count_nodes[:, :, 0] - 2.0 * w[0] * (1.0 - ens.grid.nodes)
+    rms = np.sqrt(((sol1.y - sol2.y - exact) ** 2).mean(axis=0))
+    assert rms.max() <= 0.06
 
 
 def test_criterion_08_measure_change_duality(ens_desk):

@@ -84,13 +84,13 @@ class TestSimulateGamma:
 
 
 class TestMeanGamma:
-    def test_degenerate_interval(self, grid50, levy1):
+    def test_degenerate_interval(self, grid50):
         c = LinearCoefficients(alpha1=0.7)
-        assert mean_gamma(c, grid50, levy1, 0.5, 0.5) == 1.0
+        assert mean_gamma(c, grid50, 0.5, 0.5) == 1.0
 
-    def test_constant_coefficient(self, grid50, levy1):
+    def test_constant_coefficient(self, grid50):
         c = LinearCoefficients(alpha1=0.5)
-        assert mean_gamma(c, grid50, levy1, 0.0, 1.0) == pytest.approx(
+        assert mean_gamma(c, grid50, 0.0, 1.0) == pytest.approx(
             math.exp(0.5), rel=1e-12
         )
 
@@ -99,18 +99,18 @@ class TestMeanGamma:
         (0.05, 1.0, "t=0.05"),   # between nodes 0 and 1
         (-0.1, 0.5, "t=-0.1"),
     ])
-    def test_time_off_the_grid_rejected(self, levy1, t, s, named):
+    def test_time_off_the_grid_rejected(self, t, s, named):
         grid = build_grid(1.0, 10)
         c = LinearCoefficients(alpha1=0.2)
         with pytest.raises(ConfigError, match=named):
-            mean_gamma(c, grid, levy1, t, s)
+            mean_gamma(c, grid, t, s)
 
     def test_same_quadrature_as_the_propagator(self, ens_small):
         c = LinearCoefficients(alpha1=lambda t: 0.3 - 0.2 * t)
         g = simulate_gamma(c, ens_small)
         nodes = ens_small.grid.nodes
-        assert mean_gamma(c, ens_small.grid, ens_small.levy, nodes[7],
-                          nodes[40]) == np.exp(g.a1_cum[40] - g.a1_cum[7])
+        assert mean_gamma(c, ens_small.grid, nodes[7], nodes[40]) \
+            == np.exp(g.a1_cum[40] - g.a1_cum[7])
 
     def test_reads_alpha1_only(self, levy1):
         """mean_gamma calls alpha1 once per node and no other
@@ -129,7 +129,7 @@ class TestMeanGamma:
             alpha1=counted("alpha1", lambda t: 0.3 - 0.2 * t),
             alpha2=counted("alpha2", lambda t: 0.1 * math.cos(t)),
             beta2=counted("beta2", lambda t: 0.15 * t))
-        got = mean_gamma(c, grid, levy1, grid.nodes[3], grid.nodes[17])
+        got = mean_gamma(c, grid, grid.nodes[3], grid.nodes[17])
         assert calls == {"alpha1": grid.steps + 1}
         a1_cum = _left_quadrature(c.on_grid(grid, levy1).a1, grid.dt)
         assert got == float(np.exp(a1_cum[17] - a1_cum[3]))
@@ -143,8 +143,7 @@ class TestMeanGamma:
             i = int(rng.integers(0, m))
             l = int(rng.integers(i + 1, m + 1))
             sample = g.factor(i, l)
-            target = mean_gamma(c, ens_mid.grid, ens_mid.levy,
-                                ens_mid.grid.nodes[i],
+            target = mean_gamma(c, ens_mid.grid, ens_mid.grid.nodes[i],
                                 ens_mid.grid.nodes[l])
             assert abs(sample.mean() - target) <= 3 * mc_se(sample) + 1e-12
 
@@ -250,8 +249,7 @@ class TestAssembleSystem:
         g = simulate_gamma(c, ens_mid)
         sys = assemble_system(c, c.terminal, ens_mid, gamma=g)
         for i in (0, 50, 100):
-            target = mean_gamma(c, ens_mid.grid, ens_mid.levy,
-                                ens_mid.grid.nodes[i], 1.0)
+            target = mean_gamma(c, ens_mid.grid, ens_mid.grid.nodes[i], 1.0)
             se = sys.f_se.v2[i]
             assert abs(sys.f.v2[i] - target) <= 3 * se + 1e-12
 

@@ -315,6 +315,39 @@ class TestMeanFreeze:
         assert rep.inner_unconverged == rep.iterations == 3
         assert len(rep.iter_s) == 3
 
+    def test_first_outer_step_is_a_full_freeze(self, ens_small, basis):
+        """The mean freeze nests the full freeze: one outer step
+        (max_iter=1) gives the y, z and k of a full freeze, byte for
+        byte, of the same callable run to inner_max_iter sweeps with its
+        mean argument fixed at the per-node values that the mean freeze
+        passes in its first sweep."""
+        def fn(t, y, z, k, mu):
+            return -0.5 * y + 0.3 * np.sin(z) + 0.4 * mu[0]
+
+        calls = []
+
+        def recording(t, y, z, k, mu):
+            calls.append((t, mu.copy()))
+            return fn(t, y, z, k, mu)
+
+        tc, nodes = smooth_of_brownian([0.5, 1.0, 0.2]), ens_small.grid.nodes
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got, rep = picard_mean_freeze(DriverSpec(recording, 0.5, 1), tc,
+                                          ens_small, basis, max_iter=1,
+                                          inner_max_iter=50, check=False)
+        assert rep.iterations == 1 and not rep.converged
+        fixed = dict(calls[:nodes.size])
+        assert sorted(fixed) == list(nodes)
+        frozen = DriverSpec(lambda t, y, z, k, mu: fn(t, y, z, k, fixed[t]),
+                            0.5, 1)
+        want, want_rep = picard_full_freeze(frozen, mean_y(), tc, ens_small,
+                                            basis, max_iter=50, check=False)
+        assert want_rep.converged
+        for name in ("y", "z", "k"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes(), name
+
     def test_super_geometric_decay(self, ens_small, basis):
         drv = DriverSpec(lambda t, y, z, k, mu: np.full_like(y, mu[0]),
                          1.0, 1)
@@ -826,7 +859,7 @@ def test_one_set_up_serves_many_routes():
     of the same route on a fresh set-up, byte for byte, and every array
     the set-up holds keeps its bytes (the design scratch buffer aside)."""
     from mfbsde.coefficient_route import CoefficientRoute
-    from mfbsde.picard import _freeze_loop
+    from mfbsde.picard import PicardReport, _iterate
     from test_acceptance import CROSS_SCENARIOS
 
     ens = simulate_ensemble(build_grid(1.0, 25),
@@ -842,11 +875,15 @@ def test_one_set_up_serves_many_routes():
                             k=0.1 * ens.levy.weights, mu=0.1, const=0.05)
     sourced.source = 0.1 * np.cos(ens.brownian_nodes)
     problems.append((sourced, mean_y(), smooth_of_brownian([0.5, 1.0, 0.2])))
+
+    def freeze(route):
+        rep = PicardReport(tol=1e-6)
+        return _iterate(route, rep, route.sweep, route.initial(), 50), rep
+
     for driver, phi, tc in problems:
         routes = [CoefficientRoute(driver, phi, tc, ens, reg)
                   for reg in (shared, _Regressions(ens, basis))]
-        (it, rep), (want, want_rep) = (
-            _freeze_loop(r, 1e-6, 50, None, "full-freeze") for r in routes)
+        (it, rep), (want, want_rep) = (freeze(r) for r in routes)
         assert rep.converged
         last = [r.solution(i).node(ens.grid.steps)
                 for r, i in zip(routes, (it, want))]

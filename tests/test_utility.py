@@ -342,6 +342,36 @@ class TestHamiltonian:
                                              grid, levy))
         assert run() == once
 
+    def test_picard_route_writes_nodes_zero_and_one_once(self, grid50,
+                                                         levy1, monkeypatch):
+        """After its solve, `picard_utility_y0` writes node 0 and node 1
+        once each: phi's means there are taken over the node values it
+        already holds."""
+        from mfbsde.coefficient_route import CoefficientRoute
+
+        wp, uc = self._counting_coefficients({})
+        ens = simulate_ensemble(grid50, levy1, 1000, seed=23)
+        solve, write = utility.picard_full_freeze, CoefficientRoute.write
+        solved, nodes = [], []
+
+        def solving(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            solved.append(True)
+            return out
+
+        def writing(self, it, i, *args, **kwargs):
+            if solved:
+                nodes.append(i)
+            return write(self, it, i, *args, **kwargs)
+
+        monkeypatch.setattr(utility, "picard_full_freeze", solving)
+        monkeypatch.setattr(CoefficientRoute, "write", writing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            picard_utility_y0(wp, uc, ControlProcess.from_constant(
+                0.5, grid50), ens, max_iter=2)
+        assert nodes == [0, 1]
+
     def test_domain_checked_at_the_node(self, ens_small):
         """A jump exposure at or below -1 fails at the node where it is,
         and only there: the checks run on the node's coefficients."""
