@@ -11,15 +11,15 @@ tilted equation by weighted and by shifted simulation.
 The paths are read only through per-node averages, so the route is one
 pass over chunks of paths on the block workers of the noise draw: the
 source assembly, which also records F1's node-0 per-path sample for
-Y(0)'s standard error.  A chunk has
-`levy_paths._pass_rows(M+1)` paths: 1,024 up to M = 100 and fewer on
-finer grids, so that its node-major planes stay in cache and a worker's
-scratch is O(M).  Each chunk computes its propagator exponent in its
-worker's scratch; no (n, M+1) propagator, source or sample array is
-formed.  Per-chunk moments are merged in chunk order into fixed
-1,024-path slots, and the chunk depends on the grid alone, so the worker
-count changes no byte.  The mean system is built in one (M+1)^2 array,
-which after assembly is the kernel, the only one the system holds.
+Y(0)'s standard error.  A chunk has `levy_paths._pass_rows(M+1)` paths
+(1,024 up to M = 100, fewer on finer grids), so that its node-major
+planes stay in cache and a worker's scratch is O(M).  Each chunk forms
+its propagator exponent, and a running cost given chunk by chunk (the
+utility's log(pi X)), in its worker's scratch; no (n, M+1) propagator,
+running cost, source or sample array is formed.  Per-chunk moments are
+merged in chunk order into fixed 1,024-path slots, and the chunk
+depends on the grid alone, so the worker count changes no byte.  The
+mean system is built in one (M+1)^2 array, the kernel after assembly.
 
 Derivative conventions: variational derivatives are taken as left limits
 in time, so the propagator factors drop out of the rows for Zbar and
@@ -295,39 +295,43 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
     from `gamma`, `simulate_gamma(coeffs, ens)` of these two objects,
     simulated here when not given.
 
-    One pass over chunks of _pass_rows(M+1) paths on the block workers:
-    each chunk forms its propagator exponent, exp(-L) and G(., T) in the
-    worker's scratch and merges the per-node sums and centred sums of
-    squares of every source row, in row order, into the slot of its
-    _PASS_ROWS paths (one worker runs a slot's chunks in turn), so the
-    slots are O(n(M+1)/1,024) at any M; after the join the slots are
-    merged in slot order, so the worker count changes no byte.  A row
-    that is one (path factor) x (node profile) term takes the moments of
-    the path factor's sample and scales them by the profile.  The
-    pathwise running cost joins F1's sample: sum_l wq_il G(t_i, t_l)
-    g_l is G(0, t_i)^-1 R_i with R_i = sum_{l>=i} wq_il G(0, t_l) g_l,
-    a per-path reverse trapezoid sum (O(nM) work, where the (M+1)^2
-    matrix of joint means costs O(nM^2)), so F1's sample at node i is
-    G(0, t_i)^-1 (xi G(0, T) + R_i), and its mean and standard error
-    cover both parts.  The deterministic gamma and the tail
-    int_t^T E[G] ds of the derivative rows have no sampling error:
-    E[G(t_i, t_l)] is the propagator mean exp(a1_cum_l - a1_cum_i), so
-    both are row sums of the quadrature weights of the mean system.
-    Those are built in place in one (M+1)^2 array, which then becomes
-    the kernel, so at most two such arrays are alive at once.  F1's
-    node-0 sample xi G(0, T) + R_0 is recorded per path, before the
-    chunk centres it, as the sources' `node0` with F1's node-0 standard
-    error: the solves carry it to `y_closed_formula`.
+    One pass over chunks of paths on the block workers (see above): each
+    chunk forms exp(-L) and G(., T) in the worker's scratch and merges
+    the per-node sums and centred sums of squares of every source row,
+    in row order, into the slot of its _PASS_ROWS paths; the slots are
+    merged in slot order after the join.  A row that is one (path
+    factor) x (node profile) term scales the moments of the path
+    factor's sample by the profile.  The running cost, copied into the
+    chunk's scratch, joins F1's sample: sum_l wq_il G(t_i, t_l) g_l is
+    G(0, t_i)^-1 R_i with R_i = sum_{l>=i} wq_il G(0, t_l) g_l, a
+    per-path reverse trapezoid sum (O(nM) work, against O(nM^2) for the
+    matrix of joint means), so F1's sample at node i is G(0, t_i)^-1
+    (xi G(0, T) + R_i), and its mean and SE cover both parts.  The
+    deterministic gamma and the derivative rows' tail int_t^T E[G] ds
+    are exact row sums of the quadrature weights of the mean system,
+    E[G(t_i, t_l)] = exp(a1_cum_l - a1_cum_i), built in place in the
+    (M+1)^2 array that then becomes the kernel.  F1's node-0 sample xi
+    G(0, T) + R_0 is kept per path, before the chunk centres it, as the
+    sources' `node0` with its SE, which the solves carry on.
     """
-    grid, levy = ens.grid, ens.levy
     if tc is None:
         raise CapabilityError("assemble_system needs a terminal condition")
     gp = _check_inputs(gamma, gamma_path, coeffs, ens)
     if gp is not None and not np.isfinite(gp).all():
         raise ConfigError("gamma_path must be finite on every path and node")
-    if gamma is None:
-        gamma = simulate_gamma(coeffs, ens)
-    cg = gamma.cg
+    running = None if gp is None else \
+        lambda rows, level, *_: np.copyto(level, gp[rows].T)
+    gamma = simulate_gamma(coeffs, ens) if gamma is None else gamma
+    return _assemble(coeffs, tc, ens, gamma, running, gamma_db, gamma_dn,
+                     derivative_rows)
+
+
+def _assemble(coeffs, tc, ens, gamma, running, gamma_db, gamma_dn,
+              derivative_rows) -> VolterraSystem:
+    """`assemble_system` with a running cost formed per chunk: running(rows,
+    level, a, b) fills the (M+1, k) `level` of the paths `rows` (a, b:
+    scratch) and returns None or a (k,) scale of xi's path factors."""
+    grid, levy, cg = ens.grid, ens.levy, gamma.cg
     m1, nj, dt, n = grid.steps + 1, levy.n_atoms, grid.dt, ens.n_paths
 
     # source rows as (path factor, node profile) terms: F1's terminal
@@ -354,20 +358,21 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
         # paths of slot b merged so far, and in this chunk
         done, k = rows.start - b * _PASS_ROWS, rows.stop - rows.start
         einv, sample = planes[:2]
+        scale = running and running(rows, planes[2], einv, sample)
         write(rows, einv, sample[1:])
         exp_t = np.exp(einv[-1])
-        if gp is not None:
+        if running:
             # R_i: the running cost's reverse trapezoid sums
             run = planes[2]
-            np.exp(einv, out=run)
-            run *= gp[rows].T   # node-major, whatever the caller's layout
+            run *= np.exp(einv, out=sample)
             _reverse_trapezoid(run, sample)
             run *= 0.5 * dt
         np.negative(einv, out=einv)
         np.exp(einv, out=einv)
         for r in live:
-            factors = paths[r][:, rows] * exp_t
-            if r == 0 and gp is not None:
+            factors = paths[r][:, rows]
+            factors = (factors if scale is None else factors * scale) * exp_t
+            if r == 0 and running:
                 run += factors[0]
                 np.multiply(einv, run, out=sample)
             elif len(factors) == 1:
@@ -391,7 +396,7 @@ def assemble_system(coeffs: LinearCoefficients, tc: TerminalCondition,
             else:
                 sums[r, b], m2[r, b] = s, q
 
-    _over_row_blocks(range(n), (2 if gp is None else 3, m1), work)
+    _over_row_blocks(range(n), (3 if running else 2, m1), work)
 
     moments = [(np.zeros(m1), np.zeros(m1)) for _ in row_terms]
     for r in live:

@@ -7,13 +7,12 @@ terminal value is a positive multiple of terminal wealth.  The adjoint
 pair (p, lambda) gives the candidate optimal rate pi = lambda / p from
 the first-order condition of the Hamiltonian.
 
-The utility J(pi) is evaluated through the closed-form engine: the
-pathwise running cost joins the per-path samples of the mean system's
-source and of the closed formula, so both keep the pathwise log term.
-When the mean coefficients of Z or K are nonzero the source rows need
-wealth derivatives, which are closed-form only for deterministic
-consumption; stochastic rates are then cross-checked with the Picard
-solver instead.
+The utility J(pi) is evaluated through the closed-form engine, whose
+one pass over the paths forms the wealth and the pathwise log term
+chunk by chunk, and adds the latter to F1's per-path sample.  When the
+mean coefficients of Z or K are nonzero the source rows need wealth
+derivatives, which are closed-form only for deterministic consumption;
+stochastic rates are then cross-checked with the Picard solver instead.
 """
 from __future__ import annotations
 
@@ -36,8 +35,8 @@ from .core import (
 from .errors import CapabilityError, ConfigError, DomainError
 from .levy_paths import PathEnsemble, _check_jump_tilt, _cumulate_nodes, \
     _exponent_writer, _log_exponential, _on_nodes, _over_row_blocks
-from .linear import GammaEnsemble, _left_quadrature, _node_index, \
-    assemble_system, neumann_solve, y_closed_formula
+from .linear import GammaEnsemble, _assemble, _left_quadrature, \
+    _node_index, neumann_solve, y_closed_formula
 from .picard import RegressionBasis, picard_full_freeze
 
 __all__ = [
@@ -135,43 +134,46 @@ class ControlProcess:
         return self.values
 
 
-def _log_wealth(x0: float, wealth, pi: ControlProcess, ens: PathEnsemble,
-                log_rate: bool = False):
-    """log X = log x0 + L_w - cumsum(pi dt), shape (n, M+1), node-major,
-    with L_w the exponent of `wealth` = (b0, s0, g0) on the grid, written
-    row block by row block on the block workers; with `log_rate`, log(pi
-    X) instead.  Returns it and the terminal wealth X(T), shape (n,).
-    Every rate, deterministic or adapted, is read as its (n, M+1) paths
-    and copied node-major block by block, whatever its order."""
-    grid = ens.grid
-    b0, s0, g0 = wealth
-    n, m1 = ens.n_paths, grid.steps + 1
-    out = np.empty((n, m1), order="F")
-    x_t = np.empty(n)
-    rates = pi.paths(n)
-    write = _exponent_writer(ens, b0[:-1], s0[:-1], g0[:-1])
+def _wealth_chunk(x0: float, wealth, pi: ControlProcess, ens: PathEnsemble,
+                  log_rate: bool = False):
+    """chunk(rows, level, rate, run) writes log X = log x0 + L_w -
+    cumsum(pi dt) of the paths `rows`, L_w the exponent of `wealth` =
+    (b0, s0, g0), or log(pi X) with `log_rate`, into the node-major
+    (M+1, k) `level` (`rate`, `run`: scratch) and returns their X(T)."""
+    dt, rates = ens.grid.dt, pi.paths(ens.n_paths)
+    write = _exponent_writer(ens, *(c[:-1] for c in wealth))
 
-    def work(b: int, rows: slice, planes: np.ndarray) -> None:
-        level, (rate, run) = out.T[:, rows], planes
+    def chunk(rows: slice, level, rate, run) -> np.ndarray:
         write(rows, level, run[1:])
         rate[...] = rates[rows].T
-        np.multiply(rate[:-1], grid.dt, out=run[1:])
+        np.multiply(rate[:-1], dt, out=run[1:])
         _cumulate_nodes(run[1:])
         level[1:] -= run[1:]
         level += math.log(x0)
-        np.exp(level[-1], out=x_t[rows])
-        if log_rate:   # a zero rate is a valid wealth input
+        x_t = np.exp(level[-1])
+        if log_rate:
             level += np.log(rate, out=rate)
+        return x_t
 
-    _over_row_blocks(range(n), (2, m1), work)
-    return out, x_t
+    return chunk
+
+
+def _log_wealth(x0: float, wealth, pi: ControlProcess, ens: PathEnsemble):
+    """The whole log X, shape (n, M+1), node-major: `_wealth_chunk` row
+    block by row block on the block workers."""
+    out = np.empty((ens.n_paths, ens.grid.steps + 1), order="F")
+    chunk = _wealth_chunk(x0, wealth, pi, ens)
+    _over_row_blocks(range(ens.n_paths), (2, out.shape[1]),
+                     lambda b, rows, p: chunk(rows, out.T[:, rows], *p))
+    return out
 
 
 def simulate_wealth(wp: WealthParams, pi: ControlProcess, ens: PathEnsemble
                     ) -> np.ndarray:
-    """Strictly positive wealth paths X = x0 times the stochastic
-    exponential of (b0 - pi, s0, g0)."""
-    logx, _ = _log_wealth(wp.x0, wp.on_grid(ens.grid, ens.levy), pi, ens)
+    """Strictly positive wealth X = x0 times the stochastic exponential of
+    (b0 - pi, s0, g0); the rate is checked as in `evaluate_j`, zero allowed."""
+    _check_rate(pi, ens, "simulate_wealth", zero_ok=True)
+    logx = _log_wealth(wp.x0, wp.on_grid(ens.grid, ens.levy), pi, ens)
     return np.exp(logx, out=logx)
 
 
@@ -276,7 +278,8 @@ def optimal_pi(adj: AdjointState) -> ControlProcess:
             "clipped before division", stacklevel=2,
         )
     adj.floor_hits = hits
-    pi = adj.lam / np.maximum(adj.p, P_FLOOR)
+    pi = np.maximum(adj.p, P_FLOOR)
+    np.divide(adj.lam, pi, out=pi)
     bad = int((pi <= 0.0).sum())
     if bad:
         warnings.warn(
@@ -341,18 +344,20 @@ def _utility_equation(uc: UtilityCoefficients, grid, levy):
                                    e2=e1, g=np.zeros(grid.steps + 1))
 
 
-def _check_rate(pi: ControlProcess, ens: PathEnsemble, caller: str) -> None:
-    """ConfigError unless the rate has shape (M+1,) or (n, M+1);
-    DomainError naming `caller` unless it is positive and finite;
-    ConfigError if it is flagged deterministic but its paths differ."""
+def _check_rate(pi: ControlProcess, ens: PathEnsemble, caller: str,
+                zero_ok: bool = False) -> None:
+    """ConfigError unless the rate has shape (M+1,) or (n, M+1), or if it
+    is flagged deterministic but its paths differ; DomainError naming
+    `caller` unless it is finite and positive (or zero, with `zero_ok`)."""
     v = pi.values
     shapes = [(ens.grid.steps + 1,), (ens.n_paths, ens.grid.steps + 1)]
     if v.shape not in shapes:
         raise ConfigError(f"the consumption rate must have a shape in "
                           f"{shapes}, got {v.shape}")
-    # min and max propagate nan
-    if not (v.min() > 0.0 and v.max() < math.inf):
-        raise DomainError(f"{caller} needs a strictly positive finite rate")
+    lo = v.min()   # min and max propagate nan
+    if not ((lo >= 0.0 if zero_ok else lo > 0.0) and v.max() < math.inf):
+        kind = "nonnegative" if zero_ok else "strictly positive"
+        raise DomainError(f"{caller} needs a {kind} finite rate")
     if pi.deterministic and v.ndim == 2 and np.any(v != v[0]):
         raise ConfigError("a consumption rate flagged deterministic must "
                           "be the same on every path")
@@ -361,22 +366,18 @@ def _check_rate(pi: ControlProcess, ens: PathEnsemble, caller: str) -> None:
 def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
                pi: ControlProcess, ens: PathEnsemble,
                return_sample: bool = False):
-    """Utility of a consumption rate via the closed-form engine.
-
-    Forms the running cost log(pi X) in log space, row block by row
-    block on the block workers, exponentiating only the terminal wealth
-    X(T); builds the propagator from (a0, b0, e0) and passes the running
-    cost as the engine's `gamma_path`: J is the mean system's V1(0), and
-    the paths are walked twice, for the wealth and for the assembly,
-    which alone scans the running cost for finiteness.  Each wealth and
-    utility coefficient is evaluated once.
+    """Utility of a consumption rate via the closed-form engine, in one
+    pass over the paths: each chunk of the assembly forms the running
+    cost log(pi X) in log space (`_wealth_chunk`) and multiplies the
+    terminal's rate-free path factors (theta and its derivative) by its
+    X(T), so no (n, M+1) array is formed.  J is the mean system's V1(0);
+    each wealth and utility coefficient is evaluated once.
     Nonzero mean coefficients on Z or K require a deterministic rate;
     without them (beta1 = eta1 = 0, as on every adapted rate) the
     derivative rows are skipped, and the returned MeanVector holds
     zeros in v2 and v3, not E[Z] and E[K].  Returns (J, standard error,
     MeanVector), plus with `return_sample` the per-path sample of
-    `y_closed_formula`: F1's node-0 sample shifted to mean J.
-    """
+    `y_closed_formula`: F1's node-0 sample shifted to mean J."""
     grid, levy = ens.grid, ens.levy
     b0, s0, g0 = wp.on_grid(grid, levy)
     coeffs, cg = _utility_equation(uc, grid, levy)
@@ -387,20 +388,14 @@ def evaluate_j(wp: WealthParams, uc: UtilityCoefficients,
             "outside the closed-form route; use the Picard solver"
         )
     _check_rate(pi, ens, "evaluate_j")
-    gamma_path, x_t = _log_wealth(wp.x0, (b0, s0, g0), pi, ens, log_rate=True)
-
-    # wealth_linear reads the terminal column only
-    tc = wealth_linear(uc.theta, x_t[:, None], s0, g0,
-                       pi_is_deterministic=pi.deterministic)
-    gamma = GammaEnsemble(ens, coeffs, cg)
-    gamma_db = s0 if need_rows23 else None
-    gamma_dn = np.log1p(g0) if need_rows23 else None
-    sys = assemble_system(coeffs, tc, ens, gamma=gamma,
-                          gamma_path=gamma_path, gamma_db=gamma_db,
-                          gamma_dn=gamma_dn, derivative_rows=need_rows23)
-    v = neumann_solve(sys)
-    j, se, _, *sample = y_closed_formula(coeffs, tc, ens, v, gamma=gamma,
-                                         gamma_path=gamma_path,
+    # theta X(T) at unit wealth: the path factors free of the rate
+    tc = wealth_linear(uc.theta, np.broadcast_to(1.0, (ens.n_paths, 1)),
+                       s0, g0, pi_is_deterministic=pi.deterministic)
+    derivs = (s0, np.log1p(g0)) if need_rows23 else (None, None)
+    running = _wealth_chunk(wp.x0, (b0, s0, g0), pi, ens, log_rate=True)
+    v = neumann_solve(_assemble(coeffs, tc, ens, GammaEnsemble(
+        ens, coeffs, cg), running, *derivs, need_rows23))
+    j, se, _, *sample = y_closed_formula(coeffs, tc, ens, v,
                                          return_sample=return_sample)
     return (j, se, v, *sample)
 
@@ -416,7 +411,7 @@ def picard_utility_y0(wp: WealthParams, uc: UtilityCoefficients,
     b0, s0, g0 = wp.on_grid(grid, levy)
     _, cg = _utility_equation(uc, grid, levy)
     _check_rate(pi, ens, "picard_utility_y0")
-    logx, _ = _log_wealth(wp.x0, (b0, s0, g0), pi, ens)
+    logx = _log_wealth(wp.x0, (b0, s0, g0), pi, ens)
     x = np.exp(logx)
     gamma_path = np.add(logx, np.log(pi.values), order="F")
     tc = wealth_linear(uc.theta, x, s0, g0,

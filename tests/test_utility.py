@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,7 @@ from mfbsde.levy_paths import _PASS_ROWS, _pass_rows
 from mfbsde.linear import MeanVector, assemble_system
 
 from conftest import mc_se
+from wealth_pass import two_pass_inputs, wealth_pass
 
 
 # the two utility routes, by their names in `mfbsde.utility`
@@ -101,6 +104,33 @@ class TestWealth:
         pi = ControlProcess.from_constant(0.0, ens_small.grid)
         with pytest.raises(DomainError, match="-1"):
             simulate_wealth(wp, pi, ens_small)
+
+    def test_rate_shape_checked(self, ens_small):
+        """A rate of neither shape (M+1,) nor (n, M+1) is a ConfigError
+        naming both, not a numpy broadcast error."""
+        n, m1 = ens_small.n_paths, ens_small.grid.steps + 1
+        pi = ControlProcess(np.full(10, 0.1), True)
+        with pytest.raises(ConfigError, match=r"rate must have a shape in "
+                           rf"\[\({m1},\), \({n}, {m1}\)\], got \(10,\)"):
+            simulate_wealth(WealthParams(x0=1.0), pi, ens_small)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_rate_nonnegative_and_finite(self, ens_small, bad):
+        """A negative or non-finite rate value is a DomainError, before
+        numpy warns about anything; a zero rate stays valid."""
+        pi = ControlProcess.from_constant(0.0, ens_small.grid)
+        pi.values[7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^simulate_wealth needs a "
+                                                  "nonnegative finite rate$"):
+                simulate_wealth(WealthParams(x0=1.0), pi, ens_small)
+
+    def test_deterministic_flag_checked(self, ens_small):
+        r = np.asfortranarray(0.3 + 0.1 * np.cos(ens_small.brownian_nodes))
+        with pytest.raises(ConfigError, match="flagged deterministic"):
+            simulate_wealth(WealthParams(x0=1.0), ControlProcess(r, True),
+                            ens_small)
 
 
 class TestAdjointP:
@@ -538,11 +568,11 @@ class TestEvaluateJ:
     @pytest.mark.parametrize("route", ROUTES)
     def test_nonpositive_rate_rejected(self, ens_small, monkeypatch, route):
         """On both routes a bad rate fails before any wealth path is
-        formed."""
+        formed: both form their wealth with `_wealth_chunk`."""
         def no_paths(*args, **kwargs):
             raise AssertionError("wealth formed for a bad rate")
 
-        monkeypatch.setattr(utility, "_log_wealth", no_paths)
+        monkeypatch.setattr(utility, "_wealth_chunk", no_paths)
         wp = WealthParams(x0=1.0)
         uc = UtilityCoefficients(theta=constant(1.0))
         pi = ControlProcess.from_constant(0.0, ens_small.grid)
@@ -722,13 +752,12 @@ def _gemm_sources(coeffs, tc, ens, gamma, gamma_path, gamma_db=None,
 
 class TestRunningCostReverseSum:
     """The O(nM) reverse trapezoid sum of the pathwise running cost, in
-    F1's sample, against the matrix-product reference, on the arguments
-    evaluate_j passes to assemble_system: the means and the SEs, which
-    cover the running cost."""
+    F1's sample, against the matrix-product reference, on the two-pass
+    route's arguments (`TestWealthPassOracle` ties them to evaluate_j):
+    the means and the SEs, which cover the running cost."""
 
     @pytest.mark.parametrize("case", ["adapted", "deterministic_rows"])
-    def test_matches_matrix_products(self, ens_small, basis, monkeypatch,
-                                     case):
+    def test_matches_matrix_products(self, ens_small, basis, case):
         wp = WealthParams(x0=1.0, b0=0.05, sigma0=0.2, gamma0=0.1)
         if case == "adapted":
             uc = UtilityCoefficients(alpha0=0.05, alpha1=0.03, beta0=0.15,
@@ -740,15 +769,7 @@ class TestRunningCostReverseSum:
                                      beta1=0.08, eta0=0.15, eta1=0.1,
                                      theta=constant(1.5))
             pi = ControlProcess.from_constant(0.4, ens_small.grid)
-        calls = []
-
-        def record(*args, **kwargs):
-            calls.append((args, kwargs))
-            return assemble_system(*args, **kwargs)
-
-        monkeypatch.setattr(utility, "assemble_system", record)
-        evaluate_j(wp, uc, pi, ens_small)
-        (args, kwargs), = calls
+        args, kwargs = two_pass_inputs(wp, uc, pi, ens_small)
         assert kwargs["derivative_rows"] == (case != "adapted")
         got = assemble_system(*args, **kwargs)
         ref, ref_se = _gemm_sources(*args, **kwargs)
@@ -781,24 +802,64 @@ def _utility_cases(ens):
     return {"adapted": adapted, "deterministic_rows": deterministic}
 
 
+def _raw(out):
+    """The bytes of evaluate_j's (J, SE), MeanVector and sample."""
+    j, se, v, sample = out
+    return [np.array([j, se]).tobytes(), v.stack().tobytes(),
+            sample.tobytes()]
+
+
+class TestWealthPassOracle:
+    """evaluate_j's one pass gives the bytes of the two-pass route of
+    tests/wealth_pass.py, which writes the whole log(pi X) and reads it
+    back as assemble_system's gamma_path."""
+
+    @pytest.mark.parametrize("levy,theta,case,n", [
+        ("levy1", constant(4.0), "adapted", 2 * _PASS_ROWS),
+        ("levy1", constant(1.5), "deterministic_rows", 2 * _PASS_ROWS),
+        ("levy0", smooth_of_brownian([2.0, 0.3]), "adapted", _PASS_ROWS),
+        ("levy2", smooth_of_brownian([2.0, 0.3]), "deterministic_rows",
+         _PASS_ROWS),
+        ("levy2", constant(4.0), "adapted", _PASS_ROWS + 300),
+    ], ids=["adapted", "deterministic-rows", "no-atoms-smooth-theta",
+            "two-atoms-smooth-theta-rows", "ragged-last-chunk"])
+    def test_bytes_equal_two_passes(self, grid50, request, levy, theta,
+                                    case, n):
+        ens = simulate_ensemble(grid50, request.getfixturevalue(levy), n,
+                                seed=23)
+        wp, uc, pi = _utility_cases(ens)[case]
+        uc = replace(uc, theta=theta)
+        assert _raw(evaluate_j(wp, uc, pi, ens, return_sample=True)) == \
+            _raw(wealth_pass(wp, uc, pi, ens, return_sample=True))
+
+
+def test_evaluate_j_forms_no_path_array(levy1, monkeypatch):
+    """On one worker, evaluate_j's traced peak at 2e4 paths and M = 100
+    stays below half of one (n, M+1) float array: the running cost lives
+    in the chunk's scratch planes, never in a whole-path array."""
+    ens = simulate_ensemble(build_grid(1.0, 100), levy1, 20_000, seed=31)
+    wp, uc, pi = _utility_cases(ens)["adapted"]
+    monkeypatch.setattr(levy_paths, "_worker_count", lambda: 1)
+    tracemalloc.start()
+    try:
+        evaluate_j(wp, uc, pi, ens, return_sample=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * ens.n_paths * (ens.grid.steps + 1)
+
+
 class TestLogWealthBlocks:
-    """evaluate_j forms log(pi X) in log space on the block workers."""
+    """evaluate_j forms log(pi X) in log space inside the closed-form
+    assembly's chunks."""
 
     @pytest.mark.parametrize("case", ["adapted", "deterministic_rows"])
-    def test_running_cost_is_log_of_wealth(self, ens_small, monkeypatch,
-                                           case):
-        """The running cost passed to the closed form equals log(pi X)
-        of simulate_wealth, and its terminal wealth is X(T)."""
+    def test_running_cost_is_log_of_wealth(self, ens_small, case):
+        """The running cost of the two-pass reference, whose bytes
+        evaluate_j gives (`TestWealthPassOracle`), equals log(pi X) of
+        simulate_wealth, and its terminal wealth is X(T)."""
         wp, uc, pi = _utility_cases(ens_small)[case]
-        calls = []
-
-        def record(*args, **kwargs):
-            calls.append((args, kwargs))
-            return assemble_system(*args, **kwargs)
-
-        monkeypatch.setattr(utility, "assemble_system", record)
-        evaluate_j(wp, uc, pi, ens_small)
-        (args, kwargs), = calls
+        args, kwargs = two_pass_inputs(wp, uc, pi, ens_small)
         assert kwargs["derivative_rows"] == (case != "adapted")
         x = simulate_wealth(wp, pi, ens_small)
         want = np.log(pi.paths(ens_small.n_paths) * x)
@@ -839,9 +900,9 @@ class TestLogWealthBlocks:
     def test_one_path_pass_per_closed_form_solve(self, ens_small,
                                                  monkeypatch, case):
         """A closed-form solve walks the paths once, in the assembly:
-        `solve_linear_y0` makes one pass over row blocks, and
-        `evaluate_j` two (the wealth, then the assembly), whose running
-        cost is scanned for finiteness once."""
+        `solve_linear_y0` makes one pass over row blocks, and so does
+        `evaluate_j`, which forms its running cost in that pass and scans
+        no (n, M+1) array for finiteness."""
         real = levy_paths._over_row_blocks
         passes = []
 
@@ -871,8 +932,8 @@ class TestLogWealthBlocks:
         passes.clear()
         wp, uc, pi = _utility_cases(ens_small)[case]
         evaluate_j(wp, uc, pi, ens_small, return_sample=True)
-        assert passes == [n, n]
-        assert len(scans) == 1
+        assert passes == [n]
+        assert scans == []
 
 
 # the utility route of acceptance criterion 9 ("diffusive" scenario),
